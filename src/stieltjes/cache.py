@@ -1,8 +1,11 @@
-"""Persistent result cache keyed by (quantity, params, method, digits).
+"""Persistent result cache keyed by (quantity, params, route, digits, version).
 
 Values are stored as decimal strings, so a hit reproduces the original
-compute output byte for byte.  Keys include the digit count: an entry
-written at lower digits is never served for a higher-digit request.  Any
+compute output byte for byte.  The route is the one that runs (the CLI
+resolves defaults and ``auto`` first), so spelling out the default shares
+the entry.  Keys include the digit count, so an entry written at lower
+digits is never served for a higher-digit request, and the package version,
+so a release that changes printed values never serves older ones.  Any
 cache I/O failure degrades to a recompute with a warning on stderr.
 """
 
@@ -15,6 +18,8 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import Optional
+
+from . import __version__
 
 ENV_VAR = "STIELTJES_CACHE_DIR"
 
@@ -35,7 +40,8 @@ class ResultCache:
                   digits: int) -> Path:
         canon = json.dumps(
             {"quantity": quantity, "params": params, "method": method,
-             "digits": digits}, sort_keys=True, separators=(",", ":"))
+             "digits": digits, "version": __version__},
+            sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(canon.encode()).hexdigest()[:32]
         return self.directory / f"{digest}.json"
 

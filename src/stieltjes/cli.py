@@ -15,7 +15,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -23,12 +22,10 @@ import mpmath
 from mpmath import mp, mpf
 
 from . import __version__
-from .core import DomainError, NonConvergence, PrecisionConfig, PrecisionError
+from .core import (DomainError, NonConvergence, PrecisionConfig,
+                   PrecisionError, SeriesResult, as_real)
 from .cache import ResultCache
 from . import constants, fourier, gammafuncs, hurwitz, suites
-
-QUANTITIES = ("gamma_m", "zeta", "zeta_prime0", "zeta_doubleprime0",
-              "digamma", "log_gamma", "sondow_gamma")
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -44,13 +41,6 @@ def _parse_number(text):
     return text  # converted to mpf at working precision later
 
 
-def _number_to_real(value, cfg):
-    with cfg.workprec():
-        if isinstance(value, Fraction):
-            return mpf(value.numerator) / value.denominator
-        return mpf(value)
-
-
 def _fmt(value, digits):
     return mp.nstr(value, digits, strip_zeros=False)
 
@@ -62,61 +52,81 @@ def _build_cfg(args) -> PrecisionConfig:
     return PrecisionConfig(digits=digits, max_terms=args.max_terms)
 
 
-def _compute_value(args, cfg):
-    """Returns (value, err_estimate, terms_used, converged, extra_dict)."""
-    q = args.quantity
-    method = args.method
-    if q == "gamma_m":
-        if args.m is None or args.x is None:
-            raise DomainError("gamma_m requires -m and -x")
-        x = _number_to_real(args.x, cfg)
-        res = constants.stieltjes_gamma(args.m, x, method or "hasse", cfg)
-        return res.value, res.err_estimate, res.terms_used, res.converged, {}
-    if q == "zeta":
-        if args.s is None:
-            raise DomainError("zeta requires -s")
-        x = _number_to_real(args.x, cfg) if args.x is not None else mpf(1)
-        s = _number_to_real(args.s, cfg)
-        method = method or "auto"
-        if method in ("auto", "em", "hasse", "fourier"):
-            if method == "hasse" or (method == "auto" and args.deriv):
-                res = hurwitz.zeta_hasse(s, x, args.deriv, cfg)
-                return (res.value, res.err_estimate, res.terms_used,
-                        res.converged, {})
-            v = hurwitz.zeta(s, x, args.deriv, method, cfg)
-            with cfg.workprec():
-                tol = cfg.tol()
-            return v, tol, 0, True, {}
-        if method == "srivastava-choi":
-            res = hurwitz.zeta_srivastava_choi(s, x, cfg)
-        elif method == "poisson":
-            res = hurwitz.poisson_zeta(s, x, 12, cfg)
-        else:
-            raise DomainError(f"unknown zeta method {method!r}")
-        return res.value, res.err_estimate, res.terms_used, res.converged, {}
-    if q in ("zeta_prime0", "zeta_doubleprime0"):
-        if args.x is None:
-            raise DomainError(f"{q} requires -x")
-        x = _number_to_real(args.x, cfg)
-        fn = (hurwitz.zeta_prime0 if q == "zeta_prime0"
-              else hurwitz.zeta_doubleprime0)
-        v = fn(x, method or "hasse", cfg)
+def _zeta(route, a, cfg):
+    if route == "em":
+        return hurwitz.hurwitz_zeta_em(a.s, a.x, a.deriv, cfg)
+    if route == "hasse":
+        return hurwitz.zeta_hasse(a.s, a.x, a.deriv, cfg)
+    routes = {"fourier": hurwitz.zeta_fourier,
+              "srivastava-choi": hurwitz.zeta_srivastava_choi,
+              "poisson": lambda s, x, cfg: hurwitz.poisson_zeta(s, x, 12, cfg)}
+    if route not in routes:
+        raise DomainError(f"unknown zeta method {route!r}")
+    if a.deriv:
+        raise DomainError(f"zeta method {route!r} implements deriv = 0 only")
+    return routes[route](a.s, a.x, cfg)
+
+
+def _series_only(name):
+    def evaluate(route, a, cfg):
+        if route != "series":
+            raise DomainError(f"unknown {name} method {route!r}")
+        return getattr(gammafuncs, name)(a.x, cfg)
+    return evaluate
+
+
+# quantity -> (default route, required arguments, evaluator(route, args, cfg)).
+# An evaluator returns a SeriesResult, a bare value or a (re, im) pair; it
+# looks its kernel up at call time, so a rebound module attribute is used.
+QUANTITIES = {
+    "gamma_m": ("hasse", ("m", "x"),
+                lambda route, a, cfg: constants.stieltjes_gamma(a.m, a.x, route, cfg)),
+    "zeta": ("auto", ("s",), _zeta),
+    "zeta_prime0": ("hasse", ("x",),
+                    lambda route, a, cfg: hurwitz.zeta_prime0(a.x, route, cfg)),
+    "zeta_doubleprime0": ("hasse", ("x",),
+                          lambda route, a, cfg: hurwitz.zeta_doubleprime0(a.x, route, cfg)),
+    "digamma": ("series", ("x",), _series_only("digamma")),
+    "log_gamma": ("series", ("x",), _series_only("log_gamma")),
+    # an exact p/q selects the unit-circle point exp(i pi p/q)
+    "sondow_gamma": ("series", ("x",), lambda route, a, cfg: fourier.sondow_gamma(
+        a.raw_x if isinstance(a.raw_x, Fraction) else a.x, cfg, route=route)),
+}
+
+
+def _arguments(args, x, cfg):
+    """The quantity's arguments at working precision, and the resolved route."""
+    default, required, _ = QUANTITIES[args.quantity]
+    given = {"m": args.m, "x": x, "s": args.s}
+    missing = [f"-{k}" for k in required if given[k] is None]
+    if missing:
+        raise DomainError(f"{args.quantity} requires {' and '.join(missing)}")
+    with cfg.workprec():
+        a = argparse.Namespace(
+            m=args.m, deriv=args.deriv, raw_x=x,
+            x=mpf(1) if x is None else as_real(x),
+            s=None if args.s is None else as_real(args.s))
+    route = args.method or default
+    if args.quantity == "zeta" and route == "auto":
+        route = "em" if a.s > mpf(3) / 2 and not a.deriv else "hasse"
+    return a, route
+
+
+def _evaluate(args, a, route, cfg):
+    """Result fields shared by compute and table: value, claimed error, terms,
+    convergence (and value_im for a complex value)."""
+    res = QUANTITIES[args.quantity][2](route, a, cfg)
+    extra = {}
+    if isinstance(res, tuple):
+        res, im = res
+        extra["value_im"] = _fmt(im, cfg.digits)
+    if not isinstance(res, SeriesResult):  # the route reports no error bound
         with cfg.workprec():
-            tol = cfg.tol()
-        return v, tol, 0, True, {}
-    if q == "digamma":
-        x = _number_to_real(args.x, cfg)
-        return gammafuncs.digamma(x, cfg), None, 0, True, {}
-    if q == "log_gamma":
-        x = _number_to_real(args.x, cfg)
-        return gammafuncs.log_gamma(x, cfg), None, 0, True, {}
-    if q == "sondow_gamma":
-        if args.x is None:
-            raise DomainError("sondow_gamma requires -x (real z or angle p/q)")
-        z = args.x if isinstance(args.x, Fraction) else _number_to_real(args.x, cfg)
-        re, im = fourier.sondow_gamma(z, cfg, route=method or "series")
-        return re, None, 0, True, {"value_im": _fmt(im, cfg.digits)}
-    raise DomainError(f"unknown quantity {args.quantity!r}")
+            res = SeriesResult(res, cfg.tol(), 0, True)
+    return dict({"value": _fmt(res.value, cfg.digits),
+                 "err_estimate": _fmt(res.err_estimate, 3),
+                 "terms_used": res.terms_used,
+                 "converged": bool(res.converged)}, **extra)
 
 
 def cmd_compute(args) -> int:
@@ -125,31 +135,17 @@ def cmd_compute(args) -> int:
               "s": str(args.s) if args.s is not None else None,
               "m": args.m, "deriv": args.deriv}
     params = {k: v for k, v in params.items() if v is not None}
+    a, route = _arguments(args, args.x, cfg)
     cache = ResultCache(args.cache_dir, enabled=not args.no_cache)
-    method = args.method or ""
     t0 = time.monotonic()
-    cached = cache.get(args.quantity, params, method, cfg.digits)
+    cached = cache.get(args.quantity, params, route, cfg.digits)
     if cached is not None:
         result = cached["result"]
-        from_cache = True
-        converged = result.get("converged", True)
     else:
-        from_cache = False
-        value, err, terms, converged, extra = _compute_value(args, cfg)
-        result = {
-            "quantity": args.quantity,
-            "params": params,
-            "method": method or "default",
-            "value": _fmt(value, cfg.digits),
-            "err_estimate": (_fmt(err, 3) if err is not None
-                             else _fmt(mpf(10) ** (-cfg.digits), 3)),
-            "terms_used": terms,
-            "converged": bool(converged),
-            "digits": cfg.digits,
-        }
-        result.update(extra)
-        if converged:
-            cache.put(args.quantity, params, method, cfg.digits,
+        result = {"quantity": args.quantity, "params": params, "method": route,
+                  "digits": cfg.digits, **_evaluate(args, a, route, cfg)}
+        if result["converged"]:
+            cache.put(args.quantity, params, route, cfg.digits,
                       {"result": result})
     doc = {
         "result": result,
@@ -158,7 +154,7 @@ def cmd_compute(args) -> int:
             "elapsed_ms": round(1000 * (time.monotonic() - t0), 3),
             "version": __version__,
             "mpmath": mpmath.__version__,
-            "cache_hit": from_cache,
+            "cache_hit": cached is not None,
         },
     }
     print(json.dumps(doc, sort_keys=True))
@@ -239,20 +235,9 @@ def cmd_table(args) -> int:
         grid = _parse_grid(args.grid)
     rows = []
     for x in grid:
-        ns = argparse.Namespace(quantity=args.quantity, x=x, s=args.s,
-                                m=args.m, deriv=args.deriv,
-                                method=args.method)
-        value, err, terms, converged, extra = _compute_value(ns, cfg)
-        row = {
-            "x": _fmt(x, cfg.digits),
-            "value": _fmt(value, cfg.digits),
-            "err_estimate": (_fmt(err, 3) if err is not None
-                             else _fmt(mpf(10) ** (-cfg.digits), 3)),
-            "terms_used": terms,
-            "converged": bool(converged),
-        }
-        row.update(extra)
-        rows.append(row)
+        a, route = _arguments(args, x, cfg)
+        rows.append({"x": _fmt(x, cfg.digits),
+                     **_evaluate(args, a, route, cfg)})
     fmt = "json" if args.json else args.format
     out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -268,7 +253,7 @@ def cmd_table(args) -> int:
     finally:
         if args.out:
             out_fh.close()
-    return EXIT_OK
+    return EXIT_OK if all(r["converged"] for r in rows) else EXIT_NONCONV
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cache directory (overrides $STIELTJES_CACHE_DIR)")
 
     pc = sub.add_parser("compute", help="compute a single quantity")
-    pc.add_argument("quantity", choices=QUANTITIES)
+    pc.add_argument("quantity", choices=list(QUANTITIES))
     pc.add_argument("-m", type=int, default=None, help="Stieltjes index m")
     pc.add_argument("-x", type=_parse_number, default=None,
                     help="argument x (decimal or exact p/q)")
@@ -309,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_validate)
 
     pt = sub.add_parser("table", help="tabulate a quantity over a grid")
-    pt.add_argument("quantity", choices=QUANTITIES)
+    pt.add_argument("quantity", choices=list(QUANTITIES))
     pt.add_argument("--grid", required=True, help="start:stop:count")
     pt.add_argument("--format", choices=("csv", "json"), default="csv")
     pt.add_argument("--out", default=None)

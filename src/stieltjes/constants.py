@@ -8,7 +8,8 @@ Routes:
 * ``bell``           -- factorial expansion with complete-Bell-polynomial
                         weights over Hurwitz zeta s-derivatives.
 * ``briggs``         -- oscillatory-integral representation (m in {0,1},
-                        verification grade).
+                        verification grade), through
+                        ``kernels.sum_oscillatory_ibp``.
 * ``laurent_oracle`` -- the definition limit with an Euler-Maclaurin tail;
                         deliberately shares no code with the other routes.
 """
@@ -22,7 +23,7 @@ from mpmath import mp, mpf
 from .core import (DEFAULT_CFG, DomainError, IdentityReport, NonConvergence,
                    PrecisionConfig, PrecisionError, SeriesResult, as_real)
 from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
-                      integrate_oscillatory, sum_alternating_accelerated)
+                      sum_alternating_accelerated, sum_oscillatory_ibp)
 from .combinatorics import bell_harmonic, binomial
 from .hurwitz import _hasse_parts, zeta_doubleprime0
 from . import gammafuncs
@@ -39,10 +40,10 @@ def laurent_oracle(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResul
     """
     if m < 0:
         raise DomainError("m must be >= 0")
-    x = as_real(x)
-    if not x > 0:
-        raise DomainError("x must be positive")
     with cfg.workprec(40):
+        x = as_real(x)
+        if not x > 0:
+            raise DomainError("x must be positive")
         M = max(16, int(cfg.digits * 0.8))
         total = mpf(0)
         for k in range(M):
@@ -136,9 +137,9 @@ def briggs_gamma(m: int, x, N: int = _BRIGGS_DEFAULT_N,
                  cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """gamma_m(x) from the cosine-integral representation, m in {0, 1}.
 
-    Verification grade (~1e-4 and usually much better): N oscillatory
-    integrals over half-period panels, the remaining n-sum resummed by
-    integration by parts.
+    Verification grade (~1e-4 and usually much better):
+    log^m(x)/(2x) - log^(m+1)(x)/(m+1) plus twice the cosine sum of
+    kernels.sum_oscillatory_ibp with P = L^m and s = 1.
     """
     if m not in (0, 1):
         raise DomainError("oscillatory route implemented for m in {0, 1}")
@@ -148,37 +149,11 @@ def briggs_gamma(m: int, x, N: int = _BRIGGS_DEFAULT_N,
             raise DomainError("x must be positive")
         Lx = mp.log(x)
         base = Lx ** m / (2 * x) - Lx ** (m + 1) / (m + 1)
-        osc = mpf(0)
-        err = mpf(0)
-        for n in range(1, N + 1):
-            res = integrate_oscillatory(
-                lambda t: mp.log(x + t) ** m / (x + t),
-                2 * mp.pi * n, 0, cfg, mode="cos")
-            osc += res.value
-            err += res.err_estimate
-        # g = log^m(t+x)/(t+x): derivative polynomials P_{r+1} = P_r' - (1+r)P_r
-        P = [mpf(0)] * (m + 1)
-        P[m] = mpf(1)
-        derivs = []
-        for r in range(1, 6):
-            Pn = [mpf(0)] * (m + 1)
-            for d in range(m + 1):
-                v = -(1 + r - 1) * P[d]
-                if d + 1 <= m:
-                    v += (d + 1) * P[d + 1]
-                Pn[d] = v
-            P = Pn
-            pv = mpf(0)
-            for d in range(m, -1, -1):
-                pv = pv * Lx + P[d]
-            derivs.append(pv * x ** (-1 - r))  # g^(r)(0)
-        gp, gppp, g5 = derivs[0], derivs[2], derivs[4]
-        tail = (-gp / (4 * mp.pi ** 2) * hurwitz_zeta_em(2, N + 1, 0, cfg)
-                + gppp / (16 * mp.pi ** 4) * hurwitz_zeta_em(4, N + 1, 0, cfg))
-        err += abs(g5) / (2 * mp.pi) ** 6 * hurwitz_zeta_em(6, N + 1, 0, cfg)
-        value = base + 2 * (osc + tail)
-        err = 2 * err + mpf(10) ** (-cfg.digits)
-        return SeriesResult(+value, +err, N, bool(err <= mpf(10) ** -4))
+        osc = sum_oscillatory_ibp([0] * m + [1], 1, x, "cos", N, 0, cfg)
+        value = base + 2 * osc.value
+        err = 2 * osc.err_estimate + mpf(10) ** (-cfg.digits)
+        return SeriesResult(+value, +err, osc.terms_used,
+                            bool(err <= mpf(10) ** -4))
 
 
 _ROUTES = {

@@ -17,9 +17,6 @@ from typing import Optional
 
 from mpmath import mp, mpf
 
-# Real scalars throughout the package are mpmath floats.
-Real = mpf
-
 _BITS_PER_DIGIT = math.log2(10)
 
 
@@ -33,10 +30,6 @@ class PoleError(DomainError):
 
 class NonConvergence(ArithmeticError):
     """A series or quadrature failed to meet its tolerance within its budget."""
-
-
-class QuadratureFailure(NonConvergence):
-    """Adaptive quadrature stalled above tolerance."""
 
 
 class PrecisionError(ArithmeticError):
@@ -79,11 +72,6 @@ class PrecisionConfig:
     def workprec(self, extra_bits: int = 0):
         """Context manager setting the working precision for a kernel."""
         return mp.workprec(self.working_bits + extra_bits)
-
-    def scaled(self, extra_digits: int) -> "PrecisionConfig":
-        return PrecisionConfig(digits=self.digits + extra_digits,
-                               guard_bits=self.guard_bits,
-                               max_terms=self.max_terms)
 
     def eased(self, floor_digits: int) -> "PrecisionConfig":
         """Copy whose tolerance is floored at 10**(-floor_digits).
@@ -160,22 +148,8 @@ class IdentityReport:
         return d
 
 
-# Fourier-identity checks carry the same payload plus the evaluation point;
-# kept as a distinct name for call-site clarity.
-FourierIdentityReport = IdentityReport
-
-
 def as_real(value) -> mpf:
     """Convert int/float/str/Fraction to mpf at the active precision."""
     if isinstance(value, Fraction):
         return mpf(value.numerator) / value.denominator
     return mpf(value)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a reduced fraction 'p/q' constrained to (0, 1)."""
-    p_str, _, q_str = text.partition("/")
-    frac = Fraction(int(p_str), int(q_str))
-    if not 0 < frac < 1:
-        raise DomainError(f"rational argument must lie in (0,1), got {frac}")
-    return frac

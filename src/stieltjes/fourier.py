@@ -10,14 +10,13 @@ summation.  Default tolerances: 1e-4 for averaged-trig left-hand sides,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 from mpmath import mp, mpf
 
-from .core import (DEFAULT_CFG, DomainError, FourierIdentityReport,
-                   PrecisionConfig, SeriesResult, as_real)
+from .core import (DEFAULT_CFG, DomainError, IdentityReport, PrecisionConfig,
+                   SeriesResult, as_real)
 from .kernels import (hurwitz_zeta_em, integrate_adaptive,
                       sum_alternating_accelerated, sum_trig_averaged)
 from .constants import hasse_gamma
@@ -25,22 +24,6 @@ from .hurwitz import zeta_doubleprime0
 from . import gammafuncs
 
 TRIG_TOL = mpf(10) ** -4      # averaged conditionally convergent sums
-ABS_TOL = mpf(10) ** -8       # absolutely convergent / quadrature forms
-
-
-@dataclass
-class CoeffSeq:
-    """Coefficient sequence n >= 1 -> c_n for the series transform."""
-
-    eval: Callable[[int], mpf]
-    label: str = ""
-
-    def __call__(self, n: int) -> mpf:
-        return self.eval(n)
-
-
-def _coeff(c) -> Callable[[int], mpf]:
-    return c.eval if isinstance(c, CoeffSeq) else c
 
 
 def lerch_transform(c, mode: str, x,
@@ -50,27 +33,15 @@ def lerch_transform(c, mode: str, x,
     With c_0 = 0 this equals f'(x) sin(pi x)/pi for f = sum c_n/n sin(2 pi n x)
     (sin mode) or g'(x) sin(pi x)/pi for the cosine companion.
     """
-    fn = _coeff(c)
-
     def diff(n):
-        prev = mpf(0) if n == 0 else fn(n)
-        return prev - fn(n + 1)
+        prev = mpf(0) if n == 0 else c(n)
+        return prev - c(n + 1)
 
     return sum_trig_averaged(diff, mode, x, cfg, odd_multiples=True, n0=0)
 
 
-def lerch_transform_pair(c, d, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """Combined sine+cosine transform: [f'(x)+g'(x)] sin(pi x)/pi."""
-    rs = lerch_transform(c, "sin", x, cfg)
-    rc = lerch_transform(d, "cos", x, cfg)
-    return SeriesResult(rs.value + rc.value,
-                        rs.err_estimate + rc.err_estimate,
-                        rs.terms_used + rc.terms_used,
-                        rs.converged and rc.converged)
-
-
 def kummer_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG,
-                     tolerance=None) -> FourierIdentityReport:
+                     tolerance=None) -> IdentityReport:
     """log Gamma(x) against its sine-series expansion on (0,1)."""
     with cfg.workprec(40):
         x = as_real(x)
@@ -83,11 +54,11 @@ def kummer_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG,
                + (mp.euler + mp.log(2 * mp.pi)) * (mpf(1) / 2 - x)
                + sine.value / mp.pi)
         rhs = gammafuncs.log_gamma(x, cfg)
-        return FourierIdentityReport.build("kummer-log-gamma", lhs, rhs, tol, x=x)
+        return IdentityReport.build("kummer-log-gamma", lhs, rhs, tol, x=x)
 
 
 def series_316(x, cfg: PrecisionConfig = DEFAULT_CFG,
-               tolerance=None) -> FourierIdentityReport:
+               tolerance=None) -> IdentityReport:
     """sum log(1+1/n) sin((2n+1) pi x) against its digamma closed form."""
     with cfg.workprec(40):
         x = as_real(x)
@@ -99,8 +70,8 @@ def series_316(x, cfg: PrecisionConfig = DEFAULT_CFG,
         sx, cx = mp.sin(mp.pi * x), mp.cos(mp.pi * x)
         rhs = -(gammafuncs.digamma(x, cfg) * sx + mp.pi / 2 * cx
                 + (mp.euler + mp.log(2 * mp.pi)) * sx)
-        return FourierIdentityReport.build("odd-sine-log-series", lhs, rhs,
-                                           tol, x=x)
+        return IdentityReport.build("odd-sine-log-series", lhs, rhs, tol,
+                                    x=x)
 
 
 def wallis_alternating(cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -116,7 +87,7 @@ def _deninger_closed(x, cfg) -> mpf:
 
 
 def deninger_f(x, cfg: PrecisionConfig = DEFAULT_CFG,
-               tolerance=None) -> FourierIdentityReport:
+               tolerance=None) -> IdentityReport:
     """sum log n/n cos(2 pi n x) against the zeta''(0,.) closed form."""
     with cfg.workprec(40):
         x = as_real(x)
@@ -126,12 +97,12 @@ def deninger_f(x, cfg: PrecisionConfig = DEFAULT_CFG,
         lhs = sum_trig_averaged(lambda n: mp.log(n) / n if n > 1 else mpf(0),
                                 "cos", x, cfg.eased(12)).value
         rhs = _deninger_closed(x, cfg)
-        return FourierIdentityReport.build("log-cosine-closed-form", lhs, rhs,
-                                           tol, x=x)
+        return IdentityReport.build("log-cosine-closed-form", lhs, rhs,
+                                    tol, x=x)
 
 
 def landau_f_functional(x, cfg: PrecisionConfig = DEFAULT_CFG,
-                        tolerance=None) -> FourierIdentityReport:
+                        tolerance=None) -> IdentityReport:
     """f(x+1/2) = f(2x) - f(x) - log2 log(2 sin 2 pi x) on 0 < x < 1/2."""
     with cfg.workprec(40):
         x = as_real(x)
@@ -143,8 +114,8 @@ def landau_f_functional(x, cfg: PrecisionConfig = DEFAULT_CFG,
         lhs = _deninger_closed(x + mpf(1) / 2, cfg)
         rhs = (_deninger_closed(2 * x, cfg) - _deninger_closed(x, cfg)
                - mp.log(2) * mp.log(2 * mp.sin(2 * mp.pi * x)))
-        return FourierIdentityReport.build("log-cosine-functional-eq",
-                                           lhs, rhs, tol, x=x)
+        return IdentityReport.build("log-cosine-functional-eq", lhs, rhs,
+                                    tol, x=x)
 
 
 def gamma1_fourier(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -178,7 +149,7 @@ def gamma1_fourier(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
 
 
 def series_325_family(x, which: str, cfg: PrecisionConfig = DEFAULT_CFG,
-                      tolerance=None) -> FourierIdentityReport:
+                      tolerance=None) -> IdentityReport:
     """The log(1+1/n) trigonometric family against its closed forms.
 
     ``which`` selects the variant: "3.25" (odd cosine), "3.27" (odd cosine at
@@ -201,8 +172,8 @@ def series_325_family(x, which: str, cfg: PrecisionConfig = DEFAULT_CFG,
                 gsum += (gammafuncs.log_gamma(mpf(j) / q, cfg)
                          * mp.sinpi(mpf(2 * j * p) / q))
             rhs -= 2 * mp.sinpi(mpf(p) / q) * gsum
-            return FourierIdentityReport.build("odd-cosine-rational", lhs,
-                                               rhs, tol, x=xr)
+            return IdentityReport.build("odd-cosine-rational", lhs, rhs,
+                                        tol, x=xr)
         x = as_real(x)
         if not 0 < x < 1:
             raise DomainError("x must lie in (0,1)")
@@ -228,7 +199,7 @@ def series_325_family(x, which: str, cfg: PrecisionConfig = DEFAULT_CFG,
             name = "sine-stieltjes"
         else:
             raise ValueError(f"unknown family member {which!r}")
-        return FourierIdentityReport.build(name, lhs, rhs, tol, x=x)
+        return IdentityReport.build(name, lhs, rhs, tol, x=x)
 
 
 def _log_ratio_tail_sum(N: int, cfg) -> mpf:
@@ -281,11 +252,11 @@ def kolbig_check(cfg: PrecisionConfig = DEFAULT_CFG):
             if 0 < t < 1 else mpf(0), 0, 1, cfg)
         kolbig_form = -(2 / mp.pi) * (g2pi + 2 * S1)
         integrated_form = -(2 / mp.pi) * g2pi - (2 / mp.pi) * S2
-        rep_eq = FourierIdentityReport.build(
+        rep_eq = IdentityReport.build(
             "kolbig-series-equivalence", 2 * S1, S2, mpf(10) ** -10)
-        rep_quad = FourierIdentityReport.build(
+        rep_quad = IdentityReport.build(
             "kolbig-quadrature", quad.value, kolbig_form, mpf(10) ** -8)
-        rep_int = FourierIdentityReport.build(
+        rep_int = IdentityReport.build(
             "kolbig-integrated-series", quad.value, integrated_form,
             mpf(10) ** -8,
             meta="sign of the integral term corrected from the printed form")

@@ -16,7 +16,7 @@ from mpmath import mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, IdentityReport, PrecisionConfig,
                    SeriesResult, as_real)
-from .kernels import hurwitz_zeta_em, integrate_adaptive, integrate_oscillatory
+from .kernels import hurwitz_zeta_em, integrate_adaptive, sum_oscillatory_ibp
 
 _SHIFT_THRESHOLD = 16
 
@@ -66,11 +66,6 @@ def log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
         return +acc
 
 
-def gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
-    """Gamma(x) for x > 0 (linear scale, through log_gamma)."""
-    return mp.exp(log_gamma(x, cfg))
-
-
 def digamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
     """psi(x) for x > 0; satisfies psi(1) = -gamma."""
     with cfg.workprec(40):
@@ -111,8 +106,8 @@ def polygamma(k: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
     """psi^(k)(x) = (-1)^(k+1) k! zeta(k+1, x) for k >= 1, x > 0."""
     if k < 1:
         raise DomainError("polygamma order must be >= 1")
-    x = _require_positive(x)
     with cfg.workprec(40):
+        x = _require_positive(x)
         return +((-1) ** (k + 1) * mp.factorial(k)
                  * hurwitz_zeta_em(k + 1, x, 0, cfg))
 
@@ -175,22 +170,13 @@ def bourguet_log_gamma(x, N: int = 12,
 
     Low-accuracy cross-check of log_gamma (target ~1e-4): Stirling-like
     elementary part plus (1/pi) sum_n (1/n) int_0^inf sin(2 pi n t)/(x+t) dt,
-    truncated at N with an integration-by-parts resummation of the n-tail.
+    N integrals plus an integration-by-parts resummation of the n-tail.
     """
     with cfg.workprec(40):
         x = _require_positive(x)
         elementary = mp.log(2 * mp.pi) / 2 + (x - mpf(1) / 2) * mp.log(x) - x
-        osc_sum = mpf(0)
-        err = mpf(0)
-        for n in range(1, N + 1):
-            res = integrate_oscillatory(lambda t: 1 / (x + t), 2 * mp.pi * n,
-                                        0, cfg, mode="sin")
-            osc_sum += res.value / n
-            err += res.err_estimate / n
-        # sin-kernel IBP: I_n = g(0)/w - g''(0)/w^3 + ..., w = 2 pi n
-        tail = (1 / x) / (2 * mp.pi) * hurwitz_zeta_em(2, N + 1, 0, cfg)
-        tail -= (2 / x ** 3) / (2 * mp.pi) ** 3 * hurwitz_zeta_em(4, N + 1, 0, cfg)
-        err += (24 / x ** 5) / (2 * mp.pi) ** 5 * hurwitz_zeta_em(6, N + 1, 0, cfg)
-        value = elementary + (osc_sum + tail) / mp.pi
-        err = err / mp.pi + mpf(10) ** (-cfg.digits)
-        return SeriesResult(+value, +err, N, bool(err <= mpf(10) ** -4))
+        osc = sum_oscillatory_ibp([1], 1, x, "sin", N, 1, cfg)
+        value = elementary + osc.value / mp.pi
+        err = osc.err_estimate / mp.pi + mpf(10) ** (-cfg.digits)
+        return SeriesResult(+value, +err, osc.terms_used,
+                            bool(err <= mpf(10) ** -4))

@@ -8,12 +8,18 @@ Routes:
   inner differences the outer weights collapse into elementary generating
   functions, leaving a smooth one-dimensional integral.  Accurate to the
   configured digits for any real s != 1.
-* ``zeta_fourier`` -- the trigonometric expansion valid for s < 1 on (0,1],
-  evaluated with iterated-averaging of the conditionally convergent sums.
-* ``hurwitz_zeta_em`` (re-exported) -- direct summation with Euler-Maclaurin
-  tail, the reference for s > 1.
-* ``zeta_srivastava_choi`` and ``poisson_zeta`` -- verification-grade
-  cross-checks from alternative expansions.
+* ``hurwitz_zeta_em`` (re-exported from ``kernels``) -- direct summation
+  with an Euler-Maclaurin tail, the reference for s > 1.
+* ``zeta_fourier`` and ``zeta_fourier_pair`` -- the trigonometric expansion
+  valid for s < 1 on (0,1], evaluated with iterated averaging of the
+  conditionally convergent sums.
+* ``zeta_srivastava_choi`` -- the factorial-weighted expansion in
+  zeta(s+n, x), verification grade.
+* ``poisson_zeta`` -- Poisson summation: an instance of
+  ``kernels.sum_oscillatory_ibp``, verification grade.
+
+``zeta`` dispatches between ``em``, ``hasse`` and ``fourier``;
+``zeta_prime0`` and ``zeta_doubleprime0`` take ``hasse`` or ``fourier``.
 """
 
 from __future__ import annotations
@@ -24,10 +30,10 @@ from mpmath import mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, PoleError, PrecisionConfig,
                    SeriesResult, as_real)
-from .kernels import (hurwitz_zeta_em, integrate_oscillatory,
-                      sum_alternating_accelerated, sum_trig_averaged)
+from .kernels import (hurwitz_zeta_em, sum_alternating_accelerated,
+                      sum_oscillatory_ibp, sum_trig_averaged)
 from . import gammafuncs
-from .combinatorics import binomial
+from .combinatorics import bell_complete, binomial
 
 _HEAD_TERMS = 32
 _POLE_GUARD = mpf(10) ** -8
@@ -40,19 +46,10 @@ def _recip_gamma_derivs(alpha, jmax: int, cfg: PrecisionConfig):
     derivatives via complete Bell polynomials in psi^(i)(1-alpha).
     """
     one_minus = 1 - alpha
-    u = [None]
-    for i in range(1, jmax + 1):
-        if i == 1:
-            d = gammafuncs.digamma(one_minus, cfg)
-        else:
-            d = gammafuncs.polygamma(i - 1, one_minus, cfg)
-        u.append((-1) ** (i + 1) * d)
-    Y = [mpf(1)]
-    for r in range(jmax):
-        acc = mpf(0)
-        for j in range(r + 1):
-            acc += binomial(r, j) * Y[r - j] * u[j + 1]
-        Y.append(acc)
+    u = [(-1) ** (i + 1) * (gammafuncs.digamma(one_minus, cfg) if i == 1
+                            else gammafuncs.polygamma(i - 1, one_minus, cfg))
+         for i in range(1, jmax + 1)]
+    Y = [bell_complete(u[:p]) for p in range(jmax + 1)]
     expu = mp.exp(-gammafuncs.log_gamma(one_minus, cfg))
     B = []
     for p in range(jmax + 1):
@@ -276,7 +273,8 @@ def zeta(s, x=1, deriv: int = 0, method: str = "auto",
     Returns an mpf; use the route-specific functions for SeriesResult
     diagnostics.
     """
-    s = as_real(s)
+    with cfg.workprec(40):
+        s = as_real(s)
     if method == "auto":
         method = "em" if s > mpf(3) / 2 else "hasse"
     if method == "em":
@@ -370,8 +368,9 @@ def zeta_srivastava_choi(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResu
 def poisson_zeta(s, x, N: int = 10, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """zeta(s, x) from the Poisson-summation representation, s > 1.
 
-    Verification-grade: N oscillatory integrals plus an integration-by-parts
-    resummation of the remaining n-tail.
+    Verification-grade: x^-s/2 + x^(1-s)/(s-1) plus twice the cosine sum
+    of kernels.sum_oscillatory_ibp (N integrals and an integration-by-parts
+    resummation of the remaining n-tail).
     """
     with cfg.workprec(40):
         s = as_real(s)
@@ -381,22 +380,8 @@ def poisson_zeta(s, x, N: int = 10, cfg: PrecisionConfig = DEFAULT_CFG) -> Serie
         if not x > 0:
             raise DomainError("x must be positive")
         base = x ** (-s) / 2 + x ** (1 - s) / (s - 1)
-        osc = mpf(0)
-        err = mpf(0)
-        for n in range(1, N + 1):
-            res = integrate_oscillatory(lambda t: (x + t) ** (-s),
-                                        2 * mp.pi * n, 0, cfg, mode="cos")
-            osc += res.value
-            err += res.err_estimate
-        # cos-kernel IBP: I_n = -g'(0)/w^2 + g'''(0)/w^4 - g^(5)(0)/w^6 + ...
-        gp = -s * x ** (-s - 1)
-        gppp = -s * (s + 1) * (s + 2) * x ** (-s - 3)
-        g5 = -s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * x ** (-s - 5)
-        tail = (-gp / (2 * mp.pi) ** 2 * hurwitz_zeta_em(2, N + 1, 0, cfg)
-                + gppp / (2 * mp.pi) ** 4 * hurwitz_zeta_em(4, N + 1, 0, cfg)
-                - g5 / (2 * mp.pi) ** 6 * hurwitz_zeta_em(6, N + 1, 0, cfg))
-        order7 = mp.fprod(s + i for i in range(7)) * x ** (-s - 7)
-        err += order7 / (2 * mp.pi) ** 8 * hurwitz_zeta_em(8, N + 1, 0, cfg)
-        value = base + 2 * (osc + tail)
-        err = 2 * err + mpf(10) ** (-cfg.digits)
-        return SeriesResult(+value, +err, N, bool(err <= mpf(10) ** -5))
+        osc = sum_oscillatory_ibp([1], s, x, "cos", N, 0, cfg)
+        value = base + 2 * osc.value
+        err = 2 * osc.err_estimate + mpf(10) ** (-cfg.digits)
+        return SeriesResult(+value, +err, osc.terms_used,
+                            bool(err <= mpf(10) ** -5))

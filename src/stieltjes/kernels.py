@@ -1,9 +1,22 @@
 """Series summation, acceleration and quadrature kernels.
 
-Pure functions of their inputs; no shared mutable state.  Every kernel
-returns a :class:`~stieltjes.core.SeriesResult` whose ``converged`` flag
-signals whether the requested tolerance was met (convergence shortfalls do
-not raise; domain violations do).
+Pure functions of their inputs; no shared mutable state.  The summation and
+quadrature kernels return a :class:`~stieltjes.core.SeriesResult` whose
+``converged`` flag signals whether the requested tolerance was met
+(convergence shortfalls do not raise; domain violations do).
+
+Kernels:
+
+* ``sum_alternating_accelerated`` -- Euler transform of alternating series.
+* ``sum_trig_averaged`` -- iterated Cesaro averaging of conditionally
+  convergent trigonometric series.
+* ``integrate_adaptive`` -- tanh-sinh quadrature on finite or infinite ranges.
+* ``integrate_oscillatory`` -- zero-aligned panels with Euler acceleration.
+* ``sum_oscillatory_ibp`` -- sum over n of oscillatory integrals: the first
+  N by ``integrate_oscillatory``, the rest by an integration-by-parts tail
+  over Hurwitz zeta values (Briggs, Bourguet and Poisson routes).
+* ``hurwitz_zeta_em`` -- Euler-Maclaurin summation of zeta(s, x) and its
+  s-derivatives for s > 1.
 """
 
 from __future__ import annotations
@@ -14,7 +27,8 @@ from typing import Callable
 
 from mpmath import mp, mpf
 
-from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult)
+from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
+                   as_real)
 
 _SAFETY = 4  # heuristic multiplier on last-difference error estimates
 
@@ -247,6 +261,96 @@ def integrate_oscillatory(g: Callable[[mpf], mpf], freq, a=0,
 
 
 # ---------------------------------------------------------------------------
+# Functions of the form P(log(t+x)) * (t+x)^(-s): their t-derivatives stay in
+# that form, which both the Euler-Maclaurin engine and the integration-by-parts
+# tail of sum_oscillatory_ibp rely on.
+# ---------------------------------------------------------------------------
+
+def _horner(P, L):
+    """P(L) for coefficients P in ascending powers."""
+    pv = mpf(0)
+    for c in reversed(P):
+        pv = pv * L + c
+    return pv
+
+
+def _log_poly_step(P, c):
+    """Coefficients of P' - c*P.
+
+    d/dt [P(L) (t+x)^-c] = (P'(L) - c P(L)) (t+x)^-(c+1) with L = log(t+x),
+    so P_{r+1} = _log_poly_step(P_r, s + r) gives the r-th derivative of
+    P(L) (t+x)^-s as P_r(L) (t+x)^-(s+r).
+    """
+    out = [-c * p for p in P]
+    for d in range(1, len(P)):
+        out[d - 1] += d * P[d]
+    return out
+
+
+def sum_oscillatory_ibp(poly, s, x, mode: str, N: int, w=0,
+                        cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
+    """sum_{n>=1} n^-w int_0^inf P(log(t+x)) (t+x)^-s trig(2 pi n t) dt.
+
+    ``poly`` holds the coefficients of P (ascending).  The first N integrals
+    come from :func:`integrate_oscillatory`.  For n > N each integral is
+    expanded by parts at t = 0, with g(t) = P(log(t+x)) (t+x)^-s:
+
+        cos: sum_{k>=1} (-1)^k g^(2k-1)(0) / (2 pi n)^(2k)
+        sin: sum_{k>=0} (-1)^k g^(2k)(0) / (2 pi n)^(2k+1)
+
+    so the n-sum of the r-th term is zeta(r + 1 + w, N + 1) / (2 pi)^(r+1).
+    The expansion is asymptotic: it is summed until its terms stop
+    decreasing or fall below the tolerance, and the last term computed is
+    the tail's error estimate.  The sine form needs w > 0.
+    """
+    if mode not in ("sin", "cos"):
+        raise ValueError("mode must be 'sin' or 'cos'")
+    if mode == "sin" and not w > 0:
+        raise DomainError("the sine form needs w > 0")
+    with cfg.workprec(40):
+        s = as_real(s)
+        x = as_real(x)
+        if not x > 0:
+            raise DomainError("x must be positive")
+        P = [mpf(c) for c in poly]
+        if len(P) == 1:
+            g = lambda t: P[0] * (x + t) ** (-s)
+        else:
+            g = lambda t: _horner(P, mp.log(x + t)) * (x + t) ** (-s)
+        two_pi = 2 * mp.pi
+        total = mpf(0)
+        err = mpf(0)
+        for n in range(1, N + 1):
+            res = integrate_oscillatory(g, two_pi * n, 0, cfg, mode=mode)
+            weight = mpf(n) ** (-w)
+            total += res.value * weight
+            err += res.err_estimate * weight
+        tol = cfg.tol()
+        L = mp.log(x)
+        odd = 1 if mode == "cos" else 0  # derivative orders in the expansion
+        Pr = P
+        prev = mpf("inf")
+        mag = mpf(0)
+        tail_terms = 0
+        for r in range(400):
+            if r % 2 == odd:
+                term = ((-1) ** ((r + 1) // 2) * _horner(Pr, L) * x ** (-s - r)
+                        / two_pi ** (r + 1)
+                        * hurwitz_zeta_em(r + 1 + w, N + 1, 0, cfg))
+                mag = abs(term)
+                if mag > prev:  # asymptotic series turned; stop
+                    break
+                total += term
+                tail_terms += 1
+                prev = mag
+                if mag < tol * (1 + abs(total)):
+                    break
+            Pr = _log_poly_step(Pr, s + r)
+        err += mag
+        return SeriesResult(+total, +err, N + tail_terms, bool(err <= tol))
+
+
+# ---------------------------------------------------------------------------
 # Euler-Maclaurin engine for absolutely convergent Hurwitz-zeta sums.
 # This is the workhorse for s > 1 (integer or real) and its s-derivatives,
 # used by polygamma, the Bell-series route and many tail corrections.
@@ -255,9 +359,8 @@ def integrate_oscillatory(g: Callable[[mpf], mpf], freq, a=0,
 def _em_log_power_sum(poly, s, x, cfg, extra_bits=0):
     """sum_{k>=0} P(log(k+x)) * (k+x)^(-s) via Euler-Maclaurin, s > 1.
 
-    ``poly`` holds the coefficients of P (ascending).  The derivative
-    recurrence P_{r+1} = P_r' - (s+r) P_r keeps everything polynomial in
-    log(t+x).
+    ``poly`` holds the coefficients of P (ascending); the Bernoulli
+    corrections take their derivatives from :func:`_log_poly_step`.
     """
     with cfg.workprec(40 + extra_bits):
         s = mpf(s)
@@ -266,11 +369,7 @@ def _em_log_power_sum(poly, s, x, cfg, extra_bits=0):
         M = max(12, 2 * cfg.digits // 3, int(4 - x) + 1)
         tot = mpf(0)
         for k in range(M):
-            L = mp.log(k + x)
-            pv = mpf(0)
-            for d in range(deg, -1, -1):
-                pv = pv * L + poly[d]
-            tot += pv * (k + x) ** (-s)
+            tot += _horner(poly, mp.log(k + x)) * (k + x) ** (-s)
         A = mp.log(M + x)
         # integral of each monomial: int_M^inf ln^d(t+x) (t+x)^-s dt
         mono = []
@@ -281,14 +380,8 @@ def _em_log_power_sum(poly, s, x, cfg, extra_bits=0):
             mono.append(I * mp.exp(-(s - 1) * A))
         tot += mp.fsum(poly[d] * mono[d] for d in range(deg + 1))
         # f(M)/2 and Bernoulli corrections
-        def eval_poly(P):
-            pv = mpf(0)
-            for d in range(len(P) - 1, -1, -1):
-                pv = pv * A + P[d]
-            return pv
-
         powM = (M + x) ** (-s)
-        tot += eval_poly(poly) * powM / 2
+        tot += _horner(poly, A) * powM / 2
         # stopping must be relative: for large s the value itself is tiny
         # and callers scale it back up
         scale = abs(tot) + abs(powM) + mpf(2) ** (-mp.prec)
@@ -297,17 +390,11 @@ def _em_log_power_sum(poly, s, x, cfg, extra_bits=0):
         prev = mpf("inf")
         tol = cfg.tol() * mpf(10) ** (-6)
         while r < 400:
-            Pn = [mpf(0)] * len(P)
-            for d in range(len(P)):
-                v = -(s + r) * P[d]
-                if d + 1 < len(P):
-                    v += (d + 1) * P[d + 1]
-                Pn[d] = v
-            P = Pn
+            P = _log_poly_step(P, s + r)
             r += 1
             if r % 2 == 1:
                 u = (r + 1) // 2
-                f_r = eval_poly(P) * (M + x) ** (-s - r)
+                f_r = _horner(P, A) * (M + x) ** (-s - r)
                 corr = -mp.bernoulli(2 * u) / mp.factorial(2 * u) * f_r
                 tot += corr
                 mag = abs(corr)
@@ -326,11 +413,13 @@ def hurwitz_zeta_em(s, x=1, deriv: int = 0,
     Valid (and fast) in the absolutely convergent region s > 1; this is the
     reference engine the analytically continued routes are checked against.
     """
-    s = mpf(s)
-    if not s > 1:
-        raise DomainError("hurwitz_zeta_em requires s > 1")
-    if mpf(x) <= 0:
-        raise DomainError("x must be positive")
-    # d^j/ds^j (k+x)^(-s) = (-log(k+x))^j (k+x)^(-s)
-    poly = [mpf(0)] * deriv + [mpf(-1) ** deriv]
-    return _em_log_power_sum(poly, s, x, cfg)
+    with cfg.workprec(40):
+        s = as_real(s)
+        x = as_real(x)
+        if not s > 1:
+            raise DomainError("hurwitz_zeta_em requires s > 1")
+        if not x > 0:
+            raise DomainError("x must be positive")
+        # d^j/ds^j (k+x)^(-s) = (-log(k+x))^j (k+x)^(-s)
+        poly = [mpf(0)] * deriv + [mpf(-1) ** deriv]
+        return _em_log_power_sum(poly, s, x, cfg)

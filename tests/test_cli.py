@@ -150,6 +150,15 @@ class TestTable:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 1
 
+    def test_unconverged_rows_exit_3(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "gamma_m", "-m", "0",
+                               "--method", "bell", "--max-terms", "20",
+                               "--grid", "1:2:2", "--digits", "20")
+        assert code == 3
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2
+        assert all(r["converged"] == "False" for r in rows)
+
     def test_bad_grid_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "table", "digamma", "--grid", "0:1:5",
                                "--digits", "15")
@@ -193,6 +202,35 @@ class TestCache:
         assert doc2["meta"]["cache_hit"] is False
         assert "warning" in err
         assert doc2["result"]["value"] == doc1["result"]["value"]
+
+    def test_default_route_spelled_out_is_a_hit(self, capsys, tmp_path):
+        base = ("compute", "gamma_m", "-m", "0", "-x", "1", "--digits", "20",
+                "--cache-dir", str(tmp_path))
+        _, doc1 = compute_json(capsys, *base)
+        assert doc1["meta"]["cache_hit"] is False
+        assert doc1["result"]["method"] == "hasse"
+        _, doc2 = compute_json(capsys, *base, "--method", "hasse")
+        assert doc2["meta"]["cache_hit"] is True
+        assert doc2["result"]["method"] == "hasse"
+        assert len(list(tmp_path.iterdir())) == 1
+
+    def test_auto_names_the_route_it_ran(self, capsys, tmp_path):
+        base = ("compute", "zeta", "-s", "2", "--digits", "20",
+                "--cache-dir", str(tmp_path))
+        _, doc1 = compute_json(capsys, *base, "--method", "auto")
+        assert doc1["result"]["method"] == "em"
+        _, doc2 = compute_json(capsys, *base, "--method", "em")
+        assert doc2["meta"]["cache_hit"] is True
+        _, doc3 = compute_json(capsys, *base, "--deriv", "1")
+        assert doc3["result"]["method"] == "hasse"
+
+    def test_other_version_not_served(self, tmp_path, monkeypatch):
+        from stieltjes import cache as cache_module
+        monkeypatch.setattr(cache_module, "__version__", "0.0.0")
+        ResultCache(tmp_path).put("q", {"x": "1"}, "m", 20,
+                                  {"result": {"value": "1.5"}})
+        monkeypatch.undo()
+        assert ResultCache(tmp_path).get("q", {"x": "1"}, "m", 20) is None
 
     def test_api_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)

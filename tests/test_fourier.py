@@ -5,7 +5,7 @@ from mpmath import mp, mpf
 
 from stieltjes.core import DomainError, PrecisionConfig
 from stieltjes.constants import hasse_gamma, gamma1_rational
-from stieltjes.fourier import (CoeffSeq, deninger_f, gamma1_fourier,
+from stieltjes.fourier import (deninger_f, gamma1_fourier,
                                kolbig_check, kummer_log_gamma,
                                landau_f_functional, lerch_transform,
                                series_316, series_325_family, sondow_gamma,
@@ -35,8 +35,8 @@ class TestLerchTransform:
         # d_n = log(2 pi n) + gamma: transform equals
         # -[gamma_1(1-x) - gamma_1(x)] sin(pi x)/pi
         x = mpf(1) / 3
-        seq = CoeffSeq(lambda n: mp.log(2 * mp.pi * n) + mp.euler, "d_n")
-        res = lerch_transform(seq, "cos", x, cfg20)
+        d_n = lambda n: mp.log(2 * mp.pi * n) + mp.euler
+        res = lerch_transform(d_n, "cos", x, cfg20)
         diff = hasse_gamma(1, 1 - x, cfg20).value - hasse_gamma(1, x, cfg20).value
         rhs = -diff * mp.sinpi(x) / mp.pi
         assert abs(res.value - rhs) < mpf(10) ** -8

@@ -189,6 +189,13 @@ class TestAlternativeRepresentations:
         rhs = zeta_hasse(3, mpf(1) / 2, 0, cfg20).value
         assert abs(res.value - rhs) < mpf(10) ** -5
 
+    def test_poisson_tail_runs_until_terms_turn(self, cfg20):
+        # a fixed three-term IBP tail stopped at 4e-7 here
+        res = poisson_zeta(3, mpf(1) / 2, 12, cfg20)
+        actual = abs(res.value - mp.zeta(3, mpf(1) / 2))
+        assert actual < mpf(10) ** -10
+        assert actual <= res.err_estimate
+
     def test_poisson_large_x_dominated_by_elementary(self, cfg20):
         # oscillatory remainder fades as x grows
         s, x = mpf(2), mpf(20)

@@ -3,6 +3,7 @@ from mpmath import mp, mpf
 
 from stieltjes.core import DomainError, PrecisionConfig
 from stieltjes.kernels import (hurwitz_zeta_em, integrate_adaptive,
+                               sum_oscillatory_ibp,
                                integrate_oscillatory,
                                sum_alternating_accelerated, sum_trig_averaged)
 
@@ -119,6 +120,31 @@ class TestOscillatory:
     def test_rejects_growth(self, cfg20):
         with pytest.raises(DomainError):
             integrate_oscillatory(lambda t: t ** 2, 2 * mp.pi, 0, cfg20)
+
+
+class TestOscillatorySum:
+    def test_sine_sum_gives_log_gamma(self, cfg20):
+        # Bourguet: sum_n (1/n) int sin(2 pi n t)/(x+t) dt is pi times the
+        # remainder of log Gamma(x) after its Stirling part
+        x = mpf(3) / 2
+        res = sum_oscillatory_ibp([1], 1, x, "sin", 12, 1, cfg20)
+        closed = mp.pi * (mp.loggamma(x) - mp.log(2 * mp.pi) / 2
+                          - (x - mpf(1) / 2) * mp.log(x) + x)
+        assert abs(res.value - closed) < mpf(10) ** -10
+        assert abs(res.value - closed) <= res.err_estimate
+
+    def test_log_polynomial_cosine_sum_gives_gamma1(self, cfg20):
+        # Briggs with P = L: gamma_1(x) = L/(2x) - L^2/2 + 2 * sum
+        x = mpf(3) / 2
+        L = mp.log(x)
+        res = sum_oscillatory_ibp([0, 1], 1, x, "cos", 14, 0, cfg20)
+        closed = (mp.stieltjes(1, x) - L / (2 * x) + L ** 2 / 2) / 2
+        assert abs(res.value - closed) < mpf(10) ** -10
+        assert abs(res.value - closed) <= res.err_estimate
+
+    def test_sine_needs_weight(self, cfg20):
+        with pytest.raises(DomainError):
+            sum_oscillatory_ibp([1], 1, 1, "sin", 4, 0, cfg20)
 
 
 class TestZetaEM:
