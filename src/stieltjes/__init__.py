@@ -16,9 +16,10 @@ from .hurwitz import (poisson_zeta, zeta, zeta_doubleprime0, zeta_fourier,
                       zeta_srivastava_choi)
 from .constants import (adamchik_reflection, bell_series_gamma, briggs_gamma,
                         coffey_difference_integral, coffey_ramanujan_sum,
-                        digamma_hasse_series, gamma1_prime, gamma1_rational,
-                        hasse_gamma, landau_gamma1_functional, laurent_oracle,
-                        ramanujan_exp_sum, stieltjes_gamma, stieltjes_shift)
+                        digamma_hasse_series, em_gamma, gamma1_prime,
+                        gamma1_rational, hasse_gamma, landau_gamma1_functional,
+                        laurent_oracle, ramanujan_exp_sum, stieltjes_gamma,
+                        stieltjes_shift)
 from .fourier import (deninger_f, gamma1_fourier, kolbig_check,
                       kummer_log_gamma, landau_f_functional, lerch_transform,
                       series_316, series_325_family, sondow_gamma,

@@ -79,12 +79,12 @@ def _series_only(name):
 # An evaluator returns a SeriesResult, a bare value or a (re, im) pair; it
 # looks its kernel up at call time, so a rebound module attribute is used.
 QUANTITIES = {
-    "gamma_m": ("hasse", ("m", "x"),
+    "gamma_m": ("em", ("m", "x"),
                 lambda route, a, cfg: constants.stieltjes_gamma(a.m, a.x, route, cfg)),
-    "zeta": ("auto", ("s",), _zeta),
-    "zeta_prime0": ("hasse", ("x",),
+    "zeta": ("em", ("s",), _zeta),
+    "zeta_prime0": ("em", ("x",),
                     lambda route, a, cfg: hurwitz.zeta_prime0(a.x, route, cfg)),
-    "zeta_doubleprime0": ("hasse", ("x",),
+    "zeta_doubleprime0": ("em", ("x",),
                           lambda route, a, cfg: hurwitz.zeta_doubleprime0(a.x, route, cfg)),
     "digamma": ("series", ("x",), _series_only("digamma")),
     "log_gamma": ("series", ("x",), _series_only("log_gamma")),
@@ -108,7 +108,7 @@ def _arguments(args, x, cfg):
             s=None if args.s is None else as_real(args.s))
     route = args.method or default
     if args.quantity == "zeta" and route == "auto":
-        route = "em" if a.s > mpf(3) / 2 and not a.deriv else "hasse"
+        route = "em"
     return a, route
 
 

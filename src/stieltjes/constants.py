@@ -1,10 +1,13 @@
-"""Generalized Stieltjes constants gamma_m(x) by four independent routes,
-plus the derivative, reflection and functional-equation identities built on
-them.
+"""Generalized Stieltjes constants gamma_m(x) by five routes, plus the
+derivative, reflection and functional-equation identities built on them.
 
 Routes:
 
-* ``hasse``          -- binomial double series (exact head + analytic tail).
+* ``em``             -- the default: the Euler-Maclaurin engine at s = 1,
+                        sum_k log^m(k+x)/(k+x) with the tail integral taken
+                        as its finite part (``kernels._em_log_power_sum``).
+* ``hasse``          -- binomial double series (exact head + analytic tail),
+                        kept as an independent cross-check.
 * ``bell``           -- factorial expansion with complete-Bell-polynomial
                         weights over Hurwitz zeta s-derivatives.
 * ``briggs``         -- oscillatory-integral representation (m in {0,1},
@@ -75,17 +78,32 @@ def laurent_oracle(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResul
             pv = mpf(0)
             for d in range(m, -1, -1):
                 pv = pv * LM + P[d]
-            f_r = pv * (M + x) ** (-1 - r)
-            corr = -mp.bernoulli(2 * u) / mp.factorial(2 * u) * f_r
-            total += corr
-            last = abs(corr)
+            # the envelope sum |P_d| LM^d does not dip where pv nears zero
+            env = mpf(0)
+            for d in range(m, -1, -1):
+                env = env * LM + abs(P[d])
+            weight = (mp.bernoulli(2 * u) / mp.factorial(2 * u)
+                      * (M + x) ** (-1 - r))
+            last = abs(weight) * env
             if last > prev:
                 break
+            total -= weight * pv
             prev = last
             if last < tol * (1 + abs(total)):
                 break
         err = (last + mpf(10) ** (-cfg.digits - 4)) * 4
         return SeriesResult(+total, +err, M + r, bool(err <= cfg.tol()))
+
+
+def em_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
+    """gamma_m(x) from the Euler-Maclaurin engine with P = L^m at s = 1."""
+    if m < 0:
+        raise DomainError("m must be >= 0")
+    with cfg.workprec(40):
+        x = as_real(x)
+        if not x > 0:
+            raise DomainError("x must be positive")
+        return _em_log_power_sum([0] * m + [1], 1, x, cfg)
 
 
 def hasse_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -123,7 +141,7 @@ def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesRe
             inner = mpf(0)
             for k in range(m + 1):
                 inner += (binomial(m, k) * bell_harmonic(k, n, cfg)
-                          * hurwitz_zeta_em(n + 1, x, m - k, cfg))
+                          * hurwitz_zeta_em(n + 1, x, m - k, cfg).value)
             return (-1) ** n / mpf(n + 1) * inner
 
         acc = sum_alternating_accelerated(term, cfg, n0=1)
@@ -157,6 +175,7 @@ def briggs_gamma(m: int, x, N: int = _BRIGGS_DEFAULT_N,
 
 
 _ROUTES = {
+    "em": lambda m, x, cfg: em_gamma(m, x, cfg),
     "hasse": lambda m, x, cfg: hasse_gamma(m, x, cfg),
     "bell": lambda m, x, cfg: bell_series_gamma(m, x, cfg),
     "laurent_oracle": lambda m, x, cfg: laurent_oracle(m, x, cfg),
@@ -164,9 +183,9 @@ _ROUTES = {
 }
 
 
-def stieltjes_gamma(m: int, x=1, method: str = "hasse",
+def stieltjes_gamma(m: int, x=1, method: str = "em",
                     cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """gamma_m(x) by the requested route (hasse|bell|laurent_oracle|briggs)."""
+    """gamma_m(x) by the requested route (em|hasse|bell|laurent_oracle|briggs)."""
     if method not in _ROUTES:
         raise ValueError(f"unknown method {method!r}")
     return _ROUTES[method](m, x, cfg)
@@ -178,7 +197,7 @@ def stieltjes_shift(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG,
     with cfg.workprec(40):
         x = as_real(x)
         tol = mpf(tolerance) if tolerance is not None else mpf(10) ** -12
-        lhs = hasse_gamma(m, x, cfg).value - hasse_gamma(m, x + 1, cfg).value
+        lhs = em_gamma(m, x, cfg).value - em_gamma(m, x + 1, cfg).value
         rhs = mp.log(x) ** m / x
         meta = "" if m == 0 else "m>=1 generalization (derived, not displayed)"
         return IdentityReport.build(f"shift-m{m}", lhs, rhs, tol, x=x, meta=meta)
@@ -224,8 +243,9 @@ def gamma1_prime(x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
     """
     with cfg.workprec(40):
         x = as_real(x)
-        zform = hurwitz_zeta_em(2, x, 1, cfg) + hurwitz_zeta_em(2, x, 0, cfg)
-        series = _em_log_power_sum([mpf(1), mpf(-1)], 2, x, cfg)
+        zform = (hurwitz_zeta_em(2, x, 1, cfg).value
+                 + hurwitz_zeta_em(2, x, 0, cfg).value)
+        series = _em_log_power_sum([mpf(1), mpf(-1)], 2, x, cfg).value
         if abs(zform - series) > cfg.tol() * (1 + abs(zform)) * 10 ** 6:
             raise NonConvergence("zeta-form and explicit series disagree")
         return +zform
@@ -258,13 +278,13 @@ def gamma1_rational(r: Fraction, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
     with cfg.workprec(40):
         g = mp.euler
         logq = mp.log(2 * mp.pi * q)
-        g1 = hasse_gamma(1, 1, cfg).value
+        g1 = em_gamma(1, 1, cfg).value
         total = g1 - (g + mp.log(2 * mp.pi)) * logq - mp.log(q) ** 2 / 2
         for v in range(1, q):
             theta = Fraction(2 * v * p, q)
             cth, sth = _angle_cos(theta), _angle_sin(theta)
             lg = gammafuncs.log_gamma(mpf(v) / q, cfg)
-            total += cth * zeta_doubleprime0(mpf(v) / q, "hasse", cfg)
+            total += cth * zeta_doubleprime0(mpf(v) / q, cfg=cfg)
             total += -2 * (g + logq) * lg * cth
             total += mp.pi * lg * sth
         cot = _angle_cos(r) / _angle_sin(r)
@@ -280,8 +300,8 @@ def adamchik_reflection(r: Fraction, cfg: PrecisionConfig = DEFAULT_CFG,
     with cfg.workprec(40):
         tol = mpf(tolerance) if tolerance is not None else mpf(10) ** -8
         g = mp.euler
-        lhs = (hasse_gamma(1, 1 - mpf(p) / q, cfg).value
-               - hasse_gamma(1, mpf(p) / q, cfg).value)
+        lhs = (em_gamma(1, 1 - mpf(p) / q, cfg).value
+               - em_gamma(1, mpf(p) / q, cfg).value)
         cot = _angle_cos(r) / _angle_sin(r)
         rhs = mp.pi * (mp.log(2 * mp.pi * q) + g) * cot
         for j in range(1, q):
@@ -303,7 +323,7 @@ def landau_gamma1_functional(x, cfg: PrecisionConfig = DEFAULT_CFG,
         tol = mpf(tolerance) if tolerance is not None else mpf(10) ** -6
 
         def g1(v):
-            return hasse_gamma(1, v, cfg).value
+            return em_gamma(1, v, cfg).value
 
         lhs = g1(x + mpf(1) / 2) - g1(mpf(1) / 2 - x)
         cot2 = mp.cos(2 * mp.pi * x) / mp.sin(2 * mp.pi * x)

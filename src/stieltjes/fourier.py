@@ -81,8 +81,8 @@ def wallis_alternating(cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
 
 
 def _deninger_closed(x, cfg) -> mpf:
-    return ((zeta_doubleprime0(x, "hasse", cfg)
-             + zeta_doubleprime0(1 - x, "hasse", cfg)) / 2
+    return ((zeta_doubleprime0(x, cfg=cfg)
+             + zeta_doubleprime0(1 - x, cfg=cfg)) / 2
             + (mp.euler + mp.log(2 * mp.pi)) * mp.log(2 * mp.sin(mp.pi * x)))
 
 
@@ -215,7 +215,7 @@ def _log_ratio_tail_sum(N: int, cfg) -> mpf:
             j = k - 1 - i
             c_k += Fraction((-1) ** (i + 1) * (-1) ** j, i * 2 ** (j + 1))
         term = (mpf(c_k.numerator) / c_k.denominator
-                * hurwitz_zeta_em(k, N + 1, 0, cfg)) if c_k else mpf(0)
+                * hurwitz_zeta_em(k, N + 1, 0, cfg).value) if c_k else mpf(0)
         total += term
         if abs(term) < tol and k > 4:
             break
@@ -237,7 +237,7 @@ def kolbig_check(cfg: PrecisionConfig = DEFAULT_CFG):
         j = 1
         tol = cfg.tol() * mpf(10) ** -2
         while True:
-            term = -hurwitz_zeta_em(2 * j, 1, 1, cfg) / mpf(4) ** j
+            term = -hurwitz_zeta_em(2 * j, 1, 1, cfg).value / mpf(4) ** j
             S1 += term
             if abs(term) < tol or j > 60:
                 break
@@ -321,7 +321,7 @@ def sondow_gamma(z: Union[mpf, float, int, Fraction],
                 k = 2
                 tol = cfg.tol() * mpf(10) ** -2
                 while True:
-                    t = (-1) ** k * hurwitz_zeta_em(k, N + 1, 0, cfg) / k
+                    t = (-1) ** k * hurwitz_zeta_em(k, N + 1, 0, cfg).value / k
                     acc += t
                     if abs(t) < tol or k > 200:
                         break

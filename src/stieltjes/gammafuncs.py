@@ -1,10 +1,10 @@
-"""Log-gamma, digamma and polygamma via shifted series with zeta tails.
+"""Log-gamma, digamma and polygamma on the Euler-Maclaurin engine.
 
-The production representations are the Weierstrass-product series for
-log Gamma and its derivative for psi, after shifting the argument above a
-threshold with the recurrences log Gamma(x+1) = log Gamma(x) + log x and
-psi(x+1) = psi(x) + 1/x.  Series tails are resummed exactly through Hurwitz
-zeta values at integer s >= 2.
+log Gamma(x) = zeta'(0, x) + log(2 pi)/2, psi(x) = -gamma_0(x) and
+psi^(k)(x) = (-1)^(k+1) k! zeta(k+1, x) all come from
+``kernels._em_log_power_sum``, whose cost does not grow with x.  The
+oscillatory-integral form of log Gamma (Bourguet) and the integral form of
+psi are kept as identity checks.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from mpmath import mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, IdentityReport, PrecisionConfig,
                    SeriesResult, as_real)
-from .kernels import hurwitz_zeta_em, integrate_adaptive, sum_oscillatory_ibp
-
-_SHIFT_THRESHOLD = 16
+from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
+                      sum_oscillatory_ibp)
 
 
 def _require_positive(x) -> mpf:
@@ -29,77 +28,17 @@ def _require_positive(x) -> mpf:
 
 
 def log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
-    """log Gamma(x) for x > 0."""
+    """log Gamma(x) for x > 0, as zeta'(0, x) + log(2 pi)/2 (Lerch)."""
     with cfg.workprec(40):
         x = _require_positive(x)
-        shift = mpf(0)
-        threshold = _SHIFT_THRESHOLD + cfg.digits // 2
-        while x < threshold:
-            shift -= mp.log(x)
-            x += 1
-        y = x - 1
-        # log Gamma(1+y) = -gamma*y + sum_n [y/n - log(1+y/n)], tail by
-        # Euler-Maclaurin on f(t) = y/t + log t - log(t+y)
-        N = int(y) + 8
-        acc = -mp.euler * y + shift
-        for n in range(1, N + 1):
-            acc += y / n - mp.log1p(y / n)
-        a = mpf(N + 1)
-        acc += -y * mp.log(a) - a * mp.log(a) + (a + y) * mp.log(a + y) - y
-        f_a = y / a + mp.log(a) - mp.log(a + y)
-        acc += f_a / 2
-        tol = cfg.tol() * mpf(10) ** (-4)
-        r = 1
-        prev = mpf("inf")
-        while r < 8 * cfg.digits:
-            # f^(r)(a) for odd r
-            fr = ((-1) ** r * mp.factorial(r) * y * a ** (-r - 1)
-                  + (-1) ** (r - 1) * mp.factorial(r - 1)
-                  * (a ** (-r) - (a + y) ** (-r)))
-            corr = -mp.bernoulli(r + 1) / mp.factorial(r + 1) * fr
-            acc += corr
-            mag = abs(corr)
-            if mag > prev or mag < tol * (1 + abs(acc)):
-                break
-            prev = mag
-            r += 2
-        return +acc
+        return +(hurwitz_zeta_em(0, x, 1, cfg).value + mp.log(2 * mp.pi) / 2)
 
 
 def digamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
-    """psi(x) for x > 0; satisfies psi(1) = -gamma."""
+    """psi(x) = -gamma_0(x) for x > 0: the engine's finite part at s = 1."""
     with cfg.workprec(40):
         x = _require_positive(x)
-        shift = mpf(0)
-        threshold = _SHIFT_THRESHOLD + cfg.digits // 2
-        while x < threshold:
-            shift -= 1 / x
-            x += 1
-        y = x - 1
-        # psi(1+y) = -gamma + sum_n [1/n - 1/(n+y)], tail by Euler-Maclaurin
-        # on f(t) = 1/t - 1/(t+y)
-        N = int(y) + 8
-        acc = -mp.euler + shift
-        for n in range(1, N + 1):
-            acc += y / (n * (n + y))
-        a = mpf(N + 1)
-        acc += mp.log1p(y / a)
-        f_a = y / (a * (a + y))
-        acc += f_a / 2
-        tol = cfg.tol() * mpf(10) ** (-4)
-        r = 1
-        prev = mpf("inf")
-        while r < 8 * cfg.digits:
-            fr = ((-1) ** r * mp.factorial(r)
-                  * (a ** (-r - 1) - (a + y) ** (-r - 1)))
-            corr = -mp.bernoulli(r + 1) / mp.factorial(r + 1) * fr
-            acc += corr
-            mag = abs(corr)
-            if mag > prev or mag < tol * (1 + abs(acc)):
-                break
-            prev = mag
-            r += 2
-        return +acc
+        return +(-_em_log_power_sum([1], 1, x, cfg).value)
 
 
 def polygamma(k: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
@@ -109,7 +48,7 @@ def polygamma(k: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
     with cfg.workprec(40):
         x = _require_positive(x)
         return +((-1) ** (k + 1) * mp.factorial(k)
-                 * hurwitz_zeta_em(k + 1, x, 0, cfg))
+                 * hurwitz_zeta_em(k + 1, x, 0, cfg).value)
 
 
 @lru_cache(maxsize=8)

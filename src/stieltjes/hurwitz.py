@@ -9,7 +9,8 @@ Routes:
   functions, leaving a smooth one-dimensional integral.  Accurate to the
   configured digits for any real s != 1.
 * ``hurwitz_zeta_em`` (re-exported from ``kernels``) -- direct summation
-  with an Euler-Maclaurin tail, the reference for s > 1.
+  with an Euler-Maclaurin tail, continued analytically to every real
+  s != 1; the default route, at a cost that does not grow with x.
 * ``zeta_fourier`` and ``zeta_fourier_pair`` -- the trigonometric expansion
   valid for s < 1 on (0,1], evaluated with iterated averaging of the
   conditionally convergent sums.
@@ -18,8 +19,9 @@ Routes:
 * ``poisson_zeta`` -- Poisson summation: an instance of
   ``kernels.sum_oscillatory_ibp``, verification grade.
 
-``zeta`` dispatches between ``em``, ``hasse`` and ``fourier``;
-``zeta_prime0`` and ``zeta_doubleprime0`` take ``hasse`` or ``fourier``.
+``zeta`` dispatches between ``em`` (``auto``), ``hasse`` and ``fourier``;
+``zeta_prime0`` and ``zeta_doubleprime0`` take ``em`` (the default),
+``hasse`` or ``fourier``.  Hasse stays as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -210,6 +212,14 @@ def zeta_hasse(s, x=1, deriv: int = 0,
                             bool(err <= tol * scale * 100))
 
 
+def _judged(value, err, terms, converged, cfg) -> SeriesResult:
+    """SeriesResult that counts as converged only within the caller's own
+    tolerance, 10^-digits relative to max(1, |value|): the trigonometric
+    sums run to an eased 1e-12 and must not pass for full precision."""
+    return SeriesResult(+value, +err, terms, bool(
+        converged and err <= cfg.tol() * max(1, abs(value))))
+
+
 def zeta_fourier(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """zeta(s, x) from the trigonometric expansion, s < 1 and 0 < x <= 1."""
     with cfg.workprec(40):
@@ -226,9 +236,10 @@ def zeta_fourier(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
             # sums telescope to the plain zeta function; needs s < 0
             if s >= 0:
                 raise DomainError("x = 1 requires s < 0 for convergence")
-            cos_sum = (2 * mp.pi) ** (s - 1) * hurwitz_zeta_em(1 - s, 1, 0, cfg)
-            value = 2 * gam * sin_half * cos_sum
-            return SeriesResult(+value, mpf(10) ** (-cfg.digits), 0, True)
+            em = hurwitz_zeta_em(1 - s, 1, 0, cfg)
+            factor = 2 * gam * sin_half * (2 * mp.pi) ** (s - 1)
+            return _judged(factor * em.value, abs(factor) * em.err_estimate,
+                           em.terms_used, em.converged, cfg)
         coeff = lambda n: (2 * mp.pi * n) ** (s - 1)
         tcfg = cfg.eased(12)
         cos_part = sum_trig_averaged(coeff, "cos", x, tcfg)
@@ -237,8 +248,8 @@ def zeta_fourier(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
         err = 2 * abs(gam) * (abs(sin_half) * cos_part.err_estimate
                               + abs(cos_half) * sin_part.err_estimate)
         terms = cos_part.terms_used + sin_part.terms_used
-        return SeriesResult(+value, +err, terms,
-                            cos_part.converged and sin_part.converged)
+        return _judged(value, err, terms,
+                       cos_part.converged and sin_part.converged, cfg)
 
 
 def zeta_fourier_pair(s, x, kind: str = "sum",
@@ -263,22 +274,18 @@ def zeta_fourier_pair(s, x, kind: str = "sum",
         else:
             raise ValueError("kind must be 'sum' or 'diff'")
         err = 4 * abs(gam) * part.err_estimate
-        return SeriesResult(+value, +err, part.terms_used, part.converged)
+        return _judged(value, err, part.terms_used, part.converged, cfg)
 
 
 def zeta(s, x=1, deriv: int = 0, method: str = "auto",
          cfg: PrecisionConfig = DEFAULT_CFG):
-    """Dispatcher: Euler-Maclaurin engine for s > 1, Hasse series otherwise.
+    """Dispatcher: ``auto`` is the Euler-Maclaurin engine for every s != 1.
 
     Returns an mpf; use the route-specific functions for SeriesResult
     diagnostics.
     """
-    with cfg.workprec(40):
-        s = as_real(s)
-    if method == "auto":
-        method = "em" if s > mpf(3) / 2 else "hasse"
-    if method == "em":
-        return hurwitz_zeta_em(s, x, deriv, cfg)
+    if method in ("auto", "em"):
+        return hurwitz_zeta_em(s, x, deriv, cfg).value
     if method == "hasse":
         return zeta_hasse(s, x, deriv, cfg).value
     if method == "fourier":
@@ -288,10 +295,12 @@ def zeta(s, x=1, deriv: int = 0, method: str = "auto",
     raise ValueError(f"unknown method {method!r}")
 
 
-def zeta_prime0(x, via: str = "hasse", cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
+def zeta_prime0(x, via: str = "em", cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
     """zeta'(0, x); satisfies log Gamma(x) = zeta'(0,x) + log(2 pi)/2."""
     with cfg.workprec(40):
         x = as_real(x)
+        if via == "em":
+            return hurwitz_zeta_em(0, x, 1, cfg).value
         if via == "hasse":
             return zeta_hasse(0, x, 1, cfg).value
         if via == "fourier":
@@ -306,11 +315,14 @@ def zeta_prime0(x, via: str = "hasse", cfg: PrecisionConfig = DEFAULT_CFG) -> mp
         raise ValueError(f"unknown route {via!r}")
 
 
-def zeta_doubleprime0(x, via: str = "hasse",
+def zeta_doubleprime0(x, via: str = "em",
                       cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
-    """zeta''(0, x) by the binomial series or the five-sum trigonometric form."""
+    """zeta''(0, x) by the EM engine, the binomial series or the five-sum
+    trigonometric form."""
     with cfg.workprec(40):
         x = as_real(x)
+        if via == "em":
+            return hurwitz_zeta_em(0, x, 2, cfg).value
         if via == "hasse":
             return zeta_hasse(0, x, 2, cfg).value
         if via == "fourier":
@@ -358,7 +370,8 @@ def zeta_srivastava_choi(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResu
         def term(n):
             if n not in poch:
                 poch[n] = poch[n - 1] * (s + n - 1) / n
-            return -((-1) ** n) * poch[n] / (n + 1) * hurwitz_zeta_em(s + n, x, 0, cfg)
+            return (-((-1) ** n) * poch[n] / (n + 1)
+                    * hurwitz_zeta_em(s + n, x, 0, cfg).value)
 
         res = sum_alternating_accelerated(term, cfg, n0=1)
         value = x ** (1 - s) / (s - 1) + res.value + shift

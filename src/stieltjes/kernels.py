@@ -16,19 +16,21 @@ Kernels:
   N by ``integrate_oscillatory``, the rest by an integration-by-parts tail
   over Hurwitz zeta values (Briggs, Bourguet and Poisson routes).
 * ``hurwitz_zeta_em`` -- Euler-Maclaurin summation of zeta(s, x) and its
-  s-derivatives for s > 1.
+  s-derivatives for every real s != 1, on the engine
+  ``_em_log_power_sum`` that also gives gamma_m(x), log Gamma and psi.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from mpmath import mp, mpf
 
-from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
-                   as_real)
+from .core import (DEFAULT_CFG, DomainError, PoleError, PrecisionConfig,
+                   SeriesResult, as_real)
 
 _SAFETY = 4  # heuristic multiplier on last-difference error estimates
 
@@ -301,7 +303,9 @@ def sum_oscillatory_ibp(poly, s, x, mode: str, N: int, w=0,
     so the n-sum of the r-th term is zeta(r + 1 + w, N + 1) / (2 pi)^(r+1).
     The expansion is asymptotic: it is summed until its terms stop
     decreasing or fall below the tolerance, and the last term computed is
-    the tail's error estimate.  The sine form needs w > 0.
+    the tail's error estimate.  Both tests read the envelope
+    sum_d |P_r,d| |L|^d in place of |P_r(L)|, which can pass near zero and
+    fake a turn.  The sine form needs w > 0.
     """
     if mode not in ("sin", "cos"):
         raise ValueError("mode must be 'sin' or 'cos'")
@@ -334,10 +338,10 @@ def sum_oscillatory_ibp(poly, s, x, mode: str, N: int, w=0,
         tail_terms = 0
         for r in range(400):
             if r % 2 == odd:
-                term = ((-1) ** ((r + 1) // 2) * _horner(Pr, L) * x ** (-s - r)
-                        / two_pi ** (r + 1)
-                        * hurwitz_zeta_em(r + 1 + w, N + 1, 0, cfg))
-                mag = abs(term)
+                scale = (x ** (-s - r) / two_pi ** (r + 1)
+                         * hurwitz_zeta_em(r + 1 + w, N + 1, 0, cfg).value)
+                term = (-1) ** ((r + 1) // 2) * _horner(Pr, L) * scale
+                mag = _horner([abs(c) for c in Pr], abs(L)) * abs(scale)
                 if mag > prev:  # asymptotic series turned; stop
                     break
                 total += term
@@ -351,75 +355,222 @@ def sum_oscillatory_ibp(poly, s, x, mode: str, N: int, w=0,
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin engine for absolutely convergent Hurwitz-zeta sums.
-# This is the workhorse for s > 1 (integer or real) and its s-derivatives,
-# used by polygamma, the Bell-series route and many tail corrections.
+# Euler-Maclaurin engine: sum_{k>=0} P(log(k+x)) (k+x)^-s for every real s,
+# continued analytically below s = 1 and taken as a finite part at s = 1.
+# Hurwitz zeta and its s-derivatives, gamma_m(x), log Gamma, psi and
+# polygamma all run on it.
 # ---------------------------------------------------------------------------
 
-def _em_log_power_sum(poly, s, x, cfg, extra_bits=0):
-    """sum_{k>=0} P(log(k+x)) * (k+x)^(-s) via Euler-Maclaurin, s > 1.
+_LOG_2PI = math.log(2 * math.pi)
 
-    ``poly`` holds the coefficients of P (ascending); the Bernoulli
-    corrections take their derivatives from :func:`_log_poly_step`.
+
+def _em_remainder_log(A: float, s: float, K: int, deg: int,
+                      log_prod: float) -> float:
+    """log of the EM remainder bound after K Bernoulli corrections, per unit
+    of (N+x)^(1-s) A^deg sum|P|, where A = log(N+x) >= 1 (N >= 4).
+
+    With L = log(t+x), the r-th t-derivative of P(L)(t+x)^-s is
+    sum_d P_d (-d/ds)^d [(-1)^r (s)_r (t+x)^-(s+r)]; Cauchy's estimate on
+    the circle |sigma - s| = 1/L bounds it by
+    e deg! L^deg prod_{i<r} (|s+i| + 1/L) (t+x)^-(s+r) sum|P|.  With
+    |B_2K|/(2K)! <= 4/(2 pi)^2K the remainder is at most
+    4/(2 pi)^2K int_N^inf |f^(2K)|, integrated in closed form; this needs
+    s + 2K > 1.  The bound has no turning point or dip of its own, so it is
+    safe to stop on.  ``log_prod`` is sum_{i<2K} log(|s+i| + 1/A).
     """
-    with cfg.workprec(40 + extra_bits):
-        s = mpf(s)
-        x = mpf(x)
-        deg = len(poly) - 1
-        M = max(12, 2 * cfg.digits // 3, int(4 - x) + 1)
-        tot = mpf(0)
-        for k in range(M):
-            tot += _horner(poly, mp.log(k + x)) * (k + x) ** (-s)
-        A = mp.log(M + x)
-        # integral of each monomial: int_M^inf ln^d(t+x) (t+x)^-s dt
-        mono = []
-        for d in range(deg + 1):
-            I = mpf(0)
-            for i in range(d + 1):
-                I += (mp.factorial(d) / mp.factorial(i)) * A ** i / (s - 1) ** (d - i + 1)
-            mono.append(I * mp.exp(-(s - 1) * A))
-        tot += mp.fsum(poly[d] * mono[d] for d in range(deg + 1))
-        # f(M)/2 and Bernoulli corrections
-        powM = (M + x) ** (-s)
-        tot += _horner(poly, A) * powM / 2
-        # stopping must be relative: for large s the value itself is tiny
-        # and callers scale it back up
-        scale = abs(tot) + abs(powM) + mpf(2) ** (-mp.prec)
+    return (_em_bound_log(deg, s + 2 * K - 1) + log_prod
+            - 2 * K * (_LOG_2PI + A))
+
+
+def _em_bound_log(deg: int, a: float) -> float:
+    """log of 4 e deg! J, where J = int_A^inf u^deg e^(-a u) du / (A^deg
+    e^(-aA)) = sum_i deg!/i! A^(i-deg) / a^(deg-i+1) <= (deg+1) deg! / a^p
+    with p = 1 for a >= 1 and p = deg + 1 below (A >= 1)."""
+    p = 1 if a >= 1 else deg + 1
+    return (math.log(4 * (deg + 1)) + 1 + 2 * math.lgamma(deg + 1)
+            - p * math.log(a))
+
+
+def _em_guard_bits(N: int, s: float, deg: int) -> float:
+    """Bits lost between the terms of the sum and max(1, |value|).
+
+    For s < 1 the head terms reach (N+x)^(1-s) while the value can be O(1);
+    the log powers add up to log(N+1) per degree (one more for the finite
+    part at s = 1), and for s > 1 the tail is (s-1) times smaller than its
+    scale.  None of this grows with x: for x >= 1 the value grows with the
+    terms.  Each power (k+x)^-s = exp(-s log(k+x)) loses another
+    log2(|s| log(k+x)) bits, covered for |log x| <= 16.
+    """
+    return (max(0.0, 1 - s) * math.log2(N + 1)
+            + (deg + 1) * math.log2(max(1.0, math.log(N + 1)))
+            + math.log2(1 + abs(s - 1)) + math.log2(1 + abs(s)) + 14)
+
+
+def _em_relative_log(N: int, s: float, K: int, deg: int,
+                     log_prod: float) -> float:
+    """log of a bound on R_K / max(1, |value|) over every x > 0, for s > 1
+    and P = +-L^deg; R_K is bounded as in :func:`_em_remainder_log`, at
+    y = N + x with A = log y, as Ck y^(1-s-2K) A^deg.
+
+    For x < 1, max(1, |value|) >= 1 and the bound is largest at x -> 0.
+    For x >= 1 no term changes sign, so |value| >= log(1+x)^deg (1+x)^-s
+    (the k = 1 term), and R/|value| <= Ck (log(N+1)/log 2)^deg h(y) with
+    h(y) = y^(1-2K) (1 - (N-1)/y)^s, which peaks at
+    y* = (N-1)(1 + s/(2K-1)).  For large s this y* lies far beyond N, so a
+    short head suffices: where N + x is small the tail is negligible
+    against the first terms, and where it matters the corrections converge.
+    ``log_prod`` is sum_{i<2K} log(|s+i| + 1/log N).
+    """
+    a = s + 2 * K - 1
+    log_ck = _em_bound_log(deg, a) + log_prod - 2 * K * _LOG_2PI
+    near = -a * math.log(N) + deg * math.log(math.log(N + 1))
+    y = max(N + 1, (N - 1) * (1 + s / (2 * K - 1)))
+    far = (deg * math.log(math.log(N + 1) / math.log(2))
+           + (1 - 2 * K) * math.log(y) + s * math.log1p(-(N - 1) / y))
+    return log_ck + max(near, far)
+
+
+def _em_corrections(N: int, bits: int, s: float, deg: int, monomial: bool,
+                    cap: int):
+    """Fewest corrections K <= cap whose bound meets the target with head
+    length N, or None if the bound turns first (N too short)."""
+    A = math.log(N)
+    target = -(bits + _em_guard_bits(N, s, deg)) * math.log(2)
+    prev = math.inf
+    log_prod = 0.0
+    for K in range(1, cap + 1):
+        log_prod += (math.log(abs(s + 2 * K - 2) + 1 / A)
+                     + math.log(abs(s + 2 * K - 1) + 1 / A))
+        if s + 2 * K <= 1:
+            continue  # the remainder integral needs s + 2K > 1
+        excess = _em_remainder_log(A, s, K, deg, log_prod) - target
+        if s > 1 and monomial:
+            excess = min(excess, _em_relative_log(N, s, K, deg, log_prod)
+                         + (bits + 14) * math.log(2))
+        if excess <= 0:
+            return K
+        if excess > prev:
+            return None  # past the smallest bound
+        prev = excess
+    return None
+
+
+@lru_cache(maxsize=1024)
+def _em_plan(bits: int, s: float, deg: int, monomial: bool):
+    """(N, K, guard): head length, Bernoulli corrections and guard bits.
+
+    Chosen for the worst case over x: the remainder bound is checked at
+    x -> 0 (N + x >= N, and the bound relative to the scale of the terms
+    falls as x grows), or for s > 1 and a monomial P against
+    max(1, |value|) over every x (:func:`_em_relative_log`).  So N and K
+    depend on the target bits, s and P only, never on x.  Head lengths go
+    up a geometric grid from about bits log 2 / (2 pi), below which the
+    corrections cannot reach the target; the plan needing the fewest terms
+    N + K wins (a head term and a correction cost about the same), and
+    each N is allowed only the corrections that would still be cheaper.
+    """
+    best = None
+    N = max(4, int(bits * math.log(2) / (2 * math.pi)))
+    while best is None or N < sum(best):
+        cap = 8192 if best is None else sum(best) - N - 1
+        K = _em_corrections(N, bits, s, deg, monomial, cap)
+        if K is not None:
+            best = (N, K)
+        N += max(1, N // 4)
+    N, K = best
+    return N, K, _em_guard_bits(N, s, deg)
+
+
+def _em_log_power_sum(poly, s, x, cfg) -> SeriesResult:
+    """sum_{k>=0} P(log(k+x)) (k+x)^-s by Euler-Maclaurin, for every real s.
+
+    ``poly`` holds the coefficients of P (ascending).  The first N terms
+    are summed directly; the tail is int_N^inf, continued analytically for
+    s < 1 and at s = 1 taken as its finite part -A^(d+1)/(d+1) per monomial
+    L^d (A = log(N+x)), which makes the sum gamma_m(x) for P = L^m.  Then
+    f(N)/2 and K Bernoulli corrections, whose derivatives come from
+    :func:`_log_poly_step`.  N, K and the guard bits come from
+    :func:`_em_plan` (target digits, s, deg P), never from x.  The error
+    estimate is the remainder bound of :func:`_em_remainder_log` plus a
+    bound on the rounding of every term summed.
+    """
+    deg = len(poly) - 1
+    tol = cfg.tol()
+    bits = int(math.ceil(float(-mp.log(tol, 2))))
+    monomial = sum(1 for c in poly if c != 0) == 1
+    N, K, guard = _em_plan(bits, float(s), deg, monomial)
+    wp = bits + int(guard) + (N + 2 * K).bit_length() + 16
+    # s and x keep the caller's precision: rounding s to wp bits would cost
+    # s - 1 its relative precision near the pole
+    s = mpf(s)
+    x = mpf(x)
+    with mp.workprec(wp):
         P = [mpf(c) for c in poly]
-        r = 0
-        prev = mpf("inf")
-        tol = cfg.tol() * mpf(10) ** (-6)
-        while r < 400:
-            P = _log_poly_step(P, s + r)
-            r += 1
-            if r % 2 == 1:
-                u = (r + 1) // 2
-                f_r = _horner(P, A) * (M + x) ** (-s - r)
-                corr = -mp.bernoulli(2 * u) / mp.factorial(2 * u) * f_r
+        tot = mpf(0)
+        mag = mpf(0)
+        for k in range(N):
+            if deg:
+                L = mp.log(k + x)
+                t = _horner(P, L) * mp.exp(-s * L)
+            else:
+                t = P[0] * (k + x) ** (-s)
+            tot += t
+            mag += abs(t)
+        A = mp.log(N + x)
+        # int_N^inf P(L) (t+x)^-s dt = int_A^inf P(u) e^((1-s)u) du
+        if s == 1:
+            tail = -mp.fsum(P[d] * A ** (d + 1) / (d + 1)
+                            for d in range(deg + 1))
+        else:
+            tail = mpf(0)
+            for d in range(deg + 1):
+                tail += P[d] * mp.fsum(
+                    mp.factorial(d) / mp.factorial(i) * A ** i
+                    / (s - 1) ** (d - i + 1) for i in range(d + 1))
+            tail *= mp.exp((1 - s) * A)
+        pw = mp.exp(-s * A)  # (N+x)^-(s+r)
+        half = _horner(P, A) * pw / 2
+        tot += tail + half
+        mag += abs(tail) + abs(half)
+        inv = 1 / (N + x)
+        Pr = P
+        fact = 1
+        for r in range(2 * K - 1):
+            Pr = _log_poly_step(Pr, s + r)  # P_(r+1)
+            pw *= inv
+            if r % 2 == 0:
+                fact *= (r + 1) * (r + 2)
+                corr = -mp.bernoulli(r + 2) / fact * _horner(Pr, A) * pw
                 tot += corr
-                mag = abs(corr)
-                if mag > prev:  # asymptotic series turned; stop
-                    break
-                prev = mag
-                if mag < tol * scale:
-                    break
-        return +tot
+                mag += abs(corr)
+        scale = mp.fsum(abs(c) for c in P) * A ** deg
+        Af, sf = float(A), float(s)
+        log_prod = sum(math.log(abs(sf + i) + 1 / Af) for i in range(2 * K))
+        remainder = scale * mp.exp(
+            _em_remainder_log(Af, sf, K, deg, log_prod) + (1 - s) * A)
+        # rounding: each term to within its condition number in ulps
+        cond = N + 2 * K + deg + 4 + (abs(s) + 1) * max(abs(mp.log(x)), A)
+        err = remainder + mag * cond * mpf(2) ** (-wp)
+        return SeriesResult(+tot, +err, N + K,
+                            bool(err <= tol * max(1, abs(tot))))
 
 
 def hurwitz_zeta_em(s, x=1, deriv: int = 0,
-                    cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
-    """j-th s-derivative of zeta(s, x) by direct summation with EM tail.
+                    cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
+    """j-th s-derivative of zeta(s, x) by the Euler-Maclaurin engine.
 
-    Valid (and fast) in the absolutely convergent region s > 1; this is the
-    reference engine the analytically continued routes are checked against.
+    Valid for every real s != 1 (the analytic continuation below 1) and
+    x > 0, at a cost that does not grow with x.
     """
     with cfg.workprec(40):
         s = as_real(s)
         x = as_real(x)
-        if not s > 1:
-            raise DomainError("hurwitz_zeta_em requires s > 1")
+        if s == 1:
+            raise PoleError("zeta(s,x) has a simple pole at s = 1")
         if not x > 0:
             raise DomainError("x must be positive")
+        if deriv < 0:
+            raise DomainError("derivative order must be >= 0")
         # d^j/ds^j (k+x)^(-s) = (-log(k+x))^j (k+x)^(-s)
         poly = [mpf(0)] * deriv + [mpf(-1) ** deriv]
         return _em_log_power_sum(poly, s, x, cfg)

@@ -139,12 +139,16 @@ def _hasse_gamma(m, x, cfg):
     return constants.hasse_gamma(m, x, cfg).value
 
 
+def _gamma(m, x, cfg):
+    return constants.stieltjes_gamma(m, x, cfg=cfg).value
+
+
 def _oracle_gamma(m, x, cfg):
     return constants.laurent_oracle(m, x, cfg).value
 
 
-def _zeta_hasse(s, x, cfg):
-    return hurwitz.zeta_hasse(s, x, 0, cfg).value
+def _zeta(s, x, cfg):
+    return hurwitz.zeta(s, x, cfg=cfg)
 
 
 def _family(which):
@@ -184,7 +188,7 @@ CATALOGUE: Dict[str, object] = {
     "hurwitz-fourier": [
         Row("eq-3.10-hurwitz-fourier",
             (lambda s, x, cfg: hurwitz.zeta_fourier(s, x, cfg).value,
-             _zeta_hasse),
+             _zeta),
             ((-0.5, F(3, 10)), (-1.0, F(7, 10)), (0.5, F(1, 4))), 6,
             "s={0}")],
     "lerch-identity": [
@@ -213,7 +217,7 @@ CATALOGUE: Dict[str, object] = {
     "gamma1-fourier": [
         Row("eq-3.23-gamma1-fourier",
             (lambda x, cfg: fourier.gamma1_fourier(x, cfg).value,
-             lambda x, cfg: _hasse_gamma(1, x, cfg)),
+             lambda x, cfg: _gamma(1, x, cfg)),
             (F(1, 4), F(1, 3), F(1, 2)), 4)],
     "series-325-family": [
         Row("odd-cosine-stieltjes", _family("3.25"), (F(1, 3),), 4),
@@ -224,7 +228,7 @@ CATALOGUE: Dict[str, object] = {
     "gamma1-rational": [
         Row("gamma1-rational-closed-form",
             (_late(constants, "gamma1_rational"),
-             lambda r, cfg: _hasse_gamma(1, r, cfg)),
+             lambda r, cfg: _gamma(1, r, cfg)),
             (F(1, 2), F(1, 4), F(1, 5)), 8, "{0}")],
     "adamchik": [
         Row("eq-3.36-adamchik", _late(constants, "adamchik_reflection"),
@@ -240,7 +244,7 @@ CATALOGUE: Dict[str, object] = {
     "poisson": [
         Row("eq-4.1-poisson",
             (lambda s, x, cfg: hurwitz.poisson_zeta(s, x, 12, cfg).value,
-             _zeta_hasse),
+             _zeta),
             ((2.0, F(1)), (3.0, F(1, 2))), 5, "s={0}")],
     "briggs": [
         Row("eq-4.2-briggs",
@@ -255,7 +259,7 @@ CATALOGUE: Dict[str, object] = {
     "srivastava-choi": [
         Row("eq-5.1-srivastava-choi",
             (lambda s, x, cfg: hurwitz.zeta_srivastava_choi(s, x, cfg).value,
-             _zeta_hasse),
+             _zeta),
             ((2.0, F(1)), (0.5, F(2)), (3.0, F(3, 2))), 10, "s={0}")],
     "bell-series": [
         Row("eq-5.2-bell-series",

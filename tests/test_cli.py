@@ -64,6 +64,26 @@ class TestCompute:
         assert code == 0
         assert "value_im" in doc["result"]
 
+    def test_near_pole_on_default_route(self, capsys, tmp_path):
+        # |s - 1| = 1e-9 lies inside the band the Hasse route refuses
+        code, doc = compute_json(
+            capsys, "compute", "zeta", "-s", "1.000000001", "-x", "1/3",
+            "--digits", "30", "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert doc["result"]["method"] == "em"
+        with mp.workdps(50):
+            ref = mp.zeta(mpf("1.000000001"), mpf(1) / 3)
+            assert abs(mpf(doc["result"]["value"]) - ref) <= abs(ref) * mpf(10) ** -29
+
+    def test_fourier_route_short_of_the_request_exits_3(self, capsys):
+        # its sums stop at an eased 1e-12, 16 digits short of --digits 30
+        code, doc = compute_json(
+            capsys, "compute", "zeta", "-s", "1/2", "-x", "1/4",
+            "--method", "fourier", "--digits", "30", "--no-cache")
+        assert code == 3
+        assert doc["result"]["converged"] is False
+        assert mpf(doc["result"]["err_estimate"]) > mpf(10) ** -30
+
     def test_bad_quantity_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compute", "nonsense", "-x", "1"])
@@ -208,10 +228,10 @@ class TestCache:
                 "--cache-dir", str(tmp_path))
         _, doc1 = compute_json(capsys, *base)
         assert doc1["meta"]["cache_hit"] is False
-        assert doc1["result"]["method"] == "hasse"
-        _, doc2 = compute_json(capsys, *base, "--method", "hasse")
+        assert doc1["result"]["method"] == "em"
+        _, doc2 = compute_json(capsys, *base, "--method", "em")
         assert doc2["meta"]["cache_hit"] is True
-        assert doc2["result"]["method"] == "hasse"
+        assert doc2["result"]["method"] == "em"
         assert len(list(tmp_path.iterdir())) == 1
 
     def test_auto_names_the_route_it_ran(self, capsys, tmp_path):
@@ -222,7 +242,7 @@ class TestCache:
         _, doc2 = compute_json(capsys, *base, "--method", "em")
         assert doc2["meta"]["cache_hit"] is True
         _, doc3 = compute_json(capsys, *base, "--deriv", "1")
-        assert doc3["result"]["method"] == "hasse"
+        assert doc3["result"]["method"] == "em"
 
     def test_other_version_not_served(self, tmp_path, monkeypatch):
         from stieltjes import cache as cache_module

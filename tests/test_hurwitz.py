@@ -7,7 +7,7 @@ from stieltjes.gammafuncs import log_gamma
 from stieltjes.hurwitz import (poisson_zeta, zeta, zeta_doubleprime0,
                                zeta_fourier, zeta_fourier_pair, zeta_hasse,
                                zeta_prime0, zeta_srivastava_choi)
-from stieltjes.kernels import sum_trig_averaged
+from stieltjes.kernels import hurwitz_zeta_em, sum_trig_averaged
 
 from conftest import assert_close
 from reference_values import ZETA2
@@ -93,6 +93,19 @@ class TestZetaFourier:
         # reduces to the functional equation; zeta(-1) = -1/12
         res = zeta_fourier(-1, 1, cfg30)
         assert_close(res.value, mpf(-1) / 12, mpf(10) ** -25, "zeta(-1)")
+
+    def test_riemann_at_x1_reports_the_engine_error(self, cfg30):
+        res = zeta_fourier(-1, 1, cfg30)
+        assert res.converged
+        assert abs(res.value + mpf(1) / 12) <= res.err_estimate < mpf(10) ** -30
+
+    def test_converged_judged_against_the_request(self, cfg20):
+        # the trigonometric sums run to 1e-12; 20 digits are not reached
+        res = zeta_fourier(mpf(1) / 2, mpf(1) / 4, cfg20)
+        assert not res.converged
+        assert abs(res.value - mp.zeta(mpf(1) / 2, mpf(1) / 4)) < mpf(10) ** -8
+        pair = zeta_fourier_pair(mpf(-1) / 2, mpf(1) / 4, "sum", cfg20)
+        assert not pair.converged
 
     def test_symmetric_split(self, cfg20):
         # single-sum form equals zeta(s,x) + zeta(s,1-x)
@@ -204,6 +217,9 @@ class TestAlternativeRepresentations:
         assert abs(exact - elementary) < mpf(10) ** -4
 
     def test_dispatcher(self, cfg20):
+        # auto is the EM engine on both sides of the pole
         assert abs(zeta(2, 1, 0, "auto", cfg20) - mpf(ZETA2)) < mpf(10) ** -18
-        assert abs(zeta(mpf(-1) / 2, mpf("0.3"), 0, "auto", cfg20)
-                   - zeta_hasse(mpf(-1) / 2, mpf("0.3"), 0, cfg20).value) == 0
+        s, x = mpf(-1) / 2, mpf("0.3")
+        assert zeta(s, x, 0, "auto", cfg20) == hurwitz_zeta_em(s, x, 0, cfg20).value
+        assert abs(zeta(s, x, 0, "auto", cfg20)
+                   - zeta_hasse(s, x, 0, cfg20).value) < mpf(10) ** -18

@@ -1,7 +1,7 @@
 import pytest
 from mpmath import mp, mpf
 
-from stieltjes.core import DomainError, PrecisionConfig
+from stieltjes.core import DomainError, PoleError, PrecisionConfig
 from stieltjes.kernels import (hurwitz_zeta_em, integrate_adaptive,
                                sum_oscillatory_ibp,
                                integrate_oscillatory,
@@ -149,30 +149,33 @@ class TestOscillatorySum:
 
 class TestZetaEM:
     def test_basel(self, cfg30):
-        assert_close(hurwitz_zeta_em(2, 1, 0, cfg30), mpf(ZETA2),
+        assert_close(hurwitz_zeta_em(2, 1, 0, cfg30).value, mpf(ZETA2),
                      mpf(10) ** -28, "zeta(2)")
 
     def test_zeta3(self, cfg30):
-        assert_close(hurwitz_zeta_em(3, 1, 0, cfg30), mpf(ZETA3),
+        assert_close(hurwitz_zeta_em(3, 1, 0, cfg30).value, mpf(ZETA3),
                      mpf(10) ** -28, "zeta(3)")
 
     def test_large_s_relative(self, cfg30):
         # relative accuracy matters: tails scale these values back up
         brute = mp.fsum((n + mpf(55)) ** (-30) for n in range(4000))
-        v = hurwitz_zeta_em(30, 55, 0, cfg30)
+        v = hurwitz_zeta_em(30, 55, 0, cfg30).value
         assert abs(v - brute) / brute < mpf(10) ** -30
 
     def test_derivative_frozen(self, cfg30):
         from reference_values import ZETA_PRIME2
-        v = hurwitz_zeta_em(2, 1, 1, cfg30)
+        v = hurwitz_zeta_em(2, 1, 1, cfg30).value
         assert_close(v, mpf(ZETA_PRIME2), mpf(10) ** -28, "zeta'(2)")
 
     def test_derivative_brute(self, cfg30):
         # truncated brute reference carries ~1e-18 tail of its own
         brute = -mp.fsum(mp.log(n) / mpf(n) ** 6 for n in range(2, 4000))
-        v = hurwitz_zeta_em(6, 1, 1, cfg30)
+        v = hurwitz_zeta_em(6, 1, 1, cfg30).value
         assert_close(v, brute, mpf(10) ** -15, "zeta'(6)")
 
     def test_domain(self, cfg20):
+        # s < 1 is the analytic continuation; only the pole and x <= 0 fail
+        with pytest.raises(PoleError):
+            hurwitz_zeta_em(1, 1, 0, cfg20)
         with pytest.raises(DomainError):
-            hurwitz_zeta_em(mpf(1) / 2, 1, 0, cfg20)
+            hurwitz_zeta_em(mpf(1) / 2, 0, 0, cfg20)
