@@ -284,7 +284,7 @@ def gamma1_rational(r: Fraction, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
             theta = Fraction(2 * v * p, q)
             cth, sth = _angle_cos(theta), _angle_sin(theta)
             lg = gammafuncs.log_gamma(mpf(v) / q, cfg)
-            total += cth * zeta_doubleprime0(mpf(v) / q, cfg=cfg)
+            total += cth * zeta_doubleprime0(mpf(v) / q, cfg=cfg).value
             total += -2 * (g + logq) * lg * cth
             total += mp.pi * lg * sth
         cot = _angle_cos(r) / _angle_sin(r)

@@ -73,18 +73,6 @@ class PrecisionConfig:
         """Context manager setting the working precision for a kernel."""
         return mp.workprec(self.working_bits + extra_bits)
 
-    def eased(self, floor_digits: int) -> "PrecisionConfig":
-        """Copy whose tolerance is floored at 10**(-floor_digits).
-
-        Verification-grade evaluators use this so a high-digit request does
-        not drag a ~1e-6-target cross-check into full-precision budgets.
-        """
-        floor = mpf(10) ** (-floor_digits)
-        tol = self.tolerance if self.tolerance is not None else mpf(10) ** (-self.digits)
-        return PrecisionConfig(digits=self.digits, guard_bits=self.guard_bits,
-                               max_terms=self.max_terms,
-                               tolerance=max(mpf(tol), floor))
-
 
 DEFAULT_CFG = PrecisionConfig()
 

@@ -12,8 +12,8 @@ Routes:
   with an Euler-Maclaurin tail, continued analytically to every real
   s != 1; the default route, at a cost that does not grow with x.
 * ``zeta_fourier`` and ``zeta_fourier_pair`` -- the trigonometric expansion
-  valid for s < 1 on (0,1], evaluated with iterated averaging of the
-  conditionally convergent sums.
+  valid for s < 1 on (0,1], its conditionally convergent sums evaluated by
+  ``kernels.sum_trig_averaged`` to the requested digits.
 * ``zeta_srivastava_choi`` -- the factorial-weighted expansion in
   zeta(s+n, x), verification grade.
 * ``poisson_zeta`` -- Poisson summation: an instance of
@@ -27,6 +27,7 @@ Routes:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from mpmath import mp, mpf
 
@@ -214,14 +215,35 @@ def zeta_hasse(s, x=1, deriv: int = 0,
 
 def _judged(value, err, terms, converged, cfg) -> SeriesResult:
     """SeriesResult that counts as converged only within the caller's own
-    tolerance, 10^-digits relative to max(1, |value|): the trigonometric
-    sums run to an eased 1e-12 and must not pass for full precision."""
+    tolerance, 10^-digits relative to max(1, |value|)."""
     return SeriesResult(+value, +err, terms, bool(
         converged and err <= cfg.tol() * max(1, abs(value))))
 
 
+def _gamma_one_minus(s, cfg: PrecisionConfig):
+    """Gamma(1 - s) and a bound on its relative error.
+
+    log Gamma(1 - s) = zeta'(0, 1 - s) + log(2 pi)/2 on the EM engine, run
+    to tol / max(1, |log Gamma|) so that the exponential keeps the digits.
+    """
+    scale = max(1.0, abs(math.lgamma(1 - float(s))))
+    lg = hurwitz_zeta_em(0, 1 - s, 1,
+                         replace(cfg, tolerance=cfg.tol() / (16 * scale)))
+    gam = mp.exp(lg.value + mp.log(2 * mp.pi) / 2)
+    return gam, 2 * lg.err_estimate + 8 * mpf(2) ** -mp.prec
+
+
+def _trig_cfg(cfg: PrecisionConfig, weight) -> PrecisionConfig:
+    """cfg for trigonometric sums that enter a result with factor ``weight``."""
+    return replace(cfg, tolerance=cfg.tol() / (8 * max(1, abs(weight))))
+
+
 def zeta_fourier(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """zeta(s, x) from the trigonometric expansion, s < 1 and 0 < x <= 1."""
+    """zeta(s, x) from the trigonometric expansion, s < 1 and 0 < x <= 1.
+
+    The error estimate covers the two sums, Gamma(1 - s) and the rounding
+    of the sin/cos prefactors.
+    """
     with cfg.workprec(40):
         s = as_real(s)
         x = as_real(x)
@@ -229,24 +251,29 @@ def zeta_fourier(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
             raise DomainError("trigonometric route requires s < 1")
         if not 0 < x <= 1:
             raise DomainError("x must lie in (0, 1]")
-        gam = mp.exp(gammafuncs.log_gamma(1 - s, cfg))
+        gam, gam_rel = _gamma_one_minus(s, cfg)
         sin_half = mp.sinpi(s / 2)
         cos_half = mp.cospi(s / 2)
+        eps = 8 * mpf(2) ** -mp.prec  # sinpi/cospi and the products
         if x == 1:
             # sums telescope to the plain zeta function; needs s < 0
             if s >= 0:
                 raise DomainError("x = 1 requires s < 0 for convergence")
             em = hurwitz_zeta_em(1 - s, 1, 0, cfg)
             factor = 2 * gam * sin_half * (2 * mp.pi) ** (s - 1)
-            return _judged(factor * em.value, abs(factor) * em.err_estimate,
-                           em.terms_used, em.converged, cfg)
+            value = factor * em.value
+            err = abs(factor) * em.err_estimate + abs(value) * (gam_rel + eps)
+            return _judged(value, err, em.terms_used, em.converged, cfg)
         coeff = lambda n: (2 * mp.pi * n) ** (s - 1)
-        tcfg = cfg.eased(12)
+        tcfg = _trig_cfg(cfg, 2 * gam)
         cos_part = sum_trig_averaged(coeff, "cos", x, tcfg)
         sin_part = sum_trig_averaged(coeff, "sin", x, tcfg)
         value = 2 * gam * (sin_half * cos_part.value + cos_half * sin_part.value)
-        err = 2 * abs(gam) * (abs(sin_half) * cos_part.err_estimate
-                              + abs(cos_half) * sin_part.err_estimate)
+        parts = abs(cos_part.value) + abs(sin_part.value)
+        err = (2 * abs(gam) * (abs(sin_half) * cos_part.err_estimate
+                               + abs(cos_half) * sin_part.err_estimate
+                               + parts * eps)
+               + abs(value) * (gam_rel + eps))
         terms = cos_part.terms_used + sin_part.terms_used
         return _judged(value, err, terms,
                        cos_part.converged and sin_part.converged, cfg)
@@ -262,18 +289,19 @@ def zeta_fourier_pair(s, x, kind: str = "sum",
             raise DomainError("trigonometric route requires s < 1")
         if not 0 < x < 1:
             raise DomainError("x must lie in (0, 1)")
-        gam = mp.exp(gammafuncs.log_gamma(1 - s, cfg))
+        if kind not in ("sum", "diff"):
+            raise ValueError("kind must be 'sum' or 'diff'")
+        gam, gam_rel = _gamma_one_minus(s, cfg)
         coeff = lambda n: (2 * mp.pi * n) ** (s - 1)
-        tcfg = cfg.eased(12)
+        tcfg = _trig_cfg(cfg, 4 * gam)
         if kind == "sum":
             part = sum_trig_averaged(coeff, "cos", x, tcfg)
             value = 4 * gam * mp.sinpi(s / 2) * part.value
-        elif kind == "diff":
+        else:
             part = sum_trig_averaged(coeff, "sin", x, tcfg)
             value = 4 * gam * mp.cospi(s / 2) * part.value
-        else:
-            raise ValueError("kind must be 'sum' or 'diff'")
-        err = 4 * abs(gam) * part.err_estimate
+        eps = 8 * mpf(2) ** -mp.prec
+        err = 4 * abs(gam) * part.err_estimate + abs(value) * (gam_rel + eps)
         return _judged(value, err, part.terms_used, part.converged, cfg)
 
 
@@ -295,54 +323,66 @@ def zeta(s, x=1, deriv: int = 0, method: str = "auto",
     raise ValueError(f"unknown method {method!r}")
 
 
-def zeta_prime0(x, via: str = "em", cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
+def _trig_combination(parts, x, cfg: PrecisionConfig) -> SeriesResult:
+    """sum_i w_i sum_n c_i(n) trig_i(2 pi n x) for (w_i, c_i, trig_i) in
+    ``parts``, each sum run to its share of the tolerance."""
+    tcfg = _trig_cfg(cfg, sum(abs(w) for w, _, _ in parts))
+    value, err, mag, terms, converged = mpf(0), mpf(0), mpf(0), 0, True
+    for w, coeff, mode in parts:
+        res = sum_trig_averaged(coeff, mode, x, tcfg)
+        value += w * res.value
+        err += abs(w) * res.err_estimate
+        mag += abs(w * res.value)
+        terms += res.terms_used
+        converged = converged and res.converged
+    err += 8 * mpf(2) ** -mp.prec * len(parts) * mag  # weights and products
+    return _judged(value, err, terms, converged, cfg)
+
+
+def zeta_prime0(x, via: str = "em",
+                cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """zeta'(0, x); satisfies log Gamma(x) = zeta'(0,x) + log(2 pi)/2."""
     with cfg.workprec(40):
         x = as_real(x)
         if via == "em":
-            return hurwitz_zeta_em(0, x, 1, cfg).value
+            return hurwitz_zeta_em(0, x, 1, cfg)
         if via == "hasse":
-            return zeta_hasse(0, x, 1, cfg).value
+            return zeta_hasse(0, x, 1, cfg)
         if via == "fourier":
             if not 0 < x < 1:
                 raise DomainError("trigonometric route requires 0 < x < 1")
             g = mp.euler
-            tcfg = cfg.eased(12)
-            s1 = sum_trig_averaged(lambda n: (mp.log(2 * mp.pi * n) + g) / n,
-                                   "sin", x, tcfg)
-            s2 = sum_trig_averaged(lambda n: mpf(1) / n, "cos", x, tcfg)
-            return +(s1.value / mp.pi + s2.value / 2)
+            return _trig_combination(
+                [(1 / mp.pi, lambda n: (mp.log(2 * mp.pi * n) + g) / n, "sin"),
+                 (mpf(1) / 2, lambda n: mpf(1) / n, "cos")], x, cfg)
         raise ValueError(f"unknown route {via!r}")
 
 
 def zeta_doubleprime0(x, via: str = "em",
-                      cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
+                      cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """zeta''(0, x) by the EM engine, the binomial series or the five-sum
     trigonometric form."""
     with cfg.workprec(40):
         x = as_real(x)
         if via == "em":
-            return hurwitz_zeta_em(0, x, 2, cfg).value
+            return hurwitz_zeta_em(0, x, 2, cfg)
         if via == "hasse":
-            return zeta_hasse(0, x, 2, cfg).value
+            return zeta_hasse(0, x, 2, cfg)
         if via == "fourier":
             if not 0 < x < 1:
                 raise DomainError("trigonometric route requires 0 < x < 1")
             g = mp.euler
             two_pi = 2 * mp.pi
-            tcfg = cfg.eased(12)
 
             def lg(n):
                 return mp.log(two_pi * n)
 
-            t1 = sum_trig_averaged(lambda n: lg(n) ** 2 / (two_pi * n), "sin", x, tcfg)
-            t2 = sum_trig_averaged(lambda n: lg(n) / (two_pi * n), "sin", x, tcfg)
-            t3 = sum_trig_averaged(lambda n: 1 / (two_pi * n), "sin", x, tcfg)
-            t4 = sum_trig_averaged(lambda n: lg(n) / (two_pi * n), "cos", x, tcfg)
-            t5 = sum_trig_averaged(lambda n: 1 / (two_pi * n), "cos", x, tcfg)
-            return +(2 * t1.value + 4 * g * t2.value
-                     + (2 * g ** 2 - mp.pi ** 2 / 6) * t3.value
-                     + 2 * mp.pi * t4.value + 2 * mp.pi * g * t5.value)
+            return _trig_combination(
+                [(2, lambda n: lg(n) ** 2 / (two_pi * n), "sin"),
+                 (4 * g, lambda n: lg(n) / (two_pi * n), "sin"),
+                 (2 * g ** 2 - mp.pi ** 2 / 6, lambda n: 1 / (two_pi * n), "sin"),
+                 (2 * mp.pi, lambda n: lg(n) / (two_pi * n), "cos"),
+                 (2 * mp.pi * g, lambda n: 1 / (two_pi * n), "cos")], x, cfg)
         raise ValueError(f"unknown route {via!r}")
 
 

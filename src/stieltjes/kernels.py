@@ -8,8 +8,11 @@ quadrature kernels return a :class:`~stieltjes.core.SeriesResult` whose
 Kernels:
 
 * ``sum_alternating_accelerated`` -- Euler transform of alternating series.
-* ``sum_trig_averaged`` -- iterated Cesaro averaging of conditionally
-  convergent trigonometric series.
+* ``sum_trig_averaged`` -- conditionally convergent trigonometric series
+  sum f(n) trig(2 pi n x) for completely monotone f: a direct head and an
+  Euler-Abel transform of the tail in z = e^(2 pi i x), at a cost that does
+  not depend on the period of x (the name is historical: the first body
+  averaged over Cesaro windows; the benchmark calls the kernel by name).
 * ``integrate_adaptive`` -- tanh-sinh quadrature on finite or infinite ranges.
 * ``integrate_oscillatory`` -- zero-aligned panels with Euler acceleration.
 * ``sum_oscillatory_ibp`` -- sum over n of oscillatory integrals: the first
@@ -23,7 +26,6 @@ Kernels:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -92,45 +94,57 @@ def sum_alternating_accelerated(term: Callable[[int], mpf],
         return SeriesResult(+best, +err, len(terms), bool(err <= tol))
 
 
-def _cancellation_window(x: mpf, cap: int = 64) -> int:
-    """Window length w <= cap for which sum_{i<w} e^(2*pi*i*x*i) nearly cancels.
+def _abel_plan(bits: int, a: float) -> tuple[int, int]:
+    """(N, K): head length and difference orders for about ``bits`` bits.
 
-    Continued-fraction denominators of x give the candidates; the full-period
-    window of a rational x cancels exactly.
+    Modelled on f(n) = 1/n, whose k-th tail term is f(N) / a times
+    1 / (C(N+k, k) a^k) with a = |1 - z| = 2 sin(pi x).  For a given N + K
+    that is smallest at N = K / a.  N >= 2K keeps N beyond e^H_K ~ 1.8 K,
+    where (-1)^k Delta^k (log n / n) >= 0 holds for every k <= K.
     """
-    fx = float(x)
-    cands = {Fraction(fx).limit_denominator(cap).denominator}
-    for small in (8, 16, 32):
-        cands.add(Fraction(fx).limit_denominator(small).denominator)
-    best_w, best_m = 1, None
-    for w in sorted(cands):
-        m = abs(math.sin(math.pi * w * fx))
-        if best_m is None or m < best_m:
-            best_m, best_w = m, w
-    return max(1, best_w)
-
-
-def _window_average(seq, w):
-    out = []
-    acc = sum(seq[:w])
-    out.append(acc / w)
-    for j in range(len(seq) - w):
-        acc += seq[j + w] - seq[j]
-        out.append(acc / w)
-    return out
+    target = bits * math.log(2)
+    K = 1
+    while True:
+        N = max(math.ceil(K / a), 2 * K)
+        gain = (math.lgamma(N + K + 1) - math.lgamma(N + 1)
+                - math.lgamma(K + 1) + K * math.log(a))
+        if gain >= target:
+            return N, K
+        K += 1
 
 
 def sum_trig_averaged(coeff: Callable[[int], mpf], mode: str, x,
                       cfg: PrecisionConfig = DEFAULT_CFG,
                       odd_multiples: bool = False,
-                      n0: int = 1, kmax: int = 6) -> SeriesResult:
-    """Iterated-averaging evaluation of sum_n coeff(n)*trig(2*pi*n*x).
+                      n0: int = 1) -> SeriesResult:
+    """sum_{n>=n0} coeff(n) trig(2 pi n x) by an Euler-Abel transform.
 
-    With ``odd_multiples`` the phase is (2n+1)*pi*x instead.  Valid for
-    0 < x < 1 and coefficients decaying (eventually monotonically) to zero;
-    repeated Cesaro averaging over a cancellation window damps the
-    conditionally convergent oscillation, and the error estimate is the last
-    averaged difference times a safety factor.
+    With ``odd_multiples`` the phase is (2n+1) pi x instead.  Valid for
+    0 < x < 1.  (The name is historical, from an earlier Cesaro-averaging
+    body; it is kept because the benchmark calls the kernel by name.)
+
+    The series is Re or Im of sum f(n) z^n with z = e^(2 pi i x), times
+    e^(i pi x) for odd multiples.  The head n0 <= n < N is summed directly.
+    Summation by parts in z turns the tail into
+
+        z^N / (1 - z) sum_{k<K} (z / (1 - z))^k Delta^k f(N),
+
+    Delta the forward difference, |z / (1 - z)| = 1 / (2 sin pi x).  Each
+    term is real after taking the part, since z / (1 - z) = i e^(i pi x) /
+    (2 sin pi x).  If Delta^K f keeps one sign beyond N, the remainder is at
+    most |1 - z|^-K |Delta^(K-1) f(N)|: the modulus of the last term kept.
+
+    This assumes coeff is completely monotone (up to sign) from N on,
+    (-1)^k Delta^k f >= 0 for every k: true of 1/n, log(1+1/n),
+    (2 pi n)^(s-1) with s < 1, 1/n - log(1+1/n) and (log 2 pi n)^j / n
+    beyond a point that grows with k.  At every order k the signs of
+    f(N + k), Delta^(k-1) f(N + 1) and Delta^k f(N) are checked; when one
+    fails, or the terms stop falling before the target, N is doubled.  N and K come from the target bits and
+    sin(pi x) alone (:func:`_abel_plan`), so the cost is O(bits / sin pi x)
+    whatever the period of x, and the difference table carries
+    K log2(2 / |1 - z|) guard bits.  The error estimate is the remainder
+    bound plus a bound on the rounding; ``converged`` is False when
+    ``cfg.max_terms`` coefficients do not reach 10^-digits max(1, |value|).
     """
     if mode not in ("sin", "cos"):
         raise ValueError("mode must be 'sin' or 'cos'")
@@ -139,50 +153,88 @@ def sum_trig_averaged(coeff: Callable[[int], mpf], mode: str, x,
         if not 0 < x < 1:
             raise DomainError(f"x must lie in (0,1), got {x}")
         tol = cfg.tol()
-        w = _cancellation_window(x)
-        # sinpi/cospi: exact at rational multiples and exact argument
-        # reduction for large n
-        trig = mp.sinpi if mode == "sin" else mp.cospi
-        terms = []
-        n_next = n0
-
-        def extend(upto):
-            nonlocal n_next
-            while n_next < upto:
-                n = n_next
-                arg = (2 * n + 1) * x if odd_multiples else 2 * n * x
-                terms.append(coeff(n) * trig(arg))
-                n_next += 1
-
-        n_total = max(24 * w, 512)
-        best, best_err = mpf(0), mpf("inf")
+        bits = int(math.ceil(float(-mp.log(tol, 2)))) + 4
+        a = max(float(2 * mp.sinpi(x)), 1e-300)  # |1 - z|
+        N, K = _abel_plan(bits, a)
+        k_cap = K + K // 2 + 8
+        # the difference table loses up to log2(2/a) bits per order
+        table_guard = (k_cap * math.log2(max(1.0, 2 / a))
+                       + math.log2(1 + 1 / a))
         while True:
-            n_total = min(n_total, cfg.max_terms)
-            extend(n0 + n_total)
-            if all(t == 0 for t in terms):
-                return SeriesResult(mpf(0), mpf(0), len(terms), True)
-            seq = []
-            acc = mpf(0)
-            for t in terms:
-                acc += t
-                seq.append(acc)
-            est = seq[-1]
-            diffs = []
-            for _ in range(kmax):
-                if len(seq) < w + 2:
-                    break
-                seq = _window_average(seq, w)
-                diffs.append(abs(seq[-1] - est))
-                est = seq[-1]
-                if len(diffs) >= 2 and diffs[-1] > diffs[-2]:
-                    break
-            err = (diffs[-1] if diffs else mpf("inf")) * _SAFETY
-            if err < best_err:
-                best, best_err = est, err
-            if best_err <= tol or n_total >= cfg.max_terms or n_total >= 2 ** 18:
+            N = min(max(N, n0), n0 + max(cfg.max_terms - 2, 0))
+            k_max = min(k_cap, cfg.max_terms - (N - n0) - 1)
+            wp = bits + int(2 * math.log2(N + k_cap)) + 40
+            res, retry = _abel_sum(coeff, mode, x, odd_multiples, n0, N,
+                                   k_max, wp, wp + int(table_guard), tol)
+            if res.converged or not retry or k_max < k_cap:
+                return res
+            N *= 2
+
+
+def _abel_sum(coeff, mode, x, odd, n0, N, k_max, head_wp, wp, tol):
+    """One Euler-Abel evaluation with head length N and at most k_max
+    difference orders, the head at head_wp bits and the tail at wp; returns
+    the SeriesResult and whether a longer head could do better."""
+    trig = mp.sinpi if mode == "sin" else mp.cospi
+    with mp.workprec(head_wp):
+        head = mpf(0)
+        mag = mpf(0)
+        for n in range(n0, N):
+            f = coeff(n)
+            head += f * trig((2 * n + odd) * x)
+            mag += abs(f)
+    with mp.workprec(wp):
+        a = 2 * mp.sinpi(x)
+        m = 2 * N + odd
+        f = coeff(N)
+        edge = [f]  # edge[j] = Delta^j f(N + k - j); edge[-1] = Delta^k f(N)
+        sign = -1 if f < 0 else 1
+        big = abs(f)  # largest |f| in the difference table
+        apow = a  # a^(k+1)
+        tail = mpf(0)
+        tmag = mpf(0)  # sum of |term_k|
+        noise = mpf(0)  # sum of (k + 8) (2/a)^k / a: the table's rounding
+        prev = bound = mpf("inf")
+        retry = True
+        for k in range(k_max + 1):
+            d = edge[-1]
+            # Delta^j f(n) must have sign (-1)^j sign(f(N)); checked at
+            # (j, n) = (0, N + k), (k - 1, N + 1) and (k, N)
+            if (edge[0] * sign < 0 or d * sign * (-1) ** k < 0
+                    or (k and edge[-2] * sign * (-1) ** k > 0)):
+                bound = mpf("inf")  # not completely monotone from N on
                 break
-            n_total *= 2
-        return SeriesResult(+best, +best_err, len(terms), bool(best_err <= tol))
+            size = abs(d) / apow  # |term_k|
+            if k:
+                # remainder after terms < k; Delta^k f keeps its sign
+                bound = prev
+                if prev <= tol * max(1, abs(head + tail)) / 4:
+                    retry = False
+                    break
+                if size > prev:
+                    break  # the terms turned before the target
+            if k == k_max:
+                break
+            # term k = Delta^k f(N) Re|Im(i^(k+1) e^(i pi (m+k-1) x)) / a^(k+1)
+            tail += d / apow * trig((m + k - 1) * x + mpf(k + 1) / 2)
+            tmag += size
+            noise += (k + 8) * mpf(2) ** k / apow
+            prev = size
+            apow *= a
+            f = coeff(N + k + 1)
+            big = max(big, abs(f))
+            row = [f]
+            for e in edge:
+                row.append(row[-1] - e)
+            edge = row
+        total = head + tail
+        # coefficients to a few ulps, trig arguments to n ulps, running sums
+        eps_head, eps = mpf(2) ** -head_wp, mpf(2) ** -wp
+        rounding = (eps_head * (mag * (16 + 11 * N) + 8 * abs(total))
+                    + eps * (big * noise + tmag * (16 + 10 * (N + k_max))))
+        err = bound + rounding
+        return (SeriesResult(+total, +err, N - n0 + len(edge),
+                             bool(err <= tol * max(1, abs(total)))), retry)
 
 
 def integrate_adaptive(f: Callable[[mpf], mpf], a, b,

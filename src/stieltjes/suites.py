@@ -83,11 +83,11 @@ def _gamma1_prime_checks(cfg) -> List[IdentityReport]:
 def _elementary_fourier(cfg) -> List[IdentityReport]:
     out = []
     for x in (mpf(1) / 4, mpf(3) / 10):
-        s = sum_trig_averaged(lambda n: mpf(1) / n, "sin", x, cfg.eased(12))
+        s = sum_trig_averaged(lambda n: mpf(1) / n, "sin", x, cfg)
         out.append(IdentityReport.build("eq-3.8-sawtooth", s.value,
                                         mp.pi * (mpf(1) / 2 - x),
                                         mpf(10) ** -8, x=x))
-        c = sum_trig_averaged(lambda n: mpf(1) / n, "cos", x, cfg.eased(12))
+        c = sum_trig_averaged(lambda n: mpf(1) / n, "cos", x, cfg)
         out.append(IdentityReport.build("eq-3.9-log-sine", c.value,
                                         -mp.log(2 * mp.sin(mp.pi * x)),
                                         mpf(10) ** -8, x=x))
@@ -193,7 +193,7 @@ CATALOGUE: Dict[str, object] = {
             "s={0}")],
     "lerch-identity": [
         Row("eq-3.14-lerch-identity",
-            (lambda x, cfg: (hurwitz.zeta_prime0(x, "hasse", cfg)
+            (lambda x, cfg: (hurwitz.zeta_prime0(x, "hasse", cfg).value
                              + mp.log(2 * mp.pi) / 2),
              _late(gammafuncs, "log_gamma")),
             tuple(F(k, 10) for k in range(1, 10)), 10)],

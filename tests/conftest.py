@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import HealthCheck, settings
 from mpmath import mp, mpf
 
 from stieltjes.core import PrecisionConfig
+
+# derandomized: Tier-1 runs the same draws every time
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

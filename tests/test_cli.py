@@ -7,6 +7,8 @@ from mpmath import mp, mpf
 
 from stieltjes.cache import ResultCache
 from stieltjes.cli import main
+from stieltjes.core import PrecisionConfig
+from stieltjes.kernels import hurwitz_zeta_em
 
 from reference_values import GAMMA, GAMMA1, GAMMA1_HALF, ZETA2
 
@@ -75,14 +77,49 @@ class TestCompute:
             ref = mp.zeta(mpf("1.000000001"), mpf(1) / 3)
             assert abs(mpf(doc["result"]["value"]) - ref) <= abs(ref) * mpf(10) ** -29
 
-    def test_fourier_route_short_of_the_request_exits_3(self, capsys):
-        # its sums stop at an eased 1e-12, 16 digits short of --digits 30
+    def test_fourier_route_meets_the_request(self, capsys):
         code, doc = compute_json(
             capsys, "compute", "zeta", "-s", "1/2", "-x", "1/4",
             "--method", "fourier", "--digits", "30", "--no-cache")
+        assert code == 0
+        assert doc["result"]["converged"] is True
+        with mp.workdps(50):
+            ref = mp.zeta(mpf(1) / 2, mpf(1) / 4)
+            actual = abs(mpf(doc["result"]["value"]) - ref)
+            assert actual <= mpf(10) ** -30
+            assert mpf(doc["result"]["err_estimate"]) <= mpf(10) ** -30
+
+    def test_fourier_route_short_of_its_term_budget_exits_3(self, capsys):
+        code, doc = compute_json(
+            capsys, "compute", "zeta", "-s", "1/2", "-x", "1/4",
+            "--method", "fourier", "--digits", "30", "--max-terms", "20",
+            "--no-cache")
         assert code == 3
         assert doc["result"]["converged"] is False
         assert mpf(doc["result"]["err_estimate"]) > mpf(10) ** -30
+
+    def test_zeta_prime0_fourier_route_meets_the_request(self, capsys):
+        # its sums stopped at 1e-12 while the CLI claimed 1e-30
+        code, doc = compute_json(
+            capsys, "compute", "zeta_prime0", "-x", "1/4",
+            "--method", "fourier", "--digits", "30", "--no-cache")
+        assert code == 0
+        with mp.workdps(50):
+            ref = mp.zeta(0, mpf(1) / 4, 1)
+            actual = abs(mpf(doc["result"]["value"]) - ref)
+            assert actual <= mpf(10) ** -30
+            assert mpf(doc["result"]["err_estimate"]) <= mpf(10) ** -30
+        assert doc["result"]["terms_used"] > 0
+
+    def test_zeta_doubleprime0_prints_the_engine_claim(self, capsys):
+        code, doc = compute_json(
+            capsys, "compute", "zeta_doubleprime0", "-x", "1/3",
+            "--digits", "20", "--no-cache")
+        assert code == 0
+        with mp.workprec(200):
+            res = hurwitz_zeta_em(0, mpf(1) / 3, 2, PrecisionConfig(digits=20))
+        assert doc["result"]["terms_used"] == res.terms_used > 0
+        assert mpf(doc["result"]["err_estimate"]) < mpf(10) ** -20
 
     def test_bad_quantity_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,7 @@ order 0-3, Stieltjes index 0-12 and digits in {20, 30, 50, 100}.
 """
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from stieltjes.constants import em_gamma, laurent_oracle
@@ -25,9 +25,6 @@ from stieltjes.kernels import hurwitz_zeta_em
 DIGITS = st.sampled_from([20, 30, 50, 100])
 S = st.floats(-40, 40).filter(lambda s: s != 1)
 X = st.floats(-2, 5).map(lambda e: 10 ** e)
-# derandomized: Tier-1 runs the same draws every time
-PROPERTY = settings(derandomize=True, database=None, deadline=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 
 
 def _check(res, reference, digits):
@@ -58,7 +55,7 @@ def _check_value(value, reference, digits):
         assert abs(value - ref) <= mpf(10) ** -digits * max(1, abs(ref))
 
 
-@settings(PROPERTY, max_examples=300)
+@settings(max_examples=300)
 @given(s=S, x=X, deriv=st.integers(0, 3), digits=DIGITS)
 @example(s=-8.474345739399523e-221, x=10.0, deriv=0, digits=20)
 def test_zeta_matches_mpmath(s, x, deriv, digits):
@@ -66,7 +63,7 @@ def test_zeta_matches_mpmath(s, x, deriv, digits):
     _check(res, lambda: _zeta_ref(s, x, deriv), digits)
 
 
-@settings(PROPERTY, max_examples=60)
+@settings(max_examples=60)
 @given(j=st.integers(1, 30), sign=st.sampled_from([-1, 1]), x=X,
        deriv=st.integers(0, 3), digits=DIGITS)
 def test_zeta_near_the_pole(j, sign, x, deriv, digits):
@@ -75,14 +72,14 @@ def test_zeta_near_the_pole(j, sign, x, deriv, digits):
     _check(res, lambda: mp.zeta(s, x, deriv), digits)
 
 
-@settings(PROPERTY, max_examples=25)
+@settings(max_examples=25)
 @given(m=st.integers(0, 12), x=X, digits=DIGITS)
 def test_stieltjes_matches_mpmath(m, x, digits):
     res = em_gamma(m, x, PrecisionConfig(digits=digits))
     _check(res, lambda: mp.stieltjes(m, x), digits)
 
 
-@settings(PROPERTY, max_examples=100)
+@settings(max_examples=100)
 @given(x=X, digits=DIGITS)
 def test_log_gamma_and_digamma_match_mpmath(x, digits):
     cfg = PrecisionConfig(digits=digits)
@@ -118,7 +115,7 @@ def test_pinned_points(s, x, deriv, digits):
 
 def test_doubleprime0_default_route_pinned(cfg20):
     x = mpf(2.1672284340999495)
-    _check_value(zeta_doubleprime0(x, cfg=cfg20), lambda: mp.zeta(0, x, 2), 20)
+    _check(zeta_doubleprime0(x, cfg=cfg20), lambda: mp.zeta(0, x, 2), 20)
 
 
 @pytest.mark.parametrize("m,x", [(1, 0.04734601648266547),

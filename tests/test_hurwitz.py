@@ -99,13 +99,35 @@ class TestZetaFourier:
         assert res.converged
         assert abs(res.value + mpf(1) / 12) <= res.err_estimate < mpf(10) ** -30
 
-    def test_converged_judged_against_the_request(self, cfg20):
-        # the trigonometric sums run to 1e-12; 20 digits are not reached
-        res = zeta_fourier(mpf(1) / 2, mpf(1) / 4, cfg20)
+    @pytest.mark.parametrize("s,x,digits", [
+        ("0.5", "0.25", 30), ("-0.5", "0.3", 20), ("-10", "0.7", 50),
+        ("0.95", "0.05", 20), ("-2.5", "1", 30),
+    ])
+    def test_converges_to_the_request(self, s, x, digits):
+        # the sums, Gamma(1 - s) and the prefactors all count in the claim
+        s, x = mpf(s), mpf(x)
+        res = zeta_fourier(s, x, PrecisionConfig(digits=digits))
+        ref = mp.zeta(s, x)
+        assert res.converged
+        assert abs(res.value - ref) <= res.err_estimate
+        assert res.err_estimate <= mpf(10) ** -digits * max(1, abs(ref))
+
+    @pytest.mark.parametrize("kind", ["sum", "diff"])
+    def test_pair_converges_to_the_request(self, kind, cfg30):
+        s, x = mpf(-1) / 2, mpf(1) / 4
+        res = zeta_fourier_pair(s, x, kind, cfg30)
+        sign = 1 if kind == "sum" else -1
+        ref = mp.zeta(s, x) + sign * mp.zeta(s, 1 - x)
+        assert res.converged
+        assert abs(res.value - ref) <= res.err_estimate
+        assert res.err_estimate <= mpf(10) ** -30 * max(1, abs(ref))
+
+    def test_term_budget_short_of_the_head_is_unconverged(self):
+        cfg = PrecisionConfig(digits=30, max_terms=20)
+        res = zeta_fourier(mpf(1) / 2, mpf(1) / 4, cfg)
         assert not res.converged
-        assert abs(res.value - mp.zeta(mpf(1) / 2, mpf(1) / 4)) < mpf(10) ** -8
-        pair = zeta_fourier_pair(mpf(-1) / 2, mpf(1) / 4, "sum", cfg20)
-        assert not pair.converged
+        assert res.err_estimate > mpf(10) ** -30
+        assert res.terms_used <= 40  # two sums of at most 20 terms
 
     def test_symmetric_split(self, cfg20):
         # single-sum form equals zeta(s,x) + zeta(s,1-x)
@@ -130,39 +152,48 @@ class TestZetaFourier:
 
 class TestSpecialDerivativesAtZero:
     def test_prime0_at_one(self, cfg30):
-        assert_close(zeta_prime0(1, "hasse", cfg30),
+        assert_close(zeta_prime0(1, "hasse", cfg30).value,
                      -mp.log(2 * mp.pi) / 2, mpf(10) ** -27, "zeta'(0)")
 
     def test_prime0_at_half(self, cfg30):
-        assert_close(zeta_prime0(mpf(1) / 2, "hasse", cfg30),
+        assert_close(zeta_prime0(mpf(1) / 2, "hasse", cfg30).value,
                      -mp.log(2) / 2, mpf(10) ** -27, "zeta'(0,1/2)")
 
     def test_prime0_routes_agree(self, cfg20):
         x = mpf("0.2")
-        a = zeta_prime0(x, "hasse", cfg20)
-        b = zeta_prime0(x, "fourier", cfg20)
+        a = zeta_prime0(x, "hasse", cfg20).value
+        b = zeta_prime0(x, "fourier", cfg20).value
         assert abs(a - b) < mpf(10) ** -6
 
     def test_doubleprime0_routes_agree(self, cfg20):
         x = mpf(1) / 4
-        a = zeta_doubleprime0(x, "hasse", cfg20)
-        b = zeta_doubleprime0(x, "fourier", cfg20)
+        a = zeta_doubleprime0(x, "hasse", cfg20).value
+        b = zeta_doubleprime0(x, "fourier", cfg20).value
         assert abs(a - b) < mpf(10) ** -4
+
+    @pytest.mark.parametrize("x", ["0.25", "0.05", "0.93"])
+    def test_fourier_routes_meet_the_request(self, x, cfg30):
+        x = mpf(x)
+        for route, deriv in ((zeta_prime0, 1), (zeta_doubleprime0, 2)):
+            res = route(x, "fourier", cfg30)
+            actual = abs(res.value - mp.zeta(0, x, deriv))
+            assert res.converged
+            assert actual <= res.err_estimate <= mpf(10) ** -30
 
     def test_doubleprime0_sum_form(self, cfg20):
         # zeta''(0,x) + zeta''(0,1-x) = 2 sum (log(2 pi n)+gamma)/n cos(2 pi n x)
         x = mpf("0.3")
-        lhs = (zeta_doubleprime0(x, "hasse", cfg20)
-               + zeta_doubleprime0(1 - x, "hasse", cfg20))
+        lhs = (zeta_doubleprime0(x, "hasse", cfg20).value
+               + zeta_doubleprime0(1 - x, "hasse", cfg20).value)
         rhs = 2 * sum_trig_averaged(
             lambda n: (mp.log(2 * mp.pi * n) + mp.euler) / n, "cos", x,
-            cfg20.eased(12)).value
+            cfg20).value
         assert abs(lhs - rhs) < mpf(10) ** -8
 
     def test_doubleprime0_difference_form(self, cfg20):
         x = mpf("0.3")
-        lhs = (zeta_doubleprime0(x, "hasse", cfg20)
-               - zeta_doubleprime0(1 - x, "hasse", cfg20))
+        lhs = (zeta_doubleprime0(x, "hasse", cfg20).value
+               - zeta_doubleprime0(1 - x, "hasse", cfg20).value)
         g = mp.euler
 
         def coeff(n):
@@ -170,12 +201,12 @@ class TestSpecialDerivativesAtZero:
             return (2 * L ** 2 + 4 * g * L
                     + 2 * g ** 2 - mp.pi ** 2 / 6) / (mp.pi * n)
 
-        rhs = sum_trig_averaged(coeff, "sin", x, cfg20.eased(12)).value
+        rhs = sum_trig_averaged(coeff, "sin", x, cfg20).value
         assert abs(lhs - rhs) < mpf(10) ** -8
 
     def test_lerch_identity_links_log_gamma(self, cfg30):
         x = mpf("0.37")
-        lhs = zeta_prime0(x, "hasse", cfg30) + mp.log(2 * mp.pi) / 2
+        lhs = zeta_prime0(x, "hasse", cfg30).value + mp.log(2 * mp.pi) / 2
         assert_close(lhs, log_gamma(x, cfg30), mpf(10) ** -24, "Lerch link")
 
 
