@@ -1,6 +1,6 @@
 """Multiprecision Stieltjes constants, Hurwitz zeta and their identity catalog."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .core import (DEFAULT_CFG, DomainError, IdentityReport, NonConvergence,
                    PoleError, PrecisionConfig, PrecisionError, SeriesResult)

@@ -3,9 +3,12 @@
 Values are serialized as decimal strings (never binary floats).  The
 ``result`` block of every JSON document is deterministic for identical
 flags; timestamps and elapsed times live in the separate ``meta`` block.
+Every printed ``value``, ``err_estimate`` and ``terms_used`` is the route's
+own :class:`~stieltjes.core.SeriesResult`, and ``converged`` is its verdict.
 
 Exit codes: 0 success, 1 failed validation, 2 usage/parse error,
-3 non-convergence or kernel error.
+3 kernel error, or a route whose own error estimate misses the request
+(10^-digits max(1, |value|)).
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from . import __version__
 from .core import (DomainError, NonConvergence, PrecisionConfig,
-                   PrecisionError, SeriesResult, as_real)
+                   PrecisionError, as_real)
 from .cache import ResultCache
 from . import constants, fourier, gammafuncs, hurwitz, suites
 
@@ -52,21 +55,6 @@ def _build_cfg(args) -> PrecisionConfig:
     return PrecisionConfig(digits=digits, max_terms=args.max_terms)
 
 
-def _zeta(route, a, cfg):
-    if route == "em":
-        return hurwitz.hurwitz_zeta_em(a.s, a.x, a.deriv, cfg)
-    if route == "hasse":
-        return hurwitz.zeta_hasse(a.s, a.x, a.deriv, cfg)
-    routes = {"fourier": hurwitz.zeta_fourier,
-              "srivastava-choi": hurwitz.zeta_srivastava_choi,
-              "poisson": lambda s, x, cfg: hurwitz.poisson_zeta(s, x, 12, cfg)}
-    if route not in routes:
-        raise DomainError(f"unknown zeta method {route!r}")
-    if a.deriv:
-        raise DomainError(f"zeta method {route!r} implements deriv = 0 only")
-    return routes[route](a.s, a.x, cfg)
-
-
 def _series_only(name):
     def evaluate(route, a, cfg):
         if route != "series":
@@ -76,12 +64,13 @@ def _series_only(name):
 
 
 # quantity -> (default route, required arguments, evaluator(route, args, cfg)).
-# An evaluator returns a SeriesResult, a bare value or a (re, im) pair; it
-# looks its kernel up at call time, so a rebound module attribute is used.
+# An evaluator returns the route's SeriesResult; it looks its kernel up at
+# call time, so a rebound module attribute is used.
 QUANTITIES = {
     "gamma_m": ("em", ("m", "x"),
                 lambda route, a, cfg: constants.stieltjes_gamma(a.m, a.x, route, cfg)),
-    "zeta": ("em", ("s",), _zeta),
+    "zeta": ("em", ("s",), lambda route, a, cfg: hurwitz.zeta(
+        a.s, a.x, a.deriv, route, cfg)),
     "zeta_prime0": ("em", ("x",),
                     lambda route, a, cfg: hurwitz.zeta_prime0(a.x, route, cfg)),
     "zeta_doubleprime0": ("em", ("x",),
@@ -116,17 +105,13 @@ def _evaluate(args, a, route, cfg):
     """Result fields shared by compute and table: value, claimed error, terms,
     convergence (and value_im for a complex value)."""
     res = QUANTITIES[args.quantity][2](route, a, cfg)
-    extra = {}
-    if isinstance(res, tuple):
-        res, im = res
-        extra["value_im"] = _fmt(im, cfg.digits)
-    if not isinstance(res, SeriesResult):  # the route reports no error bound
-        with cfg.workprec():
-            res = SeriesResult(res, cfg.tol(), 0, True)
-    return dict({"value": _fmt(res.value, cfg.digits),
-                 "err_estimate": _fmt(res.err_estimate, 3),
-                 "terms_used": res.terms_used,
-                 "converged": bool(res.converged)}, **extra)
+    out = {"value": _fmt(mp.re(res.value), cfg.digits),
+           "err_estimate": _fmt(res.err_estimate, 3),
+           "terms_used": res.terms_used,
+           "converged": res.converged}
+    if isinstance(res.value, mpc):
+        out["value_im"] = _fmt(res.value.imag, cfg.digits)
+    return out
 
 
 def cmd_compute(args) -> int:
@@ -158,7 +143,7 @@ def cmd_compute(args) -> int:
         },
     }
     print(json.dumps(doc, sort_keys=True))
-    return EXIT_OK if result.get("converged", True) else EXIT_NONCONV
+    return EXIT_OK if result["converged"] else EXIT_NONCONV
 
 
 def cmd_validate(args) -> int:

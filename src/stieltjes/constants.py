@@ -31,7 +31,7 @@ from .combinatorics import bell_harmonic, binomial
 from .hurwitz import _hasse_parts, zeta_doubleprime0
 from . import gammafuncs
 
-_BRIGGS_DEFAULT_N = 14
+_BRIGGS_N = 14
 
 
 def laurent_oracle(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -92,7 +92,7 @@ def laurent_oracle(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResul
             if last < tol * (1 + abs(total)):
                 break
         err = (last + mpf(10) ** (-cfg.digits - 4)) * 4
-        return SeriesResult(+total, +err, M + r, bool(err <= cfg.tol()))
+        return SeriesResult(+total, +err, M + r, cfg.tol())
 
 
 def em_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -113,10 +113,10 @@ def hasse_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     if m > 12:
         raise PrecisionError("binomial route capped at m <= 12")
     with cfg.workprec(40):
-        parts, err = _hasse_parts([m + 1], 0, as_real(x), cfg)
+        parts, err, terms = _hasse_parts([m + 1], 0, as_real(x), cfg)
         value = -parts[m + 1] / (m + 1)
-        return SeriesResult(+value, +err / (m + 1), 0,
-                            bool(err <= cfg.tol() * 100))
+        err = err / (m + 1) + 2 * mpf(2) ** -mp.prec * abs(value)
+        return SeriesResult(+value, +err, terms, cfg.tol())
 
 
 def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -148,16 +148,17 @@ def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesRe
         value = (-mp.log(x) ** (m + 1) / (m + 1)
                  + (-1) ** (m + 1) * acc.value + shift)
         return SeriesResult(+value, acc.err_estimate, acc.terms_used,
-                            acc.converged)
+                            cfg.tol())
 
 
-def briggs_gamma(m: int, x, N: int = _BRIGGS_DEFAULT_N,
+def briggs_gamma(m: int, x,
                  cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """gamma_m(x) from the cosine-integral representation, m in {0, 1}.
 
-    Verification grade (~1e-4 and usually much better):
+    Verification grade (its integrals stop near 1e-12, so higher requests
+    end unconverged):
     log^m(x)/(2x) - log^(m+1)(x)/(m+1) plus twice the cosine sum of
-    kernels.sum_oscillatory_ibp with P = L^m and s = 1.
+    kernels.sum_oscillatory_ibp with P = L^m, s = 1 and 14 integrals.
     """
     if m not in (0, 1):
         raise DomainError("oscillatory route implemented for m in {0, 1}")
@@ -167,11 +168,12 @@ def briggs_gamma(m: int, x, N: int = _BRIGGS_DEFAULT_N,
             raise DomainError("x must be positive")
         Lx = mp.log(x)
         base = Lx ** m / (2 * x) - Lx ** (m + 1) / (m + 1)
-        osc = sum_oscillatory_ibp([0] * m + [1], 1, x, "cos", N, 0, cfg)
+        osc = sum_oscillatory_ibp([0] * m + [1], 1, x, "cos", _BRIGGS_N, 0,
+                                  cfg)
         value = base + 2 * osc.value
-        err = 2 * osc.err_estimate + mpf(10) ** (-cfg.digits)
-        return SeriesResult(+value, +err, osc.terms_used,
-                            bool(err <= mpf(10) ** -4))
+        err = (2 * osc.err_estimate
+               + 4 * mpf(2) ** -mp.prec * (abs(base) + abs(value)))
+        return SeriesResult(+value, +err, osc.terms_used, cfg.tol())
 
 
 _ROUTES = {
@@ -179,7 +181,7 @@ _ROUTES = {
     "hasse": lambda m, x, cfg: hasse_gamma(m, x, cfg),
     "bell": lambda m, x, cfg: bell_series_gamma(m, x, cfg),
     "laurent_oracle": lambda m, x, cfg: laurent_oracle(m, x, cfg),
-    "briggs": lambda m, x, cfg: briggs_gamma(m, x, cfg=cfg),
+    "briggs": lambda m, x, cfg: briggs_gamma(m, x, cfg),
 }
 
 
@@ -206,8 +208,8 @@ def stieltjes_shift(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG,
 def digamma_hasse_series(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """psi(x) from the binomial double series (the m=0 route, sign flipped)."""
     with cfg.workprec(40):
-        parts, err = _hasse_parts([1], 0, as_real(x), cfg)
-        return SeriesResult(+parts[1], +err, 0, bool(err <= cfg.tol() * 100))
+        parts, err, terms = _hasse_parts([1], 0, as_real(x), cfg)
+        return SeriesResult(+parts[1], +err, terms, cfg.tol())
 
 
 def coffey_difference_integral(n: int, x,
@@ -283,7 +285,7 @@ def gamma1_rational(r: Fraction, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
         for v in range(1, q):
             theta = Fraction(2 * v * p, q)
             cth, sth = _angle_cos(theta), _angle_sin(theta)
-            lg = gammafuncs.log_gamma(mpf(v) / q, cfg)
+            lg = gammafuncs.log_gamma(mpf(v) / q, cfg).value
             total += cth * zeta_doubleprime0(mpf(v) / q, cfg=cfg).value
             total += -2 * (g + logq) * lg * cth
             total += mp.pi * lg * sth
@@ -305,7 +307,7 @@ def adamchik_reflection(r: Fraction, cfg: PrecisionConfig = DEFAULT_CFG,
         cot = _angle_cos(r) / _angle_sin(r)
         rhs = mp.pi * (mp.log(2 * mp.pi * q) + g) * cot
         for j in range(1, q):
-            rhs -= (2 * mp.pi * gammafuncs.log_gamma(mpf(j) / q, cfg)
+            rhs -= (2 * mp.pi * gammafuncs.log_gamma(mpf(j) / q, cfg).value
                     * _angle_sin(Fraction(2 * j * p, q)))
         return IdentityReport.build(f"reflection-{p}-{q}", lhs, rhs, tol,
                                     x=mpf(p) / q)
@@ -360,8 +362,8 @@ def coffey_ramanujan_sum(cfg: PrecisionConfig = DEFAULT_CFG):
         S = ramanujan_exp_sum(cfg)
         tol = mpf(10) ** -10
         quarter = Fraction(1, 4)
-        lg14 = gammafuncs.log_gamma(mpf(1) / 4, cfg)
-        lg34 = gammafuncs.log_gamma(mpf(3) / 4, cfg)
+        lg14 = gammafuncs.log_gamma(mpf(1) / 4, cfg).value
+        lg34 = gammafuncs.log_gamma(mpf(3) / 4, cfg).value
         coffey = mp.pi * (mp.pi / 3 + g + 4 * S)
         reflection = (mp.pi * (mp.log(8 * mp.pi) + g)
                       - 2 * mp.pi * (lg14 - lg34))

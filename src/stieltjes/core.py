@@ -1,9 +1,10 @@
 """Precision policy, result containers and error types shared by every module.
 
-All scalars are mpmath ``mpf`` values.  Precision is not attached to each
-number; instead every kernel runs inside an explicit working-precision
-context derived from a :class:`PrecisionConfig` (decimal digits plus guard
-bits), and returns values rounded at that precision.  Mixing values produced
+All scalars are mpmath ``mpf`` values (``mpc`` where a value is complex).
+Precision is not attached to each number; instead every kernel runs inside
+an explicit working-precision context derived from a
+:class:`PrecisionConfig` (decimal digits plus guard bits), and returns
+values rounded at that precision.  Mixing values produced
 at different precisions is safe: mpmath computes at the active context
 precision, which callers set to the maximum they need.
 """
@@ -11,13 +12,14 @@ precision, which callers set to the maximum they need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 _BITS_PER_DIGIT = math.log2(10)
+_GUARD_BITS = 64
 
 
 class DomainError(ValueError):
@@ -38,15 +40,15 @@ class PrecisionError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Evaluation budget: target digits, guard bits, term cap, tolerance.
+    """Evaluation budget: target digits, term cap, tolerance.
 
-    ``tolerance`` defaults to 10**(-digits) when left unset.  ``guard_bits``
-    is the base padding; kernels that suffer cancellation add their own on
-    top (the Hasse head adds one bit per outer term, for instance).
+    ``tolerance`` defaults to 10**(-digits) when left unset.  The working
+    precision carries 64 guard bits; kernels that suffer cancellation add
+    their own on top (the Hasse head adds one bit per outer term, for
+    instance).
     """
 
     digits: int = 30
-    guard_bits: int = 64
     max_terms: int = 10 ** 6
     tolerance: Optional[mpf] = None
 
@@ -55,14 +57,12 @@ class PrecisionConfig:
             raise ValueError("digits must be >= 10")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if self.guard_bits < 0:
-            raise ValueError("guard_bits must be >= 0")
         if self.tolerance is not None and not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
     @property
     def working_bits(self) -> int:
-        return max(64, int(self.digits * _BITS_PER_DIGIT) + self.guard_bits)
+        return max(64, int(self.digits * _BITS_PER_DIGIT) + _GUARD_BITS)
 
     def tol(self) -> mpf:
         if self.tolerance is not None:
@@ -79,20 +79,30 @@ DEFAULT_CFG = PrecisionConfig()
 
 @dataclass
 class SeriesResult:
-    """Outcome of a summation or quadrature kernel.
+    """A value, the error its route claims for it, and the request it met.
 
-    ``converged`` is True only when ``err_estimate`` met the tolerance the
-    kernel was run with.  err_estimate is a heuristic upper bound (last
-    term/difference magnitude times a safety factor of 4), never rigorous.
+    Every evaluator whose result is printed returns one.  ``err_estimate``
+    is the route's own claim on |value - exact|, ``terms_used`` the terms
+    or panels it summed, and ``tol`` the tolerance it was computed for
+    (10^-digits unless the caller set one).  The verdict is decided here
+    and nowhere else: the result has converged when
+
+        err_estimate <= tol * max(1, |value|),
+
+    which is never the case for an infinite or NaN estimate or value.  A
+    complex value is judged by its modulus.
     """
 
-    value: mpf
+    value: Union[mpf, mpc]
     err_estimate: mpf
     terms_used: int
-    converged: bool
+    tol: mpf
 
-    def __float__(self):
-        return float(self.value)
+    @property
+    def converged(self) -> bool:
+        if not (mp.isfinite(self.err_estimate) and mp.isfinite(self.value)):
+            return False
+        return bool(self.err_estimate <= self.tol * max(1, abs(self.value)))
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .core import (DEFAULT_CFG, DomainError, IdentityReport, PrecisionConfig,
                    SeriesResult, as_real)
@@ -59,7 +59,7 @@ def kummer_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG,
         lhs = (mp.log(mp.pi / mp.sin(mp.pi * x)) / 2
                + (mp.euler + mp.log(2 * mp.pi)) * (mpf(1) / 2 - x)
                + sine.value / mp.pi)
-        rhs = gammafuncs.log_gamma(x, cfg)
+        rhs = gammafuncs.log_gamma(x, cfg).value
         return IdentityReport.build("kummer-log-gamma", lhs, rhs, tol, x=x)
 
 
@@ -74,7 +74,7 @@ def series_316(x, cfg: PrecisionConfig = DEFAULT_CFG,
         lhs = sum_trig_averaged(lambda n: mp.log(1 + mpf(1) / n), "sin", x,
                                 cfg, odd_multiples=True).value
         sx, cx = mp.sin(mp.pi * x), mp.cos(mp.pi * x)
-        rhs = -(gammafuncs.digamma(x, cfg) * sx + mp.pi / 2 * cx
+        rhs = -(gammafuncs.digamma(x, cfg).value * sx + mp.pi / 2 * cx
                 + (mp.euler + mp.log(2 * mp.pi)) * sx)
         return IdentityReport.build("odd-sine-log-series", lhs, rhs, tol,
                                     x=x)
@@ -149,10 +149,8 @@ def gamma1_fourier(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
         scale = mp.pi / (2 * mp.sin(mp.pi * x))
         value = (t_sin.value + t_cos.value) * scale
         err = (t_sin.err_estimate + t_cos.err_estimate) * abs(scale)
-        return SeriesResult(+value, +err,
-                            t_sin.terms_used + t_cos.terms_used,
-                            bool(t_sin.converged and t_cos.converged
-                                 and err <= cfg.tol() * max(1, abs(value))))
+        return SeriesResult(+value, +err, t_sin.terms_used + t_cos.terms_used,
+                            cfg.tol())
 
 
 def series_325_family(x, which: str, cfg: PrecisionConfig = DEFAULT_CFG,
@@ -176,7 +174,7 @@ def series_325_family(x, which: str, cfg: PrecisionConfig = DEFAULT_CFG,
             rhs = mp.log(q) * mp.cospi(mpf(p) / q)
             gsum = mpf(0)
             for j in range(1, q):
-                gsum += (gammafuncs.log_gamma(mpf(j) / q, cfg)
+                gsum += (gammafuncs.log_gamma(mpf(j) / q, cfg).value
                          * mp.sinpi(mpf(2 * j * p) / q))
             rhs -= 2 * mp.sinpi(mpf(p) / q) * gsum
             return IdentityReport.build("odd-cosine-rational", lhs, rhs,
@@ -197,12 +195,14 @@ def series_325_family(x, which: str, cfg: PrecisionConfig = DEFAULT_CFG,
         elif which == "3.28":
             lhs = sum_trig_averaged(coeff, "cos", x, cfg).value
             rhs = (g1_diff * sx * cx / mp.pi - glog
-                   - (gammafuncs.digamma(x, cfg) * sx + mp.pi / 2 * cx) * sx)
+                   - (gammafuncs.digamma(x, cfg).value * sx
+                      + mp.pi / 2 * cx) * sx)
             name = "cosine-stieltjes"
         elif which == "3.29":
             lhs = sum_trig_averaged(coeff, "sin", x, cfg).value
             rhs = (-g1_diff * sx ** 2 / mp.pi
-                   - (gammafuncs.digamma(x, cfg) * sx + mp.pi / 2 * cx) * cx)
+                   - (gammafuncs.digamma(x, cfg).value * sx
+                      + mp.pi / 2 * cx) * cx)
             name = "sine-stieltjes"
         else:
             raise ValueError(f"unknown family member {which!r}")
@@ -255,7 +255,7 @@ def kolbig_check(cfg: PrecisionConfig = DEFAULT_CFG):
                      for n in range(1, N + 1))
         S2 += _log_ratio_tail_sum(N, cfg)
         quad = integrate_adaptive(
-            lambda t: gammafuncs.digamma(t, cfg) * mp.sin(mp.pi * t)
+            lambda t: gammafuncs.digamma(t, cfg).value * mp.sin(mp.pi * t)
             if 0 < t < 1 else mpf(0), 0, 1, cfg)
         kolbig_form = -(2 / mp.pi) * (g2pi + 2 * S1)
         integrated_form = -(2 / mp.pi) * g2pi - (2 / mp.pi) * S2
@@ -292,66 +292,105 @@ def _euler_coeff(n: int) -> mpf:
     return acc
 
 
+def _sondow_power_series(z, cfg) -> SeriesResult:
+    """gamma(z) for real |z| <= 1 by the defining sum; z = -1 by Euler
+    acceleration and z = 1 by a head of 40 terms and the tail
+    sum_k (-1)^k zeta(k, 41) / k."""
+    if z == -1:
+        return sum_alternating_accelerated(
+            lambda n: (-1) ** (n - 1) * _euler_coeff(n), cfg)
+    if abs(z) > 1:
+        raise DomainError("|z| <= 1 required for the series route")
+    tol = cfg.tol() * mpf(10) ** -2
+    if z == 1:
+        N = 40
+        acc = mp.fsum(_euler_coeff(n) for n in range(1, N + 1))
+        err = mpf(0)
+        k = 2
+        while True:
+            zk = hurwitz_zeta_em(k, N + 1, 0, cfg)
+            t = (-1) ** k * zk.value / k
+            acc += t
+            err += zk.err_estimate / k
+            if abs(t) < tol or k > 200:
+                break
+            k += 1
+        # alternating with falling terms: the remainder is below |t|
+        err += abs(t) + (N + k + 32) * mpf(2) ** -mp.prec * abs(acc)
+        return SeriesResult(+acc, +err, N + k - 1, cfg.tol())
+    acc = mpf(0)
+    mag = mpf(0)
+    zp = mpf(1)
+    n = 1
+    while True:
+        t = zp * _euler_coeff(n)
+        acc += t
+        mag += abs(t)
+        if abs(zp) / (n + 1) ** 2 < tol:
+            break
+        zp *= z
+        n += 1
+    # 0 < 1/k - log(1 + 1/k) < 1/(2k^2) bounds the terms beyond n
+    rest = abs(zp * z) / (2 * (n + 1) ** 2 * (1 - abs(z)))
+    err = rest + (n + 32) * mpf(2) ** -mp.prec * mag
+    return SeriesResult(+acc, +err, n, cfg.tol())
+
+
+def _sondow_circle(z: Fraction, cfg) -> SeriesResult:
+    """gamma(omega), omega = exp(i pi p/q): (C + i S) e^(-i pi p/q) for the
+    cosine and sine sums C, S of the coefficients at x = p/(2q)."""
+    theta = mp.pi * z.numerator / z.denominator
+    x_eff = mpf(z.numerator) / (2 * z.denominator)
+    C = sum_trig_averaged(_euler_coeff, "cos", x_eff, cfg)
+    S = sum_trig_averaged(_euler_coeff, "sin", x_eff, cfg)
+    re = C.value * mp.cos(theta) + S.value * mp.sin(theta)
+    im = S.value * mp.cos(theta) - C.value * mp.sin(theta)
+    err = (C.err_estimate + S.err_estimate
+           + 8 * mpf(2) ** -mp.prec * (abs(C.value) + abs(S.value)))
+    return SeriesResult(mpc(+re, +im), err, C.terms_used + S.terms_used,
+                        cfg.tol())
+
+
+def _sondow_2q(z: Fraction, cfg) -> SeriesResult:
+    """The finite form in log Gamma(k/(2q)), its error from the engine's."""
+    p, q = z.numerator, z.denominator
+    omega = mp.expjpi(mpf(p) / q)
+    lg = [gammafuncs.log_gamma(mpf(k) / (2 * q), cfg)
+          for k in range(1, 2 * q + 2)]
+    total = -mp.log(1 - omega) / omega
+    for n in range(1, 2 * q + 1):
+        total += omega ** (n - 1) * (lg[n].value - lg[n - 1].value)
+    # each log Gamma enters two terms at most, with |omega| = 1
+    eps = 16 * (q + 2) * mpf(2) ** -mp.prec
+    err = eps * abs(total) + sum(2 * r.err_estimate + 2 * eps * abs(r.value)
+                                 for r in lg)
+    return SeriesResult(+total, err, sum(r.terms_used for r in lg), cfg.tol())
+
+
 def sondow_gamma(z: Union[mpf, float, int, Fraction],
                  cfg: PrecisionConfig = DEFAULT_CFG,
-                 route: str = "auto"):
+                 route: str = "series") -> SeriesResult:
     """Generalized Euler constant gamma(z) = sum z^(n-1)[1/n - log(1+1/n)].
 
-    Real ``z`` in [-1, 1] is taken literally; a ``Fraction`` p/q selects the
-    unit-circle point omega = exp(i pi p/q).  Routes: "series" (defining sum,
-    by the trigonometric kernel on the circle), "integral" (real z <= 1), "2q" (finite
-    log-gamma form, Fraction only).  Returns (re, im) as mpf.
+    Real ``z`` in [-1, 1] is taken literally; a ``Fraction`` p/q in (0, 1]
+    selects the unit-circle point omega = exp(i pi p/q), where the value is
+    complex (p/q = 1 is z = -1).  Routes: "series" (the defining sum, by the
+    trigonometric kernel on the circle), "integral" (real z <= 1), "2q"
+    (finite log-gamma form, Fraction only).  The error estimate comes from
+    the kernels and tails each route sums, and their rounding.
     """
+    on_circle = isinstance(z, Fraction)
+    if on_circle and not 0 < z <= 1:
+        raise DomainError("angle p/q must lie in (0, 1]")
     with cfg.workprec(40):
-        on_circle = isinstance(z, Fraction)
-        if route == "auto":
-            route = "series"
         if route == "series":
-            if on_circle:
-                if not 0 < z <= 1:
-                    raise DomainError("angle p/q must lie in (0, 1]")
-                theta = mp.pi * z.numerator / z.denominator
-                x_eff = mpf(z.numerator) / (2 * z.denominator)
-                if x_eff == mpf(1) / 2:  # omega = -1: plain alternating series
-                    acc = sum_alternating_accelerated(
-                        lambda n: (-1) ** (n - 1) * _euler_coeff(n), cfg)
-                    return +acc.value, mpf(0)
-                C = sum_trig_averaged(_euler_coeff, "cos", x_eff, cfg)
-                S = sum_trig_averaged(_euler_coeff, "sin", x_eff, cfg)
-                re = C.value * mp.cos(theta) + S.value * mp.sin(theta)
-                im = S.value * mp.cos(theta) - C.value * mp.sin(theta)
-                return +re, +im
-            zr = as_real(z)
-            if zr == 1:
-                N = 40
-                acc = mp.fsum(_euler_coeff(n) for n in range(1, N + 1))
-                k = 2
-                tol = cfg.tol() * mpf(10) ** -2
-                while True:
-                    t = (-1) ** k * hurwitz_zeta_em(k, N + 1, 0, cfg).value / k
-                    acc += t
-                    if abs(t) < tol or k > 200:
-                        break
-                    k += 1
-                return +acc, mpf(0)
-            if zr == -1:
-                acc = sum_alternating_accelerated(
-                    lambda n: (-1) ** (n - 1) * _euler_coeff(n), cfg)
-                return +acc.value, mpf(0)
-            if abs(zr) > 1:
-                raise DomainError("|z| <= 1 required for the series route")
-            acc = mpf(0)
-            zp = mpf(1)
-            tol = cfg.tol() * mpf(10) ** -2
-            n = 1
-            while True:
-                t = zp * _euler_coeff(n)
-                acc += t
-                if abs(zp) / (n + 1) ** 2 < tol:
-                    break
-                zp *= zr
-                n += 1
-            return +acc, mpf(0)
+            if not on_circle:
+                return _sondow_power_series(as_real(z), cfg)
+            if z == 1:
+                res = _sondow_power_series(mpf(-1), cfg)
+                return SeriesResult(mpc(res.value), res.err_estimate,
+                                    res.terms_used, res.tol)
+            return _sondow_circle(z, cfg)
         if route == "integral":
             if on_circle:
                 raise DomainError("integral route takes real z only")
@@ -379,19 +418,9 @@ def sondow_gamma(z: Union[mpf, float, int, Fraction],
                     num = 1 - y + mp.log(y)
                 return num / ((1 - zr * y) * mp.log(y))
 
-            res = integrate_adaptive(f, 0, 1, cfg)
-            return +res.value, mpf(0)
+            return integrate_adaptive(f, 0, 1, cfg)
         if route == "2q":
             if not on_circle:
                 raise DomainError("2q route takes a Fraction angle p/q")
-            if not 0 < z <= 1:
-                raise DomainError("angle p/q must lie in (0, 1]")
-            p, q = z.numerator, z.denominator
-            omega = mp.expjpi(mpf(p) / q)
-            total = -mp.log(1 - omega) / omega
-            for n in range(1, 2 * q + 1):
-                total += omega ** (n - 1) * (
-                    gammafuncs.log_gamma(mpf(n + 1) / (2 * q), cfg)
-                    - gammafuncs.log_gamma(mpf(n) / (2 * q), cfg))
-            return +total.real, +total.imag
+            return _sondow_2q(z, cfg)
         raise ValueError(f"unknown route {route!r}")

@@ -27,28 +27,42 @@ def _require_positive(x) -> mpf:
     return x
 
 
-def log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
-    """log Gamma(x) for x > 0, as zeta'(0, x) + log(2 pi)/2 (Lerch)."""
+def log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
+    """log Gamma(x) for x > 0, as zeta'(0, x) + log(2 pi)/2 (Lerch).
+
+    The engine's result, shifted; the constant and the sum round once each.
+    """
     with cfg.workprec(40):
         x = _require_positive(x)
-        return +(hurwitz_zeta_em(0, x, 1, cfg).value + mp.log(2 * mp.pi) / 2)
+        res = hurwitz_zeta_em(0, x, 1, cfg)
+        value = +(res.value + mp.log(2 * mp.pi) / 2)
+        err = res.err_estimate + 2 * mpf(2) ** -mp.prec * (abs(value) + 1)
+        return SeriesResult(value, err, res.terms_used, cfg.tol())
 
 
-def digamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
-    """psi(x) = -gamma_0(x) for x > 0: the engine's finite part at s = 1."""
+def digamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
+    """psi(x) = -gamma_0(x) for x > 0: the engine's finite part at s = 1,
+    negated and rounded to the working precision."""
     with cfg.workprec(40):
         x = _require_positive(x)
-        return +(-_em_log_power_sum([1], 1, x, cfg).value)
+        res = _em_log_power_sum([1], 1, x, cfg)
+        value = +(-res.value)
+        err = res.err_estimate + mpf(2) ** -mp.prec * abs(value)
+        return SeriesResult(value, err, res.terms_used, cfg.tol())
 
 
-def polygamma(k: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
-    """psi^(k)(x) = (-1)^(k+1) k! zeta(k+1, x) for k >= 1, x > 0."""
+def polygamma(k: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
+    """psi^(k)(x) = (-1)^(k+1) k! zeta(k+1, x) for k >= 1, x > 0: the
+    engine's result scaled by k!, its error with it."""
     if k < 1:
         raise DomainError("polygamma order must be >= 1")
     with cfg.workprec(40):
         x = _require_positive(x)
-        return +((-1) ** (k + 1) * mp.factorial(k)
-                 * hurwitz_zeta_em(k + 1, x, 0, cfg).value)
+        res = hurwitz_zeta_em(k + 1, x, 0, cfg)
+        value = +((-1) ** (k + 1) * mp.factorial(k) * res.value)
+        err = (mp.factorial(k) * res.err_estimate
+               + 2 * mpf(2) ** -mp.prec * abs(value))
+        return SeriesResult(value, err, res.terms_used, cfg.tol())
 
 
 @lru_cache(maxsize=8)
@@ -98,7 +112,7 @@ def digamma_integral_check(x, cfg: PrecisionConfig = DEFAULT_CFG,
 
         quadrature = integrate_adaptive(f, 0, 1, cfg)
         lhs = quadrature.value
-        rhs = digamma(x, cfg) - mp.log(x)
+        rhs = digamma(x, cfg).value - mp.log(x)
         return IdentityReport.build("digamma-log-integral", lhs, rhs, tol, x=x,
                                     meta="integrand negative on (0,1)")
 
@@ -107,7 +121,8 @@ def bourguet_log_gamma(x, N: int = 12,
                        cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """log Gamma(x) from the oscillatory-integral representation.
 
-    Low-accuracy cross-check of log_gamma (target ~1e-4): Stirling-like
+    Low-accuracy cross-check of log_gamma (its integrals stop near 1e-12, so
+    higher requests end unconverged): Stirling-like
     elementary part plus (1/pi) sum_n (1/n) int_0^inf sin(2 pi n t)/(x+t) dt,
     N integrals plus an integration-by-parts resummation of the n-tail.
     """
@@ -116,6 +131,6 @@ def bourguet_log_gamma(x, N: int = 12,
         elementary = mp.log(2 * mp.pi) / 2 + (x - mpf(1) / 2) * mp.log(x) - x
         osc = sum_oscillatory_ibp([1], 1, x, "sin", N, 1, cfg)
         value = elementary + osc.value / mp.pi
-        err = osc.err_estimate / mp.pi + mpf(10) ** (-cfg.digits)
-        return SeriesResult(+value, +err, osc.terms_used,
-                            bool(err <= mpf(10) ** -4))
+        err = (osc.err_estimate / mp.pi
+               + 4 * mpf(2) ** -mp.prec * (abs(elementary) + abs(value)))
+        return SeriesResult(+value, +err, osc.terms_used, cfg.tol())

@@ -19,7 +19,7 @@ Routes:
 * ``poisson_zeta`` -- Poisson summation: an instance of
   ``kernels.sum_oscillatory_ibp``, verification grade.
 
-``zeta`` dispatches between ``em`` (``auto``), ``hasse`` and ``fourier``;
+``zeta`` dispatches between all five and returns the route's own result;
 ``zeta_prime0`` and ``zeta_doubleprime0`` take ``em`` (the default),
 ``hasse`` or ``fourier``.  Hasse stays as the independent cross-check.
 """
@@ -43,24 +43,61 @@ _POLE_GUARD = mpf(10) ** -8
 
 
 def _recip_gamma_derivs(alpha, jmax: int, cfg: PrecisionConfig):
-    """d^p/dalpha^p [1/Gamma(-alpha)] for p = 0..jmax.
+    """d^p/dalpha^p [1/Gamma(-alpha)] for p = 0..jmax, and error bounds.
 
     1/Gamma(-alpha) = -alpha * exp(u), u = -log Gamma(1-alpha); exponential
-    derivatives via complete Bell polynomials in psi^(i)(1-alpha).
+    derivatives via complete Bell polynomials in psi^(i)(1-alpha).  The
+    error du_i of each input is bounded against the same input run eight
+    digits tighter (their difference plus the tighter claim), and passes
+    through dY_p/du_i = C(p, i) Y_(p-i); the higher orders are bounded by
+    the same expansion at |u|, where every coefficient is positive.
+    Returns (B, bounds on |B_p - exact|).
     """
     one_minus = 1 - alpha
-    u = [(-1) ** (i + 1) * (gammafuncs.digamma(one_minus, cfg) if i == 1
-                            else gammafuncs.polygamma(i - 1, one_minus, cfg))
-         for i in range(1, jmax + 1)]
+
+    def inputs(c):
+        """log Gamma(1 - alpha), then psi^(i-1)(1 - alpha) for i = 1..jmax."""
+        return [gammafuncs.log_gamma(one_minus, c)] + [
+            gammafuncs.digamma(one_minus, c) if i == 1
+            else gammafuncs.polygamma(i - 1, one_minus, c)
+            for i in range(1, jmax + 1)]
+
+    used = inputs(cfg)
+    tight = inputs(replace(cfg, tolerance=cfg.tol() * mpf(10) ** -8))
+    errs = [abs(a.value - b.value) + b.err_estimate
+            for a, b in zip(used, tight)]
+    u = [(-1) ** i * r.value for i, r in enumerate(used[1:])]
+    du = errs[1:]
     Y = [bell_complete(u[:p]) for p in range(jmax + 1)]
-    expu = mp.exp(-gammafuncs.log_gamma(one_minus, cfg))
-    B = []
+    Y_abs = [bell_complete([abs(v) for v in u[:p]]) for p in range(jmax + 1)]
+    dY = []
+    for p in range(jmax + 1):
+        # first order at u; higher orders: Y_p(|u| + du) less its constant
+        # and linear terms
+        d_lin = [binomial(p, i) * du[i - 1] for i in range(1, p + 1)]
+        first = sum(d * abs(Y[p - i]) for i, d in enumerate(d_lin, 1))
+        higher = (bell_complete([abs(v) + d for v, d in zip(u[:p], du)])
+                  - Y_abs[p]
+                  - sum(d * Y_abs[p - i] for i, d in enumerate(d_lin, 1)))
+        dY.append(first + higher)
+    expu = mp.exp(-used[0].value)
+    eps = mpf(2) ** -mp.prec
+    d_exp = expu * (mp.expm1(errs[0]) + 4 * eps)
+    exp_hi = expu + d_exp
+    def term_err(q):  # error of expu * Y_q, and its rounding
+        return (d_exp * (abs(Y[q]) + dY[q]) + exp_hi * dY[q]
+                + (q + 8) * eps * exp_hi * Y_abs[q])
+
+    B, bounds = [], []
     for p in range(jmax + 1):
         val = -alpha * expu * Y[p]
+        bound = abs(alpha) * term_err(p)
         if p >= 1:
             val -= p * expu * Y[p - 1]
+            bound += p * term_err(p - 1)
         B.append(val)
-    return B
+        bounds.append(bound)
+    return B, bounds
 
 
 def _poly_delta(i: int, r: int, x) -> mpf:
@@ -113,10 +150,17 @@ def _weighted_tail(i: int, R: int, t, w, memo) -> mpf:
     return V
 
 
-def _hasse_parts(js, c, x, cfg: PrecisionConfig, head_terms: int = _HEAD_TERMS):
+def _hasse_parts(js, c, x, cfg: PrecisionConfig):
     """A_j = sum_{n>=0} 1/(n+1) * d^j/dc^j Delta_n[y^c](x) for each j in js.
 
-    Delta_n[f](x) := sum_k (-1)^k C(n,k) f(k+x).  Returns ({j: value}, err).
+    Delta_n[f](x) := sum_k (-1)^k C(n,k) f(k+x).  Returns ({j: value}, err,
+    head length).  err adds, over every j, the quadrature's estimate, a
+    bound on the rounding of the head (Sum_k C(n,k) |f(k+x)| <= 2^n max |f|)
+    and an integral of the tail integrand's bound: the error of the
+    1/Gamma derivatives (:func:`_recip_gamma_derivs`) plus the integrand's
+    rounding, which the closed form of :func:`_weighted_tail` amplifies by
+    up to 2^(N+2) (N+2) at w = 1/2.  That integral runs on the nodes of the
+    tail's own first degrees, whose values it reuses.
     """
     c = mpf(c)
     x = as_real(x)
@@ -124,13 +168,15 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig, head_terms: int = _HEAD_TERMS):
         raise DomainError("x must be positive")
     r = max(0, int(mp.ceil(c))) if c > 0 else 0
     alpha = c - r
-    N = max(head_terms, r + 8)
+    N = max(_HEAD_TERMS, r + 8)
     jmax = max(js)
     extra = N + 64
     with cfg.workprec(extra):
+        eps = mpf(2) ** -mp.prec
         logs = [mp.log(k + x) for k in range(N + 1)]
         powc = [mp.exp(c * L) for L in logs]
         values = {}
+        err_total = mpf(0)
         # exact binomial head, one pass per derivative order
         for j in js:
             fvals = [powc[k] * logs[k] ** j for k in range(N + 1)]
@@ -142,14 +188,40 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig, head_terms: int = _HEAD_TERMS):
                     s += (cb if k % 2 == 0 else -cb) * fvals[k]
                 tot += s / (n + 1)
             values[j] = tot
+            # |f| and its rounding: log(k+x) to 2 ulps absolute, so f to
+            # (2j + 4 + 2|c L|) ulps of max(1, |L|)^j e^(cL)
+            f_max = max(max(1, abs(L)) ** j * p for L, p in zip(logs, powc))
+            cond = N + 2 * j + 8 + 2 * abs(c) * max(abs(L) for L in logs)
+            err_total += eps * cond * f_max * mpf(2) ** (N + 1)
         # analytic tail; quadrature only needs the target tolerance, so it
         # runs at a reduced precision (the head carries the guard bits)
-        B = _recip_gamma_derivs(alpha, jmax, cfg)
+        B, B_err = _recip_gamma_derivs(alpha, jmax, cfg)
         phis = [_poly_delta(i, r, x) for i in range(r + 1)]
         memo = {}
         tcache = {}
-        err_total = mpf(0)
         quad_bits = min(mp.prec, cfg.working_bits + 16)
+        eps_q = mpf(2) ** -quad_bits
+        amplify = mpf(2) ** (N + 2) * (N + 2) + 16 * (jmax + 2)
+
+        def tail_integrand(i, j, weight):
+            """t -> e^(-(x+i)t) V(t) t^(-alpha-1) sum_p C(j,p) weight(p, t, L),
+            L = -log t."""
+            def f(t):
+                if t <= 0:
+                    return mpf(0)
+                cached = tcache.get(t)
+                if cached is None:
+                    cached = (-mp.expm1(-t), -mp.log(t))
+                    tcache[t] = cached
+                w, lt = cached
+                V = _weighted_tail(i, N - i, t, w, memo)
+                K = mpf(0)
+                for p in range(j + 1):
+                    K += binomial(j, p) * weight(p, t, lt)
+                K *= t ** (-alpha - 1)
+                return mp.exp(-(x + i) * t) * V * K
+            return f
+
         for j in js:
             if j == 0 and alpha == 0:
                 continue  # series terminates: differences of y^r vanish past r
@@ -157,32 +229,24 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig, head_terms: int = _HEAD_TERMS):
             for i in range(r + 1):
                 if phis[i] == 0:
                     continue
-                R = N - i
 
-                def integrand(t, i=i, R=R, j=j):
-                    if t <= 0:
-                        return mpf(0)
-                    cached = tcache.get(t)
-                    if cached is None:
-                        cached = (-mp.expm1(-t), -mp.log(t))
-                        tcache[t] = cached
-                    w, lt = cached
-                    V = _weighted_tail(i, R, t, w, memo)
-                    K = mpf(0)
-                    for p in range(j + 1):
-                        if B[p] == 0:
-                            continue
-                        K += binomial(j, p) * lt ** (j - p) * B[p]
-                    K *= t ** (-alpha - 1)
-                    return mp.exp(-(x + i) * t) * V * K
+                def bound(p, t, lt, i=i, j=j):
+                    rho = eps_q * (amplify
+                                   + (x + i + abs(alpha) + 2) * (t + abs(lt)))
+                    return abs(lt) ** (j - p) * (B_err[p] + rho * abs(B[p]))
 
+                integrand = tail_integrand(
+                    i, j, lambda p, t, lt, j=j: lt ** (j - p) * B[p])
                 with mp.workprec(quad_bits):
                     val, qerr = mp.quad(integrand, [0, 1, mp.inf], error=True)
+                    J, jerr = mp.quad(tail_integrand(i, j, bound),
+                                      [0, 1, mp.inf], error=True, maxdegree=3)
                 tail += phis[i] * val
-                err_total += abs(phis[i]) * qerr
+                err_total += abs(phis[i]) * (qerr + 2 * J + jerr)
             values[j] = values[j] + tail
         values = {j: +v for j, v in values.items()}
-        return values, +(err_total + mpf(2) ** (-cfg.working_bits + 8))
+        err_total += 4 * eps * sum(abs(v) for v in values.values())
+        return values, +err_total, N + 1
 
 
 def zeta_hasse(s, x=1, deriv: int = 0,
@@ -201,23 +265,18 @@ def zeta_hasse(s, x=1, deriv: int = 0,
         if deriv < 0:
             raise DomainError("derivative order must be >= 0")
         c = 1 - s
-        parts, err = _hasse_parts(list(range(deriv + 1)), c, x, cfg)
+        parts, err, terms = _hasse_parts(list(range(deriv + 1)), c, x, cfg)
         total = mpf(0)
+        gain = mpf(0)  # how the parts' error enters the total
+        mag = mpf(0)
         for i in range(deriv + 1):
-            total += (binomial(deriv, i) * mp.factorial(i)
-                      * parts[deriv - i] / (s - 1) ** (i + 1))
+            weight = binomial(deriv, i) * mp.factorial(i) / (s - 1) ** (i + 1)
+            total += weight * parts[deriv - i]
+            gain += abs(weight)
+            mag += abs(weight * parts[deriv - i])
         total *= (-1) ** deriv
-        scale = max(mpf(1), abs(total))
-        tol = cfg.tol()
-        return SeriesResult(+total, +err, _HEAD_TERMS,
-                            bool(err <= tol * scale * 100))
-
-
-def _judged(value, err, terms, converged, cfg) -> SeriesResult:
-    """SeriesResult that counts as converged only within the caller's own
-    tolerance, 10^-digits relative to max(1, |value|)."""
-    return SeriesResult(+value, +err, terms, bool(
-        converged and err <= cfg.tol() * max(1, abs(value))))
+        err = err * gain + (deriv + 4) * mpf(2) ** -mp.prec * mag
+        return SeriesResult(+total, +err, terms, cfg.tol())
 
 
 def _gamma_one_minus(s, cfg: PrecisionConfig):
@@ -263,7 +322,7 @@ def zeta_fourier(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
             factor = 2 * gam * sin_half * (2 * mp.pi) ** (s - 1)
             value = factor * em.value
             err = abs(factor) * em.err_estimate + abs(value) * (gam_rel + eps)
-            return _judged(value, err, em.terms_used, em.converged, cfg)
+            return SeriesResult(+value, +err, em.terms_used, cfg.tol())
         coeff = lambda n: (2 * mp.pi * n) ** (s - 1)
         tcfg = _trig_cfg(cfg, 2 * gam)
         cos_part = sum_trig_averaged(coeff, "cos", x, tcfg)
@@ -275,8 +334,7 @@ def zeta_fourier(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
                                + parts * eps)
                + abs(value) * (gam_rel + eps))
         terms = cos_part.terms_used + sin_part.terms_used
-        return _judged(value, err, terms,
-                       cos_part.converged and sin_part.converged, cfg)
+        return SeriesResult(+value, +err, terms, cfg.tol())
 
 
 def zeta_fourier_pair(s, x, kind: str = "sum",
@@ -302,52 +360,59 @@ def zeta_fourier_pair(s, x, kind: str = "sum",
             value = 4 * gam * mp.cospi(s / 2) * part.value
         eps = 8 * mpf(2) ** -mp.prec
         err = 4 * abs(gam) * part.err_estimate + abs(value) * (gam_rel + eps)
-        return _judged(value, err, part.terms_used, part.converged, cfg)
+        return SeriesResult(+value, +err, part.terms_used, cfg.tol())
+
+
+# routes of zeta that implement deriv = 0 only; each looks its function up
+# at call time, so that a rebound module attribute is the one that runs
+_VALUE_ROUTES = {
+    "fourier": lambda s, x, cfg: zeta_fourier(s, x, cfg),
+    "srivastava-choi": lambda s, x, cfg: zeta_srivastava_choi(s, x, cfg),
+    "poisson": lambda s, x, cfg: poisson_zeta(s, x, 12, cfg),
+}
 
 
 def zeta(s, x=1, deriv: int = 0, method: str = "auto",
-         cfg: PrecisionConfig = DEFAULT_CFG):
-    """Dispatcher: ``auto`` is the Euler-Maclaurin engine for every s != 1.
+         cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
+    """The route's result for d^j/ds^j zeta(s, x).
 
-    Returns an mpf; use the route-specific functions for SeriesResult
-    diagnostics.
+    ``em`` (alias ``auto``) is the Euler-Maclaurin engine for every s != 1,
+    ``hasse`` the binomial series; ``fourier``, ``srivastava-choi`` and
+    ``poisson`` (with N = 12 integrals) take deriv = 0 only.
     """
     if method in ("auto", "em"):
-        return hurwitz_zeta_em(s, x, deriv, cfg).value
+        return hurwitz_zeta_em(s, x, deriv, cfg)
     if method == "hasse":
-        return zeta_hasse(s, x, deriv, cfg).value
-    if method == "fourier":
-        if deriv:
-            raise DomainError("trigonometric route implements deriv = 0 only")
-        return zeta_fourier(s, x, cfg).value
-    raise ValueError(f"unknown method {method!r}")
+        return zeta_hasse(s, x, deriv, cfg)
+    if method not in _VALUE_ROUTES:
+        raise DomainError(f"unknown zeta method {method!r}")
+    if deriv:
+        raise DomainError(f"zeta method {method!r} implements deriv = 0 only")
+    return _VALUE_ROUTES[method](s, x, cfg)
 
 
 def _trig_combination(parts, x, cfg: PrecisionConfig) -> SeriesResult:
     """sum_i w_i sum_n c_i(n) trig_i(2 pi n x) for (w_i, c_i, trig_i) in
     ``parts``, each sum run to its share of the tolerance."""
     tcfg = _trig_cfg(cfg, sum(abs(w) for w, _, _ in parts))
-    value, err, mag, terms, converged = mpf(0), mpf(0), mpf(0), 0, True
+    value, err, mag, terms = mpf(0), mpf(0), mpf(0), 0
     for w, coeff, mode in parts:
         res = sum_trig_averaged(coeff, mode, x, tcfg)
         value += w * res.value
         err += abs(w) * res.err_estimate
         mag += abs(w * res.value)
         terms += res.terms_used
-        converged = converged and res.converged
     err += 8 * mpf(2) ** -mp.prec * len(parts) * mag  # weights and products
-    return _judged(value, err, terms, converged, cfg)
+    return SeriesResult(+value, +err, terms, cfg.tol())
 
 
 def zeta_prime0(x, via: str = "em",
                 cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """zeta'(0, x); satisfies log Gamma(x) = zeta'(0,x) + log(2 pi)/2."""
+    if via in ("em", "hasse"):
+        return zeta(0, x, 1, via, cfg)
     with cfg.workprec(40):
         x = as_real(x)
-        if via == "em":
-            return hurwitz_zeta_em(0, x, 1, cfg)
-        if via == "hasse":
-            return zeta_hasse(0, x, 1, cfg)
         if via == "fourier":
             if not 0 < x < 1:
                 raise DomainError("trigonometric route requires 0 < x < 1")
@@ -362,12 +427,10 @@ def zeta_doubleprime0(x, via: str = "em",
                       cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """zeta''(0, x) by the EM engine, the binomial series or the five-sum
     trigonometric form."""
+    if via in ("em", "hasse"):
+        return zeta(0, x, 2, via, cfg)
     with cfg.workprec(40):
         x = as_real(x)
-        if via == "em":
-            return hurwitz_zeta_em(0, x, 2, cfg)
-        if via == "hasse":
-            return zeta_hasse(0, x, 2, cfg)
         if via == "fourier":
             if not 0 < x < 1:
                 raise DomainError("trigonometric route requires 0 < x < 1")
@@ -414,8 +477,12 @@ def zeta_srivastava_choi(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResu
                     * hurwitz_zeta_em(s + n, x, 0, cfg).value)
 
         res = sum_alternating_accelerated(term, cfg, n0=1)
-        value = x ** (1 - s) / (s - 1) + res.value + shift
-        return SeriesResult(+value, res.err_estimate, res.terms_used, res.converged)
+        head = x ** (1 - s) / (s - 1)
+        value = head + res.value + shift
+        rounding = (4 * mpf(2) ** -mp.prec
+                    * (abs(head) + abs(shift) + abs(value)))
+        return SeriesResult(+value, res.err_estimate + rounding,
+                            res.terms_used, cfg.tol())
 
 
 def poisson_zeta(s, x, N: int = 10, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -435,6 +502,6 @@ def poisson_zeta(s, x, N: int = 10, cfg: PrecisionConfig = DEFAULT_CFG) -> Serie
         base = x ** (-s) / 2 + x ** (1 - s) / (s - 1)
         osc = sum_oscillatory_ibp([1], s, x, "cos", N, 0, cfg)
         value = base + 2 * osc.value
-        err = 2 * osc.err_estimate + mpf(10) ** (-cfg.digits)
-        return SeriesResult(+value, +err, osc.terms_used,
-                            bool(err <= mpf(10) ** -5))
+        err = (2 * osc.err_estimate
+               + 4 * mpf(2) ** -mp.prec * (abs(base) + abs(value)))
+        return SeriesResult(+value, +err, osc.terms_used, cfg.tol())

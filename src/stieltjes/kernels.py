@@ -1,9 +1,9 @@
 """Series summation, acceleration and quadrature kernels.
 
 Pure functions of their inputs; no shared mutable state.  The summation and
-quadrature kernels return a :class:`~stieltjes.core.SeriesResult` whose
-``converged`` flag signals whether the requested tolerance was met
-(convergence shortfalls do not raise; domain violations do).
+quadrature kernels return a :class:`~stieltjes.core.SeriesResult` for the
+tolerance of their ``cfg``, whose ``converged`` property tells whether the
+estimate met it (convergence shortfalls do not raise; domain violations do).
 
 Kernels:
 
@@ -35,6 +35,7 @@ from .core import (DEFAULT_CFG, DomainError, PoleError, PrecisionConfig,
                    SeriesResult, as_real)
 
 _SAFETY = 4  # heuristic multiplier on last-difference error estimates
+_MAX_HALF_PERIODS = 80  # panel budget of integrate_oscillatory
 
 
 def _euler_diagonal(partials):
@@ -80,7 +81,7 @@ def sum_alternating_accelerated(term: Callable[[int], mpf],
                 terms.append(mp.mpf(term(n)))
                 n += 1
             if all(t == 0 for t in terms):
-                return SeriesResult(mpf(0), mpf(0), len(terms), True)
+                return SeriesResult(mpf(0), mpf(0), len(terms), tol)
             partials = []
             acc = mpf(0)
             for t in terms:
@@ -90,8 +91,7 @@ def sum_alternating_accelerated(term: Callable[[int], mpf],
             if best_err * _SAFETY <= tol or len(terms) >= n_cap:
                 break
             batch = min(n_cap, int(batch * 1.7) + 8)
-        err = best_err * _SAFETY
-        return SeriesResult(+best, +err, len(terms), bool(err <= tol))
+        return SeriesResult(+best, best_err * _SAFETY, len(terms), tol)
 
 
 def _abel_plan(bits: int, a: float) -> tuple[int, int]:
@@ -143,7 +143,7 @@ def sum_trig_averaged(coeff: Callable[[int], mpf], mode: str, x,
     sin(pi x) alone (:func:`_abel_plan`), so the cost is O(bits / sin pi x)
     whatever the period of x, and the difference table carries
     K log2(2 / |1 - z|) guard bits.  The error estimate is the remainder
-    bound plus a bound on the rounding; ``converged`` is False when
+    bound plus a bound on the rounding; the result is unconverged when
     ``cfg.max_terms`` coefficients do not reach 10^-digits max(1, |value|).
     """
     if mode not in ("sin", "cos"):
@@ -232,38 +232,39 @@ def _abel_sum(coeff, mode, x, odd, n0, N, k_max, head_wp, wp, tol):
         eps_head, eps = mpf(2) ** -head_wp, mpf(2) ** -wp
         rounding = (eps_head * (mag * (16 + 11 * N) + 8 * abs(total))
                     + eps * (big * noise + tmag * (16 + 10 * (N + k_max))))
-        err = bound + rounding
-        return (SeriesResult(+total, +err, N - n0 + len(edge),
-                             bool(err <= tol * max(1, abs(total)))), retry)
+        return SeriesResult(+total, bound + rounding, N - n0 + len(edge),
+                            tol), retry
 
 
 def integrate_adaptive(f: Callable[[mpf], mpf], a, b,
-                       cfg: PrecisionConfig = DEFAULT_CFG,
-                       points=None) -> SeriesResult:
+                       cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """Adaptive (tanh-sinh) quadrature of f over [a, b]; b may be mp.inf.
 
     Integrable endpoint singularities are handled by the double-exponential
-    transform.  ``points`` optionally lists interior split points.
+    transform; an unconverged first pass is repeated at a higher degree.
+    The error estimate is mp.quad's plus 16 ulps of max(1, |value|) for the
+    rounding, which mp.quad leaves out.
     """
+    def quad(**kw):
+        val, err = mp.quad(f, interval, error=True, **kw)
+        rounding = 16 * mpf(2) ** -mp.prec * max(1, abs(val))
+        return SeriesResult(+val, err + rounding, 0, cfg.tol())
+
     with cfg.workprec(40):
-        tol = cfg.tol()
-        interval = [mpf(a)] + [mpf(p) for p in (points or [])] + [b if b == mp.inf else mpf(b)]
-        val, err = mp.quad(f, interval, error=True)
-        if err > tol * (1 + abs(val)):
-            val, err = mp.quad(f, interval, error=True, maxdegree=8)
-        converged = bool(err <= tol * (1 + abs(val)))
-        return SeriesResult(+val, +mpf(err), 0, converged)
+        interval = [mpf(a), b if b == mp.inf else mpf(b)]
+        res = quad()
+        return res if res.converged else quad(maxdegree=8)
 
 
 def integrate_oscillatory(g: Callable[[mpf], mpf], freq, a=0,
                           cfg: PrecisionConfig = DEFAULT_CFG,
-                          mode: str = "cos",
-                          max_half_periods: int = 80) -> SeriesResult:
+                          mode: str = "cos") -> SeriesResult:
     """int_a^inf g(t)*trig(freq*t) dt for smooth g decaying to zero.
 
     Panels are aligned to the zeros of the oscillator; the alternating panel
-    contributions are Euler-accelerated.  This kernel targets moderate
-    accuracy (~1e-6 and better for 1/t-type decay), not full precision.
+    contributions (at most 80 half periods) are Euler-accelerated.  It
+    stops at 1e-12 at best (~1e-6 and better for 1/t-type decay), not at
+    full precision; its result is judged against the request all the same.
     """
     if mode not in ("sin", "cos"):
         raise ValueError("mode must be 'sin' or 'cos'")
@@ -297,21 +298,21 @@ def integrate_oscillatory(g: Callable[[mpf], mpf], freq, a=0,
         head = panel(a, z0)
         partials = []
         acc = mpf(0)
-        tol = max(cfg.tol(), mpf(10) ** -12)
+        stop = max(cfg.tol(), mpf(10) ** -12)
         best, best_err = mpf(0), mpf("inf")
-        for i in range(max_half_periods):
+        for i in range(_MAX_HALF_PERIODS):
             acc += panel(z0 + i * half, z0 + (i + 1) * half)
             partials.append(acc)
             if len(partials) >= 8 and len(partials) % 4 == 0:
                 best, best_err = _euler_diagonal(partials)
-                if best_err * _SAFETY <= tol:
+                if best_err * _SAFETY <= stop:
                     break
         if len(partials) >= 2:
             best, best_err = _euler_diagonal(partials)
         elif partials:
             best, best_err = partials[-1], abs(partials[-1])
-        err = best_err * _SAFETY
-        return SeriesResult(+(head + best), +err, len(partials), bool(err <= tol))
+        return SeriesResult(+(head + best), best_err * _SAFETY, len(partials),
+                            cfg.tol())
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +403,7 @@ def sum_oscillatory_ibp(poly, s, x, mode: str, N: int, w=0,
                 if mag < tol * (1 + abs(total)):
                     break
             Pr = _log_poly_step(Pr, s + r)
-        err += mag
-        return SeriesResult(+total, +err, N + tail_terms, bool(err <= tol))
+        return SeriesResult(+total, err + mag, N + tail_terms, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +603,7 @@ def _em_log_power_sum(poly, s, x, cfg) -> SeriesResult:
         # rounding: each term to within its condition number in ulps
         cond = N + 2 * K + deg + 4 + (abs(s) + 1) * max(abs(mp.log(x)), A)
         err = remainder + mag * cond * mpf(2) ** (-wp)
-        return SeriesResult(+tot, +err, N + K,
-                            bool(err <= tol * max(1, abs(tot))))
+        return SeriesResult(+tot, +err, N + K, tol)
 
 
 def hurwitz_zeta_em(s, x=1, deriv: int = 0,

@@ -103,24 +103,21 @@ def _kolbig(cfg) -> List[IdentityReport]:
 
 
 def _sondow(cfg) -> List[IdentityReport]:
-    out = []
-    re1, im1 = fourier.sondow_gamma(mpf(1), cfg, route="series")
-    out.append(IdentityReport.build("eq-3.31-sondow-z1", re1, mp.euler,
-                                    mpf(10) ** -10))
-    re2, _ = fourier.sondow_gamma(mpf(-1), cfg, route="series")
-    out.append(IdentityReport.build("eq-3.31-sondow-zm1", re2, mp.log(4 / mp.pi),
-                                    mpf(10) ** -10))
-    re3, _ = fourier.sondow_gamma(mpf(1) / 2, cfg, route="series")
-    re4, _ = fourier.sondow_gamma(mpf(1) / 2, cfg, route="integral")
-    out.append(IdentityReport.build("eq-3.31-sondow-routes", re3, re4,
-                                    mpf(10) ** -8,
-                                    meta="series vs integral at z=1/2"))
-    rs, is_ = fourier.sondow_gamma(F(1, 2), cfg, route="series")
-    r2, i2 = fourier.sondow_gamma(F(1, 2), cfg, route="2q")
-    out.append(IdentityReport.build("sondow-2q-re", rs, r2, mpf(10) ** -6,
-                                    meta="omega=e^(i pi/2)"))
-    out.append(IdentityReport.build("sondow-2q-im", is_, i2, mpf(10) ** -6,
-                                    meta="omega=e^(i pi/2)"))
+    def gamma(z, route="series"):
+        return fourier.sondow_gamma(z, cfg, route=route).value
+
+    out = [IdentityReport.build("eq-3.31-sondow-z1", gamma(mpf(1)), mp.euler,
+                                mpf(10) ** -10),
+           IdentityReport.build("eq-3.31-sondow-zm1", gamma(mpf(-1)),
+                                mp.log(4 / mp.pi), mpf(10) ** -10),
+           IdentityReport.build("eq-3.31-sondow-routes", gamma(mpf(1) / 2),
+                                gamma(mpf(1) / 2, "integral"), mpf(10) ** -8,
+                                meta="series vs integral at z=1/2")]
+    series, closed = gamma(F(1, 2)), gamma(F(1, 2), "2q")
+    out.append(IdentityReport.build("sondow-2q-re", series.real, closed.real,
+                                    mpf(10) ** -6, meta="omega=e^(i pi/2)"))
+    out.append(IdentityReport.build("sondow-2q-im", series.imag, closed.imag,
+                                    mpf(10) ** -6, meta="omega=e^(i pi/2)"))
     return out
 
 
@@ -132,23 +129,25 @@ def _late(module, name):
 
 def _psi_step(x, cfg):
     x = as_real(x)
-    return gammafuncs.digamma(1 + x, cfg) - gammafuncs.digamma(x, cfg)
+    return (gammafuncs.digamma(1 + x, cfg).value
+            - gammafuncs.digamma(x, cfg).value)
 
 
-def _hasse_gamma(m, x, cfg):
-    return constants.hasse_gamma(m, x, cfg).value
+def _value(module, name):
+    """module.name(*args).value, the function looked up at each call."""
+    return lambda *args: getattr(module, name)(*args).value
+
+
+_hasse_gamma = _value(constants, "hasse_gamma")
+_oracle_gamma = _value(constants, "laurent_oracle")
 
 
 def _gamma(m, x, cfg):
     return constants.stieltjes_gamma(m, x, cfg=cfg).value
 
 
-def _oracle_gamma(m, x, cfg):
-    return constants.laurent_oracle(m, x, cfg).value
-
-
 def _zeta(s, x, cfg):
-    return hurwitz.zeta(s, x, cfg=cfg)
+    return hurwitz.zeta(s, x, cfg=cfg).value
 
 
 def _family(which):
@@ -168,7 +167,7 @@ CATALOGUE: Dict[str, object] = {
     "gamma0-digamma": [
         Row("eq-2.10-gamma0-digamma",
             (lambda x, cfg: _hasse_gamma(0, x, cfg),
-             lambda x, cfg: -gammafuncs.digamma(x, cfg)),
+             lambda x, cfg: -gammafuncs.digamma(x, cfg).value),
             (F(3, 10), F(1), F(7, 4)), 12)],
     "digamma-integral": [
         Row("digamma-log-integral",
@@ -180,22 +179,21 @@ CATALOGUE: Dict[str, object] = {
             ((1, 1), (2, 1), (1, 2)), 10)],
     "digamma-series": [
         Row("eq-2.11-digamma-series",
-            (lambda x, cfg: constants.digamma_hasse_series(x, cfg).value,
-             _late(gammafuncs, "digamma")),
+            (_value(constants, "digamma_hasse_series"),
+             _value(gammafuncs, "digamma")),
             (F(1), F(2), F(1, 2)), 12, "x={0}")],
     "gamma1-prime": _gamma1_prime_checks,
     "elementary-fourier": _elementary_fourier,
     "hurwitz-fourier": [
         Row("eq-3.10-hurwitz-fourier",
-            (lambda s, x, cfg: hurwitz.zeta_fourier(s, x, cfg).value,
-             _zeta),
+            (_value(hurwitz, "zeta_fourier"), _zeta),
             ((-0.5, F(3, 10)), (-1.0, F(7, 10)), (0.5, F(1, 4))), 6,
             "s={0}")],
     "lerch-identity": [
         Row("eq-3.14-lerch-identity",
             (lambda x, cfg: (hurwitz.zeta_prime0(x, "hasse", cfg).value
                              + mp.log(2 * mp.pi) / 2),
-             _late(gammafuncs, "log_gamma")),
+             _value(gammafuncs, "log_gamma")),
             tuple(F(k, 10) for k in range(1, 10)), 10)],
     "kummer": [
         Row("kummer-log-gamma", _late(fourier, "kummer_log_gamma"),
@@ -216,7 +214,7 @@ CATALOGUE: Dict[str, object] = {
             (F(1, 4), F(1, 6), F(1, 8)), 4)],
     "gamma1-fourier": [
         Row("eq-3.23-gamma1-fourier",
-            (lambda x, cfg: fourier.gamma1_fourier(x, cfg).value,
+            (_value(fourier, "gamma1_fourier"),
              lambda x, cfg: _gamma(1, x, cfg)),
             (F(1, 4), F(1, 3), F(1, 2)), 4)],
     "series-325-family": [
@@ -248,23 +246,21 @@ CATALOGUE: Dict[str, object] = {
             ((2.0, F(1)), (3.0, F(1, 2))), 5, "s={0}")],
     "briggs": [
         Row("eq-4.2-briggs",
-            (lambda m, x, cfg: constants.briggs_gamma(m, x, cfg=cfg).value,
+            (_value(constants, "briggs_gamma"),
              _oracle_gamma),
             ((0, F(1)), (0, F(2)), (1, F(1))), 4, "m={0}")],
     "bourguet": [
         Row("eq-4.4-bourguet",
             (lambda x, n, cfg: gammafuncs.bourguet_log_gamma(x, n, cfg).value,
-             lambda x, n, cfg: gammafuncs.log_gamma(x, cfg)),
+             lambda x, n, cfg: gammafuncs.log_gamma(x, cfg).value),
             ((F(1), 12), (F(5, 2), 12), (F(10), 8)), 4)],
     "srivastava-choi": [
         Row("eq-5.1-srivastava-choi",
-            (lambda s, x, cfg: hurwitz.zeta_srivastava_choi(s, x, cfg).value,
-             _zeta),
+            (_value(hurwitz, "zeta_srivastava_choi"), _zeta),
             ((2.0, F(1)), (0.5, F(2)), (3.0, F(3, 2))), 10, "s={0}")],
     "bell-series": [
         Row("eq-5.2-bell-series",
-            (lambda m, x, cfg: constants.bell_series_gamma(m, x, cfg).value,
-             _oracle_gamma),
+            (_value(constants, "bell_series_gamma"), _oracle_gamma),
             ((0, F(1)), (1, F(1)), (2, F(1)), (2, F(3, 2))), 8, "m={0}")],
     "route-agreement": [
         Row("stieltjes-route-agreement", (_hasse_gamma, _oracle_gamma),

@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
+from stieltjes import constants, fourier, gammafuncs, hurwitz
 from stieltjes.cache import ResultCache
-from stieltjes.cli import main
+from stieltjes.cli import QUANTITIES, main
 from stieltjes.core import PrecisionConfig
 from stieltjes.kernels import hurwitz_zeta_em
 
@@ -120,6 +123,18 @@ class TestCompute:
             res = hurwitz_zeta_em(0, mpf(1) / 3, 2, PrecisionConfig(digits=20))
         assert doc["result"]["terms_used"] == res.terms_used > 0
         assert mpf(doc["result"]["err_estimate"]) < mpf(10) ** -20
+
+    @pytest.mark.parametrize("argv", [
+        ("gamma_m", "-m", "1", "-x", "1", "--method", "briggs"),
+        ("zeta", "-s", "2", "--method", "poisson")])
+    def test_verification_route_short_of_the_request_exits_3(self, capsys,
+                                                            argv):
+        # these routes stop near 1e-12; they printed converged: true
+        code, doc = compute_json(capsys, "compute", *argv, "--digits", "30",
+                                 "--no-cache")
+        assert code == 3
+        assert doc["result"]["converged"] is False
+        assert mpf(doc["result"]["err_estimate"]) > mpf(10) ** -30
 
     def test_bad_quantity_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -295,3 +310,67 @@ class TestCache:
         hit = cache.get("q", {"x": "1"}, "m", 20)
         assert hit["result"]["value"] == "1.5"
         assert cache.get("q", {"x": "1"}, "m", 30) is None
+
+
+def _sondow_reference(x):
+    """gamma(e^(i pi p/q)) from its finite form in mp.loggamma."""
+    p, q = x.numerator, x.denominator
+    omega = mp.expjpi(mpf(p) / q)
+    return -mp.log(1 - omega) / omega + mp.fsum(
+        omega ** (n - 1) * (mp.loggamma(mpf(n + 1) / (2 * q))
+                            - mp.loggamma(mpf(n) / (2 * q)))
+        for n in range(1, 2 * q + 1))
+
+
+X = Fraction(3, 7)
+# quantity -> (CLI arguments, the route's own result, mpmath reference)
+DEFAULT_ROUTES = {
+    "gamma_m": (("-m", "2", "-x", "3/7"),
+                lambda cfg: constants.stieltjes_gamma(2, X, "em", cfg),
+                lambda: mp.stieltjes(2, mpf(3) / 7)),
+    "zeta": (("-s", "5/2", "-x", "3/7", "--deriv", "1"),
+             lambda cfg: hurwitz.zeta(Fraction(5, 2), X, 1, "em", cfg),
+             lambda: mp.zeta(mpf(5) / 2, mpf(3) / 7, 1)),
+    "zeta_prime0": (("-x", "3/7"),
+                    lambda cfg: hurwitz.zeta_prime0(X, "em", cfg),
+                    lambda: mp.zeta(0, mpf(3) / 7, 1)),
+    "zeta_doubleprime0": (("-x", "3/7"),
+                          lambda cfg: hurwitz.zeta_doubleprime0(X, "em", cfg),
+                          lambda: mp.zeta(0, mpf(3) / 7, 2)),
+    "digamma": (("-x", "1.5"),
+                lambda cfg: gammafuncs.digamma(Fraction(3, 2), cfg),
+                lambda: mp.psi(0, mpf(3) / 2)),
+    "log_gamma": (("-x", "100000"),
+                  lambda cfg: gammafuncs.log_gamma(100000, cfg),
+                  lambda: mp.loggamma(100000)),
+    "sondow_gamma": (("-x", "1/3"),
+                     lambda cfg: fourier.sondow_gamma(Fraction(1, 3), cfg),
+                     lambda: _sondow_reference(Fraction(1, 3))),
+}
+
+
+def test_every_quantity_has_a_default_route_case():
+    assert set(DEFAULT_ROUTES) == set(QUANTITIES)
+
+
+@pytest.mark.parametrize("quantity", sorted(DEFAULT_ROUTES))
+def test_default_route_prints_its_own_claim(quantity, capsys):
+    argv, own, reference = DEFAULT_ROUTES[quantity]
+    code, doc = compute_json(capsys, "compute", quantity, *argv,
+                             "--digits", "20", "--no-cache")
+    result = doc["result"]
+    assert code == 0 and result["converged"] is True
+    res = own(PrecisionConfig(digits=20))
+    assert result["err_estimate"] == mp.nstr(res.err_estimate, 3,
+                                             strip_zeros=False)
+    assert result["terms_used"] == res.terms_used > 0
+    parts = [result["value"]] + ([result["value_im"]]
+                                 if "value_im" in result else [])
+    with mp.workdps(40):
+        value = mpc(*[mpf(p) for p in parts])
+        ref = reference()
+        # printing rounds each part by half a unit in its last digit
+        printed = sum(mpf(10) ** Decimal(p).as_tuple().exponent / 2
+                      for p in parts)
+        assert abs(value - ref) <= mpf(result["err_estimate"]) + printed
+        assert abs(res.value - ref) <= res.err_estimate

@@ -9,7 +9,8 @@ error estimate.  Every draw is checked for
     actual <= err_estimate <= 10^-digits max(1, |ref|)
 
 over s in [-40, 40] (s != 1), x log-uniform in [1e-2, 1e5], derivative
-order 0-3, Stieltjes index 0-12 and digits in {20, 30, 50, 100}.
+order 0-3, Stieltjes index 0-12, polygamma order 1-12 and digits in
+{20, 30, 50, 100}.
 """
 
 import pytest
@@ -18,7 +19,7 @@ from mpmath import mp, mpf
 
 from stieltjes.constants import em_gamma, laurent_oracle
 from stieltjes.core import PrecisionConfig
-from stieltjes.gammafuncs import digamma, log_gamma
+from stieltjes.gammafuncs import digamma, log_gamma, polygamma
 from stieltjes.hurwitz import zeta_doubleprime0
 from stieltjes.kernels import hurwitz_zeta_em
 
@@ -49,12 +50,6 @@ def _zeta_ref(s, x, deriv):
     return mp.zeta(s, x, deriv)
 
 
-def _check_value(value, reference, digits):
-    with mp.workdps(digits + 20):
-        ref = reference()
-        assert abs(value - ref) <= mpf(10) ** -digits * max(1, abs(ref))
-
-
 @settings(max_examples=300)
 @given(s=S, x=X, deriv=st.integers(0, 3), digits=DIGITS)
 @example(s=-8.474345739399523e-221, x=10.0, deriv=0, digits=20)
@@ -83,8 +78,15 @@ def test_stieltjes_matches_mpmath(m, x, digits):
 @given(x=X, digits=DIGITS)
 def test_log_gamma_and_digamma_match_mpmath(x, digits):
     cfg = PrecisionConfig(digits=digits)
-    _check_value(log_gamma(x, cfg), lambda: mp.loggamma(x), digits)
-    _check_value(digamma(x, cfg), lambda: mp.psi(0, x), digits)
+    _check(log_gamma(x, cfg), lambda: mp.loggamma(x), digits)
+    _check(digamma(x, cfg), lambda: mp.psi(0, x), digits)
+
+
+@settings(max_examples=40)
+@given(k=st.integers(1, 12), x=X, digits=DIGITS)
+def test_polygamma_matches_mpmath(k, x, digits):
+    _check(polygamma(k, x, PrecisionConfig(digits=digits)),
+           lambda: mp.psi(k, x), digits)
 
 
 # Points where the Bernoulli loop used to stop at the first term that grew:

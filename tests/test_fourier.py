@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from stieltjes.core import DomainError, PrecisionConfig
 from stieltjes.constants import hasse_gamma, gamma1_rational
@@ -171,29 +171,43 @@ class TestKolbig:
 
 class TestSondow:
     def test_at_one(self, cfg30):
-        re, im = sondow_gamma(mpf(1), cfg30)
-        assert_close(re, mpf(GAMMA), mpf(10) ** -20, "gamma(1)")
-        assert im == 0
+        res = sondow_gamma(mpf(1), cfg30)
+        assert_close(res.value, mpf(GAMMA), mpf(10) ** -20, "gamma(1)")
+        assert not isinstance(res.value, mpc)
 
     def test_at_minus_one(self, cfg30):
-        re, _ = sondow_gamma(mpf(-1), cfg30)
-        assert_close(re, mp.log(4 / mp.pi), mpf(10) ** -20, "gamma(-1)")
+        res = sondow_gamma(mpf(-1), cfg30)
+        assert_close(res.value, mp.log(4 / mp.pi), mpf(10) ** -20, "gamma(-1)")
 
     def test_series_vs_integral_inside_disc(self, cfg20):
-        r1, _ = sondow_gamma(mpf(1) / 2, cfg20, route="series")
-        r2, _ = sondow_gamma(mpf(1) / 2, cfg20, route="integral")
+        r1 = sondow_gamma(mpf(1) / 2, cfg20, route="series").value
+        r2 = sondow_gamma(mpf(1) / 2, cfg20, route="integral").value
         assert abs(r1 - r2) < mpf(10) ** -8
 
     def test_2q_formula_at_i(self, cfg20):
-        rs, is_ = sondow_gamma(Fraction(1, 2), cfg20, route="series")
-        r2, i2 = sondow_gamma(Fraction(1, 2), cfg20, route="2q")
-        assert abs(rs - r2) < mpf(10) ** -6
-        assert abs(is_ - i2) < mpf(10) ** -6
+        series = sondow_gamma(Fraction(1, 2), cfg20, route="series").value
+        closed = sondow_gamma(Fraction(1, 2), cfg20, route="2q").value
+        assert abs(series - closed) < mpf(10) ** -6
 
     def test_2q_formula_at_minus_one(self, cfg20):
-        r2, i2 = sondow_gamma(Fraction(1, 1), cfg20, route="2q")
-        assert abs(r2 - mp.log(4 / mp.pi)) < mpf(10) ** -15
-        assert abs(i2) < mpf(10) ** -15
+        closed = sondow_gamma(Fraction(1, 1), cfg20, route="2q").value
+        assert abs(closed.real - mp.log(4 / mp.pi)) < mpf(10) ** -15
+        assert abs(closed.imag) < mpf(10) ** -15
+
+    @pytest.mark.parametrize("z,route", [
+        (Fraction(1, 3), "series"), (Fraction(1), "series"),
+        (Fraction(1, 3), "2q"), (mpf(1), "series"), (mpf(1) / 2, "series"),
+        (mpf(-1) / 3, "series"), (mpf(1) / 2, "integral")])
+    def test_claims_cover_the_actual_error(self, z, route, cfg30):
+        # reference: the 2q closed form on the circle, the integral inside
+        ref_cfg = PrecisionConfig(digits=60)
+        if isinstance(z, Fraction):
+            ref = sondow_gamma(z, ref_cfg, route="2q").value
+        else:
+            ref = sondow_gamma(z, ref_cfg, route="integral").value
+        res = sondow_gamma(z, cfg30, route=route)
+        assert abs(res.value - ref) <= res.err_estimate
+        assert res.converged
 
     def test_domain(self, cfg20):
         with pytest.raises(DomainError):

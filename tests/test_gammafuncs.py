@@ -12,42 +12,44 @@ from reference_values import GAMMA, ZETA2, ZETA3
 
 class TestLogGamma:
     def test_at_one(self, cfg30):
-        assert_close(log_gamma(1, cfg30), 0, mpf(10) ** -28, "log G(1)")
+        assert_close(log_gamma(1, cfg30).value, 0, mpf(10) ** -28, "log G(1)")
 
     def test_at_half(self, cfg30):
-        assert_close(log_gamma(mpf(1) / 2, cfg30), mp.log(mp.pi) / 2,
+        assert_close(log_gamma(mpf(1) / 2, cfg30).value, mp.log(mp.pi) / 2,
                      mpf(10) ** -28, "log G(1/2)")
 
     def test_quarter_product(self, cfg30):
         # Gamma(1/4) Gamma(3/4) = pi sqrt(2)
-        lhs = log_gamma(mpf(1) / 4, cfg30) + log_gamma(mpf(3) / 4, cfg30)
+        lhs = (log_gamma(mpf(1) / 4, cfg30).value
+               + log_gamma(mpf(3) / 4, cfg30).value)
         assert_close(lhs, mp.log(mp.pi * mp.sqrt(2)), mpf(10) ** -27,
                      "reflection at 1/4")
 
     def test_recurrence_grid(self, cfg30):
         for k in range(1, 50):
             x = mpf(k) / 10
-            d = log_gamma(x + 1, cfg30) - log_gamma(x, cfg30)
+            d = log_gamma(x + 1, cfg30).value - log_gamma(x, cfg30).value
             assert_close(d, mp.log(x), mpf(10) ** -26, f"recurrence {x}")
 
     def test_reflection_grid(self, cfg30):
         for k in range(1, 10):
             x = mpf(k) / 10
-            lhs = log_gamma(x, cfg30) + log_gamma(1 - x, cfg30)
+            lhs = log_gamma(x, cfg30).value + log_gamma(1 - x, cfg30).value
             rhs = mp.log(mp.pi / mp.sin(mp.pi * x))
             assert_close(lhs, rhs, mpf(10) ** -26, f"reflection {x}")
 
     def test_domain(self, cfg20):
         with pytest.raises(DomainError):
-            log_gamma(0, cfg20)
+            log_gamma(0, cfg20).value
         with pytest.raises(DomainError):
-            log_gamma(-2.5, cfg20)
+            log_gamma(-2.5, cfg20).value
 
 
 class TestDigamma:
     def test_at_one(self, cfg40):
         # direct-limit oracle value: psi(1) = -gamma
-        assert_close(digamma(1, cfg40), -mpf(GAMMA), mpf(10) ** -38, "psi(1)")
+        assert_close(digamma(1, cfg40).value, -mpf(GAMMA), mpf(10) ** -38,
+                     "psi(1)")
 
     def test_direct_limit_oracle(self, cfg20):
         # sum_{k<=N}(1/k - 1/(k+x-1)) - gamma with explicit tail bracket
@@ -56,47 +58,49 @@ class TestDigamma:
         s = mp.fsum(mpf(1) / k - 1 / (k + x - 1) for k in range(1, N + 1))
         approx = s - mpf(GAMMA)
         # tail is (x-1)/N + O(1/N^2)
-        assert abs(digamma(x, cfg20) - approx) < 2 * (x - 1) / N
+        assert abs(digamma(x, cfg20).value - approx) < 2 * (x - 1) / N
 
     def test_recurrence(self, cfg30):
         x = mpf(3) / 10
-        d = digamma(1 + x, cfg30) - digamma(x, cfg30)
+        d = digamma(1 + x, cfg30).value - digamma(x, cfg30).value
         assert_close(d, 1 / x, mpf(10) ** -27, "psi recurrence")
 
     def test_below_log(self, cfg20):
         for x in (mpf(1) / 2, mpf(1), mpf(10)):
-            assert digamma(x, cfg20) - mp.log(x) < 0
+            assert digamma(x, cfg20).value - mp.log(x) < 0
 
 
 class TestPolygamma:
     def test_trigamma_one(self, cfg30):
-        assert_close(polygamma(1, 1, cfg30), mpf(ZETA2), mpf(10) ** -28,
+        assert_close(polygamma(1, 1, cfg30).value, mpf(ZETA2), mpf(10) ** -28,
                      "psi'(1)")
 
     def test_trigamma_half(self, cfg30):
         # zeta(2, 1/2) = 3 zeta(2) -> psi'(1/2) = pi^2/2
-        assert_close(polygamma(1, mpf(1) / 2, cfg30), mp.pi ** 2 / 2,
+        assert_close(polygamma(1, mpf(1) / 2, cfg30).value, mp.pi ** 2 / 2,
                      mpf(10) ** -27, "psi'(1/2)")
 
     def test_tetragamma(self, cfg30):
-        assert_close(polygamma(2, 1, cfg30), -2 * mpf(ZETA3),
+        assert_close(polygamma(2, 1, cfg30).value, -2 * mpf(ZETA3),
                      mpf(10) ** -27, "psi''(1)")
 
     def test_matches_digamma_differences(self, cfg40):
         # central finite differences of psi at 40 digits
         h = mpf(10) ** -8
+
+        def psi(t):
+            return digamma(t, cfg40).value
+
         for k in (1, 2, 3):
             for x in (mpf(1), mpf("1.7")):
                 if k == 1:
-                    fd = (digamma(x + h, cfg40) - digamma(x - h, cfg40)) / (2 * h)
+                    fd = (psi(x + h) - psi(x - h)) / (2 * h)
                 elif k == 2:
-                    fd = (digamma(x + h, cfg40) - 2 * digamma(x, cfg40)
-                          + digamma(x - h, cfg40)) / h ** 2
+                    fd = (psi(x + h) - 2 * psi(x) + psi(x - h)) / h ** 2
                 else:
-                    fd = (digamma(x + 2 * h, cfg40) - 2 * digamma(x + h, cfg40)
-                          + 2 * digamma(x - h, cfg40)
-                          - digamma(x - 2 * h, cfg40)) / (2 * h ** 3)
-                assert abs(fd - polygamma(k, x, cfg40)) < mpf(10) ** -8
+                    fd = (psi(x + 2 * h) - 2 * psi(x + h) + 2 * psi(x - h)
+                          - psi(x - 2 * h)) / (2 * h ** 3)
+                assert abs(fd - polygamma(k, x, cfg40).value) < mpf(10) ** -8
 
 
 class TestDigammaIntegral:
@@ -119,8 +123,9 @@ class TestBourguet:
 
     def test_mid(self, cfg20):
         res = bourguet_log_gamma(mpf(5) / 2, 12, cfg20)
-        assert abs(res.value - log_gamma(mpf(5) / 2, cfg20)) < mpf(10) ** -4
+        ref = log_gamma(mpf(5) / 2, cfg20).value
+        assert abs(res.value - ref) < mpf(10) ** -4
 
     def test_large_small_n(self, cfg20):
         res = bourguet_log_gamma(10, 6, cfg20)
-        assert abs(res.value - log_gamma(10, cfg20)) < mpf(10) ** -4
+        assert abs(res.value - log_gamma(10, cfg20).value) < mpf(10) ** -4

@@ -15,10 +15,11 @@ from stieltjes.kernels import hurwitz_zeta_em
 
 # name -> (evaluator(cfg, *args), mpmath reference(*args), args)
 CASES = {
-    "hurwitz.zeta": (lambda cfg, s, x: zeta(s, x, cfg=cfg), mp.zeta, (7, 3, 1, 2)),
+    "hurwitz.zeta": (lambda cfg, s, x: zeta(s, x, cfg=cfg).value, mp.zeta,
+                     (7, 3, 1, 2)),
     "hurwitz_zeta_em": (lambda cfg, s, x: hurwitz_zeta_em(s, x, cfg=cfg).value,
                         mp.zeta, (7, 3, 5, 2)),
-    "polygamma": (lambda cfg, x: polygamma(1, x, cfg),
+    "polygamma": (lambda cfg, x: polygamma(1, x, cfg).value,
                   lambda x: mp.psi(1, x), (13, 10)),
     "laurent_oracle": (lambda cfg, x: laurent_oracle(1, x, cfg).value,
                        lambda x: mp.stieltjes(1, x), (1, 3)),

@@ -38,7 +38,8 @@ class TestRoutes:
     def test_gamma0_is_minus_digamma(self, cfg30):
         x = mpf("0.3")
         assert_close(stieltjes_gamma(0, x, "hasse", cfg30).value,
-                     -digamma(x, cfg30), mpf(10) ** -25, "gamma_0 = -psi")
+                     -digamma(x, cfg30).value, mpf(10) ** -25,
+                     "gamma_0 = -psi")
 
     def test_cross_method_grid(self, cfg20):
         # hasse, bell, laurent oracle pairwise on (m,x) grid
@@ -156,7 +157,7 @@ class TestRationalClosedForms:
     def test_quarter_explicit_display(self, cfg30):
         # the explicit 1/4 display in log Gamma(1/4)
         g, g1 = mpf(GAMMA), mpf(GAMMA1)
-        lg14 = log_gamma(mpf(1) / 4, cfg30)
+        lg14 = log_gamma(mpf(1) / 4, cfg30).value
         display = ((2 * g1 - 7 * mp.log(2) ** 2 - 6 * g * mp.log(2)) / 2
                    - mp.pi / 2 * (g + 4 * mp.log(2) + 3 * mp.log(mp.pi)
                                   - 4 * lg14))
@@ -188,7 +189,7 @@ class TestAdamchik:
         assert rep.passed
         g = mpf(GAMMA)
         closed = mp.pi * (g + 4 * mp.log(2) + 3 * mp.log(mp.pi)
-                          - 4 * log_gamma(mpf(1) / 4, cfg30))
+                          - 4 * log_gamma(mpf(1) / 4, cfg30).value)
         assert_close(rep.rhs, closed, mpf(10) ** -24, "1/4 reflection")
 
     def test_third(self, cfg20):
