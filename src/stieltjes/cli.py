@@ -2,7 +2,8 @@
 
 Values are serialized as decimal strings (never binary floats).  The
 ``result`` block of every JSON document is deterministic for identical
-flags; timestamps and elapsed times live in the separate ``meta`` block.
+flags; timestamps and elapsed times (for ``validate`` also ``suite_ms``,
+each suite's own) live in the separate ``meta`` block.
 Every printed ``value``, ``err_estimate`` and ``terms_used`` is the route's
 own :class:`~stieltjes.core.SeriesResult`, and ``converged`` is its verdict.
 
@@ -161,8 +162,15 @@ def cmd_validate(args) -> int:
                   f"{', '.join(sorted(suites.SUITES))}", file=sys.stderr)
             return EXIT_USAGE
     t0 = time.monotonic()
+    reports, ok, suite_ms = [], True, {}
     try:
-        reports, ok = suites.run_suites(names, cfg)
+        for n in names:
+            t = time.monotonic()
+            got, passed = suites.run_suites([n], cfg)
+            suite_ms[n] = suite_ms.get(n, 0) + round(
+                1000 * (time.monotonic() - t), 3)
+            reports += got
+            ok = ok and passed
     except Exception as exc:  # kernel failure, not an identity failure
         print(f"error: kernel failure during validation: {exc}",
               file=sys.stderr)
@@ -176,6 +184,7 @@ def cmd_validate(args) -> int:
         "meta": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "elapsed_ms": round(1000 * (time.monotonic() - t0), 3),
+            "suite_ms": suite_ms,
             "digits": cfg.digits,
             "version": __version__,
             "mpmath": mpmath.__version__,

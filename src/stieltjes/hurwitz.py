@@ -7,7 +7,10 @@ Routes:
   with n) plus an analytic tail: under the Laplace representation of the
   inner differences the outer weights collapse into elementary generating
   functions, leaving a smooth one-dimensional integral.  Accurate to the
-  configured digits for any real s != 1.
+  configured digits for any real s != 1.  The integrand's x- and
+  s-independent factors at the quadrature nodes are kept in process-wide
+  tables (:func:`_node_table`, :func:`_tail_table`), at most
+  ``_TAIL_TABLES`` of each, so later calls only look them up.
 * ``hurwitz_zeta_em`` (re-exported from ``kernels``) -- direct summation
   with an Euler-Maclaurin tail, continued analytically to every real
   s != 1; the default route, at a cost that does not grow with x.
@@ -26,6 +29,7 @@ Routes:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -39,6 +43,9 @@ from . import gammafuncs
 from .combinatorics import bell_complete, binomial
 
 _HEAD_TERMS = 32
+# how many node tables, and how many tail tables, the process keeps (least
+# recently used go first); each holds ~1,400 nodes, 0.5-1 MB at 20-30 digits
+_TAIL_TABLES = 16
 _POLE_GUARD = mpf(10) ** -8
 
 
@@ -109,16 +116,33 @@ def _poly_delta(i: int, r: int, x) -> mpf:
     return acc
 
 
-def _weighted_tail(i: int, R: int, t, w, memo) -> mpf:
+@functools.lru_cache(maxsize=_TAIL_TABLES)
+def _node_table(bits: int) -> dict:
+    """t -> (1 - e^(-t), -log t) at the tail quadrature's nodes, for
+    ``mp.quad`` run at ``bits``; filled by the calls that use it."""
+    return {}
+
+
+@functools.lru_cache(maxsize=_TAIL_TABLES)
+def _tail_table(N: int, i: int, bits: int) -> dict:
+    """t -> V_{i,N-i}(t) (:func:`_weighted_tail`) at the tail quadrature's
+    nodes, for ``mp.quad`` run at ``bits``; filled by the calls that use it.
+
+    V depends on neither x nor s, so every Hasse call with the same head
+    length and quadrature precision shares the table.
+    """
+    return {}
+
+
+def _weighted_tail(i: int, R: int, t, w) -> mpf:
     """V_{i,R}(w) = sum_{q>R} C(q+i,i) w^q / (q+i+1) at w = 1-e^(-t).
 
     Direct series for small w; for w >= 1/2 the closed form
     w^-(i+1) [sum_{p=1}^i (-1)^(i-p) z^p/p + (-1)^i t] minus the partial sum,
-    with z = e^t - 1 (so log(1+z) = t exactly).
+    with z = e^t - 1 (so log(1+z) = t exactly).  It depends on neither x
+    nor s, so :func:`_hasse_parts` computes it once per node, precision and
+    (N, i), into :func:`_tail_table`.
     """
-    key = (i, t)
-    if key in memo:
-        return memo[key]
     if w < mpf("0.5"):
         eps = mpf(2) ** (-mp.prec + 4)
         acc = mpf(0)
@@ -129,25 +153,21 @@ def _weighted_tail(i: int, R: int, t, w, memo) -> mpf:
             term = comb * wq / (q + i + 1)
             acc += term
             if term < eps * (acc + eps):
-                break
+                return acc
             q += 1
             comb = comb * (q + i) / q
             wq *= w
-        V = acc
-    else:
-        z = mp.expm1(t)
-        closed = mpf(-1) ** i * t
-        for p in range(1, i + 1):
-            closed += mpf(-1) ** (i - p) * z ** p / p
-        closed /= w ** (i + 1)
-        partial = mpf(0)
-        wq = mpf(1)
-        for q in range(R + 1):
-            partial += binomial(q + i, i) * wq / (q + i + 1)
-            wq *= w
-        V = closed - partial
-    memo[key] = V
-    return V
+    z = mp.expm1(t)
+    closed = mpf(-1) ** i * t
+    for p in range(1, i + 1):
+        closed += mpf(-1) ** (i - p) * z ** p / p
+    closed /= w ** (i + 1)
+    partial = mpf(0)
+    wq = mpf(1)
+    for q in range(R + 1):
+        partial += binomial(q + i, i) * wq / (q + i + 1)
+        wq *= w
+    return closed - partial
 
 
 def _hasse_parts(js, c, x, cfg: PrecisionConfig):
@@ -160,7 +180,12 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
     1/Gamma derivatives (:func:`_recip_gamma_derivs`) plus the integrand's
     rounding, which the closed form of :func:`_weighted_tail` amplifies by
     up to 2^(N+2) (N+2) at w = 1/2.  That integral runs on the nodes of the
-    tail's own first degrees, whose values it reuses.
+    tail's own first degrees.
+
+    Both integrals read w, -log t and V_{i,N-i}(t) from the shared tables
+    for (N, i) and the quadrature precision, filling in the nodes no
+    earlier call visited; a node is only ever served at the precision it
+    was computed at, so a warm call returns the same bits as a cold one.
     """
     c = mpf(c)
     x = as_real(x)
@@ -197,24 +222,26 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
         # runs at a reduced precision (the head carries the guard bits)
         B, B_err = _recip_gamma_derivs(alpha, jmax, cfg)
         phis = [_poly_delta(i, r, x) for i in range(r + 1)]
-        memo = {}
-        tcache = {}
         quad_bits = min(mp.prec, cfg.working_bits + 16)
+        nodes = _node_table(quad_bits)
         eps_q = mpf(2) ** -quad_bits
         amplify = mpf(2) ** (N + 2) * (N + 2) + 16 * (jmax + 2)
 
         def tail_integrand(i, j, weight):
             """t -> e^(-(x+i)t) V(t) t^(-alpha-1) sum_p C(j,p) weight(p, t, L),
             L = -log t."""
+            table = _tail_table(N, i, quad_bits)
+
             def f(t):
                 if t <= 0:
                     return mpf(0)
-                cached = tcache.get(t)
-                if cached is None:
-                    cached = (-mp.expm1(-t), -mp.log(t))
-                    tcache[t] = cached
-                w, lt = cached
-                V = _weighted_tail(i, N - i, t, w, memo)
+                node = nodes.get(t)
+                if node is None:
+                    node = nodes[t] = (-mp.expm1(-t), -mp.log(t))
+                w, lt = node
+                V = table.get(t)
+                if V is None:
+                    V = table[t] = _weighted_tail(i, N - i, t, w)
                 K = mpf(0)
                 for p in range(j + 1):
                     K += binomial(j, p) * weight(p, t, lt)

@@ -168,6 +168,14 @@ class TestValidate:
         metas = {e["meta"] for e in doc["reports"]}
         assert metas == {"1/3", "1/4", "2/5"}
 
+    def test_meta_times_each_requested_suite(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--suite",
+                               "wallis,recurrence", "--digits", "20", "--json")
+        assert code == 0
+        suite_ms = json.loads(out)["meta"]["suite_ms"]
+        assert set(suite_ms) == {"wallis", "recurrence"}
+        assert all(ms >= 0 for ms in suite_ms.values())
+
     def test_empty_suite_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--suite", " ",
                                "--digits", "20")

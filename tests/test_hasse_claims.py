@@ -4,12 +4,15 @@ Every draw is checked for
 
     actual <= err_estimate <= 10^-digits max(1, |ref|)
 
-with the reference from mp.stieltjes, mp.psi or mp.zeta at digits + 20.
-The claim adds the rounding of the binomial head and an integral of the
-tail integrand's error, whose 1/Gamma derivatives come from engine values
-of psi^(i) and log Gamma.  Each call costs about a second, so the draws
-are few: Stieltjes index 0-12, x log-uniform in [0.1, 10], s in [-3, 4]
-off the pole, derivative order 0-2, 20 and 30 digits.
+with the reference from mp.stieltjes, mp.psi or mp.zeta at 20 digits beyond
+the request, or beyond the claim where that is tighter.  The claim adds the
+rounding of the binomial head and an integral of the tail integrand's
+error, whose 1/Gamma derivatives come from engine values of psi^(i) and
+log Gamma.  The tail's tables are shared across calls
+(``hurwitz._tail_table``): a draw costs 0.05-0.5 s once the tables for its
+precision and r = max(0, ceil(1 - s)) exist, and up to about a second when it
+builds them.  Draws: Stieltjes index 0-12, x log-uniform in [0.1, 10],
+s in [-3, 4] off the pole, derivative order 0-2, 20 and 30 digits.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -24,7 +27,8 @@ X = st.floats(-1, 1).map(lambda e: 10 ** e)
 
 
 def _check(res, reference, digits):
-    with mp.workdps(digits + 20):
+    # the reference's own error must sit far below the claim it judges
+    with mp.workdps(max(digits, -int(mp.log10(res.err_estimate))) + 20):
         ref = reference()
         actual = abs(res.value - ref)
         assert actual <= res.err_estimate, (
@@ -35,21 +39,21 @@ def _check(res, reference, digits):
         assert res.terms_used > 0
 
 
-@settings(max_examples=5)
+@settings(max_examples=10)
 @given(m=st.integers(0, 12), x=X, digits=DIGITS)
 def test_hasse_gamma_claim(m, x, digits):
     res = hasse_gamma(m, x, PrecisionConfig(digits=digits))
     _check(res, lambda: mp.stieltjes(m, x), digits)
 
 
-@settings(max_examples=3)
+@settings(max_examples=6)
 @given(x=X, digits=DIGITS)
 def test_digamma_hasse_series_claim(x, digits):
     res = digamma_hasse_series(x, PrecisionConfig(digits=digits))
     _check(res, lambda: mp.psi(0, x), digits)
 
 
-@settings(max_examples=4)
+@settings(max_examples=5)
 @given(s=st.floats(-3, 4).filter(lambda s: abs(s - 1) > 1e-8), x=X,
        deriv=st.integers(0, 2), digits=DIGITS)
 def test_zeta_hasse_claim(s, x, deriv, digits):

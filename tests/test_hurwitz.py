@@ -2,7 +2,8 @@ import pytest
 from mpmath import mp, mpf
 
 from stieltjes.core import DomainError, PoleError, PrecisionConfig
-from stieltjes.constants import hasse_gamma
+from stieltjes import hurwitz
+from stieltjes.constants import digamma_hasse_series, hasse_gamma
 from stieltjes.gammafuncs import log_gamma
 from stieltjes.hurwitz import (poisson_zeta, zeta, zeta_doubleprime0,
                                zeta_fourier, zeta_fourier_pair, zeta_hasse,
@@ -77,6 +78,40 @@ class TestZetaHasse:
             lhs = zeta_hasse(s, x, 0, cfg30).value - 1 / (s - 1)
             rhs = g0 - sgn * eps * g1
             assert abs(lhs - rhs) < 10 * eps ** 2
+
+
+class TestHasseTables:
+    def test_warm_calls_equal_cold_calls(self, cfg20, cfg30):
+        # the tail's shared tables change no bit of any result, whatever
+        # ran between, and stay within their bound
+        tables = (hurwitz._tail_table, hurwitz._node_table)
+
+        def counts():
+            sizes = [t.cache_info().currsize for t in tables]
+            assert max(sizes) <= hurwitz._TAIL_TABLES
+            return sizes
+
+        def bits(res):
+            return res.value._mpf_, res.err_estimate._mpf_, res.terms_used
+
+        calls = [lambda: hasse_gamma(1, mpf(1) / 3, cfg20),
+                 # c = 3/2, so r = 2: tables for i = 0, 1, 2
+                 lambda: zeta_hasse(mpf(-1) / 2, mpf(3) / 10, 1, cfg20),
+                 lambda: digamma_hasse_series(2, cfg20)]
+        for t in tables:
+            t.cache_clear()
+        cold = []
+        for f in calls:
+            cold.append(bits(f()))
+            counts()
+        assert counts() == [3, 1]
+        hasse_gamma(1, mpf(1) / 3, cfg30)
+        assert counts() == [4, 2]  # another precision, its own tables
+        hasse_gamma(1, mpf(7) / 10, cfg20)
+        assert counts() == [4, 2]  # another x, the same tables
+        for f, expected in zip(calls, cold):
+            assert bits(f()) == expected
+            assert counts() == [4, 2]
 
 
 class TestZetaFourier:
