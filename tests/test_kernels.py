@@ -1,7 +1,11 @@
 import pytest
 from mpmath import mp, mpf
 
+from stieltjes.constants import briggs_gamma
 from stieltjes.core import DomainError, PoleError, PrecisionConfig
+from stieltjes.gammafuncs import (_log_kernel_bracket, bourguet_log_gamma,
+                                  digamma)
+from stieltjes.hurwitz import poisson_zeta
 from stieltjes.kernels import (hurwitz_zeta_em, integrate_adaptive,
                                sum_oscillatory_ibp,
                                integrate_oscillatory,
@@ -101,6 +105,95 @@ class TestAdaptiveQuadrature:
         assert_close(res.value, 2, mpf(10) ** -16, "1/sqrt")
 
 
+def _kolbig_closed_form():
+    # -(2/pi)(gamma + log 2 pi + 2 sum_{n>=2} log n / (4 n^2 - 1)), the sum
+    # regrouped as sum_j -zeta'(2j) / 4^j
+    tail = mp.nsum(lambda j: -mp.zeta(2 * j, 1, 1) / 4 ** j, [1, mp.inf])
+    return -(2 / mp.pi) * (mp.euler + mp.log(2 * mp.pi) + 2 * tail)
+
+
+def _bracket(x):
+    return lambda u: (-(u ** (x - 1)) * _log_kernel_bracket(u)
+                      if 0 < u < 1 else mpf(0))
+
+
+def _coffey(n, x):
+    return lambda u: (u ** (x - 1) * (1 - u) ** n / mp.log(u)
+                      if 0 < u < 1 else mpf(0))
+
+
+# (label, integrand, a, b, exact value); every reference is independent of
+# tanh-sinh quadrature
+_EXACT_INTEGRALS = [
+    ("psi-sin", lambda t: mp.digamma(t) * mp.sinpi(t) if 0 < t < 1
+     else mpf(0), 0, 1, _kolbig_closed_form),
+    ("exp", lambda t: mp.exp(-t), 0, mp.inf, lambda: mpf(1)),
+    ("bracket-1", _bracket(1), 0, 1, lambda: -mp.euler),
+    ("bracket-e", _bracket(mp.e), 0, 1, lambda: mp.digamma(mp.e) - 1),
+    ("coffey-2-1", _coffey(2, 1), 0, 1,
+     lambda: -2 * mp.log(2) + mp.log(3)),
+    ("coffey-1-2", _coffey(1, 2), 0, 1, lambda: mp.log(2) - mp.log(3)),
+]
+
+
+class TestAdaptiveClaims:
+    @pytest.mark.parametrize("digits", [20, 30])
+    @pytest.mark.parametrize("label,f,a,b,exact", _EXACT_INTEGRALS,
+                             ids=[c[0] for c in _EXACT_INTEGRALS])
+    def test_claim_covers_error_and_meets_request(self, label, f, a, b,
+                                                  exact, digits):
+        res = integrate_adaptive(f, a, b, PrecisionConfig(digits=digits))
+        ref = exact()
+        assert abs(res.value - ref) <= res.err_estimate, label
+        assert res.err_estimate <= res.tol * max(1, abs(ref)), label
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    def test_endpoint_singularity_claim_is_honest(self, digits):
+        # the nodes stop short of t = 0, which leaves about 2 sqrt(t_min)
+        # out; the claim must cover that truncation, converged or not
+        res = integrate_adaptive(lambda t: 1 / mp.sqrt(t) if t > 0
+                                 else mpf(0), 0, 1,
+                                 PrecisionConfig(digits=digits))
+        assert abs(res.value - 2) <= res.err_estimate
+
+    def test_kolbig_integrand_budget(self, cfg20):
+        # the package's psi is good to ~1e-29 at 20 digits; levels past the
+        # request only chase that noise
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            if not 0 < t < 1:
+                return mpf(0)
+            return digamma(t, cfg20).value * mp.sin(mp.pi * t)
+
+        res = integrate_adaptive(f, 0, 1, cfg20)
+        assert len(calls) <= 400
+        assert res.terms_used == len(calls)
+        assert res.converged
+        assert abs(res.value - _kolbig_closed_form()) <= mpf(10) ** -20
+
+    def test_unsettled_levels_go_past_the_first_pass(self, cfg20):
+        # a jump converges only like the step, so the levels never agree:
+        # the kernel must evaluate nodes that mpmath's default degree at the
+        # same node precision never reaches
+        cut = 1 / mp.pi
+        seen, first_pass = set(), set()
+
+        def step(record):
+            def f(t):
+                record.add(t)
+                return mpf(1) if t < cut else mpf(0)
+            return f
+
+        res = integrate_adaptive(step(seen), 0, 1, cfg20)
+        with mp.workprec(cfg20.working_bits + 40):
+            mp.quad(step(first_pass), [0, 1])
+        assert first_pass < seen
+        assert not res.converged
+        assert abs(res.value - cut) <= res.err_estimate
+
+
 class TestOscillatory:
     def test_zero_function(self, cfg20):
         res = integrate_oscillatory(lambda t: mpf(0), 2 * mp.pi, 0, cfg20)
@@ -120,6 +213,42 @@ class TestOscillatory:
     def test_rejects_growth(self, cfg20):
         with pytest.raises(DomainError):
             integrate_oscillatory(lambda t: t ** 2, 2 * mp.pi, 0, cfg20)
+
+    @pytest.mark.parametrize("g,ref", [
+        (lambda t: 1 / (1 + t), OSC_RECIP),
+        (lambda t: mp.log(1 + t) / (1 + t), OSC_LOG_RECIP)])
+    @pytest.mark.parametrize("digits", [10, 12, 20])
+    def test_claim_covers_error(self, g, ref, digits):
+        res = integrate_oscillatory(g, 2 * mp.pi, 0,
+                                    PrecisionConfig(digits=digits), mode="cos")
+        assert abs(res.value - mpf(ref)) <= res.err_estimate
+
+
+# the oscillatory routes at 12 digits against mpmath; their integrals stop
+# near 1e-12, so only the claims are asserted, not the verdicts
+_OSC_ROUTES = [
+    ("briggs-0-1", lambda c: briggs_gamma(0, 1, c), lambda: mp.stieltjes(0, 1)),
+    ("briggs-1-1", lambda c: briggs_gamma(1, 1, c), lambda: mp.stieltjes(1, 1)),
+    ("briggs-1-3/2", lambda c: briggs_gamma(1, mpf(3) / 2, c),
+     lambda: mp.stieltjes(1, mpf(3) / 2)),
+    ("poisson-2-1", lambda c: poisson_zeta(2, 1, 10, c), lambda: mp.zeta(2)),
+    ("poisson-3-1/2", lambda c: poisson_zeta(3, mpf(1) / 2, 10, c),
+     lambda: mp.zeta(3, mpf(1) / 2)),
+    ("poisson-5/2-2", lambda c: poisson_zeta(mpf(5) / 2, 2, 10, c),
+     lambda: mp.zeta(mpf(5) / 2, 2)),
+    ("bourguet-1", lambda c: bourguet_log_gamma(1, 12, c), lambda: mpf(0)),
+    ("bourguet-5/2", lambda c: bourguet_log_gamma(mpf(5) / 2, 12, c),
+     lambda: mp.loggamma(mpf(5) / 2)),
+    ("bourguet-1/2", lambda c: bourguet_log_gamma(mpf(1) / 2, 12, c),
+     lambda: mp.loggamma(mpf(1) / 2)),
+]
+
+
+@pytest.mark.parametrize("label,route,exact", _OSC_ROUTES,
+                         ids=[r[0] for r in _OSC_ROUTES])
+def test_oscillatory_route_claims_cover_error(label, route, exact):
+    res = route(PrecisionConfig(digits=12))
+    assert abs(res.value - exact()) <= res.err_estimate, label
 
 
 class TestOscillatorySum:
