@@ -24,14 +24,13 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, IdentityReport, NonConvergence,
-                   PrecisionConfig, PrecisionError, SeriesResult, as_real)
+                   PrecisionConfig, PrecisionError, SeriesResult, as_real,
+                   shift_up)
 from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
                       sum_alternating_accelerated, sum_oscillatory_ibp)
 from .combinatorics import bell_harmonic, binomial
 from .hurwitz import _hasse_parts, zeta_doubleprime0
 from . import gammafuncs
-
-_BRIGGS_N = 14
 
 
 def laurent_oracle(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -124,7 +123,8 @@ def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesRe
 
     Terms couple Y_k of generalized harmonic numbers with zeta derivatives
     zeta^(m-k)(n+1, x); x < 1 is shifted up through the recurrence
-    gamma_m(x) = gamma_m(1+x) + log^m(x)/x.
+    gamma_m(x) = gamma_m(1+x) + log^m(x)/x.  The claim adds the terms' own
+    EM claims to the acceleration's.
     """
     if not 0 <= m <= 6:
         raise DomainError("bell route implemented for 0 <= m <= 6")
@@ -132,33 +132,36 @@ def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesRe
         x = as_real(x)
         if not x > 0:
             raise DomainError("x must be positive")
-        shift = mpf(0)
-        while x < 1:
-            shift += mp.log(x) ** m / x
-            x += 1
+        x, shift = shift_up(x, lambda v: mp.log(v) ** m / v)
+        term_err = mpf(0)  # the terms' own EM claims, summed
 
         def term(n):
+            nonlocal term_err
             inner = mpf(0)
             for k in range(m + 1):
-                inner += (binomial(m, k) * bell_harmonic(k, n, cfg)
-                          * hurwitz_zeta_em(n + 1, x, m - k, cfg).value)
+                weight = binomial(m, k) * bell_harmonic(k, n, cfg)
+                z = hurwitz_zeta_em(n + 1, x, m - k, cfg)
+                inner += weight * z.value
+                term_err += abs(weight) * z.err_estimate / (n + 1)
             return (-1) ** n / mpf(n + 1) * inner
 
-        acc = sum_alternating_accelerated(term, cfg, n0=1)
+        acc = sum_alternating_accelerated(term, cfg)
         value = (-mp.log(x) ** (m + 1) / (m + 1)
                  + (-1) ** (m + 1) * acc.value + shift)
-        return SeriesResult(+value, acc.err_estimate, acc.terms_used,
-                            cfg.tol())
+        err = (acc.err_estimate + term_err + 4 * mpf(2) ** -mp.prec
+               * (abs(shift) + abs(value)))
+        return SeriesResult(+value, +err, acc.terms_used, cfg.tol())
 
 
 def briggs_gamma(m: int, x,
                  cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """gamma_m(x) from the cosine-integral representation, m in {0, 1}.
 
-    Verification grade (its integrals stop near 1e-12, so higher requests
-    end unconverged):
     log^m(x)/(2x) - log^(m+1)(x)/(m+1) plus twice the cosine sum of
-    kernels.sum_oscillatory_ibp with P = L^m, s = 1 and 14 integrals.
+    kernels.sum_oscillatory_ibp with P = L^m and s = 1, which picks its own
+    number of integrals; x < 1 is shifted up by gamma_m(x) =
+    gamma_m(x+1) + log^m(x)/x.  Verification grade: the integrals stop
+    near 1e-12, so higher requests end unconverged.
     """
     if m not in (0, 1):
         raise DomainError("oscillatory route implemented for m in {0, 1}")
@@ -166,13 +169,13 @@ def briggs_gamma(m: int, x,
         x = as_real(x)
         if not x > 0:
             raise DomainError("x must be positive")
+        x, shift = shift_up(x, lambda v: mp.log(v) ** m / v)
         Lx = mp.log(x)
-        base = Lx ** m / (2 * x) - Lx ** (m + 1) / (m + 1)
-        osc = sum_oscillatory_ibp([0] * m + [1], 1, x, "cos", _BRIGGS_N, 0,
-                                  cfg)
+        base = Lx ** m / (2 * x) - Lx ** (m + 1) / (m + 1) + shift
+        osc = sum_oscillatory_ibp([0] * m + [1], 1, x, "cos", 0, cfg)
         value = base + 2 * osc.value
-        err = (2 * osc.err_estimate
-               + 4 * mpf(2) ** -mp.prec * (abs(base) + abs(value)))
+        err = (2 * osc.err_estimate + 4 * mpf(2) ** -mp.prec
+               * (abs(base) + abs(shift) + abs(value)))
         return SeriesResult(+value, +err, osc.terms_used, cfg.tol())
 
 
@@ -193,12 +196,12 @@ def stieltjes_gamma(m: int, x=1, method: str = "em",
     return _ROUTES[method](m, x, cfg)
 
 
-def stieltjes_shift(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG,
-                    tolerance=None) -> IdentityReport:
+def stieltjes_shift(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG
+                    ) -> IdentityReport:
     """Residual of gamma_m(x) - gamma_m(1+x) = log^m(x)/x."""
     with cfg.workprec(40):
         x = as_real(x)
-        tol = mpf(tolerance) if tolerance is not None else mpf(10) ** -12
+        tol = mpf(10) ** -12
         lhs = em_gamma(m, x, cfg).value - em_gamma(m, x + 1, cfg).value
         rhs = mp.log(x) ** m / x
         meta = "" if m == 0 else "m>=1 generalization (derived, not displayed)"
@@ -212,20 +215,21 @@ def digamma_hasse_series(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
         return SeriesResult(+parts[1], +err, terms, cfg.tol())
 
 
-def coffey_difference_integral(n: int, x,
-                               cfg: PrecisionConfig = DEFAULT_CFG,
-                               tolerance=None) -> IdentityReport:
-    """int_0^1 u^(x-1)(1-u)^n / log u du == sum_k C(n,k)(-1)^k log(k+x)."""
+def coffey_difference_integral(n: int, x, cfg: PrecisionConfig = DEFAULT_CFG
+                               ) -> IdentityReport:
+    """int_0^1 u^(x-1)(1-u)^n / log u du == sum_k C(n,k)(-1)^k log(k+x),
+    the integral taken in v = u^x as int_0^1 (1 - v^(1/x))^n / log v dv,
+    whose integrand is bounded at both ends."""
     if n < 1:
         raise DomainError("n must be >= 1")
     with cfg.workprec(40):
         x = as_real(x)
-        tol = mpf(tolerance) if tolerance is not None else mpf(10) ** -10
+        tol = mpf(10) ** -10
 
-        def f(u):
-            if u <= 0 or u >= 1:
+        def f(v):
+            if v <= 0 or v >= 1:
                 return mpf(0)
-            return u ** (x - 1) * (1 - u) ** n / mp.log(u)
+            return (1 - v ** (1 / x)) ** n / mp.log(v)
 
         lhs = integrate_adaptive(f, 0, 1, cfg).value
         rhs = mp.fsum((binomial(n, k) if k % 2 == 0 else -binomial(n, k))
@@ -294,13 +298,13 @@ def gamma1_rational(r: Fraction, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
         return +total
 
 
-def adamchik_reflection(r: Fraction, cfg: PrecisionConfig = DEFAULT_CFG,
-                        tolerance=None) -> IdentityReport:
+def adamchik_reflection(r: Fraction, cfg: PrecisionConfig = DEFAULT_CFG
+                        ) -> IdentityReport:
     """gamma_1(1-p/q) - gamma_1(p/q) against its cot / log Gamma closed form."""
     r = _check_rational(r)
     p, q = r.numerator, r.denominator
     with cfg.workprec(40):
-        tol = mpf(tolerance) if tolerance is not None else mpf(10) ** -8
+        tol = mpf(10) ** -8
         g = mp.euler
         lhs = (em_gamma(1, 1 - mpf(p) / q, cfg).value
                - em_gamma(1, mpf(p) / q, cfg).value)
@@ -313,8 +317,8 @@ def adamchik_reflection(r: Fraction, cfg: PrecisionConfig = DEFAULT_CFG,
                                     x=mpf(p) / q)
 
 
-def landau_gamma1_functional(x, cfg: PrecisionConfig = DEFAULT_CFG,
-                             tolerance=None) -> IdentityReport:
+def landau_gamma1_functional(x, cfg: PrecisionConfig = DEFAULT_CFG
+                             ) -> IdentityReport:
     """First-Stieltjes functional equation on 0 < x < 1/2."""
     with cfg.workprec(40):
         x = as_real(x)
@@ -322,7 +326,7 @@ def landau_gamma1_functional(x, cfg: PrecisionConfig = DEFAULT_CFG,
             raise DomainError("x must lie in (0, 1/2)")
         if min(x, mpf(1) / 2 - x) < mpf(10) ** -3:
             raise DomainError("x too close to the cot(2 pi x) poles")
-        tol = mpf(tolerance) if tolerance is not None else mpf(10) ** -6
+        tol = mpf(10) ** -6
 
         def g1(v):
             return em_gamma(1, v, cfg).value

@@ -146,6 +146,16 @@ class IdentityReport:
         return d
 
 
+def shift_up(x, term):
+    """(x + k, sum_{j<k} term(x + j)) for the fewest k >= 0 with x + k >= 1:
+    how the routes that need x >= 1 reach smaller x by their recurrences."""
+    shift = mpf(0)
+    while x < 1:
+        shift += term(x)
+        x += 1
+    return x, shift
+
+
 def as_real(value) -> mpf:
     """Convert int/float/str/Fraction to mpf at the active precision."""
     if isinstance(value, Fraction):

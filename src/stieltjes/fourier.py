@@ -6,7 +6,7 @@ Every conditionally convergent sum routes through
 :func:`stieltjes.kernels.sum_trig_averaged` (a direct head and an
 Euler-Abel transform of the tail); no evaluator implements its own
 summation.  The sums run to the requested digits, at a cost of
-O(bits / sin pi x) terms for any x.  Default verdict tolerances:
+O(bits / sin pi x) terms for any x.  Verdict tolerances:
 ``TRIG_TOL`` (1e-4) for the identities whose other side is a zeta''(0, .)
 or gamma_1 closed form, 1e-5 or 1e-8 for the rest.
 """
@@ -20,8 +20,7 @@ from mpmath import mp, mpc, mpf
 
 from .core import (DEFAULT_CFG, DomainError, IdentityReport, PrecisionConfig,
                    SeriesResult, as_real)
-from .kernels import (hurwitz_zeta_em, integrate_adaptive,
-                      sum_alternating_accelerated, sum_trig_averaged)
+from .kernels import hurwitz_zeta_em, integrate_adaptive, sum_trig_averaged
 from .constants import hasse_gamma
 from .hurwitz import zeta_doubleprime0
 from . import gammafuncs
@@ -46,14 +45,13 @@ def lerch_transform(c, mode: str, x,
     return sum_trig_averaged(diff, mode, x, cfg, odd_multiples=True, n0=0)
 
 
-def kummer_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG,
-                     tolerance=None) -> IdentityReport:
+def kummer_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> IdentityReport:
     """log Gamma(x) against its sine-series expansion on (0,1)."""
     with cfg.workprec(40):
         x = as_real(x)
         if not 0 < x < 1:
             raise DomainError("expansion valid on (0,1) only")
-        tol = mpf(tolerance) if tolerance is not None else mpf(10) ** -5
+        tol = mpf(10) ** -5
         sine = sum_trig_averaged(lambda n: mp.log(n) / n if n > 1 else mpf(0),
                                  "sin", x, cfg)
         lhs = (mp.log(mp.pi / mp.sin(mp.pi * x)) / 2
@@ -63,14 +61,13 @@ def kummer_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG,
         return IdentityReport.build("kummer-log-gamma", lhs, rhs, tol, x=x)
 
 
-def series_316(x, cfg: PrecisionConfig = DEFAULT_CFG,
-               tolerance=None) -> IdentityReport:
+def series_316(x, cfg: PrecisionConfig = DEFAULT_CFG) -> IdentityReport:
     """sum log(1+1/n) sin((2n+1) pi x) against its digamma closed form."""
     with cfg.workprec(40):
         x = as_real(x)
         if not 0 < x < 1:
             raise DomainError("valid on (0,1) only")
-        tol = mpf(tolerance) if tolerance is not None else mpf(10) ** -5
+        tol = mpf(10) ** -5
         lhs = sum_trig_averaged(lambda n: mp.log(1 + mpf(1) / n), "sin", x,
                                 cfg, odd_multiples=True).value
         sx, cx = mp.sin(mp.pi * x), mp.cos(mp.pi * x)
@@ -81,9 +78,11 @@ def series_316(x, cfg: PrecisionConfig = DEFAULT_CFG,
 
 
 def wallis_alternating(cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """log(pi/2) = sum (-1)^(n+1) log(1+1/n) under Euler acceleration."""
-    return sum_alternating_accelerated(
-        lambda n: (-1) ** (n + 1) * mp.log(1 + mpf(1) / n), cfg)
+    """log(pi/2) = sum (-1)^(n+1) log(1+1/n) = sum -log(1+1/n) cos(pi n),
+    by the trigonometric kernel at x = 1/2: log(1+1/n) is completely
+    monotone, so the remainder is bounded."""
+    return sum_trig_averaged(lambda n: -mp.log(1 + mpf(1) / n), "cos",
+                             mpf(1) / 2, cfg)
 
 
 def _deninger_closed(x, cfg) -> mpf:
@@ -92,14 +91,13 @@ def _deninger_closed(x, cfg) -> mpf:
             + (mp.euler + mp.log(2 * mp.pi)) * mp.log(2 * mp.sin(mp.pi * x)))
 
 
-def deninger_f(x, cfg: PrecisionConfig = DEFAULT_CFG,
-               tolerance=None) -> IdentityReport:
+def deninger_f(x, cfg: PrecisionConfig = DEFAULT_CFG) -> IdentityReport:
     """sum log n/n cos(2 pi n x) against the zeta''(0,.) closed form."""
     with cfg.workprec(40):
         x = as_real(x)
         if not 0 < x < 1:
             raise DomainError("valid on (0,1) only")
-        tol = mpf(tolerance) if tolerance is not None else TRIG_TOL
+        tol = TRIG_TOL
         lhs = sum_trig_averaged(lambda n: mp.log(n) / n if n > 1 else mpf(0),
                                 "cos", x, cfg).value
         rhs = _deninger_closed(x, cfg)
@@ -107,8 +105,8 @@ def deninger_f(x, cfg: PrecisionConfig = DEFAULT_CFG,
                                     tol, x=x)
 
 
-def landau_f_functional(x, cfg: PrecisionConfig = DEFAULT_CFG,
-                        tolerance=None) -> IdentityReport:
+def landau_f_functional(x, cfg: PrecisionConfig = DEFAULT_CFG
+                        ) -> IdentityReport:
     """f(x+1/2) = f(2x) - f(x) - log2 log(2 sin 2 pi x) on 0 < x < 1/2."""
     with cfg.workprec(40):
         x = as_real(x)
@@ -116,7 +114,7 @@ def landau_f_functional(x, cfg: PrecisionConfig = DEFAULT_CFG,
             raise DomainError("x must lie in (0, 1/2)")
         if min(x, mpf(1) / 2 - x) < mpf(10) ** -3:
             raise DomainError("x too close to the log(2 sin 2 pi x) poles")
-        tol = mpf(tolerance) if tolerance is not None else TRIG_TOL
+        tol = TRIG_TOL
         lhs = _deninger_closed(x + mpf(1) / 2, cfg)
         rhs = (_deninger_closed(2 * x, cfg) - _deninger_closed(x, cfg)
                - mp.log(2) * mp.log(2 * mp.sin(2 * mp.pi * x)))
@@ -153,8 +151,8 @@ def gamma1_fourier(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
                             cfg.tol())
 
 
-def series_325_family(x, which: str, cfg: PrecisionConfig = DEFAULT_CFG,
-                      tolerance=None) -> IdentityReport:
+def series_325_family(x, which: str, cfg: PrecisionConfig = DEFAULT_CFG
+                      ) -> IdentityReport:
     """The log(1+1/n) trigonometric family against its closed forms.
 
     ``which`` selects the variant: "3.25" (odd cosine), "3.27" (odd cosine at
@@ -168,7 +166,7 @@ def series_325_family(x, which: str, cfg: PrecisionConfig = DEFAULT_CFG,
                 raise DomainError("rational x must lie in (0,1)")
             p, q = r.numerator, r.denominator
             xr = mpf(p) / q
-            tol = mpf(tolerance) if tolerance is not None else mpf(10) ** -5
+            tol = mpf(10) ** -5
             lhs = sum_trig_averaged(coeff, "cos", xr, cfg,
                                     odd_multiples=True).value
             rhs = mp.log(q) * mp.cospi(mpf(p) / q)
@@ -182,7 +180,7 @@ def series_325_family(x, which: str, cfg: PrecisionConfig = DEFAULT_CFG,
         x = as_real(x)
         if not 0 < x < 1:
             raise DomainError("x must lie in (0,1)")
-        tol = mpf(tolerance) if tolerance is not None else TRIG_TOL
+        tol = TRIG_TOL
         sx, cx = mp.sin(mp.pi * x), mp.cos(mp.pi * x)
         g1_diff = (hasse_gamma(1, 1 - x, cfg).value
                    - hasse_gamma(1, x, cfg).value)
@@ -293,12 +291,8 @@ def _euler_coeff(n: int) -> mpf:
 
 
 def _sondow_power_series(z, cfg) -> SeriesResult:
-    """gamma(z) for real |z| <= 1 by the defining sum; z = -1 by Euler
-    acceleration and z = 1 by a head of 40 terms and the tail
-    sum_k (-1)^k zeta(k, 41) / k."""
-    if z == -1:
-        return sum_alternating_accelerated(
-            lambda n: (-1) ** (n - 1) * _euler_coeff(n), cfg)
+    """gamma(z) for real |z| <= 1, z != -1, by the defining sum; z = 1 by a
+    head of 40 terms and the tail sum_k (-1)^k zeta(k, 41) / k."""
     if abs(z) > 1:
         raise DomainError("|z| <= 1 required for the series route")
     tol = cfg.tol() * mpf(10) ** -2
@@ -339,12 +333,11 @@ def _sondow_power_series(z, cfg) -> SeriesResult:
 def _sondow_circle(z: Fraction, cfg) -> SeriesResult:
     """gamma(omega), omega = exp(i pi p/q): (C + i S) e^(-i pi p/q) for the
     cosine and sine sums C, S of the coefficients at x = p/(2q)."""
-    theta = mp.pi * z.numerator / z.denominator
-    x_eff = mpf(z.numerator) / (2 * z.denominator)
-    C = sum_trig_averaged(_euler_coeff, "cos", x_eff, cfg)
-    S = sum_trig_averaged(_euler_coeff, "sin", x_eff, cfg)
-    re = C.value * mp.cos(theta) + S.value * mp.sin(theta)
-    im = S.value * mp.cos(theta) - C.value * mp.sin(theta)
+    theta = mpf(z.numerator) / z.denominator
+    C = sum_trig_averaged(_euler_coeff, "cos", theta / 2, cfg)
+    S = sum_trig_averaged(_euler_coeff, "sin", theta / 2, cfg)
+    re = C.value * mp.cospi(theta) + S.value * mp.sinpi(theta)
+    im = S.value * mp.cospi(theta) - C.value * mp.sinpi(theta)
     err = (C.err_estimate + S.err_estimate
            + 8 * mpf(2) ** -mp.prec * (abs(C.value) + abs(S.value)))
     return SeriesResult(mpc(+re, +im), err, C.terms_used + S.terms_used,
@@ -375,7 +368,8 @@ def sondow_gamma(z: Union[mpf, float, int, Fraction],
     Real ``z`` in [-1, 1] is taken literally; a ``Fraction`` p/q in (0, 1]
     selects the unit-circle point omega = exp(i pi p/q), where the value is
     complex (p/q = 1 is z = -1).  Routes: "series" (the defining sum, by the
-    trigonometric kernel on the circle), "integral" (real z <= 1), "2q"
+    trigonometric kernel on the circle and at z = -1), "integral" (real
+    z <= 1), "2q"
     (finite log-gamma form, Fraction only).  The error estimate comes from
     the kernels and tails each route sums, and their rounding.
     """
@@ -384,13 +378,14 @@ def sondow_gamma(z: Union[mpf, float, int, Fraction],
         raise DomainError("angle p/q must lie in (0, 1]")
     with cfg.workprec(40):
         if route == "series":
-            if not on_circle:
-                return _sondow_power_series(as_real(z), cfg)
-            if z == 1:
-                res = _sondow_power_series(mpf(-1), cfg)
-                return SeriesResult(mpc(res.value), res.err_estimate,
-                                    res.terms_used, res.tol)
-            return _sondow_circle(z, cfg)
+            if on_circle:
+                return _sondow_circle(z, cfg)
+            z = as_real(z)
+            if z != -1:
+                return _sondow_power_series(z, cfg)
+            res = _sondow_circle(Fraction(1), cfg)
+            return SeriesResult(res.value.real, res.err_estimate,
+                                res.terms_used, res.tol)
         if route == "integral":
             if on_circle:
                 raise DomainError("integral route takes real z only")

@@ -15,7 +15,7 @@ from functools import lru_cache
 from mpmath import mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, IdentityReport, PrecisionConfig,
-                   SeriesResult, as_real)
+                   SeriesResult, as_real, shift_up)
 from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
                       sum_oscillatory_ibp)
 
@@ -94,21 +94,22 @@ def _log_kernel_bracket(u) -> mpf:
     return acc
 
 
-def digamma_integral_check(x, cfg: PrecisionConfig = DEFAULT_CFG,
-                           tolerance=None) -> IdentityReport:
+def digamma_integral_check(x, cfg: PrecisionConfig = DEFAULT_CFG
+                           ) -> IdentityReport:
     """Check psi(x) - log x == -int_0^1 u^(x-1)[1/(1-u) + 1/log u] du.
 
     The integrand is strictly negative on (0,1), consistent with
-    psi(x) < log x for all x > 0.
+    psi(x) < log x for all x > 0.  The quadrature runs in v = u^x, where
+    u^(x-1) du = dv/x leaves an integrand bounded at both ends.
     """
     with cfg.workprec(40):
         x = _require_positive(x)
-        tol = mpf(tolerance) if tolerance is not None else mpf(10) ** -10
+        tol = mpf(10) ** -10
 
-        def f(u):
-            if u <= 0 or u >= 1:
+        def f(v):
+            if v <= 0 or v >= 1:
                 return mpf(0)
-            return -(u ** (x - 1)) * _log_kernel_bracket(u)
+            return -_log_kernel_bracket(v ** (1 / x)) / x
 
         quadrature = integrate_adaptive(f, 0, 1, cfg)
         lhs = quadrature.value
@@ -117,20 +118,23 @@ def digamma_integral_check(x, cfg: PrecisionConfig = DEFAULT_CFG,
                                     meta="integrand negative on (0,1)")
 
 
-def bourguet_log_gamma(x, N: int = 12,
-                       cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
+def bourguet_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """log Gamma(x) from the oscillatory-integral representation.
 
     Low-accuracy cross-check of log_gamma (its integrals stop near 1e-12, so
-    higher requests end unconverged): Stirling-like
-    elementary part plus (1/pi) sum_n (1/n) int_0^inf sin(2 pi n t)/(x+t) dt,
-    N integrals plus an integration-by-parts resummation of the n-tail.
+    higher requests end unconverged): Stirling-like elementary part plus
+    (1/pi) sum_n (1/n) int_0^inf sin(2 pi n t)/(x+t) dt, from
+    kernels.sum_oscillatory_ibp, which picks its own number of integrals
+    before the integration-by-parts tail; x < 1 is shifted up by
+    log Gamma(x) = log Gamma(x+1) - log x.
     """
     with cfg.workprec(40):
         x = _require_positive(x)
-        elementary = mp.log(2 * mp.pi) / 2 + (x - mpf(1) / 2) * mp.log(x) - x
-        osc = sum_oscillatory_ibp([1], 1, x, "sin", N, 1, cfg)
+        x, shift = shift_up(x, lambda v: -mp.log(v))
+        elementary = (mp.log(2 * mp.pi) / 2 + (x - mpf(1) / 2) * mp.log(x)
+                      - x + shift)
+        osc = sum_oscillatory_ibp([1], 1, x, "sin", 1, cfg)
         value = elementary + osc.value / mp.pi
-        err = (osc.err_estimate / mp.pi
-               + 4 * mpf(2) ** -mp.prec * (abs(elementary) + abs(value)))
+        err = (osc.err_estimate / mp.pi + 4 * mpf(2) ** -mp.prec
+               * (abs(elementary) + abs(shift) + abs(value)))
         return SeriesResult(+value, +err, osc.terms_used, cfg.tol())

@@ -7,7 +7,8 @@ estimate met it (convergence shortfalls do not raise; domain violations do).
 
 Kernels:
 
-* ``sum_alternating_accelerated`` -- Euler transform of alternating series.
+* ``sum_alternating_accelerated`` -- Euler transform of the alternating
+  series whose terms are not completely monotone (Bell, Srivastava-Choi).
 * ``sum_trig_averaged`` -- conditionally convergent trigonometric series
   sum f(n) trig(2 pi n x) for completely monotone f: a direct head and an
   Euler-Abel transform of the tail in z = e^(2 pi i x), at a cost that does
@@ -16,10 +17,11 @@ Kernels:
 * ``integrate_adaptive`` -- tanh-sinh quadrature on finite or infinite
   ranges, stepped level by level until two levels agree at the request.
 * ``integrate_oscillatory`` -- zero-aligned panels with Euler acceleration,
-  at a precision sized to its 1e-12 stop.
+  at a precision sized to its stop, the request but at most 1e-12.
 * ``sum_oscillatory_ibp`` -- sum over n of oscillatory integrals: the first
   N by ``integrate_oscillatory``, the rest by an integration-by-parts tail
-  over Hurwitz zeta values (Briggs, Bourguet and Poisson routes).
+  over Hurwitz zeta values (Briggs, Bourguet and Poisson routes), with N
+  the shortest head whose tail reaches the integrals' stop.
 * ``hurwitz_zeta_em`` -- Euler-Maclaurin summation of zeta(s, x) and its
   s-derivatives for every real s != 1, on the engine
   ``_em_log_power_sum`` that also gives gamma_m(x), log Gamma and psi.
@@ -63,26 +65,24 @@ def _euler_diagonal(partials):
 
 
 def sum_alternating_accelerated(term: Callable[[int], mpf],
-                                cfg: PrecisionConfig = DEFAULT_CFG,
-                                n0: int = 1) -> SeriesResult:
-    """Euler-accelerated sum of an (eventually) alternating series.
+                                cfg: PrecisionConfig = DEFAULT_CFG
+                                ) -> SeriesResult:
+    """Euler-accelerated sum_{n>=1} term(n) of an alternating series.
 
-    ``term(n)`` must include its sign.  Terms are consumed from ``n0``
-    upward; the budget grows geometrically until the accelerated tail
-    estimate drops below cfg tolerance or ``max_terms`` is hit.
+    ``term(n)`` must include its sign.  The budget grows geometrically until
+    the accelerated tail estimate drops below cfg tolerance or ``max_terms``
+    is hit.  The estimate leaves out the error of the terms themselves.
     """
     with cfg.workprec(40):
         tol = cfg.tol()
         n_cap = min(cfg.max_terms, max(96, 6 * cfg.digits))
         terms = []
-        n = n0
         batch = max(32, 2 * cfg.digits)
         best = mpf(0)
         best_err = mpf("inf")
         while True:
             while len(terms) < batch and len(terms) < n_cap:
-                terms.append(mp.mpf(term(n)))
-                n += 1
+                terms.append(mp.mpf(term(len(terms) + 1)))
             if all(t == 0 for t in terms):
                 return SeriesResult(mpf(0), mpf(0), len(terms), tol)
             partials = []
@@ -291,41 +291,39 @@ def integrate_adaptive(f: Callable[[mpf], mpf], a, b,
         return SeriesResult(value, diff + ends + rounding, evals, tol)
 
 
-def integrate_oscillatory(g: Callable[[mpf], mpf], freq, a=0,
+def _oscillatory_stop(cfg: PrecisionConfig) -> mpf:
+    """Where the oscillatory integrals stop: the request, but not below
+    1e-12, which their Euler-accelerated panels do not reliably pass."""
+    return max(cfg.tol(), mpf(10) ** -12)
+
+
+def integrate_oscillatory(g: Callable[[mpf], mpf], freq,
                           cfg: PrecisionConfig = DEFAULT_CFG,
                           mode: str = "cos") -> SeriesResult:
-    """int_a^inf g(t)*trig(freq*t) dt for smooth g decaying to zero.
+    """int_0^inf g(t)*trig(freq*t) dt for smooth g decaying to zero.
 
     Panels are aligned to the zeros of the oscillator; the alternating panel
-    contributions (at most 80 half periods) are Euler-accelerated.  It
-    stops at 1e-12 at best (~1e-6 and better for 1/t-type decay), not at
-    full precision; its result is judged against the request all the same.
-    The panels run at 24 bits beyond that stop, so their precision follows
-    it, and the claim is the acceleration's error plus the sum of the
-    panels' own quadrature errors.
+    contributions (at most ``_MAX_HALF_PERIODS`` half periods) are
+    Euler-accelerated until they reach :func:`_oscillatory_stop` (~1e-6 and
+    better for 1/t-type decay); the result is judged against the request
+    all the same.  The panels run at 24 bits beyond that stop, so their
+    precision follows it, and the claim is the acceleration's error plus
+    the sum of the panels' own quadrature errors.
     """
     if mode not in ("sin", "cos"):
         raise ValueError("mode must be 'sin' or 'cos'")
-    stop = max(cfg.tol(), mpf(10) ** -12)
+    stop = _oscillatory_stop(cfg)
     with mp.workprec(math.ceil(-math.log2(stop)) + 24):
         freq = mpf(freq)
-        a = mpf(a)
         if freq <= 0:
             raise DomainError("freq must be positive")
         trig = mp.cos if mode == "cos" else mp.sin
         # crude decay check on the tail of g
-        probe = [abs(g(a + mpf(10) ** k)) for k in (1, 2, 3)]
+        probe = [abs(g(mpf(10) ** k)) for k in (1, 2, 3)]
         if probe[2] > probe[0] * 10:
             raise DomainError("g does not appear to decay; oscillatory tail diverges")
         half = mp.pi / freq
-        # first oscillator zero past a
-        if mode == "cos":
-            k0 = mp.floor(freq * a / mp.pi - mpf(1) / 2) + 1
-            z0 = (k0 + mpf(1) / 2) * half
-        else:
-            z0 = (mp.floor(freq * a / mp.pi) + 1) * half
-        while z0 <= a:
-            z0 += half
+        z0 = half / 2 if mode == "cos" else half  # first zero past 0
 
         quad_err = mpf(0)
 
@@ -336,7 +334,7 @@ def integrate_oscillatory(g: Callable[[mpf], mpf], freq, a=0,
             quad_err += err
             return val
 
-        head = panel(a, z0)
+        head = panel(0, z0)
         partials = []
         acc = mpf(0)
         best, best_err = mpf(0), mpf("inf")
@@ -382,7 +380,33 @@ def _log_poly_step(P, c):
     return out
 
 
-def sum_oscillatory_ibp(poly, s, x, mode: str, N: int, w=0,
+def _ibp_tail(P, s, x, odd: int, N: int, w, stop, cfg):
+    """(value, error estimate, terms) of the n > N part of
+    :func:`sum_oscillatory_ibp`, by its integration-by-parts expansion."""
+    two_pi = 2 * mp.pi
+    L = mp.log(x)
+    Pr = P
+    total = mpf(0)
+    prev = mpf("inf")
+    mag = mpf(0)
+    terms = 0
+    for r in range(400):
+        if r % 2 == odd:
+            scale = (x ** (-s - r) / two_pi ** (r + 1)
+                     * hurwitz_zeta_em(r + 1 + w, N + 1, 0, cfg).value)
+            mag = _horner([abs(c) for c in Pr], abs(L)) * abs(scale)
+            if mag > prev:  # asymptotic series turned; stop
+                break
+            total += (-1) ** ((r + 1) // 2) * _horner(Pr, L) * scale
+            terms += 1
+            prev = mag
+            if mag < stop:
+                break
+        Pr = _log_poly_step(Pr, s + r)
+    return total, mag, terms
+
+
+def sum_oscillatory_ibp(poly, s, x, mode: str, w=0,
                         cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """sum_{n>=1} n^-w int_0^inf P(log(t+x)) (t+x)^-s trig(2 pi n t) dt.
 
@@ -395,10 +419,14 @@ def sum_oscillatory_ibp(poly, s, x, mode: str, N: int, w=0,
 
     so the n-sum of the r-th term is zeta(r + 1 + w, N + 1) / (2 pi)^(r+1).
     The expansion is asymptotic: it is summed until its terms stop
-    decreasing or fall below the tolerance, and the last term computed is
-    the tail's error estimate.  Both tests read the envelope
-    sum_d |P_r,d| |L|^d in place of |P_r(L)|, which can pass near zero and
-    fake a turn.  The sine form needs w > 0.
+    decreasing or fall below :func:`_oscillatory_stop`, where the integrals
+    stop too, and the last term computed is the tail's error estimate.
+    Both tests read the envelope sum_d |P_r,d| |L|^d in place of |P_r(L)|,
+    which can pass near zero and fake a turn.  N is the smallest head
+    length whose tail reaches that stop (tried on the tail alone: EM zeta
+    values, no integrals).  The smallest tail term falls like
+    e^(-2 pi N x), so the kernel takes x >= 1 only, where N stays small.
+    The sine form needs w > 0.
     """
     if mode not in ("sin", "cos"):
         raise ValueError("mode must be 'sin' or 'cos'")
@@ -407,43 +435,27 @@ def sum_oscillatory_ibp(poly, s, x, mode: str, N: int, w=0,
     with cfg.workprec(40):
         s = as_real(s)
         x = as_real(x)
-        if not x > 0:
-            raise DomainError("x must be positive")
+        if not x >= 1:
+            raise DomainError("x must be >= 1 (shift by a recurrence)")
         P = [mpf(c) for c in poly]
+        stop = _oscillatory_stop(cfg)
+        odd = 1 if mode == "cos" else 0  # derivative orders in the expansion
+        N = 1
+        while True:
+            total, err, tail_terms = _ibp_tail(P, s, x, odd, N, w, stop, cfg)
+            if err < stop:
+                break
+            N += 1
         if len(P) == 1:
             g = lambda t: P[0] * (x + t) ** (-s)
         else:
             g = lambda t: _horner(P, mp.log(x + t)) * (x + t) ** (-s)
-        two_pi = 2 * mp.pi
-        total = mpf(0)
-        err = mpf(0)
         for n in range(1, N + 1):
-            res = integrate_oscillatory(g, two_pi * n, 0, cfg, mode=mode)
+            res = integrate_oscillatory(g, 2 * mp.pi * n, cfg, mode)
             weight = mpf(n) ** (-w)
             total += res.value * weight
             err += res.err_estimate * weight
-        tol = cfg.tol()
-        L = mp.log(x)
-        odd = 1 if mode == "cos" else 0  # derivative orders in the expansion
-        Pr = P
-        prev = mpf("inf")
-        mag = mpf(0)
-        tail_terms = 0
-        for r in range(400):
-            if r % 2 == odd:
-                scale = (x ** (-s - r) / two_pi ** (r + 1)
-                         * hurwitz_zeta_em(r + 1 + w, N + 1, 0, cfg).value)
-                term = (-1) ** ((r + 1) // 2) * _horner(Pr, L) * scale
-                mag = _horner([abs(c) for c in Pr], abs(L)) * abs(scale)
-                if mag > prev:  # asymptotic series turned; stop
-                    break
-                total += term
-                tail_terms += 1
-                prev = mag
-                if mag < tol * (1 + abs(total)):
-                    break
-            Pr = _log_poly_step(Pr, s + r)
-        return SeriesResult(+total, err + mag, N + tail_terms, tol)
+        return SeriesResult(+total, +err, N + tail_terms, cfg.tol())
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,20 @@ def _ambient_precision():
         yield
 
 
+def record_results(monkeypatch, module, name):
+    """Rebind module.name to a wrapper that keeps every result it returns;
+    returns that list."""
+    results = []
+    inner = getattr(module, name)
+
+    def record(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, record)
+    return results
+
+
 def assert_close(a, b, tol, label=""):
     d = abs(mpf(a) - mpf(b))
     assert d <= mpf(tol), f"{label}: |{a} - {b}| = {d} > {tol}"

@@ -65,6 +65,11 @@ class TestOddSineSeries:
         assert_close(wallis.value, mp.log(mp.pi / 2), mpf(10) ** -15,
                      "log(pi/2)")
 
+    def test_wallis_claim_covers_at_50_digits(self):
+        res = wallis_alternating(PrecisionConfig(digits=50))
+        assert res.converged
+        assert abs(res.value - mp.log(mp.pi / 2)) <= res.err_estimate
+
     @pytest.mark.parametrize("x", ["0.25", "0.75"])
     def test_points(self, x, cfg20):
         rep = series_316(mpf(x), cfg20)
@@ -188,6 +193,13 @@ class TestSondow:
         series = sondow_gamma(Fraction(1, 2), cfg20, route="series").value
         closed = sondow_gamma(Fraction(1, 2), cfg20, route="2q").value
         assert abs(series - closed) < mpf(10) ** -6
+
+    def test_minus_one_claim_covers_at_50_digits(self):
+        # the kernel's claim at z = -1, on the circle or on the real line
+        for z in (mpf(-1), Fraction(1)):
+            res = sondow_gamma(z, PrecisionConfig(digits=50))
+            assert res.converged
+            assert abs(res.value - mp.log(4 / mp.pi)) <= res.err_estimate
 
     def test_2q_formula_at_minus_one(self, cfg20):
         closed = sondow_gamma(Fraction(1, 1), cfg20, route="2q").value

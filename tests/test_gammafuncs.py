@@ -1,12 +1,13 @@
 import pytest
 from mpmath import mp, mpf
 
+from stieltjes import gammafuncs
 from stieltjes.core import DomainError
 from stieltjes.gammafuncs import (bourguet_log_gamma, digamma,
                                   digamma_integral_check, log_gamma,
                                   polygamma)
 
-from conftest import assert_close
+from conftest import assert_close, record_results
 from reference_values import GAMMA, ZETA2, ZETA3
 
 
@@ -115,17 +116,30 @@ class TestDigammaIntegral:
         assert rep.passed
         assert rep.lhs < 0  # the integral itself is negative
 
+    @pytest.mark.parametrize("q", [3, 10])
+    def test_quadrature_meets_the_request_below_one(self, q, cfg20,
+                                                    monkeypatch):
+        # u^(x-1) is singular at u = 0 for x < 1; in v = u^x it is gone
+        quads = record_results(monkeypatch, gammafuncs, "integrate_adaptive")
+        x = mpf(1) / q
+        rep = digamma_integral_check(x, cfg20)
+        (quad,) = quads
+        assert quad.converged
+        exact = mp.digamma(x) - mp.log(x)
+        assert abs(quad.value - exact) <= quad.err_estimate
+        assert rep.passed
+
 
 class TestBourguet:
     def test_at_one(self, cfg20):
-        res = bourguet_log_gamma(1, 12, cfg20)
+        res = bourguet_log_gamma(1, cfg20)
         assert abs(res.value) < mpf(10) ** -4
 
     def test_mid(self, cfg20):
-        res = bourguet_log_gamma(mpf(5) / 2, 12, cfg20)
+        res = bourguet_log_gamma(mpf(5) / 2, cfg20)
         ref = log_gamma(mpf(5) / 2, cfg20).value
         assert abs(res.value - ref) < mpf(10) ** -4
 
     def test_large_small_n(self, cfg20):
-        res = bourguet_log_gamma(10, 6, cfg20)
+        res = bourguet_log_gamma(10, cfg20)
         assert abs(res.value - log_gamma(10, cfg20).value) < mpf(10) ** -4

@@ -255,23 +255,29 @@ class TestAlternativeRepresentations:
         rhs = zeta_hasse(mpf(s), mpf(x), 0, cfg20).value
         assert abs(lhs - rhs) < mpf(tol)
 
+    def test_srivastava_choi_claim_covers_its_terms_errors(self, cfg20):
+        # the terms' EM zeta values carry ~2e-28 between them
+        res = zeta_srivastava_choi(2, 1, cfg20)
+        assert res.converged
+        assert abs(res.value - mp.zeta(2)) <= res.err_estimate
+
     def test_srivastava_choi_shifts_small_x(self, cfg20):
         lhs = zeta_srivastava_choi(2, mpf("0.4"), cfg20).value
         rhs = zeta_hasse(2, mpf("0.4"), 0, cfg20).value
         assert abs(lhs - rhs) < mpf(10) ** -10
 
     def test_poisson_basel(self, cfg20):
-        res = poisson_zeta(2, 1, 12, cfg20)
+        res = poisson_zeta(2, 1, cfg20)
         assert abs(res.value - mpf(ZETA2)) < mpf(10) ** -5
 
     def test_poisson_half(self, cfg20):
-        res = poisson_zeta(3, mpf(1) / 2, 12, cfg20)
+        res = poisson_zeta(3, mpf(1) / 2, cfg20)
         rhs = zeta_hasse(3, mpf(1) / 2, 0, cfg20).value
         assert abs(res.value - rhs) < mpf(10) ** -5
 
     def test_poisson_tail_runs_until_terms_turn(self, cfg20):
         # a fixed three-term IBP tail stopped at 4e-7 here
-        res = poisson_zeta(3, mpf(1) / 2, 12, cfg20)
+        res = poisson_zeta(3, mpf(1) / 2, cfg20)
         actual = abs(res.value - mp.zeta(3, mpf(1) / 2))
         assert actual < mpf(10) ** -10
         assert actual <= res.err_estimate

@@ -1,6 +1,7 @@
 import pytest
 from mpmath import mp, mpf
 
+from stieltjes import kernels
 from stieltjes.constants import briggs_gamma
 from stieltjes.core import DomainError, PoleError, PrecisionConfig
 from stieltjes.gammafuncs import (_log_kernel_bracket, bourguet_log_gamma,
@@ -11,7 +12,7 @@ from stieltjes.kernels import (hurwitz_zeta_em, integrate_adaptive,
                                integrate_oscillatory,
                                sum_alternating_accelerated, sum_trig_averaged)
 
-from conftest import assert_close
+from conftest import assert_close, record_results
 from reference_values import ETA3, OSC_LOG_RECIP, OSC_RECIP, ZETA2, ZETA3
 
 
@@ -196,30 +197,30 @@ class TestAdaptiveClaims:
 
 class TestOscillatory:
     def test_zero_function(self, cfg20):
-        res = integrate_oscillatory(lambda t: mpf(0), 2 * mp.pi, 0, cfg20)
+        res = integrate_oscillatory(lambda t: mpf(0), 2 * mp.pi, cfg20)
         assert res.value == 0
 
     def test_reciprocal(self, cfg20):
-        res = integrate_oscillatory(lambda t: 1 / (1 + t), 2 * mp.pi, 0,
-                                    cfg20, mode="cos")
+        res = integrate_oscillatory(lambda t: 1 / (1 + t), 2 * mp.pi, cfg20,
+                                    mode="cos")
         assert_close(res.value, mpf(OSC_RECIP), mpf(10) ** -10, "cos/(1+t)")
 
     def test_log_reciprocal(self, cfg20):
         res = integrate_oscillatory(lambda t: mp.log(1 + t) / (1 + t),
-                                    2 * mp.pi, 0, cfg20, mode="cos")
+                                    2 * mp.pi, cfg20, mode="cos")
         assert_close(res.value, mpf(OSC_LOG_RECIP), mpf(10) ** -10,
                      "cos log/(1+t)")
 
     def test_rejects_growth(self, cfg20):
         with pytest.raises(DomainError):
-            integrate_oscillatory(lambda t: t ** 2, 2 * mp.pi, 0, cfg20)
+            integrate_oscillatory(lambda t: t ** 2, 2 * mp.pi, cfg20)
 
     @pytest.mark.parametrize("g,ref", [
         (lambda t: 1 / (1 + t), OSC_RECIP),
         (lambda t: mp.log(1 + t) / (1 + t), OSC_LOG_RECIP)])
     @pytest.mark.parametrize("digits", [10, 12, 20])
     def test_claim_covers_error(self, g, ref, digits):
-        res = integrate_oscillatory(g, 2 * mp.pi, 0,
+        res = integrate_oscillatory(g, 2 * mp.pi,
                                     PrecisionConfig(digits=digits), mode="cos")
         assert abs(res.value - mpf(ref)) <= res.err_estimate
 
@@ -231,15 +232,15 @@ _OSC_ROUTES = [
     ("briggs-1-1", lambda c: briggs_gamma(1, 1, c), lambda: mp.stieltjes(1, 1)),
     ("briggs-1-3/2", lambda c: briggs_gamma(1, mpf(3) / 2, c),
      lambda: mp.stieltjes(1, mpf(3) / 2)),
-    ("poisson-2-1", lambda c: poisson_zeta(2, 1, 10, c), lambda: mp.zeta(2)),
-    ("poisson-3-1/2", lambda c: poisson_zeta(3, mpf(1) / 2, 10, c),
+    ("poisson-2-1", lambda c: poisson_zeta(2, 1, c), lambda: mp.zeta(2)),
+    ("poisson-3-1/2", lambda c: poisson_zeta(3, mpf(1) / 2, c),
      lambda: mp.zeta(3, mpf(1) / 2)),
-    ("poisson-5/2-2", lambda c: poisson_zeta(mpf(5) / 2, 2, 10, c),
+    ("poisson-5/2-2", lambda c: poisson_zeta(mpf(5) / 2, 2, c),
      lambda: mp.zeta(mpf(5) / 2, 2)),
-    ("bourguet-1", lambda c: bourguet_log_gamma(1, 12, c), lambda: mpf(0)),
-    ("bourguet-5/2", lambda c: bourguet_log_gamma(mpf(5) / 2, 12, c),
+    ("bourguet-1", lambda c: bourguet_log_gamma(1, c), lambda: mpf(0)),
+    ("bourguet-5/2", lambda c: bourguet_log_gamma(mpf(5) / 2, c),
      lambda: mp.loggamma(mpf(5) / 2)),
-    ("bourguet-1/2", lambda c: bourguet_log_gamma(mpf(1) / 2, 12, c),
+    ("bourguet-1/2", lambda c: bourguet_log_gamma(mpf(1) / 2, c),
      lambda: mp.loggamma(mpf(1) / 2)),
 ]
 
@@ -251,12 +252,58 @@ def test_oscillatory_route_claims_cover_error(label, route, exact):
     assert abs(res.value - exact()) <= res.err_estimate, label
 
 
+# the oscillatory routes at small x, against mpmath at 10 digits: each
+# shifts x up by its recurrence, so it meets the request here as at x = 1
+_OSC_SMALL_X = [
+    ("poisson-2", lambda x, c: poisson_zeta(2, x, c),
+     lambda x: mp.zeta(2, x)),
+    ("poisson-5", lambda x, c: poisson_zeta(5, x, c),
+     lambda x: mp.zeta(5, x)),
+    ("briggs-0", lambda x, c: briggs_gamma(0, x, c),
+     lambda x: mp.stieltjes(0, x)),
+    ("briggs-1", lambda x, c: briggs_gamma(1, x, c),
+     lambda x: mp.stieltjes(1, x)),
+    ("bourguet", lambda x, c: bourguet_log_gamma(x, c),
+     lambda x: mp.loggamma(x)),
+]
+
+
+@pytest.mark.parametrize("x", ["1/100", "1/10", "1/3"])
+@pytest.mark.parametrize("label,route,exact", _OSC_SMALL_X,
+                         ids=[r[0] for r in _OSC_SMALL_X])
+def test_oscillatory_routes_meet_the_request_at_small_x(label, route, exact,
+                                                        x):
+    num, den = x.split("/")
+    x = mpf(num) / int(den)
+    res = route(x, PrecisionConfig(digits=10))
+    assert res.converged, label
+    assert abs(res.value - exact(x)) <= res.err_estimate, label
+
+
 class TestOscillatorySum:
+    @pytest.mark.parametrize("x,most", [(1, 6), (10, 1)])
+    def test_head_length_follows_the_stop(self, x, most, monkeypatch):
+        # the kernel runs only as many integrals as its tail needs to reach
+        # the integrals' own stop: fewer as x grows
+        integrals = record_results(monkeypatch, kernels,
+                                   "integrate_oscillatory")
+        res = sum_oscillatory_ibp([1], 1, x, "sin", 1,
+                                  PrecisionConfig(digits=12))
+        assert 1 <= len(integrals) <= most
+        x = mpf(x)
+        closed = mp.pi * (mp.loggamma(x) - mp.log(2 * mp.pi) / 2
+                          - (x - mpf(1) / 2) * mp.log(x) + x)
+        assert abs(res.value - closed) <= res.err_estimate
+
+    def test_rejects_x_below_one(self, cfg20):
+        with pytest.raises(DomainError):
+            sum_oscillatory_ibp([1], 1, mpf(1) / 2, "sin", 1, cfg20)
+
     def test_sine_sum_gives_log_gamma(self, cfg20):
         # Bourguet: sum_n (1/n) int sin(2 pi n t)/(x+t) dt is pi times the
         # remainder of log Gamma(x) after its Stirling part
         x = mpf(3) / 2
-        res = sum_oscillatory_ibp([1], 1, x, "sin", 12, 1, cfg20)
+        res = sum_oscillatory_ibp([1], 1, x, "sin", 1, cfg20)
         closed = mp.pi * (mp.loggamma(x) - mp.log(2 * mp.pi) / 2
                           - (x - mpf(1) / 2) * mp.log(x) + x)
         assert abs(res.value - closed) < mpf(10) ** -10
@@ -266,14 +313,14 @@ class TestOscillatorySum:
         # Briggs with P = L: gamma_1(x) = L/(2x) - L^2/2 + 2 * sum
         x = mpf(3) / 2
         L = mp.log(x)
-        res = sum_oscillatory_ibp([0, 1], 1, x, "cos", 14, 0, cfg20)
+        res = sum_oscillatory_ibp([0, 1], 1, x, "cos", 0, cfg20)
         closed = (mp.stieltjes(1, x) - L / (2 * x) + L ** 2 / 2) / 2
         assert abs(res.value - closed) < mpf(10) ** -10
         assert abs(res.value - closed) <= res.err_estimate
 
     def test_sine_needs_weight(self, cfg20):
         with pytest.raises(DomainError):
-            sum_oscillatory_ibp([1], 1, 1, "sin", 4, 0, cfg20)
+            sum_oscillatory_ibp([1], 1, 1, "sin", 0, cfg20)
 
 
 class TestZetaEM:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from stieltjes import constants
 from stieltjes.core import DomainError, PrecisionConfig, PrecisionError
 from stieltjes.constants import (adamchik_reflection, bell_series_gamma,
                                  briggs_gamma, coffey_difference_integral,
@@ -14,7 +15,7 @@ from stieltjes.constants import (adamchik_reflection, bell_series_gamma,
 from stieltjes.gammafuncs import digamma, log_gamma
 from stieltjes.kernels import hurwitz_zeta_em
 
-from conftest import assert_close
+from conftest import assert_close, record_results
 from reference_values import (GAMMA, GAMMA1, GAMMA1_HALF, GAMMA1_QUARTER,
                               GAMMA2, RAMANUJAN_S, ZETA2, ZETA_PRIME2)
 
@@ -69,6 +70,14 @@ class TestRoutes:
     def test_hasse_cap(self, cfg20):
         with pytest.raises(PrecisionError):
             hasse_gamma(13, 1, cfg20)
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_bell_claim_covers_its_terms_errors(self, m, cfg20):
+        # the accelerated sum inherits the error of every EM zeta value in
+        # its terms; at m = 0 they add up to 7.5e-29
+        res = bell_series_gamma(m, 1, cfg20)
+        assert res.converged
+        assert abs(res.value - mp.stieltjes(m)) <= res.err_estimate
 
     def test_bell_small_x_shift(self, cfg20):
         v = bell_series_gamma(1, mpf(1) / 2, cfg20).value
@@ -129,6 +138,21 @@ class TestCoffeyIntegral:
         assert rep.passed
         assert_close(rep.rhs, mp.log(2) - mp.log(3), mpf(10) ** -18,
                      "log(2/3)")
+
+    @pytest.mark.parametrize("q", [3, 10])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_quadrature_meets_the_request_below_one(self, n, q, cfg20,
+                                                    monkeypatch):
+        # u^(x-1) is singular at u = 0 for x < 1; in v = u^x it is gone
+        quads = record_results(monkeypatch, constants, "integrate_adaptive")
+        x = mpf(1) / q
+        rep = coffey_difference_integral(n, x, cfg20)
+        (quad,) = quads
+        assert quad.converged
+        exact = mp.fsum((-1) ** k * mp.binomial(n, k) * mp.log(k + x)
+                        for k in range(n + 1))
+        assert abs(quad.value - exact) <= quad.err_estimate
+        assert rep.passed
 
 
 class TestGamma1Prime:

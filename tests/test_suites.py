@@ -42,6 +42,24 @@ FAST_SUITES = {
                    ("odd-sine-log-series", "0.5", "", True),
                    ("odd-sine-log-series", "0.75", "", True)],
     "wallis": [("eq-3.17-wallis", "", "", True)],
+    "digamma-integral": [("digamma-log-integral", "1.0", NEGATIVE, True),
+                         ("digamma-log-integral", "2.0", NEGATIVE, True),
+                         ("digamma-log-integral", "2.71828182846", NEGATIVE,
+                          True)],
+    "sondow": [("eq-3.31-sondow-routes", "", "series vs integral at z=1/2",
+                True),
+               ("eq-3.31-sondow-z1", "", "", True),
+               ("eq-3.31-sondow-zm1", "", "", True),
+               ("sondow-2q-im", "", "omega=e^(i pi/2)", True),
+               ("sondow-2q-re", "", "omega=e^(i pi/2)", True)],
+    "poisson": [("eq-4.1-poisson", "0.5", "s=3.0", True),
+                ("eq-4.1-poisson", "1.0", "s=2.0", True)],
+    "briggs": [("eq-4.2-briggs", "1.0", "m=0", True),
+               ("eq-4.2-briggs", "1.0", "m=1", True),
+               ("eq-4.2-briggs", "2.0", "m=0", True)],
+    "bourguet": [("eq-4.4-bourguet", "1.0", "", True),
+                 ("eq-4.4-bourguet", "10.0", "", True),
+                 ("eq-4.4-bourguet", "2.5", "", True)],
     "ramanujan": [("ramanujan-closed-form", "", "Gamma(3/4) variant", True),
                   ("ramanujan-closed-form-as-printed", "", RAMANUJAN_PRINTED,
                    False),
