@@ -15,6 +15,8 @@ SUITE_IDS = [
 ]
 
 NEGATIVE = "integrand negative on (0,1)"
+SHIFT_DERIVED = "m>=1 generalization (derived, not displayed)"
+KOLBIG_SIGN = "sign of the integral term corrected from the printed form"
 RAMANUJAN_PRINTED = ("paper-discrepancy: printed Gamma(1/4) variant; "
                      "Gamma(3/4) matches the summed value")
 
@@ -42,6 +44,33 @@ FAST_SUITES = {
                    ("odd-sine-log-series", "0.5", "", True),
                    ("odd-sine-log-series", "0.75", "", True)],
     "wallis": [("eq-3.17-wallis", "", "", True)],
+    "shift": [("eq-2.9-shift", "0.5", "", True),
+              ("eq-2.9-shift", "2.0", "", True),
+              ("shift-general", "0.5", SHIFT_DERIVED, True),
+              ("shift-general", "1.0", SHIFT_DERIVED, True)],
+    "deninger": [("log-cosine-closed-form", "0.25", "", True),
+                 ("log-cosine-closed-form", "0.333333333333", "", True),
+                 ("log-cosine-closed-form", "0.5", "", True)],
+    "landau-f": [("log-cosine-functional-eq", "0.125", "", True),
+                 ("log-cosine-functional-eq", "0.166666666667", "", True),
+                 ("log-cosine-functional-eq", "0.25", "", True)],
+    "series-325-family": [("cosine-stieltjes", "0.333333333333", "", True),
+                          ("odd-cosine-rational", "0.25", "", True),
+                          ("odd-cosine-stieltjes", "0.333333333333", "",
+                           True),
+                          ("sine-stieltjes", "0.333333333333", "", True)],
+    "kolbig": [("eq-3.30-kolbig-equivalence", "", "", True),
+               ("eq-3.30-kolbig-integrated", "", KOLBIG_SIGN, True),
+               ("eq-3.30-kolbig-quadrature", "", "", True)],
+    "gamma1-rational": [("gamma1-rational-closed-form", "0.2", "1/5", True),
+                        ("gamma1-rational-closed-form", "0.25", "1/4", True),
+                        ("gamma1-rational-closed-form", "0.5", "1/2", True)],
+    "adamchik": [("eq-3.36-adamchik", "0.25", "1/4", True),
+                 ("eq-3.36-adamchik", "0.333333333333", "1/3", True),
+                 ("eq-3.36-adamchik", "0.4", "2/5", True)],
+    "landau-gamma1": [("landau-gamma1-functional", "0.166666666667", "",
+                       True),
+                      ("landau-gamma1-functional", "0.2", "", True)],
     "digamma-integral": [("digamma-log-integral", "1.0", NEGATIVE, True),
                          ("digamma-log-integral", "2.0", NEGATIVE, True),
                          ("digamma-log-integral", "2.71828182846", NEGATIVE,
