@@ -23,9 +23,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .core import (DEFAULT_CFG, DomainError, IdentityReport, NonConvergence,
-                   PrecisionConfig, PrecisionError, SeriesResult, as_real,
-                   shift_up)
+from .core import (DEFAULT_CFG, DomainError, NonConvergence, PrecisionConfig,
+                   PrecisionError, SeriesResult, as_real, shift_up)
 from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
                       sum_alternating_accelerated, sum_oscillatory_ibp)
 from .combinatorics import bell_harmonic, binomial
@@ -196,18 +195,6 @@ def stieltjes_gamma(m: int, x=1, method: str = "em",
     return _ROUTES[method](m, x, cfg)
 
 
-def stieltjes_shift(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG
-                    ) -> IdentityReport:
-    """Residual of gamma_m(x) - gamma_m(1+x) = log^m(x)/x."""
-    with cfg.workprec(40):
-        x = as_real(x)
-        tol = mpf(10) ** -12
-        lhs = em_gamma(m, x, cfg).value - em_gamma(m, x + 1, cfg).value
-        rhs = mp.log(x) ** m / x
-        meta = "" if m == 0 else "m>=1 generalization (derived, not displayed)"
-        return IdentityReport.build(f"shift-m{m}", lhs, rhs, tol, x=x, meta=meta)
-
-
 def digamma_hasse_series(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """psi(x) from the binomial double series (the m=0 route, sign flipped)."""
     with cfg.workprec(40):
@@ -215,30 +202,27 @@ def digamma_hasse_series(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
         return SeriesResult(+parts[1], +err, terms, cfg.tol())
 
 
-def coffey_difference_integral(n: int, x, cfg: PrecisionConfig = DEFAULT_CFG
-                               ) -> IdentityReport:
-    """int_0^1 u^(x-1)(1-u)^n / log u du == sum_k C(n,k)(-1)^k log(k+x),
-    the integral taken in v = u^x as int_0^1 (1 - v^(1/x))^n / log v dv,
-    whose integrand is bounded at both ends."""
+def coffey_integrand(n: int, x):
+    """v -> (1 - v^(1/x))^n / log v on (0,1), 0 elsewhere: the integrand of
+    :func:`coffey_difference_integral` in v = u^x, bounded at both ends."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    x = as_real(x)
+
+    def f(v):
+        if v <= 0 or v >= 1:
+            return mpf(0)
+        return (1 - v ** (1 / x)) ** n / mp.log(v)
+
+    return f
+
+
+def coffey_difference_integral(n: int, x, cfg: PrecisionConfig = DEFAULT_CFG
+                               ) -> SeriesResult:
+    """int_0^1 u^(x-1)(1-u)^n / log u du, which equals
+    sum_k C(n,k)(-1)^k log(k+x): the quadrature's result."""
     with cfg.workprec(40):
-        x = as_real(x)
-        tol = mpf(10) ** -10
-
-        def f(v):
-            if v <= 0 or v >= 1:
-                return mpf(0)
-            return (1 - v ** (1 / x)) ** n / mp.log(v)
-
-        lhs = integrate_adaptive(f, 0, 1, cfg).value
-        rhs = mp.fsum((binomial(n, k) if k % 2 == 0 else -binomial(n, k))
-                      * mp.log(k + x) for k in range(n + 1))
-        neg_ok = all(f(mpf(u) / 10) < 0 for u in range(1, 10))
-        return IdentityReport.build(
-            f"coffey-integral-n{n}", lhs, rhs, tol, x=x,
-            meta="integrand negative on (0,1)" if neg_ok
-            else "WARNING: integrand sign check failed")
+        return integrate_adaptive(coffey_integrand(n, x), 0, 1, cfg)
 
 
 def gamma1_prime(x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
@@ -299,43 +283,36 @@ def gamma1_rational(r: Fraction, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
 
 
 def adamchik_reflection(r: Fraction, cfg: PrecisionConfig = DEFAULT_CFG
-                        ) -> IdentityReport:
-    """gamma_1(1-p/q) - gamma_1(p/q) against its cot / log Gamma closed form."""
+                        ) -> mpf:
+    """gamma_1(1-p/q) - gamma_1(p/q) by its cot / log Gamma closed form."""
     r = _check_rational(r)
     p, q = r.numerator, r.denominator
     with cfg.workprec(40):
-        tol = mpf(10) ** -8
-        g = mp.euler
-        lhs = (em_gamma(1, 1 - mpf(p) / q, cfg).value
-               - em_gamma(1, mpf(p) / q, cfg).value)
         cot = _angle_cos(r) / _angle_sin(r)
-        rhs = mp.pi * (mp.log(2 * mp.pi * q) + g) * cot
+        value = mp.pi * (mp.log(2 * mp.pi * q) + mp.euler) * cot
         for j in range(1, q):
-            rhs -= (2 * mp.pi * gammafuncs.log_gamma(mpf(j) / q, cfg).value
-                    * _angle_sin(Fraction(2 * j * p, q)))
-        return IdentityReport.build(f"reflection-{p}-{q}", lhs, rhs, tol,
-                                    x=mpf(p) / q)
+            value -= (2 * mp.pi * gammafuncs.log_gamma(mpf(j) / q, cfg).value
+                      * _angle_sin(Fraction(2 * j * p, q)))
+        return value
 
 
-def landau_gamma1_functional(x, cfg: PrecisionConfig = DEFAULT_CFG
-                             ) -> IdentityReport:
-    """First-Stieltjes functional equation on 0 < x < 1/2."""
+def landau_gamma1_functional(x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
+    """2(g(2x) - g(1-2x)) - (g(x) - g(1-x)) - 2 pi log 2 cot(2 pi x) on
+    0 < x < 1/2, g = gamma_1 by the default route: the first Stieltjes
+    functional equation makes it g(x + 1/2) - g(1/2 - x)."""
     with cfg.workprec(40):
         x = as_real(x)
         if not 0 < x < mpf(1) / 2:
             raise DomainError("x must lie in (0, 1/2)")
         if min(x, mpf(1) / 2 - x) < mpf(10) ** -3:
             raise DomainError("x too close to the cot(2 pi x) poles")
-        tol = mpf(10) ** -6
 
         def g1(v):
             return em_gamma(1, v, cfg).value
 
-        lhs = g1(x + mpf(1) / 2) - g1(mpf(1) / 2 - x)
         cot2 = mp.cos(2 * mp.pi * x) / mp.sin(2 * mp.pi * x)
-        rhs = (2 * (g1(2 * x) - g1(1 - 2 * x)) - (g1(x) - g1(1 - x))
-               - 2 * mp.pi * mp.log(2) * cot2)
-        return IdentityReport.build("landau-functional", lhs, rhs, tol, x=x)
+        return (2 * (g1(2 * x) - g1(1 - 2 * x)) - (g1(x) - g1(1 - x))
+                - 2 * mp.pi * mp.log(2) * cot2)
 
 
 def ramanujan_exp_sum(cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
@@ -351,35 +328,3 @@ def ramanujan_exp_sum(cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
                 break
             n += 1
         return +S
-
-
-def coffey_ramanujan_sum(cfg: PrecisionConfig = DEFAULT_CFG):
-    """Three reports around the exponential sum S.
-
-    (a) the gamma_1(3/4)-gamma_1(1/4) display against the reflection closed
-    form; (b) S against the Gamma(3/4) closed form (matches); (c) S against
-    the Gamma(1/4) variant as printed in the source material (recorded as
-    failing, annotated).
-    """
-    with cfg.workprec(40):
-        g = mp.euler
-        S = ramanujan_exp_sum(cfg)
-        tol = mpf(10) ** -10
-        quarter = Fraction(1, 4)
-        lg14 = gammafuncs.log_gamma(mpf(1) / 4, cfg).value
-        lg34 = gammafuncs.log_gamma(mpf(3) / 4, cfg).value
-        coffey = mp.pi * (mp.pi / 3 + g + 4 * S)
-        reflection = (mp.pi * (mp.log(8 * mp.pi) + g)
-                      - 2 * mp.pi * (lg14 - lg34))
-        rep_a = IdentityReport.build("ramanujan-coffey-display", coffey,
-                                     reflection, tol, x=mpf(1) / 4)
-        closed34 = mp.log(4 / mp.pi) / 4 + lg34 - mp.pi / 12
-        rep_b = IdentityReport.build("ramanujan-closed-form", S, closed34, tol,
-                                     meta="Gamma(3/4) variant")
-        closed14 = mp.log(4 / mp.pi) / 4 + lg14 - mp.pi / 12
-        rep_c = IdentityReport.build("ramanujan-closed-form-as-printed", S,
-                                     closed14, tol,
-                                     meta="paper-discrepancy: printed "
-                                          "Gamma(1/4) variant; Gamma(3/4) "
-                                          "matches the summed value")
-        return [rep_a, rep_b, rep_c]

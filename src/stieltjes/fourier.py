@@ -6,9 +6,10 @@ Every conditionally convergent sum routes through
 :func:`stieltjes.kernels.sum_trig_averaged` (a direct head and an
 Euler-Abel transform of the tail); no evaluator implements its own
 summation.  The sums run to the requested digits, at a cost of
-O(bits / sin pi x) terms for any x.  Verdict tolerances:
-``TRIG_TOL`` (1e-4) for the identities whose other side is a zeta''(0, .)
-or gamma_1 closed form, 1e-5 or 1e-8 for the rest.
+O(bits / sin pi x) terms for any x.  Each evaluator computes one side of
+an identity: a sum returns the kernel's ``SeriesResult``, a closed form
+its value.  Which two sides meet, and within which tolerance, is decided
+by the suite table, :data:`stieltjes.suites.CATALOGUE`.
 """
 
 from __future__ import annotations
@@ -18,17 +19,12 @@ from typing import Union
 
 from mpmath import mp, mpc, mpf
 
-from .core import (DEFAULT_CFG, DomainError, IdentityReport, PrecisionConfig,
-                   SeriesResult, as_real)
+from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
+                   as_real)
 from .kernels import hurwitz_zeta_em, integrate_adaptive, sum_trig_averaged
 from .constants import hasse_gamma
 from .hurwitz import zeta_doubleprime0
 from . import gammafuncs
-
-# verdict tolerance of the log-cosine and log(1+1/n) Stieltjes identities;
-# their sides agree to the requested digits, but the tolerance is part of
-# every report, so it stays at 1e-4
-TRIG_TOL = mpf(10) ** -4
 
 
 def lerch_transform(c, mode: str, x,
@@ -45,36 +41,32 @@ def lerch_transform(c, mode: str, x,
     return sum_trig_averaged(diff, mode, x, cfg, odd_multiples=True, n0=0)
 
 
-def kummer_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> IdentityReport:
-    """log Gamma(x) against its sine-series expansion on (0,1)."""
+def kummer_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
+    """log Gamma(x) on (0,1) by Kummer's series: an elementary part plus
+    (1/pi) sum log n/n sin(2 pi n x).  The claim is the sine sum's over pi,
+    plus the rounding of the elementary part."""
     with cfg.workprec(40):
         x = as_real(x)
         if not 0 < x < 1:
             raise DomainError("expansion valid on (0,1) only")
-        tol = mpf(10) ** -5
         sine = sum_trig_averaged(lambda n: mp.log(n) / n if n > 1 else mpf(0),
                                  "sin", x, cfg)
-        lhs = (mp.log(mp.pi / mp.sin(mp.pi * x)) / 2
-               + (mp.euler + mp.log(2 * mp.pi)) * (mpf(1) / 2 - x)
-               + sine.value / mp.pi)
-        rhs = gammafuncs.log_gamma(x, cfg).value
-        return IdentityReport.build("kummer-log-gamma", lhs, rhs, tol, x=x)
+        elementary = (mp.log(mp.pi / mp.sin(mp.pi * x)) / 2
+                      + (mp.euler + mp.log(2 * mp.pi)) * (mpf(1) / 2 - x))
+        value = elementary + sine.value / mp.pi
+        err = (sine.err_estimate / mp.pi
+               + 8 * mpf(2) ** -mp.prec * (abs(elementary) + abs(value)))
+        return SeriesResult(value, err, sine.terms_used, cfg.tol())
 
 
-def series_316(x, cfg: PrecisionConfig = DEFAULT_CFG) -> IdentityReport:
-    """sum log(1+1/n) sin((2n+1) pi x) against its digamma closed form."""
+def series_316(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
+    """sum_{n>=1} log(1+1/n) sin((2n+1) pi x) on (0,1)."""
     with cfg.workprec(40):
         x = as_real(x)
         if not 0 < x < 1:
             raise DomainError("valid on (0,1) only")
-        tol = mpf(10) ** -5
-        lhs = sum_trig_averaged(lambda n: mp.log(1 + mpf(1) / n), "sin", x,
-                                cfg, odd_multiples=True).value
-        sx, cx = mp.sin(mp.pi * x), mp.cos(mp.pi * x)
-        rhs = -(gammafuncs.digamma(x, cfg).value * sx + mp.pi / 2 * cx
-                + (mp.euler + mp.log(2 * mp.pi)) * sx)
-        return IdentityReport.build("odd-sine-log-series", lhs, rhs, tol,
-                                    x=x)
+        return sum_trig_averaged(lambda n: mp.log(1 + mpf(1) / n), "sin", x,
+                                 cfg, odd_multiples=True)
 
 
 def wallis_alternating(cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -85,41 +77,38 @@ def wallis_alternating(cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
                              mpf(1) / 2, cfg)
 
 
-def _deninger_closed(x, cfg) -> mpf:
-    return ((zeta_doubleprime0(x, cfg=cfg).value
-             + zeta_doubleprime0(1 - x, cfg=cfg).value) / 2
-            + (mp.euler + mp.log(2 * mp.pi)) * mp.log(2 * mp.sin(mp.pi * x)))
-
-
-def deninger_f(x, cfg: PrecisionConfig = DEFAULT_CFG) -> IdentityReport:
-    """sum log n/n cos(2 pi n x) against the zeta''(0,.) closed form."""
+def deninger_f(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
+    """f(x) = sum_{n>=2} log n/n cos(2 pi n x) on (0,1)."""
     with cfg.workprec(40):
         x = as_real(x)
         if not 0 < x < 1:
             raise DomainError("valid on (0,1) only")
-        tol = TRIG_TOL
-        lhs = sum_trig_averaged(lambda n: mp.log(n) / n if n > 1 else mpf(0),
-                                "cos", x, cfg).value
-        rhs = _deninger_closed(x, cfg)
-        return IdentityReport.build("log-cosine-closed-form", lhs, rhs,
-                                    tol, x=x)
+        return sum_trig_averaged(lambda n: mp.log(n) / n if n > 1 else mpf(0),
+                                 "cos", x, cfg)
 
 
-def landau_f_functional(x, cfg: PrecisionConfig = DEFAULT_CFG
-                        ) -> IdentityReport:
-    """f(x+1/2) = f(2x) - f(x) - log2 log(2 sin 2 pi x) on 0 < x < 1/2."""
+def deninger_closed(x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
+    """f(x) of :func:`deninger_f` by its closed form, (zeta''(0, x) +
+    zeta''(0, 1-x))/2 + (gamma + log 2 pi) log(2 sin pi x)."""
+    with cfg.workprec(40):
+        x = as_real(x)
+        return ((zeta_doubleprime0(x, cfg=cfg).value
+                 + zeta_doubleprime0(1 - x, cfg=cfg).value) / 2
+                + (mp.euler + mp.log(2 * mp.pi))
+                * mp.log(2 * mp.sin(mp.pi * x)))
+
+
+def landau_f_functional(x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
+    """f(2x) - f(x) - log 2 log(2 sin 2 pi x) on 0 < x < 1/2, f by its
+    closed form: Landau's functional equation makes it f(x + 1/2)."""
     with cfg.workprec(40):
         x = as_real(x)
         if not 0 < x < mpf(1) / 2:
             raise DomainError("x must lie in (0, 1/2)")
         if min(x, mpf(1) / 2 - x) < mpf(10) ** -3:
             raise DomainError("x too close to the log(2 sin 2 pi x) poles")
-        tol = TRIG_TOL
-        lhs = _deninger_closed(x + mpf(1) / 2, cfg)
-        rhs = (_deninger_closed(2 * x, cfg) - _deninger_closed(x, cfg)
-               - mp.log(2) * mp.log(2 * mp.sin(2 * mp.pi * x)))
-        return IdentityReport.build("log-cosine-functional-eq", lhs, rhs,
-                                    tol, x=x)
+        return (deninger_closed(2 * x, cfg) - deninger_closed(x, cfg)
+                - mp.log(2) * mp.log(2 * mp.sin(2 * mp.pi * x)))
 
 
 def gamma1_fourier(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -152,120 +141,97 @@ def gamma1_fourier(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
 
 
 def series_325_family(x, which: str, cfg: PrecisionConfig = DEFAULT_CFG
-                      ) -> IdentityReport:
-    """The log(1+1/n) trigonometric family against its closed forms.
+                      ) -> mpf:
+    """Closed forms of the log(1+1/n) trigonometric family on (0,1).
 
-    ``which`` selects the variant: "3.25" (odd cosine), "3.27" (odd cosine at
-    an exact rational, log Gamma closed form), "3.28" (cosine), "3.29" (sine).
+    ``which`` selects the series: "3.25" sum log(1+1/n) cos((2n+1) pi x) and,
+    at an exact rational x, "3.27" the same in log Gamma(j/q); "3.28"
+    sum log(1+1/n) cos(2 pi n x) and "3.29" its sine companion.  All but
+    3.27 are in gamma_1(1-x) - gamma_1(x), by the Hasse route.
     """
     with cfg.workprec(40):
-        coeff = lambda n: mp.log(1 + mpf(1) / n)
         if which == "3.27":
             r = Fraction(x)
             if not 0 < r < 1:
                 raise DomainError("rational x must lie in (0,1)")
             p, q = r.numerator, r.denominator
-            xr = mpf(p) / q
-            tol = mpf(10) ** -5
-            lhs = sum_trig_averaged(coeff, "cos", xr, cfg,
-                                    odd_multiples=True).value
-            rhs = mp.log(q) * mp.cospi(mpf(p) / q)
+            value = mp.log(q) * mp.cospi(mpf(p) / q)
             gsum = mpf(0)
             for j in range(1, q):
                 gsum += (gammafuncs.log_gamma(mpf(j) / q, cfg).value
                          * mp.sinpi(mpf(2 * j * p) / q))
-            rhs -= 2 * mp.sinpi(mpf(p) / q) * gsum
-            return IdentityReport.build("odd-cosine-rational", lhs, rhs,
-                                        tol, x=xr)
+            return value - 2 * mp.sinpi(mpf(p) / q) * gsum
+        if which not in ("3.25", "3.28", "3.29"):
+            raise ValueError(f"unknown family member {which!r}")
         x = as_real(x)
         if not 0 < x < 1:
             raise DomainError("x must lie in (0,1)")
-        tol = TRIG_TOL
         sx, cx = mp.sin(mp.pi * x), mp.cos(mp.pi * x)
         g1_diff = (hasse_gamma(1, 1 - x, cfg).value
                    - hasse_gamma(1, x, cfg).value)
-        glog = mp.euler + mp.log(2 * mp.pi)
         if which == "3.25":
-            lhs = sum_trig_averaged(coeff, "cos", x, cfg,
-                                    odd_multiples=True).value
-            rhs = g1_diff * sx / mp.pi - glog * cx
-            name = "odd-cosine-stieltjes"
-        elif which == "3.28":
-            lhs = sum_trig_averaged(coeff, "cos", x, cfg).value
-            rhs = (g1_diff * sx * cx / mp.pi - glog
-                   - (gammafuncs.digamma(x, cfg).value * sx
-                      + mp.pi / 2 * cx) * sx)
-            name = "cosine-stieltjes"
-        elif which == "3.29":
-            lhs = sum_trig_averaged(coeff, "sin", x, cfg).value
-            rhs = (-g1_diff * sx ** 2 / mp.pi
-                   - (gammafuncs.digamma(x, cfg).value * sx
-                      + mp.pi / 2 * cx) * cx)
-            name = "sine-stieltjes"
-        else:
-            raise ValueError(f"unknown family member {which!r}")
-        return IdentityReport.build(name, lhs, rhs, tol, x=x)
+            return g1_diff * sx / mp.pi - (mp.euler + mp.log(2 * mp.pi)) * cx
+        psi = gammafuncs.digamma(x, cfg).value * sx + mp.pi / 2 * cx
+        if which == "3.28":
+            return (g1_diff * sx * cx / mp.pi - (mp.euler + mp.log(2 * mp.pi))
+                    - psi * sx)
+        return -g1_diff * sx ** 2 / mp.pi - psi * cx
 
 
-def _log_ratio_tail_sum(N: int, cfg) -> mpf:
-    """sum_{n>N} log(1+1/n)/(2n+1) by exact asymptotic resummation."""
-    # product of the 1/n expansions of log(1+1/n) and 1/(2n+1), coefficients
-    # exact rationals; tails become Hurwitz zeta values at integer s
+def _kolbig_s1(cfg) -> SeriesResult:
+    """S1 = sum_{n>=2} log n/(4n^2 - 1) = -sum_j zeta'(2j, 1)/4^j.  A term is
+    at most 1/16 of the one before, so the rest is at most 1/15 of the last."""
+    S1 = err = mpf(0)
+    j = 1
     tol = cfg.tol() * mpf(10) ** -2
-    total = mpf(0)
+    while True:
+        z = hurwitz_zeta_em(2 * j, 1, 1, cfg)
+        term = -z.value / mpf(4) ** j
+        S1 += term
+        err += z.err_estimate / mpf(4) ** j
+        if abs(term) < tol:
+            break
+        j += 1
+    err += abs(term) / 15 + j * mpf(2) ** -mp.prec * abs(S1)
+    return SeriesResult(S1, err, j, cfg.tol())
+
+
+def _kolbig_s2(cfg) -> SeriesResult:
+    """S2 = sum_{n>=1} log(1+1/n)/(2n+1): N = 40 terms, then the tail
+    sum_k c_k zeta(k, N+1), c_k = (-1)^k sum_{i<k} 2^(i-k)/i.  As |c_k| < 1
+    and zeta(k, N+1) <= (N+1)^-k (1 + (N+1)/(k-1)), the terms past the last
+    one summed, k, add up to at most (N+1)^-k (1 + (N+1)/k) / N."""
+    N = 40
+    head = mp.fsum(mp.log(1 + mpf(1) / n) / (2 * n + 1)
+                   for n in range(1, N + 1))
+    tol = cfg.tol() * mpf(10) ** -2
+    tail = err = mpf(0)
     k = 2
-    while k < 200:
-        c_k = Fraction(0)
-        for i in range(1, k):
-            j = k - 1 - i
-            c_k += Fraction((-1) ** (i + 1) * (-1) ** j, i * 2 ** (j + 1))
-        term = (mpf(c_k.numerator) / c_k.denominator
-                * hurwitz_zeta_em(k, N + 1, 0, cfg).value) if c_k else mpf(0)
-        total += term
+    while True:
+        c_k = (-1) ** k * sum(Fraction(1, i * 2 ** (k - i))
+                              for i in range(1, k))
+        z = hurwitz_zeta_em(k, N + 1, 0, cfg)
+        c = mpf(c_k.numerator) / c_k.denominator
+        term = c * z.value
+        tail += term
+        err += abs(c) * z.err_estimate
         if abs(term) < tol and k > 4:
             break
         k += 1
-    return total
+    err += (mpf(N + 1) ** -k * (1 + mpf(N + 1) / k) / N
+            + (N + k) * mpf(2) ** -mp.prec * (head + abs(tail)))
+    return SeriesResult(head + tail, err, N + k - 1, cfg.tol())
 
 
 def kolbig_check(cfg: PrecisionConfig = DEFAULT_CFG):
-    """Three-way check of the psi(x) sin(pi x) integral and its series forms.
-
-    Returns reports for (a) the equivalence 2 sum log n/(4n^2-1) =
-    sum log(1+1/n)/(2n+1), (b) quadrature vs the log-series closed form,
-    (c) quadrature vs the integrated odd-sine series form.
-    """
+    """The sides (S1, S2, I) of Kolbig's identity, each a ``SeriesResult``:
+    I = int_0^1 psi(t) sin(pi t) dt = -(2/pi)(g + 2 S1) = -(2/pi)(g + S2),
+    g = gamma + log 2 pi, S1 and S2 as in _kolbig_s1 and _kolbig_s2."""
     with cfg.workprec(40):
-        g2pi = mp.euler + mp.log(2 * mp.pi)
-        # S1 = sum_{n>=2} log n/(4 n^2 - 1) via 1/(4n^2-1) = sum_j (4n^2)^-j
-        S1 = mpf(0)
-        j = 1
-        tol = cfg.tol() * mpf(10) ** -2
-        while True:
-            term = -hurwitz_zeta_em(2 * j, 1, 1, cfg).value / mpf(4) ** j
-            S1 += term
-            if abs(term) < tol or j > 60:
-                break
-            j += 1
-        # S2 = sum log(1+1/n)/(2n+1), head + exact tail
-        N = 40
-        S2 = mp.fsum(mp.log(1 + mpf(1) / n) / (2 * n + 1)
-                     for n in range(1, N + 1))
-        S2 += _log_ratio_tail_sum(N, cfg)
         quad = integrate_adaptive(
             lambda t: gammafuncs.digamma(t, cfg).value * mp.sin(mp.pi * t)
             if 0 < t < 1 else mpf(0), 0, 1, cfg)
-        kolbig_form = -(2 / mp.pi) * (g2pi + 2 * S1)
-        integrated_form = -(2 / mp.pi) * g2pi - (2 / mp.pi) * S2
-        rep_eq = IdentityReport.build(
-            "kolbig-series-equivalence", 2 * S1, S2, mpf(10) ** -10)
-        rep_quad = IdentityReport.build(
-            "kolbig-quadrature", quad.value, kolbig_form, mpf(10) ** -8)
-        rep_int = IdentityReport.build(
-            "kolbig-integrated-series", quad.value, integrated_form,
-            mpf(10) ** -8,
-            meta="sign of the integral term corrected from the printed form")
-        return [rep_eq, rep_quad, rep_int]
+        return _kolbig_s1(cfg), _kolbig_s2(cfg), quad
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +301,9 @@ def _sondow_circle(z: Fraction, cfg) -> SeriesResult:
     cosine and sine sums C, S of the coefficients at x = p/(2q)."""
     theta = mpf(z.numerator) / z.denominator
     C = sum_trig_averaged(_euler_coeff, "cos", theta / 2, cfg)
-    S = sum_trig_averaged(_euler_coeff, "sin", theta / 2, cfg)
+    # at z = -1 the sine series sin(pi n) a_n vanishes term by term
+    S = (SeriesResult(mpf(0), mpf(0), 0, cfg.tol()) if z == 1 else
+         sum_trig_averaged(_euler_coeff, "sin", theta / 2, cfg))
     re = C.value * mp.cospi(theta) + S.value * mp.sinpi(theta)
     im = S.value * mp.cospi(theta) - C.value * mp.sinpi(theta)
     err = (C.err_estimate + S.err_estimate

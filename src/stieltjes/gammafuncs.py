@@ -4,7 +4,7 @@ log Gamma(x) = zeta'(0, x) + log(2 pi)/2, psi(x) = -gamma_0(x) and
 psi^(k)(x) = (-1)^(k+1) k! zeta(k+1, x) all come from
 ``kernels._em_log_power_sum``, whose cost does not grow with x.  The
 oscillatory-integral form of log Gamma (Bourguet) and the integral form of
-psi are kept as identity checks.
+psi(x) - log x are kept as independent sides of identity checks.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .core import (DEFAULT_CFG, DomainError, IdentityReport, PrecisionConfig,
-                   SeriesResult, as_real, shift_up)
+from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
+                   as_real, shift_up)
 from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
                       sum_oscillatory_ibp)
 
@@ -94,9 +94,10 @@ def _log_kernel_bracket(u) -> mpf:
     return acc
 
 
-def digamma_integral_check(x, cfg: PrecisionConfig = DEFAULT_CFG
-                           ) -> IdentityReport:
-    """Check psi(x) - log x == -int_0^1 u^(x-1)[1/(1-u) + 1/log u] du.
+def digamma_log_integral(x, cfg: PrecisionConfig = DEFAULT_CFG
+                         ) -> SeriesResult:
+    """psi(x) - log x = -int_0^1 u^(x-1)[1/(1-u) + 1/log u] du: the
+    quadrature's result.
 
     The integrand is strictly negative on (0,1), consistent with
     psi(x) < log x for all x > 0.  The quadrature runs in v = u^x, where
@@ -104,18 +105,13 @@ def digamma_integral_check(x, cfg: PrecisionConfig = DEFAULT_CFG
     """
     with cfg.workprec(40):
         x = _require_positive(x)
-        tol = mpf(10) ** -10
 
         def f(v):
             if v <= 0 or v >= 1:
                 return mpf(0)
             return -_log_kernel_bracket(v ** (1 / x)) / x
 
-        quadrature = integrate_adaptive(f, 0, 1, cfg)
-        lhs = quadrature.value
-        rhs = digamma(x, cfg).value - mp.log(x)
-        return IdentityReport.build("digamma-log-integral", lhs, rhs, tol, x=x,
-                                    meta="integrand negative on (0,1)")
+        return integrate_adaptive(f, 0, 1, cfg)
 
 
 def bourguet_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:

@@ -585,6 +585,27 @@ def _em_plan(bits: int, s: float, deg: int, monomial: bool):
     return N, K, _em_guard_bits(N, s, deg)
 
 
+def _em_tail_guard(deg: int, s, y) -> float:
+    """Bits the continued tail loses to cancellation, for s < 1, y = N + x.
+
+    Per monomial L^d the tail is (-1)^(d+1) d! y^(1-s) e_d(-u)/(1-s)^(d+1),
+    u = (1-s) log y, e_d(z) = sum_{i<=d} z^i/i!; its terms' absolute values
+    add up to e_d(u) in place of |e_d(-u)|.  That ratio, against no less
+    than the last term u^d/d! (a scale :func:`_em_guard_bits` covers), is at
+    most 1.6 d bits, so 64 + 2d bits compute it."""
+    if s >= 1 or deg == 0:
+        return 0.0
+    with mp.workprec(64 + 2 * deg):
+        u = (1 - mpf(s)) * mp.log(y)
+        term = pos = alt = worst = mpf(1)
+        for i in range(1, deg + 1):
+            term *= u / i
+            pos += term
+            alt += -term if i % 2 else term
+            worst = max(worst, pos / max(abs(alt), term))
+        return float(mp.log(worst, 2))
+
+
 def _em_log_power_sum(poly, s, x, cfg) -> SeriesResult:
     """sum_{k>=0} P(log(k+x)) (k+x)^-s by Euler-Maclaurin, for every real s.
 
@@ -594,20 +615,21 @@ def _em_log_power_sum(poly, s, x, cfg) -> SeriesResult:
     L^d (A = log(N+x)), which makes the sum gamma_m(x) for P = L^m.  Then
     f(N)/2 and K Bernoulli corrections, whose derivatives come from
     :func:`_log_poly_step`.  N, K and the guard bits come from
-    :func:`_em_plan` (target digits, s, deg P), never from x.  The error
-    estimate is the remainder bound of :func:`_em_remainder_log` plus a
-    bound on the rounding of every term summed.
-    """
+    :func:`_em_plan` (target digits, s, deg P), never from x; below s = 1
+    :func:`_em_tail_guard` adds the tail's cancellation.  The error estimate
+    is the remainder bound of :func:`_em_remainder_log` plus a bound on the
+    rounding of every term summed, the tail's terms each counted."""
     deg = len(poly) - 1
     tol = cfg.tol()
     bits = int(math.ceil(float(-mp.log(tol, 2))))
     monomial = sum(1 for c in poly if c != 0) == 1
     N, K, guard = _em_plan(bits, float(s), deg, monomial)
-    wp = bits + int(guard) + (N + 2 * K).bit_length() + 16
     # s and x keep the caller's precision: rounding s to wp bits would cost
     # s - 1 its relative precision near the pole
     s = mpf(s)
     x = mpf(x)
+    guard += _em_tail_guard(deg, s, N + x)
+    wp = bits + int(guard) + (N + 2 * K).bit_length() + 16
     with mp.workprec(wp):
         P = [mpf(c) for c in poly]
         tot = mpf(0)
@@ -625,17 +647,22 @@ def _em_log_power_sum(poly, s, x, cfg) -> SeriesResult:
         if s == 1:
             tail = -mp.fsum(P[d] * A ** (d + 1) / (d + 1)
                             for d in range(deg + 1))
+            mag += abs(tail)
         else:
-            tail = mpf(0)
+            # below s = 1 the terms alternate: their absolute values count
+            tail = tail_mag = mpf(0)
             for d in range(deg + 1):
-                tail += P[d] * mp.fsum(
-                    mp.factorial(d) / mp.factorial(i) * A ** i
-                    / (s - 1) ** (d - i + 1) for i in range(d + 1))
-            tail *= mp.exp((1 - s) * A)
+                terms = [mp.factorial(d) / mp.factorial(i) * A ** i
+                         / (s - 1) ** (d - i + 1) for i in range(d + 1)]
+                tail += P[d] * mp.fsum(terms)
+                tail_mag += abs(P[d]) * mp.fsum(terms, absolute=True)
+            grow = mp.exp((1 - s) * A)
+            tail *= grow
+            mag += tail_mag * grow
         pw = mp.exp(-s * A)  # (N+x)^-(s+r)
         half = _horner(P, A) * pw / 2
         tot += tail + half
-        mag += abs(tail) + abs(half)
+        mag += abs(half)
         inv = 1 / (N + x)
         Pr = P
         fact = 1

@@ -50,3 +50,20 @@ def record_results(monkeypatch, module, name):
 def assert_close(a, b, tol, label=""):
     d = abs(mpf(a) - mpf(b))
     assert d <= mpf(tol), f"{label}: |{a} - {b}| = {d} > {tol}"
+
+
+def sides(suite, identity):
+    """The two sides of the catalogue row ``identity`` of ``suite``, each
+    returning a bare value, called as f(*point, cfg)."""
+    from stieltjes.core import SeriesResult
+    from stieltjes.suites import CATALOGUE
+
+    (row,) = [r for r in CATALOGUE[suite] if r.identity == identity]
+
+    def value(f):
+        def call(*args):
+            v = f(*args)
+            return v.value if isinstance(v, SeriesResult) else v
+        return call
+
+    return tuple(value(f) for f in row.check)

@@ -11,9 +11,10 @@ import pytest
 from mpmath import mp, mpf
 
 from stieltjes.core import PrecisionConfig
-from stieltjes import constants, fourier, gammafuncs, hurwitz
+from stieltjes import constants, fourier, gammafuncs, hurwitz, suites
 from stieltjes.kernels import sum_trig_averaged
 
+from conftest import sides
 from reference_values import GAMMA
 
 CFG20 = PrecisionConfig(digits=20)
@@ -70,8 +71,11 @@ def test_criterion_04_reflection_formula():
     with mp.workprec(400):
         ok = True
         for p, q in ((1, 3), (1, 4), (2, 5)):
-            rep = constants.adamchik_reflection(Fraction(p, q), CFG30)
-            ok = ok and rep.passed
+            closed = constants.adamchik_reflection(Fraction(p, q), CFG30)
+            x = mpf(p) / q
+            diff = (constants.em_gamma(1, 1 - x, CFG30).value
+                    - constants.em_gamma(1, x, CFG30).value)
+            ok = ok and abs(closed - diff) <= mpf(10) ** -8
     _line(4, ok, "reflection closed form at 1/3, 1/4, 2/5 (tol 1e-8)")
 
 
@@ -101,17 +105,18 @@ def test_criterion_07_kummer_series():
     with mp.workprec(400):
         ok = True
         for x in (mpf(1) / 4, mpf(1) / 3, mpf(2) / 3):
-            rep = fourier.kummer_log_gamma(x, CFG20)
-            ok = ok and rep.passed
+            kummer = fourier.kummer_log_gamma(x, CFG20).value
+            lg = gammafuncs.log_gamma(x, CFG20).value
+            ok = ok and abs(kummer - lg) <= mpf(10) ** -5
     _line(7, ok, "log Gamma sine series at 1/4, 1/3, 2/3 (tol 1e-5)")
 
 
 def test_criterion_08_odd_sine_series_and_wallis():
     with mp.workprec(400):
         ok = True
+        series, closed = sides("series-316", "odd-sine-log-series")
         for x in (mpf(1) / 4, mpf(1) / 3, mpf(3) / 4):
-            rep = fourier.series_316(x, CFG20)
-            ok = ok and rep.passed
+            ok = ok and abs(series(x, CFG20) - closed(x, CFG20)) <= mpf(10) ** -5
         w = fourier.wallis_alternating(CFG20)
         ok = ok and abs(w.value - mp.log(mp.pi / 2)) <= mpf(10) ** -10
     _line(8, ok, "odd sine series (1e-5) and accelerated log(pi/2) (1e-10)")
@@ -121,9 +126,12 @@ def test_criterion_09_deninger_and_landau():
     with mp.workprec(400):
         ok = True
         for x in (mpf(1) / 4, mpf(1) / 3, mpf("0.4")):
-            ok = ok and fourier.deninger_f(x, CFG20).passed
+            f = fourier.deninger_f(x, CFG20).value
+            ok = ok and abs(f - fourier.deninger_closed(x, CFG20)) <= mpf(10) ** -4
         for x in (mpf(1) / 4, mpf(1) / 6, mpf(1) / 8):
-            ok = ok and fourier.landau_f_functional(x, CFG20).passed
+            lhs = fourier.deninger_closed(x + mpf(1) / 2, CFG20)
+            rhs = fourier.landau_f_functional(x, CFG20)
+            ok = ok and abs(lhs - rhs) <= mpf(10) ** -4
     _line(9, ok, "log-cosine closed form and its functional equation (1e-4)")
 
 
@@ -139,21 +147,25 @@ def test_criterion_10_gamma1_trigonometric_series():
 
 def test_criterion_11_kolbig_triple_check():
     with mp.workprec(400):
-        rep_eq, rep_quad, rep_int = fourier.kolbig_check(CFG20)
-        ok = (rep_eq.residual <= mpf(10) ** -10
-              and rep_quad.residual <= mpf(10) ** -8
-              and rep_int.residual <= mpf(10) ** -8)
+        S1, S2, quad = (r.value for r in fourier.kolbig_check(CFG20))
+        g = mp.euler + mp.log(2 * mp.pi)
+        ok = (abs(2 * S1 - S2) <= mpf(10) ** -10
+              and abs(quad + (2 / mp.pi) * (g + 2 * S1)) <= mpf(10) ** -8
+              and abs(quad + (2 / mp.pi) * (g + S2)) <= mpf(10) ** -8)
     _line(11, ok, "series equivalence 1e-10, quadrature agreement 1e-8")
 
 
 def test_criterion_12_ramanujan_sum():
     with mp.workprec(400):
-        rep_display, rep_g34, rep_g14 = constants.coffey_ramanujan_sum(CFG30)
+        reports, _ = suites.run_suites(["ramanujan"], CFG30)
+        printed = {r.identity: r for r in reports}
+        g34 = printed["ramanujan-closed-form"]
+        g14 = printed["ramanujan-closed-form-as-printed"]
         S = constants.ramanujan_exp_sum(CFG30)
         ok = (abs(S - mpf("0.00187")) < mpf(10) ** -5
-              and rep_g34.passed and rep_g34.residual <= mpf(10) ** -10
-              and not rep_g14.passed
-              and "paper-discrepancy" in rep_g14.meta)
+              and g34.passed and g34.residual <= mpf(10) ** -10
+              and not g14.passed
+              and "paper-discrepancy" in g14.meta)
     _line(12, ok, "exp sum matches Gamma(3/4) variant; printed variant "
                   "recorded failing with annotation")
 
@@ -212,6 +224,7 @@ def test_criterion_16_functional_equations():
                  - gammafuncs.digamma(x, CFG30).value)
             ok = ok and abs(d - 1 / x) <= mpf(10) ** -12
         for x in (mpf(1) / 2, mpf(1), mpf(2), mpf(7) / 2):
-            rep = constants.stieltjes_shift(0, x, CFG30)
-            ok = ok and rep.passed
+            step = (constants.em_gamma(0, x, CFG30).value
+                    - constants.em_gamma(0, x + 1, CFG30).value)
+            ok = ok and abs(step - 1 / x) <= mpf(10) ** -12
     _line(16, ok, "digamma recurrence and gamma_0 shift on grids (1e-12)")

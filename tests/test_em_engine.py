@@ -133,3 +133,15 @@ def test_cost_does_not_grow_with_x(cfg30):
     far = hurwitz_zeta_em(0, mpf(10) ** 5, 1, cfg30)
     assert far.terms_used == near.terms_used
     assert far.converged and near.converged
+
+
+@pytest.mark.parametrize("digits", [20, 30, 50])
+def test_continued_tail_cancellation_is_claimed(digits):
+    # below s = 1 the tail's terms alternate; at this point they add up to
+    # 1.6e5 times its value, and a claim without them was 136x, 14x and
+    # 193x short of the actual error at 20, 30 and 50 digits
+    res = hurwitz_zeta_em(mpf(-1) / 2, 3, 25, PrecisionConfig(digits=digits))
+    with mp.workprec(2000):
+        actual = abs(res.value - mp.zeta(mpf(-1) / 2, 3, 25))
+    assert actual <= res.err_estimate
+    assert res.converged
