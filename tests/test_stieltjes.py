@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from stieltjes import constants
 from stieltjes.core import DomainError, PrecisionConfig, PrecisionError
 from stieltjes.constants import (adamchik_reflection, bell_series_gamma,
                                  briggs_gamma, coffey_difference_integral,
@@ -15,7 +14,7 @@ from stieltjes.constants import (adamchik_reflection, bell_series_gamma,
 from stieltjes.gammafuncs import digamma, log_gamma
 from stieltjes.kernels import hurwitz_zeta_em
 
-from conftest import assert_close, record_results
+from conftest import assert_close
 from reference_values import (GAMMA, GAMMA1, GAMMA1_HALF, GAMMA1_QUARTER,
                               GAMMA2, RAMANUJAN_S, ZETA2, ZETA_PRIME2)
 
