@@ -2,10 +2,16 @@
 
 Values are serialized as decimal strings (never binary floats).  The
 ``result`` block of every JSON document is deterministic for identical
-flags; timestamps and elapsed times (for ``validate`` also ``suite_ms``,
-each suite's own) live in the separate ``meta`` block.
+flags; timestamps and elapsed times live in the separate ``meta`` block.
 Every printed ``value``, ``err_estimate`` and ``terms_used`` is the route's
 own :class:`~stieltjes.core.SeriesResult`, and ``converged`` is its verdict.
+
+``validate`` runs its suites at the same time on the usable cores: one
+forked worker process per core, and a free worker takes the next suite
+(one suite, or one core, runs in-process).  ``meta.suite_ms`` is each
+suite's own time inside its worker, so their sum can exceed
+``meta.elapsed_ms``, the wall time.  Reports are sorted, so the output does
+not depend on the order in which suites finish.
 
 Exit codes: 0 success, 1 failed validation, 2 usage/parse error,
 3 kernel error, or a route whose own error estimate misses the request
@@ -15,8 +21,9 @@ Exit codes: 0 success, 1 failed validation, 2 usage/parse error,
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -29,7 +36,7 @@ from . import __version__
 from .core import (DomainError, NonConvergence, PrecisionConfig,
                    PrecisionError, as_real)
 from .cache import ResultCache
-from . import constants, fourier, gammafuncs, hurwitz, suites
+from . import constants, fourier, gammafuncs, hurwitz
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -147,7 +154,42 @@ def cmd_compute(args) -> int:
     return EXIT_OK if result["converged"] else EXIT_NONCONV
 
 
+def _run_suite(name, cfg):
+    """One suite in this process: (name, report dicts, passed, elapsed ms).
+
+    Reports travel as dicts because a report may hold an mpmath constant,
+    which does not pickle."""
+    from . import suites
+    t = time.monotonic()
+    reports, passed = suites.run_suites([name], cfg)
+    ms = round(1000 * (time.monotonic() - t), 3)
+    return name, [r.as_dict() for r in reports], passed, ms
+
+
+def _run_side_by_side(names, cfg):
+    """_run_suite over names, in order, on one forked worker per usable core.
+
+    A free worker takes the next suite.  With one worker the suites run in
+    this process.  Every worker is gone when this returns or raises."""
+    run = functools.partial(_run_suite, cfg=cfg)
+    workers = min(len(os.sched_getaffinity(0)), len(names))
+    if workers == 1:
+        return [run(n) for n in names]
+    import multiprocessing
+    # fork, not spawn: the CLI runs no threads, and a spawned worker would
+    # import mpmath and the package again before its first suite
+    sys.stdout.flush()  # no worker may inherit, and repeat, buffered output
+    sys.stderr.flush()
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        return pool.map(run, names, chunksize=1)
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def cmd_validate(args) -> int:
+    from . import suites
     cfg = _build_cfg(args)
     if args.suite == "all":
         names = list(suites.SUITES)
@@ -162,20 +204,17 @@ def cmd_validate(args) -> int:
                   f"{', '.join(sorted(suites.SUITES))}", file=sys.stderr)
             return EXIT_USAGE
     t0 = time.monotonic()
-    reports, ok, suite_ms = [], True, {}
     try:
-        for n in names:
-            t = time.monotonic()
-            got, passed = suites.run_suites([n], cfg)
-            suite_ms[n] = suite_ms.get(n, 0) + round(
-                1000 * (time.monotonic() - t), 3)
-            reports += got
-            ok = ok and passed
+        done = _run_side_by_side(names, cfg)
     except Exception as exc:  # kernel failure, not an identity failure
         print(f"error: kernel failure during validation: {exc}",
               file=sys.stderr)
         return EXIT_NONCONV
-    entries = [r.as_dict() for r in reports]
+    entries, ok, suite_ms = [], True, {}
+    for n, got, passed, ms in done:
+        entries += got
+        ok = ok and passed
+        suite_ms[n] = suite_ms.get(n, 0) + ms
     entries.sort(key=lambda e: (e["identity"], e.get("x", ""), e.get("meta", "")))
     doc = {
         "reports": entries,
@@ -224,6 +263,7 @@ def _parse_grid(spec: str):
 
 
 def cmd_table(args) -> int:
+    import csv
     cfg = _build_cfg(args)
     with cfg.workprec():
         grid = _parse_grid(args.grid)
@@ -280,7 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(pc)
     pc.set_defaults(func=cmd_compute)
 
-    pv = sub.add_parser("validate", help="run identity validation suites")
+    pv = sub.add_parser(
+        "validate", help="run identity validation suites",
+        description="Run identity validation suites at the same time on the "
+                    "usable cores: one forked worker process per core, and a "
+                    "free worker takes the next suite.  "
+                    "meta.suite_ms is each suite's own time in its worker, "
+                    "so its sum can exceed meta.elapsed_ms, the wall time. "
+                    "The output does not depend on the order in which "
+                    "suites finish.")
     pv.add_argument("--suite", default="all",
                     help="'all' or comma-separated suite names")
     pv.add_argument("--out", default=None, help="write JSON report here")

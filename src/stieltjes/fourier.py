@@ -239,21 +239,12 @@ def kolbig_check(cfg: PrecisionConfig = DEFAULT_CFG):
 # ---------------------------------------------------------------------------
 
 def _euler_coeff(n: int) -> mpf:
-    """a_n = 1/n - log(1+1/n), series form for large n to dodge cancellation."""
-    if n < 8:
-        return mpf(1) / n - mp.log(1 + mpf(1) / n)
-    eps = mpf(2) ** (-mp.prec + 4)
-    acc = mpf(0)
-    k = 2
-    powk = mpf(n) ** (-2)
-    while True:
-        t = (-1) ** k * powk / k
-        acc += t
-        if abs(t) < eps * (abs(acc) + eps):
-            break
-        k += 1
-        powk /= n
-    return acc
+    """a_n = 1/n - log(1+1/n) ~ 1/(2n^2), whose two terms cancel in their
+    leading log2(2n) bits: formed once with 2 log2(n) + 8 extra bits and
+    rounded back to the working precision."""
+    with mp.workprec(mp.prec + 2 * n.bit_length() + 8):
+        a = mpf(1) / n - mp.log1p(mpf(1) / n)
+    return +a
 
 
 def _sondow_power_series(z, cfg) -> SeriesResult:

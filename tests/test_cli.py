@@ -1,13 +1,18 @@
 import csv
 import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
 
-from stieltjes import constants, fourier, gammafuncs, hurwitz
+import stieltjes
+from stieltjes import constants, fourier, gammafuncs, hurwitz, suites
 from stieltjes.cache import ResultCache
 from stieltjes.cli import QUANTITIES, main
 from stieltjes.core import PrecisionConfig
@@ -187,6 +192,49 @@ class TestValidate:
         assert code == 2
         assert "unknown suite" in err
 
+    def test_side_by_side_suites_print_what_serial_suites_give(self, capsys):
+        names = ["wallis", "recurrence", "adamchik", "kummer"]
+        code, out, _ = run_cli(capsys, "validate", "--json", "--suite",
+                               ",".join(names), "--digits", "20")
+        assert code == 0
+        doc = json.loads(out)
+        cfg = PrecisionConfig(digits=20, max_terms=10 ** 6)
+        serial, passed = [], True
+        for n in names:
+            reports, ok = suites.run_suites([n], cfg)
+            serial += [r.as_dict() for r in reports]
+            passed = passed and ok
+        serial.sort(key=lambda e: (e["identity"], e.get("x", ""),
+                                   e.get("meta", "")))
+        assert doc["reports"] == serial
+        assert doc["suites"] == names
+        assert doc["all_passed"] is passed
+        assert set(doc["meta"]["suite_ms"]) == set(names)
+
+    def test_one_suite_runs_in_this_process(self, capsys, monkeypatch):
+        pids = []
+        monkeypatch.setitem(suites.SUITES, "wallis",
+                            lambda cfg: pids.append(os.getpid()) or [])
+        code, _, _ = run_cli(capsys, "validate", "--json", "--suite",
+                             "wallis", "--digits", "20")
+        assert code == 0
+        assert pids == [os.getpid()]
+
+    def test_kernel_failure_in_a_worker_exits_3_and_leaves_no_process(
+            self, capsys, monkeypatch):
+        def fail(cfg):
+            raise RuntimeError("planted kernel failure")
+
+        # a forked worker inherits the patched table
+        monkeypatch.setitem(suites.SUITES, "wallis", fail)
+        code, out, err = run_cli(capsys, "validate", "--json", "--suite",
+                                 "recurrence,wallis", "--digits", "20")
+        assert code == 3
+        assert "kernel failure during validation" in err
+        assert "planted kernel failure" in err
+        assert out == ""
+        assert multiprocessing.active_children() == []
+
     def test_ramanujan_annotated_failure_keeps_exit_zero(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--suite", "ramanujan",
                                "--digits", "20", "--json")
@@ -355,6 +403,23 @@ DEFAULT_ROUTES = {
                      lambda cfg: fourier.sondow_gamma(Fraction(1, 3), cfg),
                      lambda: _sondow_reference(Fraction(1, 3))),
 }
+
+
+def test_compute_imports_neither_suites_nor_a_pool():
+    # each CLI request is a fresh interpreter and pays for every import
+    script = (
+        "import json, sys\n"
+        "from stieltjes import cli\n"
+        "code = cli.main(['compute', 'digamma', '-x', '2.5', '--digits', "
+        "'20', '--no-cache'])\n"
+        "print(json.dumps([code] + [m for m in ('stieltjes.suites', "
+        "'multiprocessing', 'csv') if m in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(stieltjes.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0]
 
 
 def test_every_quantity_has_a_default_route_case():

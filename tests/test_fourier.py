@@ -269,6 +269,16 @@ class TestSondow:
         assert abs(res.value - ref) <= res.err_estimate
         assert res.converged
 
+    @pytest.mark.parametrize("digits", [20, 50, 100])
+    @pytest.mark.parametrize("n", [8, 9, 64, 10 ** 3, 10 ** 6])
+    def test_euler_coeff_within_two_ulps(self, n, digits):
+        with mp.workdps(digits):
+            a = fourier._euler_coeff(n)
+            prec = mp.prec
+        with mp.workprec(prec + 200):
+            ref = mpf(1) / n - mp.log1p(mpf(1) / n)
+            assert abs(a - ref) <= 2 * mpf(2) ** (mp.mag(ref) - prec)
+
     def test_domain(self, cfg20):
         with pytest.raises(DomainError):
             sondow_gamma(mpf(2), cfg20, route="integral")
