@@ -9,7 +9,9 @@ Routes:
 * ``hasse``          -- binomial double series (exact head + analytic tail),
                         kept as an independent cross-check.
 * ``bell``           -- factorial expansion with complete-Bell-polynomial
-                        weights over Hurwitz zeta s-derivatives.
+                        weights over Hurwitz zeta s-derivatives, summed
+                        directly past a shift of x with a proven
+                        remainder bound.
 * ``briggs``         -- oscillatory-integral representation (m in {0,1},
                         verification grade), through
                         ``kernels.sum_oscillatory_ibp``.
@@ -19,6 +21,7 @@ Routes:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -26,10 +29,15 @@ from mpmath import mp, mpf
 from .core import (DEFAULT_CFG, DomainError, NonConvergence, PrecisionConfig,
                    PrecisionError, SeriesResult, as_real, shift_up)
 from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
-                      sum_alternating_accelerated, sum_oscillatory_ibp)
-from .combinatorics import bell_harmonic, binomial
+                      sum_majorized, sum_oscillatory_ibp)
+from .combinatorics import binomial
 from .hurwitz import _hasse_parts, zeta_doubleprime0
 from . import gammafuncs
+
+# where the Bell route shifts x before its series: a shift step costs a log,
+# a term m + 1 EM calls and gains log2(x) bits; 64-256 cost least at 20-100
+# digits
+SHIFT_FLOOR = 64
 
 
 def laurent_oracle(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -118,12 +126,18 @@ def hasse_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
 
 
 def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """gamma_m(x) from the alternating expansion with Bell-polynomial weights.
+    """gamma_m(x) = -log^(m+1)(x)/(m+1) + (-1)^(m+1) sum_{n>=1} (-1)^n/(n+1)
+    sum_k C(m,k) Y_k(n) zeta^(m-k)(n+1, x), Y_k(n) = k! e_k(1, ..., 1/n).
 
-    Terms couple Y_k of generalized harmonic numbers with zeta derivatives
-    zeta^(m-k)(n+1, x); x < 1 is shifted up through the recurrence
-    gamma_m(x) = gamma_m(1+x) + log^m(x)/x.  The claim adds the terms' own
-    EM claims to the acceleration's.
+    x is shifted up to ``SHIFT_FLOOR`` by gamma_m(x) = gamma_m(x+1) +
+    log^m(x)/x, then the series is summed by ``kernels.sum_majorized``.
+    The remainder: for x >= 1 each summand of zeta^(j)(n+2, x) is at most
+    1/x times that of zeta^(j)(n+1, x), and Y_k(n+1)/Y_k(n) = 1 +
+    e_(k-1)(n)/((n+1) e_k(n)) falls with n (Newton's inequalities), so
+    past term n the k-th parts fall by rho_k per term.  ``terms_used``
+    counts shift steps plus series terms, capped together by
+    ``cfg.max_terms``; when that ends first the claim carries the last
+    remainder bound, infinite if no series term fit.
     """
     if not 0 <= m <= 6:
         raise DomainError("bell route implemented for 0 <= m <= 6")
@@ -131,25 +145,52 @@ def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesRe
         x = as_real(x)
         if not x > 0:
             raise DomainError("x must be positive")
-        x, shift = shift_up(x, lambda v: mp.log(v) ** m / v)
-        term_err = mpf(0)  # the terms' own EM claims, summed
+        x0 = x
+        x, shift, steps = shift_up(x, lambda v: mp.log(v) ** m / v,
+                                   SHIFT_FLOOR, cfg.max_terms)
+        eps = mpf(2) ** -mp.prec
+        # log(v) to 2 ulps absolute plus one relative, so log^m(v)/v to
+        # eps (2m/v + (4m+3) |term|); only the term at x0 < 1 can be < 0
+        lead = abs(mp.log(x0) ** m / x0) if steps and x0 < 1 else 0
+        shift_err = eps * ((steps + 4 * m + 3) * (abs(shift) + 2 * lead)
+                           + 2 * m * (1 / x0 + steps))
+        weights = [binomial(m, k) * math.factorial(k) for k in range(m + 1)]
+        e = [[mpf(1)] + [mpf(0)] * m]  # e_k(1, ..., 1/n) at n = 0
 
         def term(n):
-            nonlocal term_err
-            inner = mpf(0)
-            for k in range(m + 1):
-                weight = binomial(m, k) * bell_harmonic(k, n, cfg)
-                z = hurwitz_zeta_em(n + 1, x, m - k, cfg)
-                inner += weight * z.value
-                term_err += abs(weight) * z.err_estimate / (n + 1)
-            return (-1) ** n / mpf(n + 1) * inner
+            while len(e) < n + 2:  # up to e[n + 1]
+                e.append(_elementary_step(e[-1], len(e)))
+            zs = [hurwitz_zeta_em(n + 1, x, m - k, cfg) for k in range(m + 1)]
+            parts = [w * ek / (n + 1) for w, ek in zip(weights, e[n])]
+            t = (-1) ** (m + 1 + n) * sum(p * z.value
+                                          for p, z in zip(parts, zs))
+            # the rounding of e_k and of the products, signs alternating
+            claim = sum(p * (z.err_estimate + (n + m + 8) * eps * abs(z.value))
+                        for p, z in zip(parts, zs))
+            nxt = e[n + 1]
+            tail = mpf(0)
+            for k, z in enumerate(zs):
+                if not nxt[k] > 0:  # Y_k(n+1) = 0: no ratio to go by yet
+                    return t, claim, mpf("inf")
+                rho = (1 + (nxt[k - 1] / ((n + 2) * nxt[k]) if k else 0)) / x
+                if rho >= 1:
+                    return t, claim, mpf("inf")
+                first = (weights[k] * nxt[k] / (n + 2)
+                         * (abs(z.value) + z.err_estimate) / x)
+                tail += first / (1 - rho)
+            return t, claim, tail
 
-        acc = sum_alternating_accelerated(term, cfg)
-        value = (-mp.log(x) ** (m + 1) / (m + 1)
-                 + (-1) ** (m + 1) * acc.value + shift)
-        err = (acc.err_estimate + term_err + 4 * mpf(2) ** -mp.prec
-               * (abs(shift) + abs(value)))
-        return SeriesResult(+value, +err, acc.terms_used, cfg.tol())
+        head = -mp.log(x) ** (m + 1) / (m + 1) + shift
+        series = sum_majorized(term, head, cfg.max_terms - steps, cfg)
+        value = head + series.value
+        err = series.err_estimate + shift_err + 4 * eps * abs(value)
+        return SeriesResult(+value, +err, steps + series.terms_used,
+                            cfg.tol())
+
+
+def _elementary_step(e, n: int):
+    """e_k(1, ..., 1/n) for k < len(e) from e_k(1, ..., 1/(n-1))."""
+    return [e[0]] + [e[k] + e[k - 1] / n for k in range(1, len(e))]
 
 
 def briggs_gamma(m: int, x,
@@ -168,7 +209,7 @@ def briggs_gamma(m: int, x,
         x = as_real(x)
         if not x > 0:
             raise DomainError("x must be positive")
-        x, shift = shift_up(x, lambda v: mp.log(v) ** m / v)
+        x, shift, _ = shift_up(x, lambda v: mp.log(v) ** m / v)
         Lx = mp.log(x)
         base = Lx ** m / (2 * x) - Lx ** (m + 1) / (m + 1) + shift
         osc = sum_oscillatory_ibp([0] * m + [1], 1, x, "cos", 0, cfg)

@@ -146,14 +146,17 @@ class IdentityReport:
         return d
 
 
-def shift_up(x, term):
-    """(x + k, sum_{j<k} term(x + j)) for the fewest k >= 0 with x + k >= 1:
-    how the routes that need x >= 1 reach smaller x by their recurrences."""
+def shift_up(x, term, floor=1, limit=None):
+    """(x + k, sum_{j<k} term(x + j), k) for the fewest k >= 0 with
+    x + k >= floor, but k <= ``limit`` when one is given: how the routes
+    that need x >= floor reach smaller x by their recurrences."""
     shift = mpf(0)
-    while x < 1:
+    k = 0
+    while x < floor and (limit is None or k < limit):
         shift += term(x)
         x += 1
-    return x, shift
+        k += 1
+    return x, shift, k
 
 
 def as_real(value) -> mpf:

@@ -66,31 +66,31 @@ def polygamma(k: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
 
 
 @lru_cache(maxsize=8)
-def _gregory_coefficients(count: int):
-    """Coefficients G_n of z/log(1+z) = sum G_n z^n, as exact fractions."""
+def _gregory_signed(count: int, prec: int):
+    """(-1)^(n+1) G_n for n = 1..count as mpf at ``prec`` bits, G_n the
+    coefficients of z/log(1+z) = sum G_n z^n, found as exact fractions."""
     b = [Fraction((-1) ** k, k + 1) for k in range(count + 1)]
     G = [Fraction(1)]
     for n in range(1, count + 1):
         G.append(-sum(b[k] * G[n - k] for k in range(1, n + 1)))
-    return tuple(G)
+    with mp.workprec(prec):
+        return tuple((-1) ** (n + 1) * mpf(g.numerator) / g.denominator
+                     for n, g in enumerate(G) if n)
 
 
 def _log_kernel_bracket(u) -> mpf:
     """1/(1-u) + 1/log(u) on (0,1); the u->1 cancellation is resummed.
 
     Near u=1 both terms blow up like 1/(1-u); the difference is the Gregory
-    series sum (-1)^(n+1) G_n (1-u)^(n-1).
+    series sum (-1)^(n+1) G_n (1-u)^(n-1), summed by Horner over
+    coefficients converted once per precision.
     """
     v = 1 - u
     if v > mpf("0.25"):
         return 1 / v + 1 / mp.log(u)
-    need = int(mp.dps * 1.7) + 8
-    G = _gregory_coefficients(need)
     acc = mpf(0)
-    vp = mpf(1)
-    for n in range(1, need + 1):
-        acc += (-1) ** (n + 1) * mpf(G[n].numerator) / G[n].denominator * vp
-        vp *= v
+    for c in reversed(_gregory_signed(int(mp.dps * 1.7) + 8, mp.prec)):
+        acc = acc * v + c
     return acc
 
 
@@ -126,7 +126,7 @@ def bourguet_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """
     with cfg.workprec(40):
         x = _require_positive(x)
-        x, shift = shift_up(x, lambda v: -mp.log(v))
+        x, shift, _ = shift_up(x, lambda v: -mp.log(v))
         elementary = (mp.log(2 * mp.pi) / 2 + (x - mpf(1) / 2) * mp.log(x)
                       - x + shift)
         osc = sum_oscillatory_ibp([1], 1, x, "sin", 1, cfg)

@@ -18,7 +18,8 @@ Routes:
   valid for s < 1 on (0,1], its conditionally convergent sums evaluated by
   ``kernels.sum_trig_averaged`` to the requested digits.
 * ``zeta_srivastava_choi`` -- the factorial-weighted expansion in
-  zeta(s+n, x), verification grade.
+  zeta(s+n, x), summed directly past a shift of x with a proven remainder
+  bound.
 * ``poisson_zeta`` -- Poisson summation: an instance of
   ``kernels.sum_oscillatory_ibp``, verification grade.
 
@@ -37,16 +38,20 @@ from mpmath import mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, PoleError, PrecisionConfig,
                    SeriesResult, as_real, shift_up)
-from .kernels import (hurwitz_zeta_em, sum_alternating_accelerated,
-                      sum_oscillatory_ibp, sum_trig_averaged)
+from .kernels import (TS_GUARD_BITS, hurwitz_zeta_em, integrate_adaptive,
+                      sum_majorized, sum_oscillatory_ibp, sum_trig_averaged)
 from . import gammafuncs
 from .combinatorics import bell_complete, binomial
 
 _HEAD_TERMS = 32
-# how many node tables, and how many tail tables, the process keeps (least
-# recently used go first); each holds ~1,400 nodes, 0.5-1 MB at 20-30 digits
+# how many node tables, tail tables and coefficient tables the process keeps
+# (least recently used go first); a node table holds up to ~1,500 nodes,
+# 0.5-1 MB at 20-30 digits
 _TAIL_TABLES = 16
 _POLE_GUARD = mpf(10) ** -8
+# where the Srivastava-Choi route shifts x before its series: a shift step
+# costs a power, a term an EM call and gains log2(x) bits
+SHIFT_FLOOR = 64
 
 
 def _recip_gamma_derivs(alpha, jmax: int, cfg: PrecisionConfig):
@@ -119,55 +124,69 @@ def _poly_delta(i: int, r: int, x) -> mpf:
 @functools.lru_cache(maxsize=_TAIL_TABLES)
 def _node_table(bits: int) -> dict:
     """t -> (1 - e^(-t), -log t) at the tail quadrature's nodes, for
-    ``mp.quad`` run at ``bits``; filled by the calls that use it."""
+    ``integrate_adaptive`` with nodes at ``bits``; filled by the calls that
+    use it."""
     return {}
 
 
 @functools.lru_cache(maxsize=_TAIL_TABLES)
 def _tail_table(N: int, i: int, bits: int) -> dict:
     """t -> V_{i,N-i}(t) (:func:`_weighted_tail`) at the tail quadrature's
-    nodes, for ``mp.quad`` run at ``bits``; filled by the calls that use it.
+    nodes, for ``integrate_adaptive`` with nodes at ``bits``; filled by the
+    calls that use it.
 
     V depends on neither x nor s, so every Hasse call with the same head
-    length and quadrature precision shares the table.
+    length and node precision shares the table.
     """
     return {}
 
 
-def _weighted_tail(i: int, R: int, t, w) -> mpf:
-    """V_{i,R}(w) = sum_{q>R} C(q+i,i) w^q / (q+i+1) at w = 1-e^(-t).
+@functools.lru_cache(maxsize=_TAIL_TABLES)
+def _tail_coefficients(i: int, count: int, bits: int) -> tuple:
+    """C(q+i, i)/(q+i+1) for q < count, as mpf at ``bits``."""
+    with mp.workprec(bits):
+        return tuple(mpf(binomial(q + i, i)) / (q + i + 1)
+                     for q in range(count))
 
-    Direct series for small w; for w >= 1/2 the closed form
-    w^-(i+1) [sum_{p=1}^i (-1)^(i-p) z^p/p + (-1)^i t] minus the partial sum,
-    with z = e^t - 1 (so log(1+z) = t exactly).  It depends on neither x
-    nor s, so :func:`_hasse_parts` computes it once per node, precision and
-    (N, i), into :func:`_tail_table`.
+
+def _weighted_tail(i: int, R: int, t, w) -> mpf:
+    """V_{i,R}(w) = sum_{q>R} c_q w^q at w = 1-e^(-t), c_q = C(q+i,i)/(q+i+1).
+
+    For w < 1/16 the direct series, by Horner, to the first K terms: past
+    q = R the terms fall by at least g w per term, g = (R+i+2)/(R+2), so K
+    with (g w)^K <= 2^-(prec+8) leaves out less than an ulp.  Otherwise
+    the closed form w^-(i+1) [sum_{p=1}^i (-1)^(i-p) z^p/p + (-1)^i t]
+    minus the partial sum over q <= R, z = e^t - 1 (so log(1+z) = t
+    exactly); the two cancel to V ~ w^(R+1), so the closed form runs at
+    (R+1) log2(1/w) + 16 extra bits and rounds once at the end.  Both
+    read the coefficients of :func:`_tail_coefficients`.  V depends on
+    neither x nor s, so :func:`_hasse_parts` computes it once per node,
+    precision and (N, i), into :func:`_tail_table`.
     """
-    if w < mpf("0.5"):
-        eps = mpf(2) ** (-mp.prec + 4)
+    prec = mp.prec
+    g = math.log2((R + i + 2) / (R + 2))
+    # enough coefficients for the direct series up to w = 1/16 and for the
+    # partial sum at the highest raised precision, 4(R+1) + 16 extra bits
+    count = R + 2 + math.ceil((prec + 8) / (4 - g))
+    coeffs = _tail_coefficients(i, count, prec + 4 * (R + 1) + 16)
+    if w < mpf(1) / 16:
+        K = math.ceil((prec + 8) / (-mp.mag(w) - g))
         acc = mpf(0)
-        q = R + 1
-        comb = mpf(binomial(q + i, i))
-        wq = w ** q
-        while True:
-            term = comb * wq / (q + i + 1)
-            acc += term
-            if term < eps * (acc + eps):
-                return acc
-            q += 1
-            comb = comb * (q + i) / q
-            wq *= w
-    z = mp.expm1(t)
-    closed = mpf(-1) ** i * t
-    for p in range(1, i + 1):
-        closed += mpf(-1) ** (i - p) * z ** p / p
-    closed /= w ** (i + 1)
-    partial = mpf(0)
-    wq = mpf(1)
-    for q in range(R + 1):
-        partial += binomial(q + i, i) * wq / (q + i + 1)
-        wq *= w
-    return closed - partial
+        for c in reversed(coeffs[R + 1:R + 1 + K]):
+            acc = acc * w + c
+        return acc * w ** (R + 1)
+    with mp.workprec(prec + (R + 1) * (1 - mp.mag(w)) + 16):
+        w = -mp.expm1(-t)
+        z = mp.expm1(t)
+        closed = mpf(-1) ** i * t
+        for p in range(1, i + 1):
+            closed += mpf(-1) ** (i - p) * z ** p / p
+        closed /= w ** (i + 1)
+        partial = mpf(0)
+        for c in reversed(coeffs[:R + 1]):
+            partial = partial * w + c
+        V = closed - partial
+    return +V
 
 
 def _hasse_parts(js, c, x, cfg: PrecisionConfig):
@@ -178,14 +197,15 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
     bound on the rounding of the head (Sum_k C(n,k) |f(k+x)| <= 2^n max |f|)
     and an integral of the tail integrand's bound: the error of the
     1/Gamma derivatives (:func:`_recip_gamma_derivs`) plus the integrand's
-    rounding, which the closed form of :func:`_weighted_tail` amplifies by
-    up to 2^(N+2) (N+2) at w = 1/2.  That integral runs on the nodes of the
-    tail's own first degrees.
+    rounding, V's Horner steps included.
 
-    Both integrals read w, -log t and V_{i,N-i}(t) from the shared tables
-    for (N, i) and the quadrature precision, filling in the nodes no
-    earlier call visited; a node is only ever served at the precision it
-    was computed at, so a warm call returns the same bits as a cold one.
+    Both integrals run on ``kernels.integrate_adaptive`` over [0, 1] and
+    [1, inf), which stops at the request; the bound's at a looser
+    tolerance on the same digits, so on the first levels of the same
+    nodes.  They read w, -log t and V_{i,N-i}(t) from the shared tables for
+    (N, i) and the node precision, filling in the nodes no earlier call
+    visited; a node is only ever served at the precision it was computed
+    at, so a warm call returns the same bits as a cold one.
     """
     c = mpf(c)
     x = as_real(x)
@@ -219,18 +239,20 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
             cond = N + 2 * j + 8 + 2 * abs(c) * max(abs(L) for L in logs)
             err_total += eps * cond * f_max * mpf(2) ** (N + 1)
         # analytic tail; quadrature only needs the target tolerance, so it
-        # runs at a reduced precision (the head carries the guard bits)
+        # runs at the request's precision (the head carries the guard bits)
         B, B_err = _recip_gamma_derivs(alpha, jmax, cfg)
         phis = [_poly_delta(i, r, x) for i in range(r + 1)]
-        quad_bits = min(mp.prec, cfg.working_bits + 16)
-        nodes = _node_table(quad_bits)
-        eps_q = mpf(2) ** -quad_bits
-        amplify = mpf(2) ** (N + 2) * (N + 2) + 16 * (jmax + 2)
+        node_bits = cfg.working_bits + TS_GUARD_BITS
+        nodes = _node_table(node_bits)
+        eps_q = mpf(2) ** -node_bits
+        # V to 2 ulps per Horner step, and the K sum of the integrand
+        amplify = node_bits + 4 * N + 16 * (jmax + 2)
+        loose = replace(cfg, tolerance=cfg.tol() * 4)
 
         def tail_integrand(i, j, weight):
             """t -> e^(-(x+i)t) V(t) t^(-alpha-1) sum_p C(j,p) weight(p, t, L),
             L = -log t."""
-            table = _tail_table(N, i, quad_bits)
+            table = _tail_table(N, i, node_bits)
 
             def f(t):
                 if t <= 0:
@@ -264,12 +286,14 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
 
                 integrand = tail_integrand(
                     i, j, lambda p, t, lt, j=j: lt ** (j - p) * B[p])
-                with mp.workprec(quad_bits):
-                    val, qerr = mp.quad(integrand, [0, 1, mp.inf], error=True)
-                    J, jerr = mp.quad(tail_integrand(i, j, bound),
-                                      [0, 1, mp.inf], error=True, maxdegree=3)
-                tail += phis[i] * val
-                err_total += abs(phis[i]) * (qerr + 2 * J + jerr)
+                for a, b in ((0, 1), (1, mp.inf)):
+                    val = integrate_adaptive(integrand, a, b, cfg)
+                    J = integrate_adaptive(tail_integrand(i, j, bound), a, b,
+                                           loose)
+                    tail += phis[i] * val.value
+                    err_total += abs(phis[i]) * (val.err_estimate
+                                                 + 2 * J.value
+                                                 + J.err_estimate)
             values[j] = values[j] + tail
         values = {j: +v for j, v in values.items()}
         err_total += 4 * eps * sum(abs(v) for v in values.values())
@@ -477,11 +501,16 @@ def zeta_doubleprime0(x, via: str = "em",
 
 
 def zeta_srivastava_choi(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """zeta(s, x) from the factorial-weighted expansion in zeta(s+n, x).
+    """zeta(s, x) = x^(1-s)/(s-1) - sum_{n>=1} (-1)^n (s)_n/(n! (n+1))
+    zeta(s+n, x), for s > 0 (s != 1), where every zeta(s+n, x) converges.
 
-    Requires s > 0 (s != 1) so every zeta(s+n, x) lies in the absolutely
-    convergent region; x < 1 is shifted up by the elementary recurrence.
-    Its claim adds the terms' own EM claims to the acceleration's.
+    x is shifted up to ``SHIFT_FLOOR`` by zeta(s, x) = x^-s + zeta(s, x+1),
+    then the series is summed by ``kernels.sum_majorized``.  The
+    remainder: each summand of zeta(s+n+1, x) is at most 1/x times that of
+    zeta(s+n, x), so past term n the terms fall by max(1, (s+n+1)/(n+3))/x
+    per term.  ``terms_used`` counts shift steps plus series terms, capped
+    together by ``cfg.max_terms``; when that ends first the claim carries
+    the last remainder bound, infinite if no series term fit.
     """
     with cfg.workprec(40):
         s = as_real(s)
@@ -492,25 +521,46 @@ def zeta_srivastava_choi(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResu
             raise DomainError("expansion implemented for s > 0")
         if not x > 0:
             raise DomainError("x must be positive")
-        x, shift = shift_up(x, lambda v: v ** (-s))
-        poch = {0: mpf(1)}
-        term_err = mpf(0)  # the terms' own EM claims, summed
+        x0 = x
+        x, shift, steps = shift_up(x, lambda v: v ** (-s), SHIFT_FLOOR,
+                                   cfg.max_terms)
+        eps = mpf(2) ** -mp.prec
+        # v^-s = e^(-s log v), log v to 2 ulps absolute plus one relative
+        shift_err = eps * shift * (steps + 2 + s * (2 + abs(mp.log(x0))
+                                                    + mp.log(x)))
+        poch = [mpf(1)]  # (s)_n / n!
 
         def term(n):
-            nonlocal term_err
-            if n not in poch:
-                poch[n] = poch[n - 1] * (s + n - 1) / n
-            z = hurwitz_zeta_em(s + n, x, 0, cfg)
-            term_err += poch[n] / (n + 1) * z.err_estimate
-            return -((-1) ** n) * poch[n] / (n + 1) * z.value
+            gap = mp.fadd(s, n - 1, exact=True)  # s + n - 1
+            poch.append(poch[-1] * gap / n)
+            weight = poch[n] / (n + 1)
+            # the EM engine rounds s + n by delta, which moves zeta(s+n, x)
+            # by at most delta zeta (log x (1 + gap/x) + 1/gap); for small s
+            # the first term, near the pole, gets the bits to keep it small
+            sigma = mp.fadd(s, n, exact=True)
+            em_cfg = cfg
+            if n == 1 and s < 1:
+                em_cfg = replace(cfg, digits=cfg.digits + int(
+                    mp.ceil(-mp.log10(s))))
+            z = hurwitz_zeta_em(sigma, x, 0, em_cfg)
+            delta = sigma * mpf(2) ** -em_cfg.working_bits
+            moved = delta * (mp.log(x) * (1 + gap / x) + 1 / gap)
+            claim = weight * (z.err_estimate
+                              + ((n + 4) * eps + moved) * z.value)
+            rho = max(1, (s + n + 1) / (n + 3)) / x
+            tail = mpf("inf")
+            if rho < 1:
+                first = (poch[n] * (s + n) / (n + 1) / (n + 2)
+                         * (z.value + z.err_estimate) / x)
+                tail = first / (1 - rho)
+            return -(-1) ** n * weight * z.value, claim, tail
 
-        res = sum_alternating_accelerated(term, cfg)
-        head = x ** (1 - s) / (s - 1)
-        value = head + res.value + shift
-        rounding = (4 * mpf(2) ** -mp.prec
-                    * (abs(head) + abs(shift) + abs(value)))
-        return SeriesResult(+value, res.err_estimate + term_err + rounding,
-                            res.terms_used, cfg.tol())
+        head = x ** (1 - s) / (s - 1) + shift
+        series = sum_majorized(term, head, cfg.max_terms - steps, cfg)
+        value = head + series.value
+        rounding = shift_err + 4 * eps * (abs(head) + abs(value))
+        return SeriesResult(+value, series.err_estimate + rounding,
+                            steps + series.terms_used, cfg.tol())
 
 
 def poisson_zeta(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -529,7 +579,7 @@ def poisson_zeta(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
             raise DomainError("Poisson representation requires s > 1")
         if not x > 0:
             raise DomainError("x must be positive")
-        x, shift = shift_up(x, lambda v: v ** (-s))
+        x, shift, _ = shift_up(x, lambda v: v ** (-s))
         base = x ** (-s) / 2 + x ** (1 - s) / (s - 1) + shift
         osc = sum_oscillatory_ibp([1], s, x, "cos", 0, cfg)
         value = base + 2 * osc.value

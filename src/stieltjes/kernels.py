@@ -7,8 +7,10 @@ estimate met it (convergence shortfalls do not raise; domain violations do).
 
 Kernels:
 
-* ``sum_alternating_accelerated`` -- Euler transform of the alternating
-  series whose terms are not completely monotone (Bell, Srivastava-Choi).
+* ``sum_alternating_accelerated`` -- Euler transform of an alternating
+  series, with a heuristic claim; no route of the package uses it.
+* ``sum_majorized`` -- direct summation until a remainder bound supplied
+  with each term meets the request (Bell, Srivastava-Choi).
 * ``sum_trig_averaged`` -- conditionally convergent trigonometric series
   sum f(n) trig(2 pi n x) for completely monotone f: a direct head and an
   Euler-Abel transform of the tail in z = e^(2 pi i x), at a cost that does
@@ -41,6 +43,7 @@ from .core import (DEFAULT_CFG, DomainError, PoleError, PrecisionConfig,
 _SAFETY = 4  # heuristic multiplier on last-difference error estimates
 _MAX_HALF_PERIODS = 80  # panel budget of integrate_oscillatory
 _TS_EXTRA_LEVELS = 2  # integrate_adaptive's levels past mpmath's default
+TS_GUARD_BITS = 40  # integrate_adaptive's nodes carry these beyond the digits
 
 
 def _euler_diagonal(partials):
@@ -95,6 +98,36 @@ def sum_alternating_accelerated(term: Callable[[int], mpf],
                 break
             batch = min(n_cap, int(batch * 1.7) + 8)
         return SeriesResult(+best, best_err * _SAFETY, len(terms), tol)
+
+
+def sum_majorized(term: Callable[[int], tuple], base, limit: int,
+                  cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
+    """sum_{n>=1} t_n, summed directly until a proven remainder bound
+    meets the request.
+
+    ``term(n)`` returns (t_n, a claim on the error of t_n, a bound on
+    sum_{k>n} |t_k|); the bound may be infinite while the caller cannot
+    prove one yet.  The sum stops at the first n whose bound is at most a
+    quarter of tol * max(1, |base + partial sum|), ``base`` being what the
+    caller adds to the sum, or after ``limit`` terms.  The claim is the
+    last bound (infinite when no term was allowed) plus the terms' claims
+    plus the rounding of the running sum, which runs at the caller's
+    precision.
+    """
+    tol = cfg.tol()
+    total, claims, mag = mpf(0), mpf(0), mpf(0)
+    remainder = mpf("inf")
+    n = 0
+    while n < limit:
+        n += 1
+        t, claim, remainder = term(n)
+        total += t
+        claims += claim
+        mag += abs(t)
+        if remainder <= tol * max(1, abs(base + total)) / 4:
+            break
+    rounding = (n + 2) * mpf(2) ** -mp.prec * mag
+    return SeriesResult(+total, remainder + claims + rounding, n, tol)
 
 
 def _abel_plan(bits: int, a: float) -> tuple[int, int]:
@@ -262,7 +295,7 @@ def integrate_adaptive(f: Callable[[mpf], mpf], a, b,
     values: psi(t) sin(pi t) at 20 digits, for instance, is good to about
     1e-29 only.  ``terms_used`` counts the integrand evaluations.
     """
-    with cfg.workprec(40):
+    with cfg.workprec(TS_GUARD_BITS):
         prec = mp.prec
         tol = cfg.tol()
         rule = mp._tanh_sinh

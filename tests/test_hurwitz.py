@@ -81,6 +81,27 @@ class TestZetaHasse:
 
 
 class TestHasseTables:
+    @pytest.mark.parametrize("i", [0, 2])
+    def test_weighted_tail_to_a_few_ulps(self, i):
+        # both sides of the switch at w = 1/16, against the series itself
+        R = 32 - i
+        for t in ("0.001", "0.06", "0.07", "0.5", "3"):
+            t = mpf(t)
+            with mp.workprec(200):
+                w = -mp.expm1(-t)
+                V = hurwitz._weighted_tail(i, R, t, w)
+            with mp.workprec(600):
+                w = -mp.expm1(-t)
+                q = R + 1
+                cw = mp.binomial(q + i, i) * w ** q  # C(q+i, i) w^q
+                ref = term = cw / (q + i + 1)
+                while term > mpf(2) ** -600 * ref:
+                    cw *= w * (q + i + 1) / (q + 1)
+                    q += 1
+                    term = cw / (q + i + 1)
+                    ref += term
+                assert abs(V - ref) <= 2 ** -190 * ref, (i, t)
+
     def test_warm_calls_equal_cold_calls(self, cfg20, cfg30):
         # the tail's shared tables change no bit of any result, whatever
         # ran between, and stay within their bound
@@ -260,6 +281,13 @@ class TestAlternativeRepresentations:
         res = zeta_srivastava_choi(2, 1, cfg20)
         assert res.converged
         assert abs(res.value - mp.zeta(2)) <= res.err_estimate
+
+    def test_srivastava_choi_claim_covers_zeta3(self, cfg20):
+        # the Euler-accelerated sum claimed 1.7e-23 here while 1.4e-22 off
+        res = zeta_srivastava_choi(3, 1, cfg20)
+        with mp.workprec(800):
+            assert abs(res.value - mp.zeta(3)) <= res.err_estimate
+        assert res.converged
 
     def test_srivastava_choi_shifts_small_x(self, cfg20):
         lhs = zeta_srivastava_choi(2, mpf("0.4"), cfg20).value
