@@ -7,6 +7,12 @@ the entry.  Keys include the digit count, so an entry written at lower
 digits is never served for a higher-digit request, and the package version,
 so a release that changes printed values never serves older ones.  Any
 cache I/O failure degrades to a recompute with a warning on stderr.
+
+An entry also records the version of the mpmath that computed it: ``put``
+runs after a computation, so mpmath is loaded.  A hit returns that version
+with the entry, so the CLI reports it without importing mpmath; an entry
+without one is a miss, recomputed and rewritten.  This module imports
+neither mpmath nor any computing module of the package.
 """
 
 from __future__ import annotations
@@ -55,7 +61,8 @@ class ResultCache:
                 return None
             with open(path) as fh:
                 entry = json.load(fh)
-            if entry.get("digits") != digits or "result" not in entry:
+            if (entry.get("digits") != digits or "result" not in entry
+                    or "mpmath" not in entry):
                 return None
             return entry
         except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -68,8 +75,10 @@ class ResultCache:
         if not self.enabled:
             return
         path = self._key_path(quantity, params, method, digits)
+        import mpmath  # already loaded by the computation being stored
         entry = dict(payload)
         entry["digits"] = digits
+        entry["mpmath"] = mpmath.__version__
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")

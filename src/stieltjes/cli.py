@@ -6,6 +6,22 @@ flags; timestamps and elapsed times live in the separate ``meta`` block.
 Every printed ``value``, ``err_estimate`` and ``terms_used`` is the route's
 own :class:`~stieltjes.core.SeriesResult`, and ``converged`` is its verdict.
 
+Each ``compute`` is a fresh process, so it loads only what its request runs.
+It first makes the checks that need no mpmath (digits in [10, 200],
+``--max-terms`` >= 1, the quantity's required arguments) and resolves the
+route (a default or ``auto`` becomes the route that runs); then it looks the
+request up in the result cache.  A hit prints the stored result and loads
+neither mpmath nor any computing module; its ``meta.mpmath`` is the mpmath
+version that computed the entry.  Only a miss imports mpmath and the module
+that holds its quantity's evaluator (``gammafuncs`` for ``digamma`` and
+``log_gamma``, ``hurwitz`` for the zeta quantities, ``constants`` for
+``gamma_m``, ``fourier`` for ``sondow_gamma``, each with the modules it
+imports), and ``meta.mpmath`` is the version in use.  ``meta.elapsed_ms``
+runs from the cache lookup to the result, so on a miss it includes loading
+mpmath and those modules.  ``s`` reaches the route exactly (a decimal's text
+is an exact fraction), so s near 1 keeps s - 1 to working precision; the
+printed ``params`` and the cache key keep the text as typed.
+
 ``validate`` runs its suites at the same time on the usable cores: one
 forked worker process per core, and a free worker takes the next suite
 (one suite, or one core, runs in-process).  ``meta.suite_ms`` is each
@@ -28,15 +44,10 @@ import sys
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
+from importlib import import_module
 
-import mpmath
-from mpmath import mp, mpc, mpf
-
-from . import __version__
-from .core import (DomainError, NonConvergence, PrecisionConfig,
-                   PrecisionError, as_real)
+from . import DomainError, NonConvergence, PrecisionError, __version__
 from .cache import ResultCache
-from . import constants, fourier, gammafuncs, hurwitz
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -45,74 +56,105 @@ EXIT_NONCONV = 3
 
 
 def _parse_number(text):
-    """Decimal string -> mpf factory; 'p/q' stays an exact Fraction."""
+    """'p/q' -> an exact Fraction; a decimal stays the text as typed, which
+    the printed params and the cache key keep."""
     if "/" in text:
         p, _, q = text.partition("/")
         return Fraction(int(p), int(q))
-    return text  # converted to mpf at working precision later
+    return text
 
 
 def _fmt(value, digits):
+    from mpmath import mp
     return mp.nstr(value, digits, strip_zeros=False)
 
 
-def _build_cfg(args) -> PrecisionConfig:
-    digits = args.digits
-    if not 10 <= digits <= 200:
+def _check_budget(args):
+    """The request's digits and term cap, checked without mpmath."""
+    if not 10 <= args.digits <= 200:
         raise DomainError("digits must lie in [10, 200]")
-    return PrecisionConfig(digits=digits, max_terms=args.max_terms)
+    if args.max_terms < 1:
+        raise DomainError("max_terms must be >= 1")
+
+
+def _build_cfg(args):
+    from .core import PrecisionConfig
+    _check_budget(args)
+    return PrecisionConfig(digits=args.digits, max_terms=args.max_terms)
 
 
 def _series_only(name):
-    def evaluate(route, a, cfg):
+    def evaluate(module, route, a, cfg):
         if route != "series":
             raise DomainError(f"unknown {name} method {route!r}")
-        return getattr(gammafuncs, name)(a.x, cfg)
+        return getattr(module, name)(a.x, cfg)
     return evaluate
 
 
-# quantity -> (default route, required arguments, evaluator(route, args, cfg)).
-# An evaluator returns the route's SeriesResult; it looks its kernel up at
-# call time, so a rebound module attribute is used.
+# quantity -> (default route, required arguments, module, evaluator(module,
+# route, args, cfg)).  An evaluator returns the route's SeriesResult; the
+# module is imported and its kernel looked up at call time, so a request
+# loads only that module and a rebound module attribute is used.
 QUANTITIES = {
-    "gamma_m": ("em", ("m", "x"),
-                lambda route, a, cfg: constants.stieltjes_gamma(a.m, a.x, route, cfg)),
-    "zeta": ("em", ("s",), lambda route, a, cfg: hurwitz.zeta(
+    "gamma_m": ("em", ("m", "x"), "constants",
+                lambda mod, route, a, cfg: mod.stieltjes_gamma(a.m, a.x, route, cfg)),
+    "zeta": ("em", ("s",), "hurwitz", lambda mod, route, a, cfg: mod.zeta(
         a.s, a.x, a.deriv, route, cfg)),
-    "zeta_prime0": ("em", ("x",),
-                    lambda route, a, cfg: hurwitz.zeta_prime0(a.x, route, cfg)),
-    "zeta_doubleprime0": ("em", ("x",),
-                          lambda route, a, cfg: hurwitz.zeta_doubleprime0(a.x, route, cfg)),
-    "digamma": ("series", ("x",), _series_only("digamma")),
-    "log_gamma": ("series", ("x",), _series_only("log_gamma")),
+    "zeta_prime0": ("em", ("x",), "hurwitz",
+                    lambda mod, route, a, cfg: mod.zeta_prime0(a.x, route, cfg)),
+    "zeta_doubleprime0": ("em", ("x",), "hurwitz",
+                          lambda mod, route, a, cfg: mod.zeta_doubleprime0(a.x, route, cfg)),
+    "digamma": ("series", ("x",), "gammafuncs", _series_only("digamma")),
+    "log_gamma": ("series", ("x",), "gammafuncs", _series_only("log_gamma")),
     # an exact p/q selects the unit-circle point exp(i pi p/q)
-    "sondow_gamma": ("series", ("x",), lambda route, a, cfg: fourier.sondow_gamma(
-        a.raw_x if isinstance(a.raw_x, Fraction) else a.x, cfg, route=route)),
+    "sondow_gamma": ("series", ("x",), "fourier",
+                     lambda mod, route, a, cfg: mod.sondow_gamma(
+                         a.raw_x if isinstance(a.raw_x, Fraction) else a.x,
+                         cfg, route=route)),
 }
 
 
-def _arguments(args, x, cfg):
-    """The quantity's arguments at working precision, and the resolved route."""
-    default, required, _ = QUANTITIES[args.quantity]
+def _route(args, x):
+    """The route that runs, once the quantity's required arguments are
+    there; needs no mpmath."""
+    default, required = QUANTITIES[args.quantity][:2]
     given = {"m": args.m, "x": x, "s": args.s}
     missing = [f"-{k}" for k in required if given[k] is None]
     if missing:
         raise DomainError(f"{args.quantity} requires {' and '.join(missing)}")
-    with cfg.workprec():
-        a = argparse.Namespace(
-            m=args.m, deriv=args.deriv, raw_x=x,
-            x=mpf(1) if x is None else as_real(x),
-            s=None if args.s is None else as_real(args.s))
     route = args.method or default
     if args.quantity == "zeta" and route == "auto":
         route = "em"
-    return a, route
+    return route
 
 
-def _evaluate(args, a, route, cfg):
+def _exact(text):
+    """A decimal's text as the exact Fraction it names; other text (inf,
+    nan) is left for mpmath to read."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        return text
+
+
+def _arguments(args, x, cfg):
+    """The quantity's arguments: x at working precision, s exact."""
+    from mpmath import mpf
+    from .core import as_real
+    with cfg.workprec():
+        return argparse.Namespace(
+            m=args.m, deriv=args.deriv, raw_x=x,
+            x=mpf(1) if x is None else as_real(x),
+            s=None if args.s is None else _exact(args.s))
+
+
+def _evaluate(args, x, route, cfg):
     """Result fields shared by compute and table: value, claimed error, terms,
     convergence (and value_im for a complex value)."""
-    res = QUANTITIES[args.quantity][2](route, a, cfg)
+    from mpmath import mp, mpc
+    _, _, module, evaluate = QUANTITIES[args.quantity]
+    res = evaluate(import_module(f".{module}", __package__), route,
+                   _arguments(args, x, cfg), cfg)
     out = {"value": _fmt(mp.re(res.value), cfg.digits),
            "err_estimate": _fmt(res.err_estimate, 3),
            "terms_used": res.terms_used,
@@ -123,20 +165,23 @@ def _evaluate(args, a, route, cfg):
 
 
 def cmd_compute(args) -> int:
-    cfg = _build_cfg(args)
+    _check_budget(args)
+    route = _route(args, args.x)
     params = {"x": str(args.x) if args.x is not None else None,
               "s": str(args.s) if args.s is not None else None,
               "m": args.m, "deriv": args.deriv}
     params = {k: v for k, v in params.items() if v is not None}
-    a, route = _arguments(args, args.x, cfg)
     cache = ResultCache(args.cache_dir, enabled=not args.no_cache)
     t0 = time.monotonic()
-    cached = cache.get(args.quantity, params, route, cfg.digits)
+    cached = cache.get(args.quantity, params, route, args.digits)
     if cached is not None:
-        result = cached["result"]
+        result, mpmath_version = cached["result"], cached["mpmath"]
     else:
+        import mpmath
+        mpmath_version = mpmath.__version__
+        cfg = _build_cfg(args)
         result = {"quantity": args.quantity, "params": params, "method": route,
-                  "digits": cfg.digits, **_evaluate(args, a, route, cfg)}
+                  "digits": cfg.digits, **_evaluate(args, args.x, route, cfg)}
         if result["converged"]:
             cache.put(args.quantity, params, route, cfg.digits,
                       {"result": result})
@@ -146,7 +191,7 @@ def cmd_compute(args) -> int:
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "elapsed_ms": round(1000 * (time.monotonic() - t0), 3),
             "version": __version__,
-            "mpmath": mpmath.__version__,
+            "mpmath": mpmath_version,
             "cache_hit": cached is not None,
         },
     }
@@ -189,6 +234,7 @@ def _run_side_by_side(names, cfg):
 
 
 def cmd_validate(args) -> int:
+    import mpmath
     from . import suites
     cfg = _build_cfg(args)
     if args.suite == "all":
@@ -249,6 +295,7 @@ def cmd_validate(args) -> int:
 
 
 def _parse_grid(spec: str):
+    from mpmath import mpf
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError("grid must be start:stop:count")
@@ -269,9 +316,9 @@ def cmd_table(args) -> int:
         grid = _parse_grid(args.grid)
     rows = []
     for x in grid:
-        a, route = _arguments(args, x, cfg)
+        route = _route(args, x)
         rows.append({"x": _fmt(x, cfg.digits),
-                     **_evaluate(args, a, route, cfg)})
+                     **_evaluate(args, x, route, cfg)})
     fmt = "json" if args.json else args.format
     out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
     try:

@@ -12,53 +12,71 @@ precision, which callers set to the maximum they need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from mpmath import mp, mpc, mpf
 
+# the error types live in the package, whose import loads no mpmath
+from . import DomainError, NonConvergence, PoleError, PrecisionError  # noqa: F401
+
 _BITS_PER_DIGIT = math.log2(10)
 _GUARD_BITS = 64
 
 
-class DomainError(ValueError):
-    """Argument outside the domain of the requested operation."""
-
-
-class PoleError(DomainError):
-    """Evaluation requested at (or numerically indistinguishable from) a pole."""
-
-
-class NonConvergence(ArithmeticError):
-    """A series or quadrature failed to meet its tolerance within its budget."""
-
-
-class PrecisionError(ArithmeticError):
-    """Requested digits are unreachable within the configured term budget."""
-
-
-@dataclass(frozen=True)
 class PrecisionConfig:
     """Evaluation budget: target digits, term cap, tolerance.
 
     ``tolerance`` defaults to 10**(-digits) when left unset.  The working
     precision carries 64 guard bits; kernels that suffer cancellation add
     their own on top (the Hasse head adds one bit per outer term, for
-    instance).
+    instance).  A config is immutable and compares, hashes and pickles by
+    its three fields; :meth:`replace` makes a changed copy.
     """
 
-    digits: int = 30
-    max_terms: int = 10 ** 6
-    tolerance: Optional[mpf] = None
+    __slots__ = ("digits", "max_terms", "tolerance")
 
-    def __post_init__(self):
-        if self.digits < 10:
+    def __init__(self, digits: int = 30, max_terms: int = 10 ** 6,
+                 tolerance: Optional[mpf] = None):
+        if digits < 10:
             raise ValueError("digits must be >= 10")
-        if self.max_terms < 1:
+        if max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if self.tolerance is not None and not self.tolerance > 0:
+        if tolerance is not None and not tolerance > 0:
             raise ValueError("tolerance must be positive")
+        for name, value in zip(self.__slots__, (digits, max_terms, tolerance)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PrecisionConfig is immutable; use replace()")
+
+    def __delattr__(self, name):
+        raise AttributeError("PrecisionConfig is immutable")
+
+    def _fields(self):
+        return self.digits, self.max_terms, self.tolerance
+
+    def __eq__(self, other):
+        if type(other) is not PrecisionConfig:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        # rebuilt through __init__: the default slot-state restore would
+        # go through the refusing __setattr__
+        return PrecisionConfig, self._fields()
+
+    def __repr__(self):
+        return ("PrecisionConfig(digits={!r}, max_terms={!r}, "
+                "tolerance={!r})".format(*self._fields()))
+
+    def replace(self, **changes) -> "PrecisionConfig":
+        """A copy with the named fields changed, validated like a new one."""
+        return PrecisionConfig(**{**dict(zip(self.__slots__, self._fields())),
+                                  **changes})
 
     @property
     def working_bits(self) -> int:
@@ -77,8 +95,20 @@ class PrecisionConfig:
 DEFAULT_CFG = PrecisionConfig()
 
 
-@dataclass
-class SeriesResult:
+class _Record:
+    """Field-wise equality and repr for the plain result classes."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class SeriesResult(_Record):
     """A value, the error its route claims for it, and the request it met.
 
     Every evaluator whose result is printed returns one.  ``err_estimate``
@@ -93,10 +123,12 @@ class SeriesResult:
     complex value is judged by its modulus.
     """
 
-    value: Union[mpf, mpc]
-    err_estimate: mpf
-    terms_used: int
-    tol: mpf
+    def __init__(self, value: Union[mpf, mpc], err_estimate: mpf,
+                 terms_used: int, tol: mpf):
+        self.value = value
+        self.err_estimate = err_estimate
+        self.terms_used = terms_used
+        self.tol = tol
 
     @property
     def converged(self) -> bool:
@@ -105,18 +137,20 @@ class SeriesResult:
         return bool(self.err_estimate <= self.tol * max(1, abs(self.value)))
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(_Record):
     """Machine-readable outcome of one identity check."""
 
-    identity: str
-    lhs: mpf
-    rhs: mpf
-    residual: mpf
-    tolerance: mpf
-    passed: bool
-    x: Optional[mpf] = None
-    meta: str = ""
+    def __init__(self, identity: str, lhs: mpf, rhs: mpf, residual: mpf,
+                 tolerance: mpf, passed: bool, x: Optional[mpf] = None,
+                 meta: str = ""):
+        self.identity = identity
+        self.lhs = lhs
+        self.rhs = rhs
+        self.residual = residual
+        self.tolerance = tolerance
+        self.passed = passed
+        self.x = x
+        self.meta = meta
 
     @classmethod
     def build(cls, identity, lhs, rhs, tolerance, x=None, meta=""):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import replace
 
 from mpmath import mp, mpf
 
@@ -75,7 +74,7 @@ def _recip_gamma_derivs(alpha, jmax: int, cfg: PrecisionConfig):
             for i in range(1, jmax + 1)]
 
     used = inputs(cfg)
-    tight = inputs(replace(cfg, tolerance=cfg.tol() * mpf(10) ** -8))
+    tight = inputs(cfg.replace(tolerance=cfg.tol() * mpf(10) ** -8))
     errs = [abs(a.value - b.value) + b.err_estimate
             for a, b in zip(used, tight)]
     u = [(-1) ** i * r.value for i, r in enumerate(used[1:])]
@@ -247,7 +246,7 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
         eps_q = mpf(2) ** -node_bits
         # V to 2 ulps per Horner step, and the K sum of the integrand
         amplify = node_bits + 4 * N + 16 * (jmax + 2)
-        loose = replace(cfg, tolerance=cfg.tol() * 4)
+        loose = cfg.replace(tolerance=cfg.tol() * 4)
 
         def tail_integrand(i, j, weight):
             """t -> e^(-(x+i)t) V(t) t^(-alpha-1) sum_p C(j,p) weight(p, t, L),
@@ -338,14 +337,14 @@ def _gamma_one_minus(s, cfg: PrecisionConfig):
     """
     scale = max(1.0, abs(math.lgamma(1 - float(s))))
     lg = hurwitz_zeta_em(0, 1 - s, 1,
-                         replace(cfg, tolerance=cfg.tol() / (16 * scale)))
+                         cfg.replace(tolerance=cfg.tol() / (16 * scale)))
     gam = mp.exp(lg.value + mp.log(2 * mp.pi) / 2)
     return gam, 2 * lg.err_estimate + 8 * mpf(2) ** -mp.prec
 
 
 def _trig_cfg(cfg: PrecisionConfig, weight) -> PrecisionConfig:
     """cfg for trigonometric sums that enter a result with factor ``weight``."""
-    return replace(cfg, tolerance=cfg.tol() / (8 * max(1, abs(weight))))
+    return cfg.replace(tolerance=cfg.tol() / (8 * max(1, abs(weight))))
 
 
 def zeta_fourier(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -540,7 +539,7 @@ def zeta_srivastava_choi(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResu
             sigma = mp.fadd(s, n, exact=True)
             em_cfg = cfg
             if n == 1 and s < 1:
-                em_cfg = replace(cfg, digits=cfg.digits + int(
+                em_cfg = cfg.replace(digits=cfg.digits + int(
                     mp.ceil(-mp.log10(s))))
             z = hurwitz_zeta_em(sigma, x, 0, em_cfg)
             delta = sigma * mpf(2) ** -em_cfg.working_bits

@@ -32,6 +32,7 @@ Kernels:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -657,9 +658,9 @@ def _em_log_power_sum(poly, s, x, cfg) -> SeriesResult:
     bits = int(math.ceil(float(-mp.log(tol, 2))))
     monomial = sum(1 for c in poly if c != 0) == 1
     N, K, guard = _em_plan(bits, float(s), deg, monomial)
-    # s and x keep the caller's precision: rounding s to wp bits would cost
-    # s - 1 its relative precision near the pole
-    s = mpf(s)
+    # s keeps the caller's bits: rounding s to wp bits would cost s - 1 its
+    # relative precision near the pole
+    s = mp.convert(s)
     x = mpf(x)
     guard += _em_tail_guard(deg, s, N + x)
     wp = bits + int(guard) + (N + 2 * K).bit_length() + 16
@@ -718,15 +719,31 @@ def _em_log_power_sum(poly, s, x, cfg) -> SeriesResult:
         return SeriesResult(+tot, +err, N + K, tol)
 
 
+def _pole_bits(s) -> int:
+    """About log2(1/|s - 1|) for an exact s near 1, else 0.  Ints and
+    floats need none: the working precision holds them exactly."""
+    if isinstance(s, Fraction):
+        d = s - 1
+    elif isinstance(s, mpf):
+        d = mp.fsub(s, 1, exact=True)
+    else:
+        return 0
+    m = mp.mag(d)  # |d| <= 2^m; -inf at s = 1, nan for a NaN s
+    return -m if isinstance(m, int) and m < 0 else 0
+
+
 def hurwitz_zeta_em(s, x=1, deriv: int = 0,
                     cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """j-th s-derivative of zeta(s, x) by the Euler-Maclaurin engine.
 
     Valid for every real s != 1 (the analytic continuation below 1) and
-    x > 0, at a cost that does not grow with x.
+    x > 0, at a cost that does not grow with x.  An exact s (a Fraction, or
+    an mpf of any precision) is rounded with log2(1/|s - 1|) extra bits, so
+    s - 1 keeps the working relative precision next to the pole.
     """
-    with cfg.workprec(40):
+    with cfg.workprec(40 + _pole_bits(s)):
         s = as_real(s)
+    with cfg.workprec(40):
         x = as_real(x)
         if s == 1:
             raise PoleError("zeta(s,x) has a simple pole at s = 1")

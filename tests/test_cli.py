@@ -8,6 +8,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -84,6 +85,26 @@ class TestCompute:
         with mp.workdps(50):
             ref = mp.zeta(mpf("1.000000001"), mpf(1) / 3)
             assert abs(mpf(doc["result"]["value"]) - ref) <= abs(ref) * mpf(10) ** -29
+
+    @pytest.mark.parametrize("s", ["1.00000000000000000000000000000000001",
+                                   "1.0000000000000000000000000000000000000001"])
+    def test_s_next_to_the_pole_is_taken_exactly(self, capsys, tmp_path, s):
+        # rounding s to the working precision cost s - 1 its digits here,
+        # or made it 1 and a pole
+        code, doc = compute_json(
+            capsys, "compute", "zeta", f"-s={s}", "-x", "1000",
+            "--digits", "20", "--cache-dir", str(tmp_path))
+        assert code == 0 and doc["result"]["converged"] is True
+        assert doc["result"]["params"]["s"] == s
+        with mp.workdps(80):
+            ref = mp.zeta(mpf(s), 1000)
+            actual = abs(mpf(doc["result"]["value"]) - ref)
+            assert actual <= abs(ref) * mpf(10) ** -19
+            assert mpf(doc["result"]["err_estimate"]) <= abs(ref) * mpf(10) ** -20
+        _, again = compute_json(
+            capsys, "compute", "zeta", f"-s={s}", "-x", "1000",
+            "--digits", "20", "--cache-dir", str(tmp_path))
+        assert again["meta"]["cache_hit"] is True
 
     def test_fourier_route_meets_the_request(self, capsys):
         code, doc = compute_json(
@@ -360,6 +381,38 @@ class TestCache:
         monkeypatch.undo()
         assert ResultCache(tmp_path).get("q", {"x": "1"}, "m", 20) is None
 
+    def test_hit_reports_the_mpmath_that_computed_it(self, capsys, tmp_path):
+        args = ("compute", "digamma", "-x", "2.5", "--digits", "20",
+                "--cache-dir", str(tmp_path))
+        _, doc1 = compute_json(capsys, *args)
+        assert doc1["meta"]["mpmath"] == mpmath.__version__
+        (path,) = tmp_path.iterdir()
+        entry = json.loads(path.read_text())
+        assert entry["mpmath"] == mpmath.__version__
+        entry["mpmath"] = "0.0.1"  # as if an older mpmath had computed it
+        path.write_text(json.dumps(entry))
+        _, doc2 = compute_json(capsys, *args)
+        assert doc2["meta"]["cache_hit"] is True
+        assert doc2["meta"]["mpmath"] == "0.0.1"
+        assert doc2["result"] == doc1["result"]
+
+    def test_entry_without_mpmath_version_is_rewritten(self, capsys,
+                                                       tmp_path):
+        args = ("compute", "digamma", "-x", "2.5", "--digits", "20",
+                "--cache-dir", str(tmp_path))
+        _, doc1 = compute_json(capsys, *args)
+        (path,) = tmp_path.iterdir()
+        entry = json.loads(path.read_text())
+        del entry["mpmath"]
+        path.write_text(json.dumps(entry))
+        _, doc2 = compute_json(capsys, *args)
+        assert doc2["meta"]["cache_hit"] is False
+        assert doc2["meta"]["mpmath"] == mpmath.__version__
+        assert doc2["result"] == doc1["result"]
+        assert json.loads(path.read_text())["mpmath"] == mpmath.__version__
+        _, doc3 = compute_json(capsys, *args)
+        assert doc3["meta"]["cache_hit"] is True
+
     def test_api_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("q", {"x": "1"}, "m", 20, {"result": {"value": "1.5"}})
@@ -405,21 +458,37 @@ DEFAULT_ROUTES = {
 }
 
 
-def test_compute_imports_neither_suites_nor_a_pool():
-    # each CLI request is a fresh interpreter and pays for every import
+def _modules_after(argv, watched):
+    """Run cli.main(argv) in a fresh interpreter: (exit code, cache_hit,
+    the watched modules it loaded)."""
     script = (
-        "import json, sys\n"
+        "import io, json, sys, contextlib\n"
         "from stieltjes import cli\n"
-        "code = cli.main(['compute', 'digamma', '-x', '2.5', '--digits', "
-        "'20', '--no-cache'])\n"
-        "print(json.dumps([code] + [m for m in ('stieltjes.suites', "
-        "'multiprocessing', 'csv') if m in sys.modules]))\n")
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = cli.main({list(argv)!r})\n"
+        "hit = json.loads(out.getvalue())['meta']['cache_hit']\n"
+        f"print(json.dumps([code, hit] + [m for m in {list(watched)!r} "
+        "if m in sys.modules]))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(stieltjes.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_compute_imports_neither_suites_nor_a_pool(tmp_path):
+    # each CLI request is a fresh interpreter and pays for every import
+    argv = ["compute", "digamma", "-x", "2.5", "--digits", "20",
+            "--cache-dir", str(tmp_path)]
+    unused = ["stieltjes.suites", "multiprocessing", "csv", "stieltjes.fourier",
+              "stieltjes.constants", "stieltjes.hurwitz", "dataclasses"]
+    assert _modules_after(argv, unused + ["mpmath"]) == [0, False, "mpmath"]
+    # a hit reads one JSON file: no mpmath, no computing module
+    computing = ["mpmath", "stieltjes.core", "stieltjes.kernels",
+                 "stieltjes.gammafuncs"]
+    assert _modules_after(argv, unused + computing) == [0, True]
 
 
 def test_every_quantity_has_a_default_route_case():

@@ -13,6 +13,8 @@ order 0-3, Stieltjes index 0-12, polygamma order 1-12 and digits in
 {20, 30, 50, 100}.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
@@ -144,4 +146,18 @@ def test_continued_tail_cancellation_is_claimed(digits):
     with mp.workprec(2000):
         actual = abs(res.value - mp.zeta(mpf(-1) / 2, 3, 25))
     assert actual <= res.err_estimate
+    assert res.converged
+
+
+@pytest.mark.parametrize("exact,as_mpf", [
+    (Fraction(1) + Fraction(1, 10 ** 40), False),
+    (Fraction(1) - Fraction(1, 10 ** 40), False),
+    (Fraction(1) + Fraction(1, 2 ** 200), True)])  # an mpf of 201 bits
+def test_exact_s_next_to_the_pole_keeps_its_digits(exact, as_mpf, cfg20):
+    # rounded to the working bits + 40, s - 1 = 1e-40 kept 37 bits, and
+    # the engine claimed 1.4e10 while 4.6e28 off
+    s = mpf(exact.numerator) / exact.denominator  # at the tests' 400 bits
+    res = hurwitz_zeta_em(s if as_mpf else exact, 1000, 0, cfg20)
+    with mp.workdps(80):
+        assert abs(res.value - mp.zeta(s, 1000)) <= res.err_estimate
     assert res.converged
