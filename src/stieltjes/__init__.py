@@ -9,7 +9,7 @@ which only reports them (the CLI's argument checks) imports no mpmath;
 
 from importlib import import_module
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 
 class DomainError(ValueError):
@@ -33,14 +33,12 @@ _EXPORTS = {
     "core": ("DEFAULT_CFG", "PrecisionConfig", "SeriesResult"),
     "kernels": ("hurwitz_zeta_em", "integrate_adaptive",
                 "integrate_oscillatory", "sum_alternating_accelerated",
-                "sum_oscillatory_ibp", "sum_trig_averaged"),
-    "combinatorics": ("bell_complete", "bell_harmonic", "bell_partition_sum",
-                      "binomial", "harmonic"),
+                "sum_oscillatory", "sum_trig_averaged"),
+    "combinatorics": ("bell_complete", "binomial"),
     "gammafuncs": ("bourguet_log_gamma", "digamma", "digamma_log_integral",
                    "log_gamma", "polygamma"),
     "hurwitz": ("poisson_zeta", "zeta", "zeta_doubleprime0", "zeta_fourier",
-                "zeta_fourier_pair", "zeta_hasse", "zeta_prime0",
-                "zeta_srivastava_choi"),
+                "zeta_hasse", "zeta_prime0", "zeta_srivastava_choi"),
     "constants": ("adamchik_reflection", "bell_series_gamma", "briggs_gamma",
                   "coffey_difference_integral", "coffey_integrand",
                   "digamma_hasse_series", "em_gamma", "gamma1_prime",

@@ -128,24 +128,22 @@ def _route(args, x):
     return route
 
 
-def _exact(text):
-    """A decimal's text as the exact Fraction it names; other text (inf,
-    nan) is left for mpmath to read."""
-    try:
-        return Fraction(text)
-    except ValueError:
-        return text
-
-
 def _arguments(args, x, cfg):
-    """The quantity's arguments: x at working precision, s exact."""
+    """The quantity's arguments: x at working precision, s as the exact
+    Fraction its text names.  Text Fraction cannot read (inf, nan) names
+    no finite s and is refused."""
     from mpmath import mpf
     from .core import as_real
+    s = None
+    if args.s is not None:
+        try:
+            s = Fraction(args.s)
+        except ValueError:
+            raise DomainError(f"s must be a finite number, got {args.s}") from None
     with cfg.workprec():
         return argparse.Namespace(
             m=args.m, deriv=args.deriv, raw_x=x,
-            x=mpf(1) if x is None else as_real(x),
-            s=None if args.s is None else _exact(args.s))
+            x=mpf(1) if x is None else as_real(x), s=s)
 
 
 def _evaluate(args, x, route, cfg):

@@ -1,13 +1,11 @@
-"""Exact binomials, generalized harmonic numbers and complete Bell polynomials."""
+"""Exact binomials and complete Bell polynomials."""
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
-from mpmath import mp, mpf
-
-from .core import DEFAULT_CFG, DomainError, PrecisionConfig
+from mpmath import mpf
 
 
 def binomial(n: int, k: int) -> int:
@@ -15,21 +13,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def harmonic(n: int, m: int = 1, t=1) -> mpf:
-    """Generalized harmonic number sum_{k=0}^{n-1} 1/(k+t)^m.
-
-    Empty sum (n=0) is 0; t=1 gives the classical H_n^(m).
-    """
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    if m < 1:
-        raise DomainError("order m must be >= 1")
-    t = mpf(t)
-    if not t > 0:
-        raise DomainError("offset t must be positive")
-    return mp.fsum((k + t) ** (-m) for k in range(n)) if n else mpf(0)
 
 
 def bell_complete(xs: Sequence) -> mpf:
@@ -47,45 +30,3 @@ def bell_complete(xs: Sequence) -> mpf:
             acc += binomial(r, j) * Y[r - j] * xs[j]
         Y.append(acc)
     return Y[len(xs)]
-
-
-def bell_partition_sum(xs: Sequence) -> mpf:
-    """Partition-sum form of Y_r; reference oracle for bell_complete.
-
-    Sums r!/(k_1!..k_r!) * prod (x_i/i!)^{k_i} over all partitions
-    k_1 + 2 k_2 + ... + r k_r = r.  Exponential cost; test use only.
-    """
-    r = len(xs)
-    xs = [mpf(v) for v in xs]
-    total = mpf(0)
-
-    def rec(i, remaining, coeff_den, prod):
-        nonlocal total
-        if i > r:
-            if remaining == 0:
-                total += mp.factorial(r) / coeff_den * prod
-            return
-        max_k = remaining // i
-        for k in range(max_k + 1):
-            rec(i + 1, remaining - i * k, coeff_den * mp.factorial(k),
-                prod * (xs[i - 1] / mp.factorial(i)) ** k)
-
-    rec(1, r, mpf(1), mpf(1))
-    return total
-
-
-def bell_harmonic(k: int, n: int, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
-    """Y_k evaluated at (H_n^(1), -1!*H_n^(2), ..., (-1)^(k-1)(k-1)!*H_n^(k)).
-
-    Equals the k-th derivative at 0 of Gamma(s+n+1)/Gamma(s+1), divided
-    by n!.  Y_0 = 1 by convention.
-    """
-    if k < 0:
-        raise DomainError("k must be >= 0")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if k == 0:
-        return mpf(1)
-    with cfg.workprec():
-        xs = [(-1) ** i * mp.factorial(i) * harmonic(n, i + 1) for i in range(k)]
-        return bell_complete(xs)

@@ -12,9 +12,10 @@ Routes:
                         weights over Hurwitz zeta s-derivatives, summed
                         directly past a shift of x with a proven
                         remainder bound.
-* ``briggs``         -- oscillatory-integral representation (m in {0,1},
-                        verification grade), through
-                        ``kernels.sum_oscillatory_ibp``.
+* ``briggs``         -- cosine-integral representation (m in {0,1}),
+                        its sum over n rotated onto the imaginary axis
+                        and summed as one integral by
+                        ``kernels.sum_oscillatory``.
 * ``laurent_oracle`` -- the definition limit with an Euler-Maclaurin tail;
                         deliberately shares no code with the other routes.
 """
@@ -29,7 +30,7 @@ from mpmath import mp, mpf
 from .core import (DEFAULT_CFG, DomainError, NonConvergence, PrecisionConfig,
                    PrecisionError, SeriesResult, as_real, shift_up)
 from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
-                      sum_majorized, sum_oscillatory_ibp)
+                      sum_majorized, sum_oscillatory)
 from .combinatorics import binomial
 from .hurwitz import _hasse_parts, zeta_doubleprime0
 from . import gammafuncs
@@ -198,10 +199,8 @@ def briggs_gamma(m: int, x,
     """gamma_m(x) from the cosine-integral representation, m in {0, 1}.
 
     log^m(x)/(2x) - log^(m+1)(x)/(m+1) plus twice the cosine sum of
-    kernels.sum_oscillatory_ibp with P = L^m and s = 1, which picks its own
-    number of integrals; x < 1 is shifted up by gamma_m(x) =
-    gamma_m(x+1) + log^m(x)/x.  Verification grade: the integrals stop
-    near 1e-12, so higher requests end unconverged.
+    kernels.sum_oscillatory with P = L^m and s = 1; x < 1 is shifted up by
+    gamma_m(x) = gamma_m(x+1) + log^m(x)/x.
     """
     if m not in (0, 1):
         raise DomainError("oscillatory route implemented for m in {0, 1}")
@@ -212,7 +211,7 @@ def briggs_gamma(m: int, x,
         x, shift, _ = shift_up(x, lambda v: mp.log(v) ** m / v)
         Lx = mp.log(x)
         base = Lx ** m / (2 * x) - Lx ** (m + 1) / (m + 1) + shift
-        osc = sum_oscillatory_ibp([0] * m + [1], 1, x, "cos", 0, cfg)
+        osc = sum_oscillatory([0] * m + [1], 1, x, "cos", 0, cfg)
         value = base + 2 * osc.value
         err = (2 * osc.err_estimate + 4 * mpf(2) ** -mp.prec
                * (abs(base) + abs(shift) + abs(value)))

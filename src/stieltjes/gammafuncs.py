@@ -3,8 +3,9 @@
 log Gamma(x) = zeta'(0, x) + log(2 pi)/2, psi(x) = -gamma_0(x) and
 psi^(k)(x) = (-1)^(k+1) k! zeta(k+1, x) all come from
 ``kernels._em_log_power_sum``, whose cost does not grow with x.  The
-oscillatory-integral form of log Gamma (Bourguet) and the integral form of
-psi(x) - log x are kept as independent sides of identity checks.
+oscillatory-integral form of log Gamma (Bourguet, its sum over n rotated
+onto the imaginary axis by ``kernels.sum_oscillatory``) and the integral
+form of psi(x) - log x are kept as independent sides of identity checks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from mpmath import mp, mpf
 from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
                    as_real, shift_up)
 from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
-                      sum_oscillatory_ibp)
+                      sum_oscillatory)
 
 
 def _require_positive(x) -> mpf:
@@ -117,11 +118,9 @@ def digamma_log_integral(x, cfg: PrecisionConfig = DEFAULT_CFG
 def bourguet_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """log Gamma(x) from the oscillatory-integral representation.
 
-    Low-accuracy cross-check of log_gamma (its integrals stop near 1e-12, so
-    higher requests end unconverged): Stirling-like elementary part plus
-    (1/pi) sum_n (1/n) int_0^inf sin(2 pi n t)/(x+t) dt, from
-    kernels.sum_oscillatory_ibp, which picks its own number of integrals
-    before the integration-by-parts tail; x < 1 is shifted up by
+    Cross-check of log_gamma: Stirling-like elementary part plus
+    (1/pi) sum_n (1/n) int_0^inf sin(2 pi n t)/(x+t) dt, the sine sum of
+    kernels.sum_oscillatory; x < 1 is shifted up by
     log Gamma(x) = log Gamma(x+1) - log x.
     """
     with cfg.workprec(40):
@@ -129,7 +128,7 @@ def bourguet_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
         x, shift, _ = shift_up(x, lambda v: -mp.log(v))
         elementary = (mp.log(2 * mp.pi) / 2 + (x - mpf(1) / 2) * mp.log(x)
                       - x + shift)
-        osc = sum_oscillatory_ibp([1], 1, x, "sin", 1, cfg)
+        osc = sum_oscillatory([1], 1, x, "sin", 1, cfg)
         value = elementary + osc.value / mp.pi
         err = (osc.err_estimate / mp.pi + 4 * mpf(2) ** -mp.prec
                * (abs(elementary) + abs(shift) + abs(value)))

@@ -14,14 +14,15 @@ Routes:
 * ``hurwitz_zeta_em`` (re-exported from ``kernels``) -- direct summation
   with an Euler-Maclaurin tail, continued analytically to every real
   s != 1; the default route, at a cost that does not grow with x.
-* ``zeta_fourier`` and ``zeta_fourier_pair`` -- the trigonometric expansion
-  valid for s < 1 on (0,1], its conditionally convergent sums evaluated by
+* ``zeta_fourier`` -- the trigonometric expansion valid for s < 1 on
+  (0,1], its conditionally convergent sums evaluated by
   ``kernels.sum_trig_averaged`` to the requested digits.
 * ``zeta_srivastava_choi`` -- the factorial-weighted expansion in
   zeta(s+n, x), summed directly past a shift of x with a proven remainder
   bound.
-* ``poisson_zeta`` -- Poisson summation: an instance of
-  ``kernels.sum_oscillatory_ibp``, verification grade.
+* ``poisson_zeta`` -- Poisson summation, its cosine sum over n rotated
+  onto the imaginary axis and summed as one integral by
+  ``kernels.sum_oscillatory``.
 
 ``zeta`` dispatches between all five and returns the route's own result;
 ``zeta_prime0`` and ``zeta_doubleprime0`` take ``em`` (the default),
@@ -38,7 +39,7 @@ from mpmath import mp, mpf
 from .core import (DEFAULT_CFG, DomainError, PoleError, PrecisionConfig,
                    SeriesResult, as_real, shift_up)
 from .kernels import (TS_GUARD_BITS, hurwitz_zeta_em, integrate_adaptive,
-                      sum_majorized, sum_oscillatory_ibp, sum_trig_averaged)
+                      sum_majorized, sum_oscillatory, sum_trig_averaged)
 from . import gammafuncs
 from .combinatorics import bell_complete, binomial
 
@@ -387,32 +388,6 @@ def zeta_fourier(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
         return SeriesResult(+value, +err, terms, cfg.tol())
 
 
-def zeta_fourier_pair(s, x, kind: str = "sum",
-                      cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """zeta(s,x) +/- zeta(s,1-x) from the single-sum trigonometric forms."""
-    with cfg.workprec(40):
-        s = as_real(s)
-        x = as_real(x)
-        if s >= 1:
-            raise DomainError("trigonometric route requires s < 1")
-        if not 0 < x < 1:
-            raise DomainError("x must lie in (0, 1)")
-        if kind not in ("sum", "diff"):
-            raise ValueError("kind must be 'sum' or 'diff'")
-        gam, gam_rel = _gamma_one_minus(s, cfg)
-        coeff = lambda n: (2 * mp.pi * n) ** (s - 1)
-        tcfg = _trig_cfg(cfg, 4 * gam)
-        if kind == "sum":
-            part = sum_trig_averaged(coeff, "cos", x, tcfg)
-            value = 4 * gam * mp.sinpi(s / 2) * part.value
-        else:
-            part = sum_trig_averaged(coeff, "sin", x, tcfg)
-            value = 4 * gam * mp.cospi(s / 2) * part.value
-        eps = 8 * mpf(2) ** -mp.prec
-        err = 4 * abs(gam) * part.err_estimate + abs(value) * (gam_rel + eps)
-        return SeriesResult(+value, +err, part.terms_used, cfg.tol())
-
-
 # routes of zeta that implement deriv = 0 only; each looks its function up
 # at call time, so that a rebound module attribute is the one that runs
 _VALUE_ROUTES = {
@@ -566,10 +541,8 @@ def poisson_zeta(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """zeta(s, x) from the Poisson-summation representation, s > 1.
 
     x^-s/2 + x^(1-s)/(s-1) plus twice the cosine sum of
-    kernels.sum_oscillatory_ibp, which picks its own number of integrals
-    before the integration-by-parts tail; x < 1 is shifted up by
-    zeta(s, x) = x^-s + zeta(s, x+1).  Verification grade: the integrals
-    stop near 1e-12.
+    kernels.sum_oscillatory; x < 1 is shifted up by
+    zeta(s, x) = x^-s + zeta(s, x+1).
     """
     with cfg.workprec(40):
         s = as_real(s)
@@ -580,7 +553,7 @@ def poisson_zeta(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
             raise DomainError("x must be positive")
         x, shift, _ = shift_up(x, lambda v: v ** (-s))
         base = x ** (-s) / 2 + x ** (1 - s) / (s - 1) + shift
-        osc = sum_oscillatory_ibp([1], s, x, "cos", 0, cfg)
+        osc = sum_oscillatory([1], s, x, "cos", 0, cfg)
         value = base + 2 * osc.value
         err = (2 * osc.err_estimate + 4 * mpf(2) ** -mp.prec
                * (abs(base) + abs(shift) + abs(value)))

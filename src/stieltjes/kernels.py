@@ -19,11 +19,12 @@ Kernels:
 * ``integrate_adaptive`` -- tanh-sinh quadrature on finite or infinite
   ranges, stepped level by level until two levels agree at the request.
 * ``integrate_oscillatory`` -- zero-aligned panels with Euler acceleration,
-  at a precision sized to its stop, the request but at most 1e-12.
-* ``sum_oscillatory_ibp`` -- sum over n of oscillatory integrals: the first
-  N by ``integrate_oscillatory``, the rest by an integration-by-parts tail
-  over Hurwitz zeta values (Briggs, Bourguet and Poisson routes), with N
-  the shortest head whose tail reaches the integrals' stop.
+  at a precision sized to its stop, the request but at most 1e-12; no
+  route of the package uses it.
+* ``sum_oscillatory`` -- sum over n of oscillatory integrals of
+  P(log(t+x)) (t+x)^-s (Briggs, Bourguet and Poisson routes), rotated onto
+  the imaginary axis, where the n-sum has a closed form, and summed as one
+  ``integrate_adaptive`` integral.
 * ``hurwitz_zeta_em`` -- Euler-Maclaurin summation of zeta(s, x) and its
   s-derivatives for every real s != 1, on the engine
   ``_em_log_power_sum`` that also gives gamma_m(x), log Gamma and psi.
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .core import (DEFAULT_CFG, DomainError, PoleError, PrecisionConfig,
                    SeriesResult, as_real)
@@ -343,6 +344,10 @@ def integrate_oscillatory(g: Callable[[mpf], mpf], freq,
     all the same.  The panels run at 24 bits beyond that stop, so their
     precision follows it, and the claim is the acceleration's error plus
     the sum of the panels' own quadrature errors.
+
+    No route of the package uses it: :func:`sum_oscillatory` rotates its
+    integrals onto the imaginary axis instead.  It stays only because the
+    benchmark's tracer looks it up by name.
     """
     if mode not in ("sin", "cos"):
         raise ValueError("mode must be 'sin' or 'cos'")
@@ -389,8 +394,8 @@ def integrate_oscillatory(g: Callable[[mpf], mpf], freq,
 
 # ---------------------------------------------------------------------------
 # Functions of the form P(log(t+x)) * (t+x)^(-s): their t-derivatives stay in
-# that form, which both the Euler-Maclaurin engine and the integration-by-parts
-# tail of sum_oscillatory_ibp rely on.
+# that form, which the Bernoulli corrections of the Euler-Maclaurin engine
+# rely on; sum_oscillatory evaluates them at complex t.
 # ---------------------------------------------------------------------------
 
 def _horner(P, L):
@@ -414,56 +419,46 @@ def _log_poly_step(P, c):
     return out
 
 
-def _ibp_tail(P, s, x, odd: int, N: int, w, stop, cfg):
-    """(value, error estimate, terms) of the n > N part of
-    :func:`sum_oscillatory_ibp`, by its integration-by-parts expansion."""
-    two_pi = 2 * mp.pi
-    L = mp.log(x)
-    Pr = P
-    total = mpf(0)
-    prev = mpf("inf")
-    mag = mpf(0)
-    terms = 0
-    for r in range(400):
-        if r % 2 == odd:
-            scale = (x ** (-s - r) / two_pi ** (r + 1)
-                     * hurwitz_zeta_em(r + 1 + w, N + 1, 0, cfg).value)
-            mag = _horner([abs(c) for c in Pr], abs(L)) * abs(scale)
-            if mag > prev:  # asymptotic series turned; stop
-                break
-            total += (-1) ** ((r + 1) // 2) * _horner(Pr, L) * scale
-            terms += 1
-            prev = mag
-            if mag < stop:
-                break
-        Pr = _log_poly_step(Pr, s + r)
-    return total, mag, terms
-
-
-def sum_oscillatory_ibp(poly, s, x, mode: str, w=0,
-                        cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
+def sum_oscillatory(poly, s, x, mode: str, w=0,
+                    cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """sum_{n>=1} n^-w int_0^inf P(log(t+x)) (t+x)^-s trig(2 pi n t) dt.
 
-    ``poly`` holds the coefficients of P (ascending).  The first N integrals
-    come from :func:`integrate_oscillatory`.  For n > N each integral is
-    expanded by parts at t = 0, with g(t) = P(log(t+x)) (t+x)^-s:
+    ``poly`` holds the coefficients of P (ascending), w is 0 or 1 and
+    x >= 1; the sine form needs w = 1.  g(t) = P(log(t+x)) (t+x)^-s is
+    analytic for Re t > -x and falls like a power of 1/|t|, so each
+    integral turns by t = iu onto the imaginary axis (Hermite's rotation,
+    as in Abel-Plana):
 
-        cos: sum_{k>=1} (-1)^k g^(2k-1)(0) / (2 pi n)^(2k)
-        sin: sum_{k>=0} (-1)^k g^(2k)(0) / (2 pi n)^(2k+1)
+        int_0^inf g(t) e^(2 pi i n t) dt = i int_0^inf g(iu) e^(-2 pi n u) du.
 
-    so the n-sum of the r-th term is zeta(r + 1 + w, N + 1) / (2 pi)^(r+1).
-    The expansion is asymptotic: it is summed until its terms stop
-    decreasing or fall below :func:`_oscillatory_stop`, where the integrals
-    stop too, and the last term computed is the tail's error estimate.
-    Both tests read the envelope sum_d |P_r,d| |L|^d in place of |P_r(L)|,
-    which can pass near zero and fake a turn.  N is the smallest head
-    length whose tail reaches that stop (tried on the tail alone: EM zeta
-    values, no integrals).  The smallest tail term falls like
-    e^(-2 pi N x), so the kernel takes x >= 1 only, where N stays small.
-    The sine form needs w > 0.
+    Under the integral the n-sum has a closed form, W_0(u) =
+    1/expm1(2 pi u) and W_1(u) = -log(-expm1(-2 pi u)), so the whole sum
+    is i J with J = int_0^inf g(iu) W_w(u) du: the cosine sum is -Im J and
+    the sine sum Re J.  The integrand is smooth and falls like e^(-2 pi u);
+    at u = 0, Im g(iu) = O(u) cancels the pole of W_0, and W_1 has a
+    logarithmic end singularity that tanh-sinh takes in its stride.  One
+    :func:`integrate_adaptive` call sums it, and its result is returned.
+    For s > x^2 it runs in v = u sqrt(s) / x: |g(iu)| falls like
+    e^(-s u^2 / 2x^2), a peak the first levels would miss at large s, two
+    levels agreeing on zero.  Under that peak the phase s u / x turns
+    about sqrt(s) times, so from s ~ 1e4 the levels do not agree and the
+    result is unconverged rather than wrong.
+
+    That claim leaves out the integrand's own rounding, which is covered
+    here without a term of its own.  The nodes run at prec =
+    cfg.working_bits + 60 bits, 124 bits past the digits asked for.  Each
+    value is a few dozen roundings of a few ulps (a complex log and power,
+    a Horner step, expm1, a log) of |P|(log(x+u) + 2) |x+iu|^-s |W_w(u)|,
+    times min(1, u) for the imaginary part, whose parts are O(u) at u = 0;
+    W_1 is good to an ulp of 1, not of itself, until e^(-2 pi u) passes
+    2^-prec at u ~ prec/9.  For x >= 1, s >= 1 and deg P <= 1 that adds to
+    fewer than prec (log(1+x) + 2) ulps, 2^-90 of the request or less
+    while log(1+x) < 2^10.
     """
     if mode not in ("sin", "cos"):
         raise ValueError("mode must be 'sin' or 'cos'")
+    if w not in (0, 1):
+        raise DomainError("the n-sum has a closed form for w in {0, 1} only")
     if mode == "sin" and not w > 0:
         raise DomainError("the sine form needs w > 0")
     with cfg.workprec(40):
@@ -472,24 +467,25 @@ def sum_oscillatory_ibp(poly, s, x, mode: str, w=0,
         if not x >= 1:
             raise DomainError("x must be >= 1 (shift by a recurrence)")
         P = [mpf(c) for c in poly]
-        stop = _oscillatory_stop(cfg)
-        odd = 1 if mode == "cos" else 0  # derivative orders in the expansion
-        N = 1
-        while True:
-            total, err, tail_terms = _ibp_tail(P, s, x, odd, N, w, stop, cfg)
-            if err < stop:
-                break
-            N += 1
-        if len(P) == 1:
-            g = lambda t: P[0] * (x + t) ** (-s)
-        else:
-            g = lambda t: _horner(P, mp.log(x + t)) * (x + t) ** (-s)
-        for n in range(1, N + 1):
-            res = integrate_oscillatory(g, 2 * mp.pi * n, cfg, mode)
-            weight = mpf(n) ** (-w)
-            total += res.value * weight
-            err += res.err_estimate * weight
-        return SeriesResult(+total, +err, N + tail_terms, cfg.tol())
+
+        # u = scale * v: |(x + iu)^-s| falls like e^(-s u^2 / 2x^2), a peak
+        # the first levels' nodes would miss for s >> x^2
+        scale = min(1, x / mp.sqrt(max(s, 1)))
+
+        def f(v):
+            u = scale * v
+            z = mpc(x, u)
+            if len(P) == 1:
+                g = P[0] * z ** (-s)
+            else:
+                g = _horner(P, mp.log(z)) * z ** (-s)
+            if w:
+                weight = -mp.log(-mp.expm1(-2 * mp.pi * u))
+            else:
+                weight = 1 / mp.expm1(2 * mp.pi * u)
+            return (g.real if mode == "sin" else -g.imag) * weight * scale
+
+        return integrate_adaptive(f, 0, mp.inf, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +653,14 @@ def _em_log_power_sum(poly, s, x, cfg) -> SeriesResult:
     tol = cfg.tol()
     bits = int(math.ceil(float(-mp.log(tol, 2))))
     monomial = sum(1 for c in poly if c != 0) == 1
-    N, K, guard = _em_plan(bits, float(s), deg, monomial)
     # s keeps the caller's bits: rounding s to wp bits would cost s - 1 its
     # relative precision near the pole
     s = mp.convert(s)
+    # the plan and the bounds run on float(s); an s beyond float range
+    # (1e400 is exact and finite) would never find a plan
+    if not math.isfinite(float(s)):
+        raise DomainError(f"s must lie within float range, got {s}")
+    N, K, guard = _em_plan(bits, float(s), deg, monomial)
     x = mpf(x)
     guard += _em_tail_guard(deg, s, N + x)
     wp = bits + int(guard) + (N + 2 * K).bit_length() + 16

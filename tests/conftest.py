@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from mpmath import mp, mpf
 
+from stieltjes.combinatorics import bell_complete
 from stieltjes.core import PrecisionConfig
 
 # derandomized: Tier-1 runs the same draws every time
@@ -67,3 +68,16 @@ def sides(suite, identity):
         return call
 
     return tuple(value(f) for f in row.check)
+
+
+def harmonic(n, m=1, t=1):
+    """The generalized harmonic number sum_{k<n} 1/(k+t)^m."""
+    return mp.fsum((k + mpf(t)) ** -m for k in range(n))
+
+
+def bell_harmonic(k, n):
+    """Y_k(H_n, -1! H_n^(2), ..., (-1)^(k-1) (k-1)! H_n^(k)): the k-th
+    derivative at 0 of Gamma(s+n+1)/Gamma(s+1), over n!; a reference for
+    the Bell route's weights."""
+    return bell_complete([(-1) ** i * mp.factorial(i) * harmonic(n, i + 1)
+                          for i in range(k)])

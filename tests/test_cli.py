@@ -150,17 +150,36 @@ class TestCompute:
         assert doc["result"]["terms_used"] == res.terms_used > 0
         assert mpf(doc["result"]["err_estimate"]) < mpf(10) ** -20
 
-    @pytest.mark.parametrize("argv", [
-        ("gamma_m", "-m", "1", "-x", "1", "--method", "briggs"),
-        ("zeta", "-s", "2", "--method", "poisson")])
-    def test_verification_route_short_of_the_request_exits_3(self, capsys,
-                                                            argv):
-        # these routes stop near 1e-12; they printed converged: true
+    @pytest.mark.parametrize("argv,reference", [
+        (("gamma_m", "-m", "1", "-x", "1", "--method", "briggs"),
+         lambda: mp.stieltjes(1)),
+        (("zeta", "-s", "2", "--method", "poisson"), lambda: mp.zeta(2))])
+    def test_oscillatory_route_meets_the_request(self, capsys, argv,
+                                                 reference):
+        # each prints 30 digits within the request, and claims no more
         code, doc = compute_json(capsys, "compute", *argv, "--digits", "30",
                                  "--no-cache")
-        assert code == 3
-        assert doc["result"]["converged"] is False
-        assert mpf(doc["result"]["err_estimate"]) > mpf(10) ** -30
+        assert code == 0
+        assert doc["result"]["converged"] is True
+        with mp.workdps(70):
+            ref = reference()
+            # 30 printed digits: half a unit in the last one
+            half_ulp = 5 * mpf(10) ** (mp.floor(mp.log10(abs(ref))) - 30)
+            actual = abs(mpf(doc["result"]["value"]) - ref)
+            assert actual <= mpf(10) ** -30 * max(1, abs(ref)) + half_ulp
+            assert mpf(doc["result"]["err_estimate"]) <= mpf(10) ** -30
+
+    @pytest.mark.parametrize("s", ["inf", "nan", "1e400"])
+    def test_non_finite_s_exits_2(self, s):
+        # each ran until killed: the EM plan looped on float(s), inf or nan
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(stieltjes.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stieltjes.cli", "compute", "zeta",
+             f"-s={s}", "--digits", "20", "--no-cache"],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: s must" in proc.stderr
 
     def test_bad_quantity_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

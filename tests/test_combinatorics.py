@@ -4,12 +4,31 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from stieltjes.combinatorics import (bell_complete, bell_harmonic,
-                                     bell_partition_sum, binomial, harmonic)
-from stieltjes.core import DomainError
+from stieltjes.combinatorics import bell_complete, binomial
 from stieltjes.gammafuncs import digamma
 
-from conftest import assert_close
+from conftest import assert_close, bell_harmonic, harmonic
+
+
+def bell_partition_sum(xs):
+    """Y_r(x_1..x_r) by its definition: r!/(k_1!..k_r!) prod (x_i/i!)^k_i
+    summed over k_1 + 2 k_2 + ... + r k_r = r, at exponential cost."""
+    r = len(xs)
+    xs = [mpf(v) for v in xs]
+    total = mpf(0)
+
+    def rec(i, remaining, coeff_den, prod):
+        nonlocal total
+        if i > r:
+            if remaining == 0:
+                total += mp.factorial(r) / coeff_den * prod
+            return
+        for k in range(remaining // i + 1):
+            rec(i + 1, remaining - i * k, coeff_den * mp.factorial(k),
+                prod * (xs[i - 1] / mp.factorial(i)) ** k)
+
+    rec(1, r, mpf(1), mpf(1))
+    return total
 
 
 class TestBinomial:
@@ -26,6 +45,8 @@ class TestBinomial:
         assert sum((-1) ** k * binomial(n, k) for k in range(n + 1)) == 0
 
 
+# the harmonic numbers and Bell weights are the tests' own references: these
+# check them
 class TestHarmonic:
     def test_classic(self):
         assert_close(harmonic(3, 1, 1), mpf(11) / 6, mpf(10) ** -25, "H_3")
@@ -44,10 +65,6 @@ class TestHarmonic:
             for t in (mpf("0.25"), mpf(2)):
                 d = harmonic(n + 1, 1, t) - harmonic(n, 1, t)
                 assert_close(d, 1 / (n + t), mpf(10) ** -25, "increment")
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            harmonic(3, 1, 0)
 
 
 class TestBellComplete:
@@ -74,13 +91,13 @@ class TestBellHarmonic:
     def test_zero_order(self):
         assert bell_harmonic(0, 5) == 1
 
-    def test_first_order(self, cfg30):
-        assert_close(bell_harmonic(1, 2, cfg30), mpf(3) / 2, mpf(10) ** -25,
+    def test_first_order(self):
+        assert_close(bell_harmonic(1, 2), mpf(3) / 2, mpf(10) ** -25,
                      "Y_1 = H_2")
 
-    def test_second_order(self, cfg30):
+    def test_second_order(self):
         # Y_2(H_2, -H_2^(2)) = (3/2)^2 - 5/4
-        assert_close(bell_harmonic(2, 2, cfg30), 1, mpf(10) ** -25, "Y_2")
+        assert_close(bell_harmonic(2, 2), 1, mpf(10) ** -25, "Y_2")
 
     @pytest.mark.parametrize("k,n", [(1, 2), (2, 3), (3, 4), (4, 6)])
     def test_matches_gamma_ratio_derivative(self, k, n):

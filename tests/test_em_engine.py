@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from stieltjes.constants import em_gamma, laurent_oracle
-from stieltjes.core import PrecisionConfig
+from stieltjes.core import DomainError, PrecisionConfig
 from stieltjes.gammafuncs import digamma, log_gamma, polygamma
 from stieltjes.hurwitz import zeta_doubleprime0
 from stieltjes.kernels import hurwitz_zeta_em
@@ -161,3 +161,11 @@ def test_exact_s_next_to_the_pole_keeps_its_digits(exact, as_mpf, cfg20):
     with mp.workdps(80):
         assert abs(res.value - mp.zeta(s, 1000)) <= res.err_estimate
     assert res.converged
+
+
+@pytest.mark.parametrize("s", [mpf("1e400"), Fraction(10) ** 400,
+                               mpf("-1e400"), mp.inf, mp.nan])
+def test_s_beyond_float_range_raises(s, cfg20):
+    # the plan runs on float(s); at inf or nan it never returned
+    with pytest.raises(DomainError):
+        hurwitz_zeta_em(s, 1, 0, cfg20)

@@ -15,10 +15,11 @@ request (a loose reference would fake overclaims).  Draws: Stieltjes index
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from stieltjes.combinatorics import bell_harmonic
 from stieltjes.constants import _elementary_step, bell_series_gamma
 from stieltjes.core import PrecisionConfig
 from stieltjes.hurwitz import zeta_srivastava_choi
+
+from conftest import bell_harmonic
 
 DIGITS = st.sampled_from([20, 30, 50])
 X = st.floats(-2, 3).map(lambda e: mpf(10 ** e))
@@ -50,14 +51,14 @@ def test_srivastava_choi_claim(s, x, digits):
     _check(res, lambda: mp.zeta(s, x), digits)
 
 
-def test_bell_weights_are_elementary_symmetric(cfg30):
+def test_bell_weights_are_elementary_symmetric():
     # Y_k(n) = k! e_k(1, 1/2, ..., 1/n), the nonnegative form the bound uses
     e = [mpf(1)] + [mpf(0)] * 6
     for n in range(1, 12):
         e = _elementary_step(e, n)
         for k in range(7):
             y = mp.factorial(k) * e[k]
-            assert abs(y - bell_harmonic(k, n, cfg30)) <= (
+            assert abs(y - bell_harmonic(k, n)) <= (
                 mpf(10) ** -25 * max(1, y))
 
 

@@ -23,7 +23,7 @@ class TestRoutes:
     def test_euler_constant_all_routes(self, cfg30):
         ref = mpf(GAMMA)
         for method, tol in (("hasse", "1e-25"), ("bell", "1e-25"),
-                            ("laurent_oracle", "1e-25"), ("briggs", "1e-4")):
+                            ("laurent_oracle", "1e-25"), ("briggs", "1e-30")):
             res = stieltjes_gamma(0, 1, method, cfg30)
             assert abs(res.value - ref) < mpf(tol), method
 
@@ -56,11 +56,13 @@ class TestRoutes:
                             bound = 3 * (errs[a] + errs[b]) + mpf(10) ** -16
                             assert abs(vals[a] - vals[b]) < bound, (m, x, a, b)
 
-    def test_briggs_where_defined(self, cfg20):
+    def test_briggs_where_defined(self, cfg20, cfg40):
         for m, x in ((0, mpf(1)), (0, mpf(2)), (1, mpf(1)), (1, mpf(3) / 2)):
             r = stieltjes_gamma(m, x, "briggs", cfg20)
-            ref = laurent_oracle(m, x, cfg20).value
-            assert abs(r.value - ref) < mpf(10) ** -4, (m, x)
+            ref = laurent_oracle(m, x, cfg40).value
+            assert r.converged, (m, x)
+            assert abs(r.value - ref) < mpf(10) ** -20 * max(1, abs(ref)), (
+                m, x)
 
     def test_briggs_rejects_m2(self, cfg20):
         with pytest.raises(DomainError):
