@@ -130,9 +130,8 @@ def _route(args, x):
 
 def _arguments(args, x, cfg):
     """The quantity's arguments: x at working precision, s as the exact
-    Fraction its text names.  Text Fraction cannot read (inf, nan) names
-    no finite s and is refused."""
-    from mpmath import mpf
+    Fraction its text names.  A non-finite x or s (inf, nan) is refused."""
+    from mpmath import mp, mpf
     from .core import as_real
     s = None
     if args.s is not None:
@@ -141,9 +140,10 @@ def _arguments(args, x, cfg):
         except ValueError:
             raise DomainError(f"s must be a finite number, got {args.s}") from None
     with cfg.workprec():
-        return argparse.Namespace(
-            m=args.m, deriv=args.deriv, raw_x=x,
-            x=mpf(1) if x is None else as_real(x), s=s)
+        xv = mpf(1) if x is None else as_real(x)
+    if not mp.isfinite(xv):
+        raise DomainError(f"x must be a finite number, got {x}")
+    return argparse.Namespace(m=args.m, deriv=args.deriv, raw_x=x, x=xv, s=s)
 
 
 def _evaluate(args, x, route, cfg):

@@ -4,9 +4,11 @@ constant function on the unit circle.
 
 Every conditionally convergent sum routes through
 :func:`stieltjes.kernels.sum_trig_averaged` (a direct head and an
-Euler-Abel transform of the tail); no evaluator implements its own
-summation.  The sums run to the requested digits, at a cost of
-O(bits / sin pi x) terms for any x.  Each evaluator computes one side of
+Euler-Abel transform of the tail), and every direct series (Kolbig's S1
+and S2, Sondow's power series) stops on a proven remainder bound in
+:func:`stieltjes.kernels.sum_majorized`; no evaluator implements its own
+summation.  The trigonometric sums run to the requested digits, at a cost
+of O(bits / sin pi x) terms for any x.  Each evaluator computes one side of
 an identity: a sum returns the kernel's ``SeriesResult``, a closed form
 its value.  Which two sides meet, and within which tolerance, is decided
 by the suite table, :data:`stieltjes.suites.CATALOGUE`.
@@ -21,7 +23,8 @@ from mpmath import mp, mpc, mpf
 
 from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
                    as_real)
-from .kernels import hurwitz_zeta_em, integrate_adaptive, sum_trig_averaged
+from .kernels import (hurwitz_zeta_em, integrate_adaptive, sum_majorized,
+                      sum_trig_averaged)
 from .constants import hasse_gamma
 from .hurwitz import zeta_doubleprime0
 from . import gammafuncs
@@ -29,16 +32,22 @@ from . import gammafuncs
 
 def lerch_transform(c, mode: str, x,
                     cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """Averaged sum of the transformed series sum_{n>=0}(c_n - c_{n+1}) trig((2n+1) pi x).
+    """sum_{n>=0}(c_n - c_{n+1}) trig((2n+1) pi x) with c_0 = 0: the n = 0
+    term -c_1 trig(pi x), plus the rest by the averaged sum.
 
-    With c_0 = 0 this equals f'(x) sin(pi x)/pi for f = sum c_n/n sin(2 pi n x)
-    (sin mode) or g'(x) sin(pi x)/pi for the cosine companion.
+    This equals f'(x) sin(pi x)/pi for f = sum c_n/n sin(2 pi n x) (sin
+    mode) or g'(x) sin(pi x)/pi for the cosine companion.  The claim is the
+    sum's, plus the rounding of the n = 0 term and of the total.
     """
-    def diff(n):
-        prev = mpf(0) if n == 0 else c(n)
-        return prev - c(n + 1)
-
-    return sum_trig_averaged(diff, mode, x, cfg, odd_multiples=True, n0=0)
+    with cfg.workprec(40):
+        x = as_real(x)
+        rest = sum_trig_averaged(lambda n: c(n) - c(n + 1), mode, x, cfg,
+                                 odd_multiples=True)
+        first = -c(1) * (mp.sinpi(x) if mode == "sin" else mp.cospi(x))
+        value = first + rest.value
+        err = (rest.err_estimate
+               + 4 * mpf(2) ** -mp.prec * (abs(first) + abs(value)))
+        return SeriesResult(+value, +err, rest.terms_used + 1, cfg.tol())
 
 
 def kummer_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -179,48 +188,40 @@ def series_325_family(x, which: str, cfg: PrecisionConfig = DEFAULT_CFG
 
 
 def _kolbig_s1(cfg) -> SeriesResult:
-    """S1 = sum_{n>=2} log n/(4n^2 - 1) = -sum_j zeta'(2j, 1)/4^j.  A term is
-    at most 1/16 of the one before, so the rest is at most 1/15 of the last."""
-    S1 = err = mpf(0)
-    j = 1
-    tol = cfg.tol() * mpf(10) ** -2
-    while True:
+    """S1 = sum_{n>=2} log n/(4n^2 - 1) = -sum_j zeta'(2j, 1)/4^j, by
+    ``sum_majorized``.  A term is at most 1/16 of the one before, so the
+    rest is at most 1/15 of the last."""
+    def term(j):
         z = hurwitz_zeta_em(2 * j, 1, 1, cfg)
-        term = -z.value / mpf(4) ** j
-        S1 += term
-        err += z.err_estimate / mpf(4) ** j
-        if abs(term) < tol:
-            break
-        j += 1
-    err += abs(term) / 15 + j * mpf(2) ** -mp.prec * abs(S1)
-    return SeriesResult(S1, err, j, cfg.tol())
+        t = -z.value / mpf(4) ** j
+        return t, z.err_estimate / mpf(4) ** j, abs(t) / 15
+
+    return sum_majorized(term, 0, cfg.max_terms, cfg)
 
 
 def _kolbig_s2(cfg) -> SeriesResult:
     """S2 = sum_{n>=1} log(1+1/n)/(2n+1): N = 40 terms, then the tail
-    sum_k c_k zeta(k, N+1), c_k = (-1)^k sum_{i<k} 2^(i-k)/i.  As |c_k| < 1
-    and zeta(k, N+1) <= (N+1)^-k (1 + (N+1)/(k-1)), the terms past the last
-    one summed, k, add up to at most (N+1)^-k (1 + (N+1)/k) / N."""
+    sum_{k>=2} c_k zeta(k, N+1) by ``sum_majorized``, c_k = (-1)^k a_k with
+    a_k = sum_{i<k} 2^(i-k)/i, so a_(k+1) = (a_k + 1/k)/2 exactly.  As
+    a_k < 1 and zeta(k, N+1) <= (N+1)^-k (1 + (N+1)/(k-1)), the terms past
+    term k add up to at most (N+1)^-k (1 + (N+1)/k) / N."""
     N = 40
     head = mp.fsum(mp.log(1 + mpf(1) / n) / (2 * n + 1)
                    for n in range(1, N + 1))
-    tol = cfg.tol() * mpf(10) ** -2
-    tail = err = mpf(0)
-    k = 2
-    while True:
-        c_k = (-1) ** k * sum(Fraction(1, i * 2 ** (k - i))
-                              for i in range(1, k))
+    a = [Fraction(0), Fraction(0)]  # a_k for k = 0, 1
+
+    def term(n):
+        k = n + 1
+        a.append((a[-1] + Fraction(1, k - 1)) / 2)
+        c = (-1) ** k * mpf(a[k].numerator) / a[k].denominator
         z = hurwitz_zeta_em(k, N + 1, 0, cfg)
-        c = mpf(c_k.numerator) / c_k.denominator
-        term = c * z.value
-        tail += term
-        err += abs(c) * z.err_estimate
-        if abs(term) < tol and k > 4:
-            break
-        k += 1
-    err += (mpf(N + 1) ** -k * (1 + mpf(N + 1) / k) / N
-            + (N + k) * mpf(2) ** -mp.prec * (head + abs(tail)))
-    return SeriesResult(head + tail, err, N + k - 1, cfg.tol())
+        rest = mpf(N + 1) ** -k * (1 + mpf(N + 1) / k) / N
+        return c * z.value, abs(c) * z.err_estimate, rest
+
+    tail = sum_majorized(term, head, cfg.max_terms - N, cfg)
+    value = head + tail.value
+    err = tail.err_estimate + (N + 4) * mpf(2) ** -mp.prec * abs(value)
+    return SeriesResult(+value, +err, N + tail.terms_used, cfg.tol())
 
 
 def kolbig_check(cfg: PrecisionConfig = DEFAULT_CFG):
@@ -248,43 +249,34 @@ def _euler_coeff(n: int) -> mpf:
 
 
 def _sondow_power_series(z, cfg) -> SeriesResult:
-    """gamma(z) for real |z| <= 1, z != -1, by the defining sum; z = 1 by a
-    head of 40 terms and the tail sum_k (-1)^k zeta(k, 41) / k."""
+    """gamma(z) for real |z| <= 1, z != -1, by the defining sum on
+    ``sum_majorized``; z = 1 by a head of 40 terms and the tail
+    sum_{k>=2} (-1)^k zeta(k, 41)/k, which alternates with falling terms, so
+    its rest is at most the last term.  For |z| < 1, 0 < a_k < 1/(2k^2)
+    bounds the rest past term n by |z|^n / (2 (n+1)^2 (1 - |z|))."""
     if abs(z) > 1:
         raise DomainError("|z| <= 1 required for the series route")
-    tol = cfg.tol() * mpf(10) ** -2
+    eps = mpf(2) ** -mp.prec
     if z == 1:
         N = 40
-        acc = mp.fsum(_euler_coeff(n) for n in range(1, N + 1))
-        err = mpf(0)
-        k = 2
-        while True:
-            zk = hurwitz_zeta_em(k, N + 1, 0, cfg)
-            t = (-1) ** k * zk.value / k
-            acc += t
-            err += zk.err_estimate / k
-            if abs(t) < tol or k > 200:
-                break
-            k += 1
-        # alternating with falling terms: the remainder is below |t|
-        err += abs(t) + (N + k + 32) * mpf(2) ** -mp.prec * abs(acc)
-        return SeriesResult(+acc, +err, N + k - 1, cfg.tol())
-    acc = mpf(0)
-    mag = mpf(0)
-    zp = mpf(1)
-    n = 1
-    while True:
-        t = zp * _euler_coeff(n)
-        acc += t
-        mag += abs(t)
-        if abs(zp) / (n + 1) ** 2 < tol:
-            break
-        zp *= z
-        n += 1
-    # 0 < 1/k - log(1 + 1/k) < 1/(2k^2) bounds the terms beyond n
-    rest = abs(zp * z) / (2 * (n + 1) ** 2 * (1 - abs(z)))
-    err = rest + (n + 32) * mpf(2) ** -mp.prec * mag
-    return SeriesResult(+acc, +err, n, cfg.tol())
+        head = mp.fsum(_euler_coeff(n) for n in range(1, N + 1))
+
+        def term(n):
+            zk = hurwitz_zeta_em(n + 1, N + 1, 0, cfg)
+            t = (-1) ** (n + 1) * zk.value / (n + 1)
+            return t, zk.err_estimate / (n + 1), abs(t)
+
+        tail = sum_majorized(term, head, cfg.max_terms - N, cfg)
+        value = head + tail.value
+        err = tail.err_estimate + (N + 4) * eps * abs(value)
+        return SeriesResult(+value, +err, N + tail.terms_used, cfg.tol())
+
+    def term(n):
+        t = z ** (n - 1) * _euler_coeff(n)
+        rest = abs(z) ** n / (2 * (n + 1) ** 2 * (1 - abs(z)))
+        return t, (2 * n.bit_length() + 4) * eps * abs(t), rest
+
+    return sum_majorized(term, 0, cfg.max_terms, cfg)
 
 
 def _sondow_circle(z: Fraction, cfg) -> SeriesResult:
@@ -352,25 +344,13 @@ def sondow_gamma(z: Union[mpf, float, int, Fraction],
             if zr > 1:
                 raise DomainError("z <= 1 required (pole of 1/(1-zy))")
 
+            # (1 - y + log y) / ((1 - zy) log y) = (1 - y) k(y) / (1 - zy),
+            # k(y) = 1/(1-y) + 1/log y formed past its cancellation at y -> 1
             def f(y):
-                if y <= 0 or y >= 1:
+                if not 0 < y < 1:
                     return mpf(0)
-                v = 1 - y
-                if v < mpf("0.5"):
-                    num = mpf(0)  # 1 - y + log y = -sum_{k>=2} v^k/k
-                    vp = v * v
-                    k = 2
-                    eps = mpf(2) ** (-mp.prec + 4)
-                    while True:
-                        t = vp / k
-                        num -= t
-                        if t < eps:
-                            break
-                        vp *= v
-                        k += 1
-                else:
-                    num = 1 - y + mp.log(y)
-                return num / ((1 - zr * y) * mp.log(y))
+                return ((1 - y) * gammafuncs._log_kernel_bracket(y)
+                        / (1 - zr * y))
 
             return integrate_adaptive(f, 0, 1, cfg)
         if route == "2q":

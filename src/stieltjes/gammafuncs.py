@@ -10,9 +10,6 @@ form of psi(x) - log x are kept as independent sides of identity checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-
 from mpmath import mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
@@ -66,33 +63,19 @@ def polygamma(k: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
         return SeriesResult(value, err, res.terms_used, cfg.tol())
 
 
-@lru_cache(maxsize=8)
-def _gregory_signed(count: int, prec: int):
-    """(-1)^(n+1) G_n for n = 1..count as mpf at ``prec`` bits, G_n the
-    coefficients of z/log(1+z) = sum G_n z^n, found as exact fractions."""
-    b = [Fraction((-1) ** k, k + 1) for k in range(count + 1)]
-    G = [Fraction(1)]
-    for n in range(1, count + 1):
-        G.append(-sum(b[k] * G[n - k] for k in range(1, n + 1)))
-    with mp.workprec(prec):
-        return tuple((-1) ** (n + 1) * mpf(g.numerator) / g.denominator
-                     for n, g in enumerate(G) if n)
-
-
 def _log_kernel_bracket(u) -> mpf:
-    """1/(1-u) + 1/log(u) on (0,1); the u->1 cancellation is resummed.
+    """1/(1-u) + 1/log(u) on (0,1), rounded to the working precision.
 
-    Near u=1 both terms blow up like 1/(1-u); the difference is the Gregory
-    series sum (-1)^(n+1) G_n (1-u)^(n-1), summed by Horner over
-    coefficients converted once per precision.
+    Near u = 1 both terms are about 1/(1-u) and cancel to 1/2 + O(1-u), so
+    the sum is formed with log2(1/(1-u)) + 8 extra bits; 1 - u is exact
+    there (u >= 1/2), and the limit 1/2 stands at u = 1.
     """
     v = 1 - u
-    if v > mpf("0.25"):
-        return 1 / v + 1 / mp.log(u)
-    acc = mpf(0)
-    for c in reversed(_gregory_signed(int(mp.dps * 1.7) + 8, mp.prec)):
-        acc = acc * v + c
-    return acc
+    if not v:
+        return mpf(1) / 2
+    with mp.workprec(mp.prec - mp.mag(v) + 8):
+        k = 1 / v + 1 / mp.log(u)
+    return +k
 
 
 def digamma_log_integral(x, cfg: PrecisionConfig = DEFAULT_CFG

@@ -59,25 +59,17 @@ def _recip_gamma_derivs(alpha, jmax: int, cfg: PrecisionConfig):
 
     1/Gamma(-alpha) = -alpha * exp(u), u = -log Gamma(1-alpha); exponential
     derivatives via complete Bell polynomials in psi^(i)(1-alpha).  The
-    error du_i of each input is bounded against the same input run eight
-    digits tighter (their difference plus the tighter claim), and passes
-    through dY_p/du_i = C(p, i) Y_(p-i); the higher orders are bounded by
-    the same expansion at |u|, where every coefficient is positive.
-    Returns (B, bounds on |B_p - exact|).
+    error du_i of each input, log Gamma or psi^(i-1) on the EM engine, is
+    that input's own claim, and passes through dY_p/du_i = C(p, i) Y_(p-i);
+    the higher orders are bounded by the same expansion at |u|, where every
+    coefficient is positive.  Returns (B, bounds on |B_p - exact|).
     """
     one_minus = 1 - alpha
-
-    def inputs(c):
-        """log Gamma(1 - alpha), then psi^(i-1)(1 - alpha) for i = 1..jmax."""
-        return [gammafuncs.log_gamma(one_minus, c)] + [
-            gammafuncs.digamma(one_minus, c) if i == 1
-            else gammafuncs.polygamma(i - 1, one_minus, c)
-            for i in range(1, jmax + 1)]
-
-    used = inputs(cfg)
-    tight = inputs(cfg.replace(tolerance=cfg.tol() * mpf(10) ** -8))
-    errs = [abs(a.value - b.value) + b.err_estimate
-            for a, b in zip(used, tight)]
+    used = [gammafuncs.log_gamma(one_minus, cfg)] + [
+        gammafuncs.digamma(one_minus, cfg) if i == 1
+        else gammafuncs.polygamma(i - 1, one_minus, cfg)
+        for i in range(1, jmax + 1)]
+    errs = [r.err_estimate for r in used]
     u = [(-1) ** i * r.value for i, r in enumerate(used[1:])]
     du = errs[1:]
     Y = [bell_complete(u[:p]) for p in range(jmax + 1)]
@@ -200,7 +192,8 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
     rounding, V's Horner steps included.
 
     Both integrals run on ``kernels.integrate_adaptive`` over [0, 1] and
-    [1, inf), which stops at the request; the bound's at a looser
+    [1, inf), the second cut at the integrand's peak when that lies past 2
+    (large s), and stop at the request; the bound's at a looser
     tolerance on the same digits, so on the first levels of the same
     nodes.  They read w, -log t and V_{i,N-i}(t) from the shared tables for
     (N, i) and the node precision, filling in the nodes no earlier call
@@ -271,6 +264,15 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
                 return mp.exp(-(x + i) * t) * V * K
             return f
 
+        def ranges(i):
+            """(0, 1) and (1, inf), the second cut at the peak t* of
+            t^(-alpha-1) e^(-(x+i)t) when t* > 2 (large s), so that the
+            quadrature's nodes cannot step over it."""
+            peak = (-alpha - 1) / (x + i)
+            if peak > 2:
+                return (0, 1), (1, peak), (peak, mp.inf)
+            return (0, 1), (1, mp.inf)
+
         for j in js:
             if j == 0 and alpha == 0:
                 continue  # series terminates: differences of y^r vanish past r
@@ -286,7 +288,7 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
 
                 integrand = tail_integrand(
                     i, j, lambda p, t, lt, j=j: lt ** (j - p) * B[p])
-                for a, b in ((0, 1), (1, mp.inf)):
+                for a, b in ranges(i):
                     val = integrate_adaptive(integrand, a, b, cfg)
                     J = integrate_adaptive(tail_integrand(i, j, bound), a, b,
                                            loose)
@@ -315,6 +317,9 @@ def zeta_hasse(s, x=1, deriv: int = 0,
             raise PoleError("zeta(s,x) has a simple pole at s = 1")
         if deriv < 0:
             raise DomainError("derivative order must be >= 0")
+        # the tail's peak t* ~ s must be a number its quadrature can reach
+        if not math.isfinite(float(s)):
+            raise DomainError(f"s must lie within float range, got {s}")
         c = 1 - s
         parts, err, terms = _hasse_parts(list(range(deriv + 1)), c, x, cfg)
         total = mpf(0)

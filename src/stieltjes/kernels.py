@@ -10,7 +10,12 @@ Kernels:
 * ``sum_alternating_accelerated`` -- Euler transform of an alternating
   series, with a heuristic claim; no route of the package uses it.
 * ``sum_majorized`` -- direct summation until a remainder bound supplied
-  with each term meets the request (Bell, Srivastava-Choi).
+  with each term meets the request.  Every direct series of the package
+  stops here: Bell (``constants.bell_series_gamma``), Srivastava-Choi
+  (``hurwitz.zeta_srivastava_choi``), Kolbig's S1 and S2
+  (``fourier._kolbig_s1``, ``fourier._kolbig_s2``), Sondow's power series
+  (``fourier._sondow_power_series``) and Ramanujan's exponential sum
+  (``constants.ramanujan_exp_sum``).
 * ``sum_trig_averaged`` -- conditionally convergent trigonometric series
   sum f(n) trig(2 pi n x) for completely monotone f: a direct head and an
   Euler-Abel transform of the tail in z = e^(2 pi i x), at a cost that does
@@ -153,16 +158,15 @@ def _abel_plan(bits: int, a: float) -> tuple[int, int]:
 
 def sum_trig_averaged(coeff: Callable[[int], mpf], mode: str, x,
                       cfg: PrecisionConfig = DEFAULT_CFG,
-                      odd_multiples: bool = False,
-                      n0: int = 1) -> SeriesResult:
-    """sum_{n>=n0} coeff(n) trig(2 pi n x) by an Euler-Abel transform.
+                      odd_multiples: bool = False) -> SeriesResult:
+    """sum_{n>=1} coeff(n) trig(2 pi n x) by an Euler-Abel transform.
 
     With ``odd_multiples`` the phase is (2n+1) pi x instead.  Valid for
     0 < x < 1.  (The name is historical, from an earlier Cesaro-averaging
     body; it is kept because the benchmark calls the kernel by name.)
 
     The series is Re or Im of sum f(n) z^n with z = e^(2 pi i x), times
-    e^(i pi x) for odd multiples.  The head n0 <= n < N is summed directly.
+    e^(i pi x) for odd multiples.  The head 1 <= n < N is summed directly.
     Summation by parts in z turns the tail into
 
         z^N / (1 - z) sum_{k<K} (z / (1 - z))^k Delta^k f(N),
@@ -199,17 +203,17 @@ def sum_trig_averaged(coeff: Callable[[int], mpf], mode: str, x,
         table_guard = (k_cap * math.log2(max(1.0, 2 / a))
                        + math.log2(1 + 1 / a))
         while True:
-            N = min(max(N, n0), n0 + max(cfg.max_terms - 2, 0))
-            k_max = min(k_cap, cfg.max_terms - (N - n0) - 1)
+            N = min(N, max(cfg.max_terms - 1, 1))
+            k_max = min(k_cap, cfg.max_terms - N)
             wp = bits + int(2 * math.log2(N + k_cap)) + 40
-            res, retry = _abel_sum(coeff, mode, x, odd_multiples, n0, N,
-                                   k_max, wp, wp + int(table_guard), tol)
+            res, retry = _abel_sum(coeff, mode, x, odd_multiples, N, k_max,
+                                   wp, wp + int(table_guard), tol)
             if res.converged or not retry or k_max < k_cap:
                 return res
             N *= 2
 
 
-def _abel_sum(coeff, mode, x, odd, n0, N, k_max, head_wp, wp, tol):
+def _abel_sum(coeff, mode, x, odd, N, k_max, head_wp, wp, tol):
     """One Euler-Abel evaluation with head length N and at most k_max
     difference orders, the head at head_wp bits and the tail at wp; returns
     the SeriesResult and whether a longer head could do better."""
@@ -217,7 +221,7 @@ def _abel_sum(coeff, mode, x, odd, n0, N, k_max, head_wp, wp, tol):
     with mp.workprec(head_wp):
         head = mpf(0)
         mag = mpf(0)
-        for n in range(n0, N):
+        for n in range(1, N):
             f = coeff(n)
             head += f * trig((2 * n + odd) * x)
             mag += abs(f)
@@ -270,7 +274,7 @@ def _abel_sum(coeff, mode, x, odd, n0, N, k_max, head_wp, wp, tol):
         eps_head, eps = mpf(2) ** -head_wp, mpf(2) ** -wp
         rounding = (eps_head * (mag * (16 + 11 * N) + 8 * abs(total))
                     + eps * (big * noise + tmag * (16 + 10 * (N + k_max))))
-        return SeriesResult(+total, bound + rounding, N - n0 + len(edge),
+        return SeriesResult(+total, bound + rounding, N - 1 + len(edge),
                             tol), retry
 
 

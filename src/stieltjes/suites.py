@@ -73,7 +73,7 @@ def _gamma1_prime_checks(cfg) -> List[IdentityReport]:
     # sign contract: gamma_1'(x) < 0 for x >= e
     out = []
     for x in (mp.e, mpf(4), mpf(10)):
-        v = constants.gamma1_prime(x, cfg)
+        v = constants.gamma1_prime(x, cfg).value
         out.append(IdentityReport(
             "gamma1-derivative-negative", v, mpf(0),
             mpf(0) if v < 0 else abs(v), mpf(0), bool(v < 0), x=x,
@@ -119,7 +119,7 @@ def _ramanujan(cfg) -> List[IdentityReport]:
     # gamma_1(3/4) - gamma_1(1/4) display against the reflection closed
     # form, and S against its Gamma(3/4) closed form and the Gamma(1/4)
     # variant as printed in the source material (recorded as failing)
-    S = constants.ramanujan_exp_sum(cfg)
+    S = constants.ramanujan_exp_sum(cfg).value
     lg14 = gammafuncs.log_gamma(mpf(1) / 4, cfg).value
     lg34 = gammafuncs.log_gamma(mpf(3) / 4, cfg).value
     coffey = mp.pi * (mp.pi / 3 + mp.euler + 4 * S)

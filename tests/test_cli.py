@@ -181,6 +181,21 @@ class TestCompute:
         assert proc.returncode == 2, proc.stderr
         assert "error: s must" in proc.stderr
 
+    @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
+    def test_non_finite_x_exits_2(self, capsys, x):
+        # x = inf ran the EM route and exited 3 with an err_estimate of nan
+        code, _, err = run_cli(capsys, "compute", "zeta", "-s", "2",
+                               f"-x={x}", "--digits", "20", "--no-cache")
+        assert code == 2
+        assert "error: x must be a finite number" in err
+
+    def test_hasse_s_beyond_float_range_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "compute", "zeta", "-s", "1e400",
+                               "--method", "hasse", "--digits", "20",
+                               "--no-cache")
+        assert code == 2
+        assert "error: s must" in err
+
     def test_bad_quantity_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compute", "nonsense", "-x", "1"])

@@ -126,6 +126,14 @@ class TestDigammaIntegral:
         assert_close(quad.value, digamma(x, cfg20).value - mp.log(x),
                      mpf(10) ** -10, "psi(x) - log x")
 
+    def test_kernel_at_u_one(self, cfg20):
+        # at x = 5000 the nodes next to v = 1 give u = v^(1/x) = 1 exactly,
+        # where the kernel 1/(1-u) + 1/log u takes its limit 1/2
+        x = mpf(5000)
+        quad = digamma_log_integral(x, cfg20)
+        assert quad.converged
+        exact = mp.digamma(x) - mp.log(x)
+        assert abs(quad.value - exact) <= quad.err_estimate
 
 
 class TestBourguet:

@@ -12,9 +12,12 @@ log Gamma.  The tail's tables are shared across calls
 (``hurwitz._tail_table``): a draw costs 0.05-0.5 s once the tables for its
 precision and r = max(0, ceil(1 - s)) exist, and up to about a second when it
 builds them.  Draws: Stieltjes index 0-12, x log-uniform in [0.1, 10],
-s in [-3, 4] off the pole, derivative order 0-2, 20 and 30 digits.
+s in [-3, 4] off the pole, derivative order 0-2, 20 and 30 digits.  At
+large s, where the tail integrand peaks far out, zeta_hasse is pinned at
+s = 3000 and 1e6.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
@@ -59,3 +62,11 @@ def test_digamma_hasse_series_claim(x, digits):
 def test_zeta_hasse_claim(s, x, deriv, digits):
     res = zeta_hasse(s, x, deriv, PrecisionConfig(digits=digits))
     _check(res, lambda: mp.zeta(s, x, deriv), digits)
+
+
+@pytest.mark.parametrize("s", [3000, 10 ** 6])
+def test_zeta_hasse_claim_at_large_s(s):
+    # the tail integrand t^(s-2) e^(-t) peaks at t = s - 2, which the
+    # quadrature's nodes on [1, inf) stepped over: 1e6 printed 4.09e-6
+    res = zeta_hasse(s, 1, 0, PrecisionConfig(digits=20))
+    _check(res, lambda: mp.zeta(s, 1), 20)
