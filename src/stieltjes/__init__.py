@@ -9,7 +9,7 @@ which only reports them (the CLI's argument checks) imports no mpmath;
 
 from importlib import import_module
 
-__version__ = "0.5.1"
+__version__ = "0.6.0"
 
 
 class DomainError(ValueError):
@@ -17,15 +17,7 @@ class DomainError(ValueError):
 
 
 class PoleError(DomainError):
-    """Evaluation requested at (or numerically indistinguishable from) a pole."""
-
-
-class NonConvergence(ArithmeticError):
-    """A series or quadrature failed to meet its tolerance within its budget."""
-
-
-class PrecisionError(ArithmeticError):
-    """Requested digits are unreachable within the configured term budget."""
+    """Evaluation requested at a pole."""
 
 
 # module -> the public names the package re-exports from it
@@ -51,8 +43,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(["DomainError", "NonConvergence", "PoleError",
-                  "PrecisionError", *_HOME])
+__all__ = sorted(["DomainError", "PoleError", *_HOME])
 
 
 def __getattr__(name):

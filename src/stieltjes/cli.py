@@ -7,10 +7,10 @@ Every printed ``value``, ``err_estimate`` and ``terms_used`` is the route's
 own :class:`~stieltjes.core.SeriesResult`, and ``converged`` is its verdict.
 
 Each ``compute`` is a fresh process, so it loads only what its request runs.
-It first makes the checks that need no mpmath (digits in [10, 200],
-``--max-terms`` >= 1, the quantity's required arguments) and resolves the
-route (a default or ``auto`` becomes the route that runs); then it looks the
-request up in the result cache.  A hit prints the stored result and loads
+It first makes the checks that need no mpmath (digits in [10, 200], the
+quantity's required arguments) and resolves the route (a default or
+``auto`` becomes the route that runs); then it looks the request up in the
+result cache.  A hit prints the stored result and loads
 neither mpmath nor any computing module; its ``meta.mpmath`` is the mpmath
 version that computed the entry.  Only a miss imports mpmath and the module
 that holds its quantity's evaluator (``gammafuncs`` for ``digamma`` and
@@ -46,7 +46,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from importlib import import_module
 
-from . import DomainError, NonConvergence, PrecisionError, __version__
+from . import DomainError, __version__
 from .cache import ResultCache
 
 EXIT_OK = 0
@@ -69,18 +69,16 @@ def _fmt(value, digits):
     return mp.nstr(value, digits, strip_zeros=False)
 
 
-def _check_budget(args):
-    """The request's digits and term cap, checked without mpmath."""
+def _check_digits(args):
+    """The request's digits, checked without mpmath."""
     if not 10 <= args.digits <= 200:
         raise DomainError("digits must lie in [10, 200]")
-    if args.max_terms < 1:
-        raise DomainError("max_terms must be >= 1")
 
 
 def _build_cfg(args):
     from .core import PrecisionConfig
-    _check_budget(args)
-    return PrecisionConfig(digits=args.digits, max_terms=args.max_terms)
+    _check_digits(args)
+    return PrecisionConfig(digits=args.digits)
 
 
 def _series_only(name):
@@ -163,7 +161,7 @@ def _evaluate(args, x, route, cfg):
 
 
 def cmd_compute(args) -> int:
-    _check_budget(args)
+    _check_digits(args)
     route = _route(args, args.x)
     params = {"x": str(args.x) if args.x is not None else None,
               "s": str(args.s) if args.s is not None else None,
@@ -345,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--digits", type=int, default=30,
                        help="target decimal digits (10..200)")
-        p.add_argument("--max-terms", type=int, default=10 ** 6)
         p.add_argument("--method", default=None)
         p.add_argument("--json", action="store_true",
                        help="force JSON output where applicable")
@@ -398,13 +395,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NonConvergence, PrecisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONV
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, PrecisionError,
-                   SeriesResult, as_real, shift_up)
+from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
+                   as_real, shift_up)
 from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
                       sum_majorized, sum_oscillatory)
 from .combinatorics import binomial
@@ -117,8 +117,6 @@ def hasse_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """gamma_m(x) = -1/(m+1) sum_n 1/(n+1) sum_k C(n,k)(-1)^k log^(m+1)(k+x)."""
     if m < 0:
         raise DomainError("m must be >= 0")
-    if m > 12:
-        raise PrecisionError("binomial route capped at m <= 12")
     with cfg.workprec(40):
         parts, err, terms = _hasse_parts([m + 1], 0, as_real(x), cfg)
         value = -parts[m + 1] / (m + 1)
@@ -136,9 +134,8 @@ def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesRe
     1/x times that of zeta^(j)(n+1, x), and Y_k(n+1)/Y_k(n) = 1 +
     e_(k-1)(n)/((n+1) e_k(n)) falls with n (Newton's inequalities), so
     past term n the k-th parts fall by rho_k per term.  ``terms_used``
-    counts shift steps plus series terms, capped together by
-    ``cfg.max_terms``; when that ends first the claim carries the last
-    remainder bound, infinite if no series term fit.
+    counts shift steps plus series terms.  The cap m <= 6 limits the cost:
+    each term takes m + 1 EM calls whose own cost grows with m.
     """
     if not 0 <= m <= 6:
         raise DomainError("bell route implemented for 0 <= m <= 6")
@@ -148,7 +145,7 @@ def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesRe
             raise DomainError("x must be positive")
         x0 = x
         x, shift, steps = shift_up(x, lambda v: mp.log(v) ** m / v,
-                                   SHIFT_FLOOR, cfg.max_terms)
+                                   SHIFT_FLOOR)
         eps = mpf(2) ** -mp.prec
         # log(v) to 2 ulps absolute plus one relative, so log^m(v)/v to
         # eps (2m/v + (4m+3) |term|); only the term at x0 < 1 can be < 0
@@ -182,7 +179,7 @@ def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesRe
             return t, claim, tail
 
         head = -mp.log(x) ** (m + 1) / (m + 1) + shift
-        series = sum_majorized(term, head, cfg.max_terms - steps, cfg)
+        series = sum_majorized(term, head, cfg)
         value = head + series.value
         err = series.err_estimate + shift_err + 4 * eps * abs(value)
         return SeriesResult(+value, +err, steps + series.terms_used,
@@ -211,7 +208,7 @@ def briggs_gamma(m: int, x,
         x, shift, _ = shift_up(x, lambda v: mp.log(v) ** m / v)
         Lx = mp.log(x)
         base = Lx ** m / (2 * x) - Lx ** (m + 1) / (m + 1) + shift
-        osc = sum_oscillatory([0] * m + [1], 1, x, "cos", 0, cfg)
+        osc = sum_oscillatory([0] * m + [1], 1, x, "cos", cfg)
         value = base + 2 * osc.value
         err = (2 * osc.err_estimate + 4 * mpf(2) ** -mp.prec
                * (abs(base) + abs(shift) + abs(value)))
@@ -362,4 +359,4 @@ def ramanujan_exp_sum(cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
             t = 1 / (n * mp.expm1(2 * mp.pi * n))
             return t, (8 * n + 4) * eps * t, t / 500
 
-        return sum_majorized(term, 0, cfg.max_terms, cfg)
+        return sum_majorized(term, 0, cfg)

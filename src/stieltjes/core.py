@@ -18,34 +18,33 @@ from typing import Optional, Union
 from mpmath import mp, mpc, mpf
 
 # the error types live in the package, whose import loads no mpmath
-from . import DomainError, NonConvergence, PoleError, PrecisionError  # noqa: F401
+from . import DomainError, PoleError  # noqa: F401
 
 _BITS_PER_DIGIT = math.log2(10)
 _GUARD_BITS = 64
 
 
 class PrecisionConfig:
-    """Evaluation budget: target digits, term cap, tolerance.
+    """A request: target digits and, optionally, a tolerance.
 
-    ``tolerance`` defaults to 10**(-digits) when left unset.  The working
-    precision carries 64 guard bits; kernels that suffer cancellation add
-    their own on top (the Hasse head adds one bit per outer term, for
-    instance).  A config is immutable and compares, hashes and pickles by
-    its three fields; :meth:`replace` makes a changed copy.
+    ``tolerance`` defaults to 10**(-digits) when left unset, and is
+    keyword-only.  The working precision carries 64 guard bits; kernels
+    that suffer cancellation add their own on top (the Hasse head adds one
+    bit per outer term, for instance).  No term budget travels with the
+    request: each route stops on its own claim, and that claim is its
+    verdict.  A config is immutable and compares, hashes and pickles by its
+    two fields; :meth:`replace` makes a changed copy.
     """
 
-    __slots__ = ("digits", "max_terms", "tolerance")
+    __slots__ = ("digits", "tolerance")
 
-    def __init__(self, digits: int = 30, max_terms: int = 10 ** 6,
-                 tolerance: Optional[mpf] = None):
+    def __init__(self, digits: int = 30, *, tolerance: Optional[mpf] = None):
         if digits < 10:
             raise ValueError("digits must be >= 10")
-        if max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
         if tolerance is not None and not tolerance > 0:
             raise ValueError("tolerance must be positive")
-        for name, value in zip(self.__slots__, (digits, max_terms, tolerance)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "tolerance", tolerance)
 
     def __setattr__(self, name, value):
         raise AttributeError("PrecisionConfig is immutable; use replace()")
@@ -54,7 +53,7 @@ class PrecisionConfig:
         raise AttributeError("PrecisionConfig is immutable")
 
     def _fields(self):
-        return self.digits, self.max_terms, self.tolerance
+        return self.digits, self.tolerance
 
     def __eq__(self, other):
         if type(other) is not PrecisionConfig:
@@ -67,11 +66,11 @@ class PrecisionConfig:
     def __reduce__(self):
         # rebuilt through __init__: the default slot-state restore would
         # go through the refusing __setattr__
-        return PrecisionConfig, self._fields()
+        return _rebuild_config, self._fields()
 
     def __repr__(self):
-        return ("PrecisionConfig(digits={!r}, max_terms={!r}, "
-                "tolerance={!r})".format(*self._fields()))
+        return "PrecisionConfig(digits={!r}, tolerance={!r})".format(
+            *self._fields())
 
     def replace(self, **changes) -> "PrecisionConfig":
         """A copy with the named fields changed, validated like a new one."""
@@ -93,6 +92,10 @@ class PrecisionConfig:
 
 
 DEFAULT_CFG = PrecisionConfig()
+
+
+def _rebuild_config(digits, tolerance):
+    return PrecisionConfig(digits, tolerance=tolerance)
 
 
 class _Record:
@@ -180,13 +183,13 @@ class IdentityReport(_Record):
         return d
 
 
-def shift_up(x, term, floor=1, limit=None):
+def shift_up(x, term, floor=1):
     """(x + k, sum_{j<k} term(x + j), k) for the fewest k >= 0 with
-    x + k >= floor, but k <= ``limit`` when one is given: how the routes
-    that need x >= floor reach smaller x by their recurrences."""
+    x + k >= floor: how the routes that need x >= floor reach smaller x by
+    their recurrences."""
     shift = mpf(0)
     k = 0
-    while x < floor and (limit is None or k < limit):
+    while x < floor:
         shift += term(x)
         x += 1
         k += 1

@@ -196,7 +196,7 @@ def _kolbig_s1(cfg) -> SeriesResult:
         t = -z.value / mpf(4) ** j
         return t, z.err_estimate / mpf(4) ** j, abs(t) / 15
 
-    return sum_majorized(term, 0, cfg.max_terms, cfg)
+    return sum_majorized(term, 0, cfg)
 
 
 def _kolbig_s2(cfg) -> SeriesResult:
@@ -218,7 +218,7 @@ def _kolbig_s2(cfg) -> SeriesResult:
         rest = mpf(N + 1) ** -k * (1 + mpf(N + 1) / k) / N
         return c * z.value, abs(c) * z.err_estimate, rest
 
-    tail = sum_majorized(term, head, cfg.max_terms - N, cfg)
+    tail = sum_majorized(term, head, cfg)
     value = head + tail.value
     err = tail.err_estimate + (N + 4) * mpf(2) ** -mp.prec * abs(value)
     return SeriesResult(+value, +err, N + tail.terms_used, cfg.tol())
@@ -266,7 +266,7 @@ def _sondow_power_series(z, cfg) -> SeriesResult:
             t = (-1) ** (n + 1) * zk.value / (n + 1)
             return t, zk.err_estimate / (n + 1), abs(t)
 
-        tail = sum_majorized(term, head, cfg.max_terms - N, cfg)
+        tail = sum_majorized(term, head, cfg)
         value = head + tail.value
         err = tail.err_estimate + (N + 4) * eps * abs(value)
         return SeriesResult(+value, +err, N + tail.terms_used, cfg.tol())
@@ -276,7 +276,7 @@ def _sondow_power_series(z, cfg) -> SeriesResult:
         rest = abs(z) ** n / (2 * (n + 1) ** 2 * (1 - abs(z)))
         return t, (2 * n.bit_length() + 4) * eps * abs(t), rest
 
-    return sum_majorized(term, 0, cfg.max_terms, cfg)
+    return sum_majorized(term, 0, cfg)
 
 
 def _sondow_circle(z: Fraction, cfg) -> SeriesResult:

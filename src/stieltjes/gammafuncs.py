@@ -111,7 +111,7 @@ def bourguet_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
         x, shift, _ = shift_up(x, lambda v: -mp.log(v))
         elementary = (mp.log(2 * mp.pi) / 2 + (x - mpf(1) / 2) * mp.log(x)
                       - x + shift)
-        osc = sum_oscillatory([1], 1, x, "sin", 1, cfg)
+        osc = sum_oscillatory([1], 1, x, "sin", cfg)
         value = elementary + osc.value / mp.pi
         err = (osc.err_estimate / mp.pi + 4 * mpf(2) ** -mp.prec
                * (abs(elementary) + abs(shift) + abs(value)))

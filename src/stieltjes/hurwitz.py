@@ -13,7 +13,9 @@ Routes:
   ``_TAIL_TABLES`` of each, so later calls only look them up.
 * ``hurwitz_zeta_em`` (re-exported from ``kernels``) -- direct summation
   with an Euler-Maclaurin tail, continued analytically to every real
-  s != 1; the default route, at a cost that does not grow with x.
+  s != 1; the default route, at a cost that does not grow with x.  Hasse
+  and Srivastava-Choi round s as it does, so each of the three takes s
+  next to 1 with s - 1 to working precision and refuses only s = 1.
 * ``zeta_fourier`` -- the trigonometric expansion valid for s < 1 on
   (0,1], its conditionally convergent sums evaluated by
   ``kernels.sum_trig_averaged`` to the requested digits.
@@ -38,8 +40,9 @@ from mpmath import mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, PoleError, PrecisionConfig,
                    SeriesResult, as_real, shift_up)
-from .kernels import (TS_GUARD_BITS, hurwitz_zeta_em, integrate_adaptive,
-                      sum_majorized, sum_oscillatory, sum_trig_averaged)
+from .kernels import (TS_GUARD_BITS, _pole_bits, hurwitz_zeta_em,
+                      integrate_adaptive, sum_majorized, sum_oscillatory,
+                      sum_trig_averaged)
 from . import gammafuncs
 from .combinatorics import bell_complete, binomial
 
@@ -48,7 +51,6 @@ _HEAD_TERMS = 32
 # (least recently used go first); a node table holds up to ~1,500 nodes,
 # 0.5-1 MB at 20-30 digits
 _TAIL_TABLES = 16
-_POLE_GUARD = mpf(10) ** -8
 # where the Srivastava-Choi route shifts x before its series: a shift step
 # costs a power, a term an EM call and gains log2(x) bits
 SHIFT_FLOOR = 64
@@ -308,12 +310,15 @@ def zeta_hasse(s, x=1, deriv: int = 0,
 
     The pole factor 1/(s-1) is differentiated analytically and combined with
     the series derivatives by the Leibniz rule, so s = 0 evaluations are
-    exact in the pole part.
+    exact in the pole part.  s is rounded as :func:`kernels.hurwitz_zeta_em`
+    rounds it, so s - 1 keeps its working precision next to the pole; only
+    s = 1 itself is refused.
     """
-    with cfg.workprec(40):
+    with cfg.workprec(40 + _pole_bits(s)):
         s = as_real(s)
+    with cfg.workprec(40):
         x = as_real(x)
-        if abs(s - 1) < _POLE_GUARD:
+        if s == 1:
             raise PoleError("zeta(s,x) has a simple pole at s = 1")
         if deriv < 0:
             raise DomainError("derivative order must be >= 0")
@@ -455,8 +460,9 @@ def zeta_prime0(x, via: str = "em",
 
 def zeta_doubleprime0(x, via: str = "em",
                       cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """zeta''(0, x) by the EM engine, the binomial series or the five-sum
-    trigonometric form."""
+    """zeta''(0, x) by the EM engine, the binomial series or the
+    trigonometric form: with L = log 2 pi n + gamma, the sine sum of
+    (2 L^2 - pi^2/6)/(2 pi n) plus the cosine sum of L/n."""
     if via in ("em", "hasse"):
         return zeta(0, x, 2, via, cfg)
     with cfg.workprec(40):
@@ -466,16 +472,14 @@ def zeta_doubleprime0(x, via: str = "em",
                 raise DomainError("trigonometric route requires 0 < x < 1")
             g = mp.euler
             two_pi = 2 * mp.pi
+            z2 = mp.pi ** 2 / 6
 
             def lg(n):
-                return mp.log(two_pi * n)
+                return mp.log(two_pi * n) + g
 
             return _trig_combination(
-                [(2, lambda n: lg(n) ** 2 / (two_pi * n), "sin"),
-                 (4 * g, lambda n: lg(n) / (two_pi * n), "sin"),
-                 (2 * g ** 2 - mp.pi ** 2 / 6, lambda n: 1 / (two_pi * n), "sin"),
-                 (2 * mp.pi, lambda n: lg(n) / (two_pi * n), "cos"),
-                 (2 * mp.pi * g, lambda n: 1 / (two_pi * n), "cos")], x, cfg)
+                [(1, lambda n: (2 * lg(n) ** 2 - z2) / (two_pi * n), "sin"),
+                 (1, lambda n: lg(n) / n, "cos")], x, cfg)
         raise ValueError(f"unknown route {via!r}")
 
 
@@ -487,22 +491,22 @@ def zeta_srivastava_choi(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResu
     then the series is summed by ``kernels.sum_majorized``.  The
     remainder: each summand of zeta(s+n+1, x) is at most 1/x times that of
     zeta(s+n, x), so past term n the terms fall by max(1, (s+n+1)/(n+3))/x
-    per term.  ``terms_used`` counts shift steps plus series terms, capped
-    together by ``cfg.max_terms``; when that ends first the claim carries
-    the last remainder bound, infinite if no series term fit.
+    per term.  ``terms_used`` counts shift steps plus series terms.  s is
+    rounded as :func:`kernels.hurwitz_zeta_em` rounds it, so s - 1 keeps
+    its working precision next to the pole.
     """
-    with cfg.workprec(40):
+    with cfg.workprec(40 + _pole_bits(s)):
         s = as_real(s)
+    with cfg.workprec(40):
         x = as_real(x)
-        if abs(s - 1) < _POLE_GUARD:
-            raise PoleError("s = 1 is the pole")
+        if s == 1:
+            raise PoleError("zeta(s,x) has a simple pole at s = 1")
         if not s > 0:
             raise DomainError("expansion implemented for s > 0")
         if not x > 0:
             raise DomainError("x must be positive")
         x0 = x
-        x, shift, steps = shift_up(x, lambda v: v ** (-s), SHIFT_FLOOR,
-                                   cfg.max_terms)
+        x, shift, steps = shift_up(x, lambda v: v ** (-s), SHIFT_FLOOR)
         eps = mpf(2) ** -mp.prec
         # v^-s = e^(-s log v), log v to 2 ulps absolute plus one relative
         shift_err = eps * shift * (steps + 2 + s * (2 + abs(mp.log(x0))
@@ -535,7 +539,7 @@ def zeta_srivastava_choi(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResu
             return -(-1) ** n * weight * z.value, claim, tail
 
         head = x ** (1 - s) / (s - 1) + shift
-        series = sum_majorized(term, head, cfg.max_terms - steps, cfg)
+        series = sum_majorized(term, head, cfg)
         value = head + series.value
         rounding = shift_err + 4 * eps * (abs(head) + abs(value))
         return SeriesResult(+value, series.err_estimate + rounding,
@@ -558,7 +562,7 @@ def poisson_zeta(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
             raise DomainError("x must be positive")
         x, shift, _ = shift_up(x, lambda v: v ** (-s))
         base = x ** (-s) / 2 + x ** (1 - s) / (s - 1) + shift
-        osc = sum_oscillatory([1], s, x, "cos", 0, cfg)
+        osc = sum_oscillatory([1], s, x, "cos", cfg)
         value = base + 2 * osc.value
         err = (2 * osc.err_estimate + 4 * mpf(2) ** -mp.prec
                * (abs(base) + abs(shift) + abs(value)))

@@ -48,6 +48,10 @@ from .core import (DEFAULT_CFG, DomainError, PoleError, PrecisionConfig,
                    SeriesResult, as_real)
 
 _SAFETY = 4  # heuristic multiplier on last-difference error estimates
+# terms after which sum_majorized and sum_trig_averaged give up unconverged:
+# Sondow's series as |z| -> 1 and the trigonometric sums as x -> 0 or 1
+# converge too slowly to finish otherwise
+TERM_CAP = 10 ** 6
 _MAX_HALF_PERIODS = 80  # panel budget of integrate_oscillatory
 _TS_EXTRA_LEVELS = 2  # integrate_adaptive's levels past mpmath's default
 TS_GUARD_BITS = 40  # integrate_adaptive's nodes carry these beyond the digits
@@ -79,13 +83,14 @@ def sum_alternating_accelerated(term: Callable[[int], mpf],
                                 ) -> SeriesResult:
     """Euler-accelerated sum_{n>=1} term(n) of an alternating series.
 
-    ``term(n)`` must include its sign.  The budget grows geometrically until
-    the accelerated tail estimate drops below cfg tolerance or ``max_terms``
-    is hit.  The estimate leaves out the error of the terms themselves.
+    ``term(n)`` must include its sign.  The terms grow geometrically in
+    number until the accelerated tail estimate drops below cfg tolerance or
+    they reach max(96, 6 digits).  The estimate leaves out the error of the
+    terms themselves.
     """
     with cfg.workprec(40):
         tol = cfg.tol()
-        n_cap = min(cfg.max_terms, max(96, 6 * cfg.digits))
+        n_cap = max(96, 6 * cfg.digits)
         terms = []
         batch = max(32, 2 * cfg.digits)
         best = mpf(0)
@@ -107,7 +112,7 @@ def sum_alternating_accelerated(term: Callable[[int], mpf],
         return SeriesResult(+best, best_err * _SAFETY, len(terms), tol)
 
 
-def sum_majorized(term: Callable[[int], tuple], base, limit: int,
+def sum_majorized(term: Callable[[int], tuple], base,
                   cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """sum_{n>=1} t_n, summed directly until a proven remainder bound
     meets the request.
@@ -116,16 +121,14 @@ def sum_majorized(term: Callable[[int], tuple], base, limit: int,
     sum_{k>n} |t_k|); the bound may be infinite while the caller cannot
     prove one yet.  The sum stops at the first n whose bound is at most a
     quarter of tol * max(1, |base + partial sum|), ``base`` being what the
-    caller adds to the sum, or after ``limit`` terms.  The claim is the
-    last bound (infinite when no term was allowed) plus the terms' claims
-    plus the rounding of the running sum, which runs at the caller's
-    precision.
+    caller adds to the sum, or after ``TERM_CAP`` terms, unconverged.  The
+    claim is the last bound plus the terms' claims plus the rounding of the
+    running sum, which runs at the caller's precision.
     """
     tol = cfg.tol()
     total, claims, mag = mpf(0), mpf(0), mpf(0)
-    remainder = mpf("inf")
     n = 0
-    while n < limit:
+    while n < TERM_CAP:
         n += 1
         t, claim, remainder = term(n)
         total += t
@@ -186,7 +189,7 @@ def sum_trig_averaged(coeff: Callable[[int], mpf], mode: str, x,
     whatever the period of x, and the difference table carries
     K log2(2 / |1 - z|) guard bits.  The error estimate is the remainder
     bound plus a bound on the rounding; the result is unconverged when
-    ``cfg.max_terms`` coefficients do not reach 10^-digits max(1, |value|).
+    ``TERM_CAP`` coefficients do not reach 10^-digits max(1, |value|).
     """
     if mode not in ("sin", "cos"):
         raise ValueError("mode must be 'sin' or 'cos'")
@@ -203,8 +206,8 @@ def sum_trig_averaged(coeff: Callable[[int], mpf], mode: str, x,
         table_guard = (k_cap * math.log2(max(1.0, 2 / a))
                        + math.log2(1 + 1 / a))
         while True:
-            N = min(N, max(cfg.max_terms - 1, 1))
-            k_max = min(k_cap, cfg.max_terms - N)
+            N = min(N, max(TERM_CAP - 1, 1))
+            k_max = min(k_cap, TERM_CAP - N)
             wp = bits + int(2 * math.log2(N + k_cap)) + 40
             res, retry = _abel_sum(coeff, mode, x, odd_multiples, N, k_max,
                                    wp, wp + int(table_guard), tol)
@@ -423,15 +426,15 @@ def _log_poly_step(P, c):
     return out
 
 
-def sum_oscillatory(poly, s, x, mode: str, w=0,
+def sum_oscillatory(poly, s, x, mode: str,
                     cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """sum_{n>=1} n^-w int_0^inf P(log(t+x)) (t+x)^-s trig(2 pi n t) dt.
 
-    ``poly`` holds the coefficients of P (ascending), w is 0 or 1 and
-    x >= 1; the sine form needs w = 1.  g(t) = P(log(t+x)) (t+x)^-s is
-    analytic for Re t > -x and falls like a power of 1/|t|, so each
-    integral turns by t = iu onto the imaginary axis (Hermite's rotation,
-    as in Abel-Plana):
+    ``poly`` holds the coefficients of P (ascending) and x >= 1.  The mode
+    picks the weight: w = 0 for the cosine form, w = 1 for the sine form,
+    which needs it.  g(t) = P(log(t+x)) (t+x)^-s is analytic for
+    Re t > -x and falls like a power of 1/|t|, so each integral turns by
+    t = iu onto the imaginary axis (Hermite's rotation, as in Abel-Plana):
 
         int_0^inf g(t) e^(2 pi i n t) dt = i int_0^inf g(iu) e^(-2 pi n u) du.
 
@@ -461,10 +464,6 @@ def sum_oscillatory(poly, s, x, mode: str, w=0,
     """
     if mode not in ("sin", "cos"):
         raise ValueError("mode must be 'sin' or 'cos'")
-    if w not in (0, 1):
-        raise DomainError("the n-sum has a closed form for w in {0, 1} only")
-    if mode == "sin" and not w > 0:
-        raise DomainError("the sine form needs w > 0")
     with cfg.workprec(40):
         s = as_real(s)
         x = as_real(x)
@@ -483,11 +482,9 @@ def sum_oscillatory(poly, s, x, mode: str, w=0,
                 g = P[0] * z ** (-s)
             else:
                 g = _horner(P, mp.log(z)) * z ** (-s)
-            if w:
-                weight = -mp.log(-mp.expm1(-2 * mp.pi * u))
-            else:
-                weight = 1 / mp.expm1(2 * mp.pi * u)
-            return (g.real if mode == "sin" else -g.imag) * weight * scale
+            if mode == "sin":
+                return g.real * -mp.log(-mp.expm1(-2 * mp.pi * u)) * scale
+            return -g.imag / mp.expm1(2 * mp.pi * u) * scale
 
         return integrate_adaptive(f, 0, mp.inf, cfg)
 

@@ -76,7 +76,7 @@ class TestCompute:
         assert "value_im" in doc["result"]
 
     def test_near_pole_on_default_route(self, capsys, tmp_path):
-        # |s - 1| = 1e-9 lies inside the band the Hasse route refuses
+        # |s - 1| = 1e-9: the pole term 1/(s - 1) dominates the value
         code, doc = compute_json(
             capsys, "compute", "zeta", "-s", "1.000000001", "-x", "1/3",
             "--digits", "30", "--cache-dir", str(tmp_path))
@@ -118,14 +118,43 @@ class TestCompute:
             assert actual <= mpf(10) ** -30
             assert mpf(doc["result"]["err_estimate"]) <= mpf(10) ** -30
 
-    def test_fourier_route_short_of_its_term_budget_exits_3(self, capsys):
+    @pytest.mark.parametrize("method", ["hasse", "srivastava-choi"])
+    def test_near_pole_on_every_route_that_takes_it(self, capsys, method):
         code, doc = compute_json(
-            capsys, "compute", "zeta", "-s", "1/2", "-x", "1/4",
-            "--method", "fourier", "--digits", "30", "--max-terms", "20",
-            "--no-cache")
+            capsys, "compute", "zeta", "-s", "1.000000001", "-x", "1/3",
+            "--method", method, "--digits", "20", "--no-cache")
+        assert code == 0 and doc["result"]["converged"] is True
+        printed = doc["result"]["value"]
+        with mp.workdps(50):
+            ref = mp.zeta(mpf("1.000000001"), mpf(1) / 3)
+            # 20 printed digits: half a unit in the last one
+            half_ulp = mpf(10) ** Decimal(printed).as_tuple().exponent / 2
+            actual = abs(mpf(printed) - ref)
+            assert actual <= mpf(10) ** -20 * abs(ref) + half_ulp
+            assert actual <= mpf(doc["result"]["err_estimate"]) + half_ulp
+        code, _, err = run_cli(capsys, "compute", "zeta", "-s", "1", "-x",
+                               "1/3", "--method", method, "--digits", "20",
+                               "--no-cache")
+        assert code == 2 and "pole" in err
+
+    def test_route_short_of_the_request_exits_3(self, capsys):
+        # Hasse's head and tail fall short of 20 digits at m = 20; the
+        # claim says so and still covers the actual error
+        code, doc = compute_json(
+            capsys, "compute", "gamma_m", "-m", "20", "-x", "1/3",
+            "--method", "hasse", "--digits", "20", "--no-cache")
         assert code == 3
         assert doc["result"]["converged"] is False
-        assert mpf(doc["result"]["err_estimate"]) > mpf(10) ** -30
+        with mp.workdps(60):
+            ref = mp.stieltjes(20, mpf(1) / 3)
+            claim = mpf(doc["result"]["err_estimate"])
+            assert claim > mpf(10) ** -20 * max(1, abs(ref))
+            assert abs(mpf(doc["result"]["value"]) - ref) <= claim
+
+    def test_term_budget_option_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "zeta", "-s", "2", "--max-terms", "5"])
+        assert exc.value.code == 2
 
     def test_zeta_prime0_fourier_route_meets_the_request(self, capsys):
         # its sums stopped at 1e-12 while the CLI claimed 1e-30
@@ -253,7 +282,7 @@ class TestValidate:
                                ",".join(names), "--digits", "20")
         assert code == 0
         doc = json.loads(out)
-        cfg = PrecisionConfig(digits=20, max_terms=10 ** 6)
+        cfg = PrecisionConfig(digits=20)
         serial, passed = [], True
         for n in names:
             reports, ok = suites.run_suites([n], cfg)
@@ -334,9 +363,9 @@ class TestTable:
         assert len(rows) == 1
 
     def test_unconverged_rows_exit_3(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "gamma_m", "-m", "0",
-                               "--method", "bell", "--max-terms", "20",
-                               "--grid", "1:2:2", "--digits", "20")
+        code, out, _ = run_cli(capsys, "table", "gamma_m", "-m", "20",
+                               "--method", "hasse", "--grid", "0.3:0.4:2",
+                               "--digits", "20")
         assert code == 3
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 2

@@ -1,5 +1,5 @@
 """The one convergence rule: err_estimate <= tol * max(1, |value|), and
-the evaluation budget every kernel runs under."""
+the request every kernel runs under."""
 
 import copy
 import pickle
@@ -43,20 +43,25 @@ def test_complex_value_is_judged_by_its_modulus():
 class TestPrecisionConfig:
     def test_fields_and_defaults(self):
         cfg = PrecisionConfig()
-        assert (cfg.digits, cfg.max_terms, cfg.tolerance) == (30, 10 ** 6, None)
-        cfg = PrecisionConfig(25, 100, mpf("1e-20"))
-        assert (cfg.digits, cfg.max_terms, cfg.tolerance) == (25, 100, mpf("1e-20"))
+        assert (cfg.digits, cfg.tolerance) == (30, None)
+        cfg = PrecisionConfig(25, tolerance=mpf("1e-20"))
+        assert (cfg.digits, cfg.tolerance) == (25, mpf("1e-20"))
+
+    def test_tolerance_is_keyword_only(self):
+        # a caller that still passes a term budget second must fail, not
+        # set a tolerance
+        with pytest.raises(TypeError):
+            PrecisionConfig(50, 7)
 
     def test_equal_by_value_and_hashable(self):
         a, b = PrecisionConfig(digits=20), PrecisionConfig(digits=20)
         assert a == b and hash(a) == hash(b) and a is not b
         assert len({a, b, PrecisionConfig(digits=21)}) == 2
-        assert a != PrecisionConfig(digits=20, max_terms=5)
         assert a != PrecisionConfig(digits=20, tolerance=mpf("1e-9"))
-        assert a != (20, 10 ** 6, None)
+        assert a != (20, None)
 
     @pytest.mark.parametrize("cfg", [
-        PrecisionConfig(), PrecisionConfig(50, 7),
+        PrecisionConfig(), PrecisionConfig(50),
         PrecisionConfig(20, tolerance=mpf(10) ** -25)])
     def test_pickle_round_trip(self, cfg):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
@@ -72,12 +77,12 @@ class TestPrecisionConfig:
         with pytest.raises(AttributeError):
             cfg.extra = 1
         with pytest.raises(AttributeError):
-            del cfg.max_terms
+            del cfg.tolerance
         assert cfg.digits == 20
 
     @pytest.mark.parametrize("kwargs,message", [
         ({"digits": 9}, "digits"),
-        ({"max_terms": 0}, "max_terms"),
+        ({"tolerance": mp.nan}, "tolerance"),
         ({"tolerance": mpf(0)}, "tolerance"),
         ({"tolerance": mpf(-1)}, "tolerance")])
     def test_invalid_fields_raise(self, kwargs, message):
@@ -87,9 +92,9 @@ class TestPrecisionConfig:
             PrecisionConfig().replace(**kwargs)
 
     def test_replace(self):
-        cfg = PrecisionConfig(digits=20, max_terms=50)
+        cfg = PrecisionConfig(digits=20)
         tight = cfg.replace(tolerance=mpf(10) ** -30)
-        assert tight == PrecisionConfig(20, 50, mpf(10) ** -30)
+        assert tight == PrecisionConfig(20, tolerance=mpf(10) ** -30)
         assert cfg.tolerance is None  # the original is unchanged
         assert cfg.replace(digits=40).working_bits > cfg.working_bits
         assert cfg.replace() == cfg

@@ -104,7 +104,7 @@ PINNED = [
     (-10.5, 0.3, 0, 20),
     (-10.5, 0.3, 0, 50),
     (-120.25, 1000, 2, 50),
-    # inside the band zeta_hasse refuses (|s - 1| < 1e-8)
+    # next to the pole, where s - 1 must keep its working precision
     (1 + mpf(10) ** -9, mpf(1) / 3, 0, 30),
 ]
 

@@ -180,17 +180,6 @@ class TestLogRatioFamily:
         b = _log_ratio(mpf("0.7"), "sin", cfg20)
         assert abs(a + b) < mpf(10) ** -8  # sin-type flips sign
 
-    def test_convergence_sanity(self):
-        # residual does not degrade (within noise factor 2) with 10x terms
-        x = mpf("0.37")
-        residual = []
-        for max_terms in (700, 7000):
-            cfg = PrecisionConfig(digits=20, max_terms=max_terms,
-                                  tolerance=mpf(10) ** -30)
-            residual.append(abs(_log_ratio(x, "cos", cfg)
-                                - series_325_family(x, "3.28", cfg)))
-        assert residual[1] <= 2 * residual[0] + mpf(10) ** -18
-
 
 class TestKolbig:
     def test_three_way(self, cfg20):

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf
 
 from stieltjes.core import DomainError, PoleError, PrecisionConfig
-from stieltjes import hurwitz
+from stieltjes import hurwitz, kernels
 from stieltjes.constants import digamma_hasse_series, hasse_gamma
 from stieltjes.gammafuncs import log_gamma
 from stieltjes.hurwitz import (poisson_zeta, zeta, zeta_doubleprime0,
@@ -10,7 +12,7 @@ from stieltjes.hurwitz import (poisson_zeta, zeta, zeta_doubleprime0,
                                zeta_srivastava_choi)
 from stieltjes.kernels import hurwitz_zeta_em, sum_trig_averaged
 
-from conftest import assert_close
+from conftest import assert_close, record_results
 from reference_values import ZETA2
 
 
@@ -33,8 +35,12 @@ class TestZetaHasse:
             assert abs(v - 1) < mpf(10) ** -5
 
     def test_pole_guard(self, cfg20):
-        with pytest.raises(PoleError):
-            zeta_hasse(1 + mpf(10) ** -9, 1, 0, cfg20)
+        # only s = 1 itself is refused, however it is given
+        for s in (1, 1.0, mpf(1), Fraction(1)):
+            with pytest.raises(PoleError):
+                zeta_hasse(s, 1, 0, cfg20)
+            with pytest.raises(PoleError):
+                zeta_srivastava_choi(s, 1, cfg20)
 
     def test_zero_values_exact(self, cfg30):
         # zeta(0,x) = 1/2 - x; zeta(-1,x) terminates exactly too
@@ -168,8 +174,9 @@ class TestZetaFourier:
         assert abs(res.value - ref) <= res.err_estimate
         assert res.err_estimate <= mpf(10) ** -digits * max(1, abs(ref))
 
-    def test_term_budget_short_of_the_head_is_unconverged(self):
-        cfg = PrecisionConfig(digits=30, max_terms=20)
+    def test_term_budget_short_of_the_head_is_unconverged(self, monkeypatch):
+        monkeypatch.setattr(kernels, "TERM_CAP", 20)
+        cfg = PrecisionConfig(digits=30)
         res = zeta_fourier(mpf(1) / 2, mpf(1) / 4, cfg)
         assert not res.converged
         assert res.err_estimate > mpf(10) ** -30
@@ -213,6 +220,19 @@ class TestSpecialDerivativesAtZero:
             actual = abs(res.value - mp.zeta(0, x, deriv))
             assert res.converged
             assert actual <= res.err_estimate <= mpf(10) ** -30
+
+    @pytest.mark.parametrize("digits", [20, 50])
+    def test_doubleprime0_fourier_route_is_two_sums(self, digits,
+                                                    monkeypatch):
+        calls = record_results(monkeypatch, hurwitz, "sum_trig_averaged")
+        cfg = PrecisionConfig(digits=digits)
+        for x in (mpf("0.03"), mpf("0.37"), mpf("0.9")):
+            res = zeta_doubleprime0(x, "fourier", cfg)
+            ref = mp.zeta(0, x, 2)
+            assert res.converged
+            assert abs(res.value - ref) <= res.err_estimate
+            assert res.err_estimate <= mpf(10) ** -digits * max(1, abs(ref))
+        assert len(calls) == 6
 
     def test_doubleprime0_sum_form(self, cfg20):
         # zeta''(0,x) + zeta''(0,1-x) = 2 sum (log(2 pi n)+gamma)/n cos(2 pi n x)

@@ -287,13 +287,13 @@ def test_oscillatory_routes_meet_the_request_at_small_x(label, route, exact,
 class TestOscillatorySum:
     def test_rejects_x_below_one(self, cfg20):
         with pytest.raises(DomainError):
-            sum_oscillatory([1], 1, mpf(1) / 2, "sin", 1, cfg20)
+            sum_oscillatory([1], 1, mpf(1) / 2, "sin", cfg20)
 
     def test_sine_sum_gives_log_gamma(self, cfg20):
         # Bourguet: sum_n (1/n) int sin(2 pi n t)/(x+t) dt is pi times the
         # remainder of log Gamma(x) after its Stirling part
         x = mpf(3) / 2
-        res = sum_oscillatory([1], 1, x, "sin", 1, cfg20)
+        res = sum_oscillatory([1], 1, x, "sin", cfg20)
         closed = mp.pi * (mp.loggamma(x) - mp.log(2 * mp.pi) / 2
                           - (x - mpf(1) / 2) * mp.log(x) + x)
         assert res.converged
@@ -303,7 +303,7 @@ class TestOscillatorySum:
         # Briggs with P = L: gamma_1(x) = L/(2x) - L^2/2 + 2 * sum
         x = mpf(3) / 2
         L = mp.log(x)
-        res = sum_oscillatory([0, 1], 1, x, "cos", 0, cfg20)
+        res = sum_oscillatory([0, 1], 1, x, "cos", cfg20)
         closed = (mp.stieltjes(1, x) - L / (2 * x) + L ** 2 / 2) / 2
         assert res.converged
         assert abs(res.value - closed) <= res.err_estimate
@@ -312,24 +312,15 @@ class TestOscillatorySum:
         # the n-sum is summed under one rotated integral, whose result is
         # the kernel's
         calls = record_results(monkeypatch, kernels, "integrate_adaptive")
-        res = sum_oscillatory([1], 2, 1, "cos", 0, cfg20)
+        res = sum_oscillatory([1], 2, 1, "cos", cfg20)
         assert len(calls) == 1 and calls[0] is res
-
-    def test_sine_needs_weight(self, cfg20):
-        with pytest.raises(DomainError):
-            sum_oscillatory([1], 1, 1, "sin", 0, cfg20)
-
-    @pytest.mark.parametrize("w", [2, mpf(1) / 2, -1])
-    def test_rejects_weights_without_a_closed_form(self, cfg20, w):
-        with pytest.raises(DomainError):
-            sum_oscillatory([1], 2, 1, "cos", w, cfg20)
 
     def test_large_s_is_unconverged_not_wrong(self, cfg20):
         # |(1 + iu)^-s| is a peak of width 1/sqrt(s); unscaled, the first
         # levels missed it, agreed on zero and claimed 2e-50 for a sum of
         # 1/4 at s = 1e100
         s = mpf(10) ** 100
-        res = sum_oscillatory([1], s, 1, "cos", 0, cfg20)
+        res = sum_oscillatory([1], s, 1, "cos", cfg20)
         ref = (mp.zeta(s) - mpf(1) / 2 - 1 / (s - 1)) / 2
         assert not res.converged
         assert abs(res.value - ref) <= res.err_estimate

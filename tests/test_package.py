@@ -13,8 +13,8 @@ import stieltjes
 
 # every name the package exports, each from its module
 EXPORTED = {
-    "core": ("DEFAULT_CFG", "DomainError", "NonConvergence", "PoleError",
-             "PrecisionConfig", "PrecisionError", "SeriesResult"),
+    "core": ("DEFAULT_CFG", "DomainError", "PoleError", "PrecisionConfig",
+             "SeriesResult"),
     "kernels": ("hurwitz_zeta_em", "integrate_adaptive",
                 "integrate_oscillatory", "sum_alternating_accelerated",
                 "sum_oscillatory", "sum_trig_averaged"),

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from stieltjes.core import DomainError, PrecisionConfig, PrecisionError
+from stieltjes.core import DomainError
 from stieltjes.constants import (adamchik_reflection, bell_series_gamma,
                                  briggs_gamma, coffey_difference_integral,
                                  coffey_integrand, digamma_hasse_series,
@@ -67,10 +67,6 @@ class TestRoutes:
     def test_briggs_rejects_m2(self, cfg20):
         with pytest.raises(DomainError):
             briggs_gamma(2, 1, cfg=cfg20)
-
-    def test_hasse_cap(self, cfg20):
-        with pytest.raises(PrecisionError):
-            hasse_gamma(13, 1, cfg20)
 
     @pytest.mark.parametrize("m", [0, 2])
     def test_bell_claim_covers_its_terms_errors(self, m, cfg20):

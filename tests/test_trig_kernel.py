@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from stieltjes import kernels
 from stieltjes.core import PrecisionConfig
 from stieltjes.kernels import sum_trig_averaged
 
@@ -105,10 +106,11 @@ def test_generic_x_needs_no_long_period(x):
     assert res.terms_used <= 2000
 
 
-def test_coefficients_not_completely_monotone_are_unconverged():
+def test_coefficients_not_completely_monotone_are_unconverged(monkeypatch):
     # (-1)^n / n fails the sign check at every head length: no bound holds
+    monkeypatch.setattr(kernels, "TERM_CAP", 3000)
     res = sum_trig_averaged(lambda n: mpf(-1) ** n / n, "cos", mpf("0.3"),
-                            PrecisionConfig(digits=20, max_terms=3000))
+                            PrecisionConfig(digits=20))
     assert not res.converged
     assert res.err_estimate == mp.inf
     assert res.terms_used <= 3000
