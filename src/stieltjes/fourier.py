@@ -16,6 +16,7 @@ by the suite table, :data:`stieltjes.suites.CATALOGUE`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -187,14 +188,41 @@ def series_325_family(x, which: str, cfg: PrecisionConfig = DEFAULT_CFG
         return -g1_diff * sx ** 2 / mp.pi - psi * cx
 
 
+_S1_DIRECT = 128  # longest direct sum for a term of Kolbig's S1
+
+
 def _kolbig_s1(cfg) -> SeriesResult:
-    """S1 = sum_{n>=2} log n/(4n^2 - 1) = -sum_j zeta'(2j, 1)/4^j, by
-    ``sum_majorized``.  A term is at most 1/16 of the one before, so the
-    rest is at most 1/15 of the last."""
+    """S1 = sum_{n>=2} log n/(4n^2 - 1) = sum_j T_j, by ``sum_majorized``,
+    with T_j = -zeta'(2j, 1)/4^j = sum_{n>=2} log n (4n^2)^-j.  A term is at
+    most 1/16 of the one before, so the rest is at most 1/15 of the last.
+
+    T_j is the EM engine's until the direct sum to n = M, M <= _S1_DIRECT,
+    leaves a rest under tol/16 of log 2 16^-j <= T_j.  The summand falls
+    for t >= 2, so that rest is at most 4^-j int_M^inf log t t^-2j dt
+    = 4^-j M^(1-2j) (log M/(2j-1) + 1/(2j-1)^2).  The direct sum claims
+    that rest plus M + 8 ulps of itself: a few per summand and one per
+    addition.
+    """
+    eps = mpf(2) ** -mp.prec
+    log_tol = float(mp.log(cfg.tol()))
+    logs = [mpf(0), mpf(0)]  # log n
+
     def term(j):
-        z = hurwitz_zeta_em(2 * j, 1, 1, cfg)
-        t = -z.value / mpf(4) ** j
-        return t, z.err_estimate / mpf(4) ** j, abs(t) / 15
+        r = 2 * j - 1
+        target = log_tol + math.log(math.log(2) / 16) - j * math.log(4)
+        M = math.ceil(math.exp(min(-target / r, 60)))  # log factor left out
+        while M <= _S1_DIRECT and (math.log(math.log(M) / r + r ** -2)
+                                   - r * math.log(M)) > target:
+            M += 1
+        if M > _S1_DIRECT:
+            z = hurwitz_zeta_em(2 * j, 1, 1, cfg)
+            t = -z.value / mpf(4) ** j
+            return t, z.err_estimate / mpf(4) ** j, abs(t) / 15
+        while len(logs) <= M:
+            logs.append(mp.log(len(logs)))
+        t = sum(logs[n] * mpf(4 * n * n) ** -j for n in range(2, M + 1))
+        rest = mpf(M) ** -r * (logs[M] / r + mpf(1) / r ** 2) / mpf(4) ** j
+        return t, rest + (M + 8) * eps * t, t / 15
 
     return sum_majorized(term, 0, cfg)
 

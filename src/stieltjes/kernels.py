@@ -21,6 +21,11 @@ Kernels:
   Euler-Abel transform of the tail in z = e^(2 pi i x), at a cost that does
   not depend on the period of x (the name is historical: the first body
   averaged over Cesaro windows; the benchmark calls the kernel by name).
+  Both run on Python-integer fixed point, as mpmath's own elementary
+  functions do: the phases come from one integer rotation per term, the
+  products sum exactly into integers and the tail's difference table is
+  exact.  Only the caller's coefficients are mpf; the claim's rounding
+  part is derived for that arithmetic (``_abel_sum``).
 * ``integrate_adaptive`` -- tanh-sinh quadrature on finite or infinite
   ranges, stepped level by level until two levels agree at the request.
 * ``integrate_oscillatory`` -- zero-aligned panels with Euler acceleration,
@@ -43,6 +48,7 @@ from functools import lru_cache
 from typing import Callable
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpf_cos_sin_pi, to_fixed
 
 from .core import (DEFAULT_CFG, DomainError, PoleError, PrecisionConfig,
                    SeriesResult, as_real)
@@ -165,8 +171,10 @@ def sum_trig_averaged(coeff: Callable[[int], mpf], mode: str, x,
     """sum_{n>=1} coeff(n) trig(2 pi n x) by an Euler-Abel transform.
 
     With ``odd_multiples`` the phase is (2n+1) pi x instead.  Valid for
-    0 < x < 1.  (The name is historical, from an earlier Cesaro-averaging
-    body; it is kept because the benchmark calls the kernel by name.)
+    0 < x < 1; x may be an int, float, str, Fraction or mpf.  ``coeff(n)``
+    returns an mpf.  (The name is historical, from an earlier
+    Cesaro-averaging body; it is kept because the benchmark calls the kernel
+    by name.)
 
     The series is Re or Im of sum f(n) z^n with z = e^(2 pi i x), times
     e^(i pi x) for odd multiples.  The head 1 <= n < N is summed directly.
@@ -184,17 +192,21 @@ def sum_trig_averaged(coeff: Callable[[int], mpf], mode: str, x,
     (2 pi n)^(s-1) with s < 1, 1/n - log(1+1/n) and (log 2 pi n)^j / n
     beyond a point that grows with k.  At every order k the signs of
     f(N + k), Delta^(k-1) f(N + 1) and Delta^k f(N) are checked; when one
-    fails, or the terms stop falling before the target, N is doubled.  N and K come from the target bits and
-    sin(pi x) alone (:func:`_abel_plan`), so the cost is O(bits / sin pi x)
-    whatever the period of x, and the difference table carries
-    K log2(2 / |1 - z|) guard bits.  The error estimate is the remainder
-    bound plus a bound on the rounding; the result is unconverged when
-    ``TERM_CAP`` coefficients do not reach 10^-digits max(1, |value|).
+    fails, or the terms stop falling before the target, N is doubled.  N
+    and K come from the target bits and sin(pi x) alone (:func:`_abel_plan`),
+    so the cost is O(bits / sin pi x) whatever the period of x, and the
+    tail's coefficients carry K log2(2 / |1 - z|) guard bits, which the
+    differences lose.  Both sums run on integer fixed point scaled to the
+    coefficients, the head's to the first nonzero one and the tail's to
+    f(N) (:func:`_abel_sum`, which derives the rounding part of the claim).
+    The error estimate is the remainder bound plus that rounding bound; the
+    result is unconverged when ``TERM_CAP`` coefficients do not reach
+    10^-digits max(1, |value|).
     """
     if mode not in ("sin", "cos"):
         raise ValueError("mode must be 'sin' or 'cos'")
     with cfg.workprec(40):
-        x = mpf(x)
+        x = as_real(x)
         if not 0 < x < 1:
             raise DomainError(f"x must lie in (0,1), got {x}")
         tol = cfg.tol()
@@ -216,68 +228,153 @@ def sum_trig_averaged(coeff: Callable[[int], mpf], mode: str, x,
             N *= 2
 
 
+def _fixed(f, shift: int) -> int:
+    """floor(f 2^shift) for a finite f: off by less than 1."""
+    raw = (f if type(f) is mpf else mpf(f))._mpf_
+    if not raw[1] and raw[2]:  # inf and nan have a zero mantissa
+        raise ValueError(f"coefficient {f} is not finite")
+    return to_fixed(raw, shift)
+
+
+def _turn(j: int, x, prec: int) -> tuple[int, int]:
+    """(cos j pi x, sin j pi x) as integers at 2^-prec, each off by less
+    than 1 + 2^-18 units: j x and the trig functions carry 20 + bitlen(j)
+    more bits."""
+    with mp.workprec(prec + 20 + j.bit_length()):
+        c, s = mpf_cos_sin_pi((j * x)._mpf_, mp.prec)
+    return to_fixed(c, prec), to_fixed(s, prec)
+
+
 def _abel_sum(coeff, mode, x, odd, N, k_max, head_wp, wp, tol):
     """One Euler-Abel evaluation with head length N and at most k_max
-    difference orders, the head at head_wp bits and the tail at wp; returns
-    the SeriesResult and whether a longer head could do better."""
-    trig = mp.sinpi if mode == "sin" else mp.cospi
+    difference orders; returns the SeriesResult and whether a longer head
+    could do better.
+
+    Only the caller's coefficients are mpf, the head's at head_wp bits and
+    the tail's at wp.  Both sums run on integer fixed point and meet in mpf
+    once:
+
+    * Head.  With P = head_wp + bitlen(N) + 8, each coefficient is truncated
+      once to a multiple of u = 2^(e - P), 2^e bounding the first nonzero
+      one (larger ones later only take more bits).  The phase
+      e^((2n + odd) pi i x) is a pair of integers at 2^-P, started from
+      mpmath at the first nonzero coefficient and turned by e^(2 pi i x)
+      once per term, each product truncated back to P bits.  The products
+      sum exactly into one integer.  A start or e^(2 pi i x) is off by less
+      than 1.5 units of 2^-P, a turn by less than 1.5 more, so the n-th
+      phase drifts by less than 3n + 1.5 <= 4n units.  The head is then off
+      by at most N u (1 + 4N 2^-P) for the truncations, 4N 2^-P sum |f_n|
+      for the drift and 16 2^-head_wp sum |f_n| for the coefficients' own
+      rounding (a few ulps, assumed of coeff).
+    * Tail.  f(N), ..., f(N + K) are truncated to multiples of
+      v = 2^(e - wp), 2^e bounding f(N), so the rows Delta^j f(N + k - j)
+      are exact integer differences and the sign checks on them exact.  An
+      entry is off by at most v + 8 2^-wp |f|, its own rounding again
+      assumed a few ulps, and Delta^k by 2^k times that; term k divides
+      that by |1 - z|^(k+1).  Term k is Delta^k f(N) times Re|Im g_k,
+      g_k = i^(k+1) e^(i pi (2N + odd + k - 1) x) / |1 - z|^(k+1), which
+      is a complex integer G at 2^-Q, Q = wp + k_max + 4, multiplied by
+      c = i e^(i pi x) / |1 - z| per order and truncated; R, |g_k| at 2^-Q,
+      is multiplied by 1/|1 - z| alike.  The start and c are off by less
+      than 6.5 2^-Q of their moduli, a truncation by 1.5 units against
+      |g_(k+1)| 2^Q >= 2^(Q-k-2) (as |1 - z| <= 2), so G and R stay within
+      2^-Q (6.5 (k + 1) + 6 2^k) < 2^-wp of |g_k|, and the terms and their
+      moduli within 2^-wp of theirs.  Terms, moduli and the stop test run
+      on integers at 2^-Q v.  With the conversions to mpf and the bound
+      taken from a computed modulus, that is at most 3 2^-wp sum |term_k|.
+    """
+    cos = mode == "cos"
+    P = head_wp + N.bit_length() + 8
+    acc = mag = 0  # sum F_n Re|Im(phase_n) at u 2^-P; sum |F_n| at u
+    shift = None  # -log2 u, from the first nonzero coefficient
     with mp.workprec(head_wp):
-        head = mpf(0)
-        mag = mpf(0)
         for n in range(1, N):
             f = coeff(n)
-            head += f * trig((2 * n + odd) * x)
-            mag += abs(f)
+            if shift is None:
+                if not f:
+                    continue
+                shift = P - mp.mag(f)
+                zr, zi = _turn(2 * n + odd, x, P)
+                wr, wi = _turn(2, x, P)
+            F = _fixed(f, shift)
+            acc += F * zr if cos else F * zi
+            mag += abs(F)
+            zr, zi = (zr * wr - zi * wi) >> P, (zr * wi + zi * wr) >> P
     with mp.workprec(wp):
-        a = 2 * mp.sinpi(x)
-        m = 2 * N + odd
+        if shift is None:
+            shift = P
+        u = mp.ldexp(1, -shift)
+        head = mp.ldexp(mpf(acc), -shift - P)
+        fmag = mag * u  # sum |f_n| to within N u
+        head_err = (N * u * (1 + 4 * N * mp.ldexp(1, -P))
+                    + (fmag + N * u) * (4 * N * mp.ldexp(1, -P)
+                                        + 16 * mp.ldexp(1, -head_wp)))
         f = coeff(N)
-        edge = [f]  # edge[j] = Delta^j f(N + k - j); edge[-1] = Delta^k f(N)
-        sign = -1 if f < 0 else 1
-        big = abs(f)  # largest |f| in the difference table
-        apow = a  # a^(k+1)
-        tail = mpf(0)
-        tmag = mpf(0)  # sum of |term_k|
-        noise = mpf(0)  # sum of (k + 8) (2/a)^k / a: the table's rounding
-        prev = bound = mpf("inf")
+        tshift = wp - (mp.mag(f) if f else 0)
+        F = _fixed(f, tshift)
+        # G = i^(k+1) e^(i pi (2N + odd + k - 1) x) / |1 - z|^(k+1) at 2^-Q,
+        # times c = i e^(i pi x) / |1 - z| per order; R = |G|
+        Q = max(wp + k_max + 4, -tshift)
+        with mp.workprec(Q + 20):
+            R = to_fixed((1 / (2 * mp.sinpi(x)))._mpf_, Q)
+        co, si = _turn(2 * N + odd - 1, x, Q)
+        gr, gi = (-si * R) >> Q, (co * R) >> Q
+        co, si = _turn(1, x, Q)
+        cr, ci = (-si * R) >> Q, (co * R) >> Q
+        A = R
+        # terms and their moduli in units of 2^-unit = v 2^-Q, and the stop
+        # test 4 prev <= tol max(1, |head + tail|) in those units
+        unit = tshift + Q
+        d = unit - shift - P
+        H = acc << d if d >= 0 else acc >> -d
+        one = 1 << unit
+        _, tm, te, _ = tol._mpf_
+        lsh, rsh = max(2 - te, 0), max(te - 2, 0)
+        tail = tmag = noise = 0  # noise: sum 2^k R_k at 2^-Q
+        prev = None  # |term_(k-1)|
+        edge = [F]  # edge[j] = Delta^j f(N + k - j); edge[-1] = Delta^k f(N)
+        sign = -1 if F < 0 else 1
+        big = abs(F)  # largest |F| in the difference table
         retry = True
         for k in range(k_max + 1):
-            d = edge[-1]
+            D = edge[-1]
             # Delta^j f(n) must have sign (-1)^j sign(f(N)); checked at
             # (j, n) = (0, N + k), (k - 1, N + 1) and (k, N)
-            if (edge[0] * sign < 0 or d * sign * (-1) ** k < 0
+            if (edge[0] * sign < 0 or D * sign * (-1) ** k < 0
                     or (k and edge[-2] * sign * (-1) ** k > 0)):
-                bound = mpf("inf")  # not completely monotone from N on
+                prev = None  # not completely monotone from N on
                 break
-            size = abs(d) / apow  # |term_k|
+            size = abs(D) * R
             if k:
-                # remainder after terms < k; Delta^k f keeps its sign
-                bound = prev
-                if prev <= tol * max(1, abs(head + tail)) / 4:
+                # the remainder after terms < k is at most prev, as
+                # Delta^k f keeps its sign
+                if (prev << lsh) <= (tm * max(one, abs(H + tail))) << rsh:
                     retry = False
                     break
                 if size > prev:
                     break  # the terms turned before the target
             if k == k_max:
                 break
-            # term k = Delta^k f(N) Re|Im(i^(k+1) e^(i pi (m+k-1) x)) / a^(k+1)
-            tail += d / apow * trig((m + k - 1) * x + mpf(k + 1) / 2)
+            tail += D * (gr if cos else gi)
             tmag += size
-            noise += (k + 8) * mpf(2) ** k / apow
+            noise += R << k
             prev = size
-            apow *= a
-            f = coeff(N + k + 1)
-            big = max(big, abs(f))
-            row = [f]
+            gr, gi = (gr * cr - gi * ci) >> Q, (gr * ci + gi * cr) >> Q
+            R = (R * A) >> Q
+            F = _fixed(coeff(N + k + 1), tshift)
+            big = max(big, abs(F))
+            row = [F]
             for e in edge:
                 row.append(row[-1] - e)
             edge = row
-        total = head + tail
-        # coefficients to a few ulps, trig arguments to n ulps, running sums
-        eps_head, eps = mpf(2) ** -head_wp, mpf(2) ** -wp
-        rounding = (eps_head * (mag * (16 + 11 * N) + 8 * abs(total))
-                    + eps * (big * noise + tmag * (16 + 10 * (N + k_max))))
-        return SeriesResult(+total, bound + rounding, N - 1 + len(edge),
+        bound = mpf("inf") if prev is None else mp.ldexp(mpf(prev), -unit)
+        value = head + mp.ldexp(mpf(tail), -unit)
+        tmag = mp.ldexp(mpf(tmag), -unit)
+        v, eps = mp.ldexp(1, -tshift), mp.ldexp(1, -wp)
+        rounding = (head_err
+                    + v * (1 + 8 * eps * (big + 1)) * mp.ldexp(noise, -Q)
+                    + eps * (3 * tmag + 4 * abs(head) + 2 * abs(value)))
+        return SeriesResult(+value, bound + rounding, N - 1 + len(edge),
                             tol), retry
 
 

@@ -199,6 +199,16 @@ class TestKolbig:
             assert (abs(2 * s1.value - s2.value)
                     <= 2 * s1.err_estimate + s2.err_estimate)
 
+    def test_s1_sums_later_terms_directly(self, monkeypatch):
+        # each of the 83 terms at 100 digits ran the EM engine on
+        # zeta'(2j, 1); from j = 23 on a direct sum of <= 128 terms does
+        calls = record_results(monkeypatch, fourier, "hurwitz_zeta_em")
+        cfg = PrecisionConfig(digits=100)
+        with cfg.workprec(40):
+            s1 = fourier._kolbig_s1(cfg)
+        assert s1.converged and s1.terms_used == 83
+        assert len(calls) <= 30
+
 
 class TestSondow:
     def test_at_one(self, cfg30):
