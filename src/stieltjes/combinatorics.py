@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from mpmath import mpf
+from mpmath import iv, mpf
 
 
 def binomial(n: int, k: int) -> int:
@@ -20,13 +20,11 @@ def bell_complete(xs: Sequence) -> mpf:
 
     Computed by the recurrence Y_{r+1} = sum_j C(r,j) Y_{r-j} x_{j+1};
     Y_0 = 1.  Cost O(r^2), numerically stable for the harmonic-number
-    specializations used here.
+    specializations used here.  Intervals (``mpmath.iv``) stay intervals.
     """
-    xs = [mpf(v) for v in xs]
+    xs = [v if isinstance(v, iv.mpf) else mpf(v) for v in xs]
     Y = [mpf(1)]
     for r in range(len(xs)):
-        acc = mpf(0)
-        for j in range(r + 1):
-            acc += binomial(r, j) * Y[r - j] * xs[j]
-        Y.append(acc)
+        Y.append(sum(xs[j] * (binomial(r, j) * Y[r - j])
+                     for j in range(r + 1)))
     return Y[len(xs)]

@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import iv, mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
-                   as_real, shift_up)
+                   as_real, combine, require_positive, shift_up)
 from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
                       sum_majorized, sum_oscillatory)
 from .combinatorics import binomial
@@ -51,9 +51,7 @@ def laurent_oracle(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResul
     if m < 0:
         raise DomainError("m must be >= 0")
     with cfg.workprec(40):
-        x = as_real(x)
-        if not x > 0:
-            raise DomainError("x must be positive")
+        x = require_positive(x)
         M = max(16, int(cfg.digits * 0.8))
         total = mpf(0)
         for k in range(M):
@@ -107,9 +105,7 @@ def em_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     if m < 0:
         raise DomainError("m must be >= 0")
     with cfg.workprec(40):
-        x = as_real(x)
-        if not x > 0:
-            raise DomainError("x must be positive")
+        x = require_positive(x)
         return _em_log_power_sum([0] * m + [1], 1, x, cfg)
 
 
@@ -118,10 +114,8 @@ def hasse_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     if m < 0:
         raise DomainError("m must be >= 0")
     with cfg.workprec(40):
-        parts, err, terms = _hasse_parts([m + 1], 0, as_real(x), cfg)
-        value = -parts[m + 1] / (m + 1)
-        err = err / (m + 1) + 2 * mpf(2) ** -mp.prec * abs(value)
-        return SeriesResult(+value, +err, terms, cfg.tol())
+        return combine(lambda g: -g / (m + 1),
+                       _hasse_parts([m + 1], 0, x, cfg)[m + 1], tol=cfg.tol())
 
 
 def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -140,18 +134,10 @@ def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesRe
     if not 0 <= m <= 6:
         raise DomainError("bell route implemented for 0 <= m <= 6")
     with cfg.workprec(40):
-        x = as_real(x)
-        if not x > 0:
-            raise DomainError("x must be positive")
-        x0 = x
-        x, shift, steps = shift_up(x, lambda v: mp.log(v) ** m / v,
+        x = require_positive(x)
+        x, shift, steps = shift_up(x, lambda v: iv.log(v) ** m / v,
                                    SHIFT_FLOOR)
         eps = mpf(2) ** -mp.prec
-        # log(v) to 2 ulps absolute plus one relative, so log^m(v)/v to
-        # eps (2m/v + (4m+3) |term|); only the term at x0 < 1 can be < 0
-        lead = abs(mp.log(x0) ** m / x0) if steps and x0 < 1 else 0
-        shift_err = eps * ((steps + 4 * m + 3) * (abs(shift) + 2 * lead)
-                           + 2 * m * (1 / x0 + steps))
         weights = [binomial(m, k) * math.factorial(k) for k in range(m + 1)]
         e = [[mpf(1)] + [mpf(0)] * m]  # e_k(1, ..., 1/n) at n = 0
 
@@ -178,12 +164,10 @@ def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesRe
                 tail += first / (1 - rho)
             return t, claim, tail
 
-        head = -mp.log(x) ** (m + 1) / (m + 1) + shift
-        series = sum_majorized(term, head, cfg)
-        value = head + series.value
-        err = series.err_estimate + shift_err + 4 * eps * abs(value)
-        return SeriesResult(+value, +err, steps + series.terms_used,
-                            cfg.tol())
+        head = -iv.log(x) ** (m + 1) / (m + 1) + shift
+        series = sum_majorized(term, mpf(head.mid), cfg)
+        return combine(lambda t: head + t, series, tol=cfg.tol(),
+                       terms=steps + series.terms_used)
 
 
 def _elementary_step(e, n: int):
@@ -202,17 +186,13 @@ def briggs_gamma(m: int, x,
     if m not in (0, 1):
         raise DomainError("oscillatory route implemented for m in {0, 1}")
     with cfg.workprec(40):
-        x = as_real(x)
-        if not x > 0:
-            raise DomainError("x must be positive")
-        x, shift, _ = shift_up(x, lambda v: mp.log(v) ** m / v)
-        Lx = mp.log(x)
+        x = require_positive(x)
+        x, shift, _ = shift_up(x, lambda v: iv.log(v) ** m / v)
+        Lx = iv.log(x)
         base = Lx ** m / (2 * x) - Lx ** (m + 1) / (m + 1) + shift
-        osc = sum_oscillatory([0] * m + [1], 1, x, "cos", cfg)
-        value = base + 2 * osc.value
-        err = (2 * osc.err_estimate + 4 * mpf(2) ** -mp.prec
-               * (abs(base) + abs(shift) + abs(value)))
-        return SeriesResult(+value, +err, osc.terms_used, cfg.tol())
+        return combine(lambda osc: base + 2 * osc,
+                       sum_oscillatory([0] * m + [1], 1, x, "cos", cfg),
+                       tol=cfg.tol())
 
 
 _ROUTES = {
@@ -235,8 +215,7 @@ def stieltjes_gamma(m: int, x=1, method: str = "em",
 def digamma_hasse_series(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """psi(x) from the binomial double series (the m=0 route, sign flipped)."""
     with cfg.workprec(40):
-        parts, err, terms = _hasse_parts([1], 0, as_real(x), cfg)
-        return SeriesResult(+parts[1], +err, terms, cfg.tol())
+        return _hasse_parts([1], 0, x, cfg)[1]
 
 
 def coffey_integrand(n: int, x):
@@ -267,9 +246,7 @@ def gamma1_prime(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     negative for all x >= e: one run of the EM engine on that sum, its
     result and claim."""
     with cfg.workprec(40):
-        x = as_real(x)
-        if not x > 0:
-            raise DomainError("x must be positive")
+        x = require_positive(x)
         return _em_log_power_sum([1, -1], 2, x, cfg)
 
 

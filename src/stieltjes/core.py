@@ -7,15 +7,28 @@ an explicit working-precision context derived from a
 values rounded at that precision.  Mixing values produced
 at different precisions is safe: mpmath computes at the active context
 precision, which callers set to the maximum they need.
+
+Kernels and routes split the accounting of a claim in two.  A kernel
+(``kernels``, the Hasse head and tail, the terms of a direct series and
+the direct sums formed at raised precision) derives its own claim,
+rounding included.  The glue that combines kernel results into a route's
+value runs in interval arithmetic, ``mpmath.iv``, by :func:`combine`:
+each result enters as the ball [value - err, value + err], exact inputs
+as points, constants and elementary functions come from ``iv``
+(``iv.pi``, ``iv.log``, ...), and the route's value and claim are the
+midpoint and radius of what comes out, so the glue counts no rounding
+by hand.  :meth:`PrecisionConfig.workprec` sets ``iv.prec`` with
+``mp.prec``, so the glue runs at the working precision.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from mpmath import mp, mpc, mpf
+from mpmath import iv, mp, mpc, mpf
 
 # the error types live in the package, whose import loads no mpmath
 from . import DomainError, PoleError  # noqa: F401
@@ -86,9 +99,19 @@ class PrecisionConfig:
             return mpf(self.tolerance)
         return mpf(10) ** (-self.digits)
 
+    @contextmanager
     def workprec(self, extra_bits: int = 0):
-        """Context manager setting the working precision for a kernel."""
-        return mp.workprec(self.working_bits + extra_bits)
+        """Context manager setting the working precision for a kernel, of
+        ``mp`` and ``iv`` alike: the one place ``iv.prec`` is kept equal to
+        ``mp.prec``."""
+        bits = self.working_bits + extra_bits
+        outer = iv.prec
+        iv.prec = bits
+        try:
+            with mp.workprec(bits):
+                yield
+        finally:
+            iv.prec = outer
 
 
 DEFAULT_CFG = PrecisionConfig()
@@ -183,17 +206,65 @@ class IdentityReport(_Record):
         return d
 
 
+def combine(glue: Callable, *results: SeriesResult, tol: mpf,
+            terms: Optional[int] = None):
+    """glue(*balls) in interval arithmetic: how a route combines its kernel
+    results into the value it returns, with a claim that covers them.
+
+    Each result enters ``mpmath.iv`` as the ball [value - err, value +
+    err]; ``glue`` computes in ``iv`` from those balls and from exact inputs
+    entered as points.  The value returned is the midpoint of the interval
+    that comes out, at the working precision, and the claim the distance
+    from it to the interval's farther end, rounded up; a complex interval
+    is bounded by its modulus.  A point input is taken as exact: the claim
+    covers no rounding made before it entered, such as a coefficient
+    callback's value, so a glue builds its constants in ``iv`` from exact
+    numbers (``iv.pi * p / q``, not ``iv.pi * (mpf(p) / q)``).  An infinite claim enters as the point
+    value, so the result keeps a value, and its claim is infinite.
+    ``terms`` defaults to the results' terms added up.  A glue that
+    returns a list gives a list of results.
+    """
+    def ball(r):
+        if not mp.isfinite(r.err_estimate):
+            return iv.mpf(r.value)
+        return iv.mpf(r.value) + iv.mpf([-r.err_estimate, r.err_estimate])
+
+    bounded = all(mp.isfinite(r.err_estimate) for r in results)
+    out = glue(*map(ball, results))
+    if terms is None:
+        terms = sum(r.terms_used for r in results)
+
+    def settle(y):
+        if isinstance(y, iv.mpc):
+            value = mpc(mpf(y.real.mid), mpf(y.imag.mid))
+        else:
+            value = mpf(y.mid)
+        err = mpf(abs(y - value).b) if bounded else mp.inf
+        return SeriesResult(value, err, terms, tol)
+
+    return [settle(y) for y in out] if isinstance(out, list) else settle(out)
+
+
 def shift_up(x, term, floor=1):
     """(x + k, sum_{j<k} term(x + j), k) for the fewest k >= 0 with
     x + k >= floor: how the routes that need x >= floor reach smaller x by
-    their recurrences."""
-    shift = mpf(0)
+    their recurrences.  ``term`` computes in ``iv``, so the sum is an
+    interval that holds its own rounding."""
+    shift = iv.mpf(0)
     k = 0
     while x < floor:
         shift += term(x)
         x += 1
         k += 1
     return x, shift, k
+
+
+def require_positive(x) -> mpf:
+    """x as :func:`as_real` gives it, refused unless x > 0."""
+    x = as_real(x)
+    if not x > 0:
+        raise DomainError(f"x must be positive, got {x}")
+    return x
 
 
 def as_real(value) -> mpf:

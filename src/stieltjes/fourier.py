@@ -20,10 +20,10 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from mpmath import mp, mpc, mpf
+from mpmath import iv, mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
-                   as_real)
+                   as_real, combine)
 from .kernels import (hurwitz_zeta_em, integrate_adaptive, sum_majorized,
                       sum_trig_averaged)
 from .constants import hasse_gamma
@@ -37,36 +37,31 @@ def lerch_transform(c, mode: str, x,
     term -c_1 trig(pi x), plus the rest by the averaged sum.
 
     This equals f'(x) sin(pi x)/pi for f = sum c_n/n sin(2 pi n x) (sin
-    mode) or g'(x) sin(pi x)/pi for the cosine companion.  The claim is the
-    sum's, plus the rounding of the n = 0 term and of the total.
+    mode) or g'(x) sin(pi x)/pi for the cosine companion.  c(1) enters the
+    glue as a point, as every c(n) enters the kernel: the claim does not
+    cover the rounding inside ``c``.
     """
     with cfg.workprec(40):
         x = as_real(x)
         rest = sum_trig_averaged(lambda n: c(n) - c(n + 1), mode, x, cfg,
                                  odd_multiples=True)
-        first = -c(1) * (mp.sinpi(x) if mode == "sin" else mp.cospi(x))
-        value = first + rest.value
-        err = (rest.err_estimate
-               + 4 * mpf(2) ** -mp.prec * (abs(first) + abs(value)))
-        return SeriesResult(+value, +err, rest.terms_used + 1, cfg.tol())
+        trig = (iv.sin if mode == "sin" else iv.cos)(iv.pi * x)
+        return combine(lambda r: r - trig * c(1), rest, tol=cfg.tol(),
+                       terms=rest.terms_used + 1)
 
 
 def kummer_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """log Gamma(x) on (0,1) by Kummer's series: an elementary part plus
-    (1/pi) sum log n/n sin(2 pi n x).  The claim is the sine sum's over pi,
-    plus the rounding of the elementary part."""
+    (1/pi) sum log n/n sin(2 pi n x)."""
     with cfg.workprec(40):
         x = as_real(x)
         if not 0 < x < 1:
             raise DomainError("expansion valid on (0,1) only")
         sine = sum_trig_averaged(lambda n: mp.log(n) / n if n > 1 else mpf(0),
                                  "sin", x, cfg)
-        elementary = (mp.log(mp.pi / mp.sin(mp.pi * x)) / 2
-                      + (mp.euler + mp.log(2 * mp.pi)) * (mpf(1) / 2 - x))
-        value = elementary + sine.value / mp.pi
-        err = (sine.err_estimate / mp.pi
-               + 8 * mpf(2) ** -mp.prec * (abs(elementary) + abs(value)))
-        return SeriesResult(value, err, sine.terms_used, cfg.tol())
+        elementary = (iv.log(iv.pi / iv.sin(iv.pi * x)) / 2
+                      + (iv.euler + iv.log(2 * iv.pi)) * (0.5 - iv.mpf(x)))
+        return combine(lambda t: elementary + t / iv.pi, sine, tol=cfg.tol())
 
 
 def series_316(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -141,13 +136,10 @@ def gamma1_fourier(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
         def d_n(n):
             return mp.log(2 * mp.pi * n) + g
 
-        t_sin = lerch_transform(c_n, "sin", x, cfg)
-        t_cos = lerch_transform(d_n, "cos", x, cfg)
-        scale = mp.pi / (2 * mp.sin(mp.pi * x))
-        value = (t_sin.value + t_cos.value) * scale
-        err = (t_sin.err_estimate + t_cos.err_estimate) * abs(scale)
-        return SeriesResult(+value, +err, t_sin.terms_used + t_cos.terms_used,
-                            cfg.tol())
+        scale = iv.pi / (2 * iv.sin(iv.pi * x))
+        return combine(lambda a, b: (a + b) * scale,
+                       lerch_transform(c_n, "sin", x, cfg),
+                       lerch_transform(d_n, "cos", x, cfg), tol=cfg.tol())
 
 
 def series_325_family(x, which: str, cfg: PrecisionConfig = DEFAULT_CFG
@@ -310,33 +302,30 @@ def _sondow_power_series(z, cfg) -> SeriesResult:
 def _sondow_circle(z: Fraction, cfg) -> SeriesResult:
     """gamma(omega), omega = exp(i pi p/q): (C + i S) e^(-i pi p/q) for the
     cosine and sine sums C, S of the coefficients at x = p/(2q)."""
-    theta = mpf(z.numerator) / z.denominator
-    C = sum_trig_averaged(_euler_coeff, "cos", theta / 2, cfg)
+    C = sum_trig_averaged(_euler_coeff, "cos", z / 2, cfg)
     # at z = -1 the sine series sin(pi n) a_n vanishes term by term
     S = (SeriesResult(mpf(0), mpf(0), 0, cfg.tol()) if z == 1 else
-         sum_trig_averaged(_euler_coeff, "sin", theta / 2, cfg))
-    re = C.value * mp.cospi(theta) + S.value * mp.sinpi(theta)
-    im = S.value * mp.cospi(theta) - C.value * mp.sinpi(theta)
-    err = (C.err_estimate + S.err_estimate
-           + 8 * mpf(2) ** -mp.prec * (abs(C.value) + abs(S.value)))
-    return SeriesResult(mpc(+re, +im), err, C.terms_used + S.terms_used,
-                        cfg.tol())
+         sum_trig_averaged(_euler_coeff, "sin", z / 2, cfg))
+    angle = iv.pi * z.numerator / z.denominator
+    turn = iv.mpc(iv.cos(angle), -iv.sin(angle))
+    return combine(lambda c, s: iv.mpc(c, s) * turn, C, S, tol=cfg.tol())
 
 
 def _sondow_2q(z: Fraction, cfg) -> SeriesResult:
-    """The finite form in log Gamma(k/(2q)), its error from the engine's."""
+    """The finite form in log Gamma(k/(2q)), omega = exp(i pi p/q)."""
     p, q = z.numerator, z.denominator
-    omega = mp.expjpi(mpf(p) / q)
     lg = [gammafuncs.log_gamma(mpf(k) / (2 * q), cfg)
           for k in range(1, 2 * q + 2)]
-    total = -mp.log(1 - omega) / omega
-    for n in range(1, 2 * q + 1):
-        total += omega ** (n - 1) * (lg[n].value - lg[n - 1].value)
-    # each log Gamma enters two terms at most, with |omega| = 1
-    eps = 16 * (q + 2) * mpf(2) ** -mp.prec
-    err = eps * abs(total) + sum(2 * r.err_estimate + 2 * eps * abs(r.value)
-                                 for r in lg)
-    return SeriesResult(+total, err, sum(r.terms_used for r in lg), cfg.tol())
+
+    def glue(*L):
+        angle = iv.pi * p / q
+        omega = iv.mpc(iv.cos(angle), iv.sin(angle))
+        total = -iv.log(1 - omega) / omega
+        for n in range(1, 2 * q + 1):
+            total += omega ** (n - 1) * (L[n] - L[n - 1])
+        return total
+
+    return combine(glue, *lg, tol=cfg.tol())
 
 
 def sondow_gamma(z: Union[mpf, float, int, Fraction],
@@ -350,7 +339,8 @@ def sondow_gamma(z: Union[mpf, float, int, Fraction],
     trigonometric kernel on the circle and at z = -1), "integral" (real
     z <= 1), "2q"
     (finite log-gamma form, Fraction only).  The error estimate comes from
-    the kernels and tails each route sums, and their rounding.
+    the kernels and tails each route sums, combined in interval arithmetic
+    (:func:`stieltjes.core.combine`) where a route glues several.
     """
     on_circle = isinstance(z, Fraction)
     if on_circle and not 0 < z <= 1:

@@ -10,57 +10,41 @@ form of psi(x) - log x are kept as independent sides of identity checks.
 
 from __future__ import annotations
 
-from mpmath import mp, mpf
+import math
+
+from mpmath import iv, mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
-                   as_real, shift_up)
+                   combine, require_positive, shift_up)
 from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
                       sum_oscillatory)
 
 
-def _require_positive(x) -> mpf:
-    x = as_real(x)
-    if not x > 0:
-        raise DomainError(f"argument must be positive, got {x}")
-    return x
-
-
 def log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """log Gamma(x) for x > 0, as zeta'(0, x) + log(2 pi)/2 (Lerch).
-
-    The engine's result, shifted; the constant and the sum round once each.
-    """
+    """log Gamma(x) for x > 0, as zeta'(0, x) + log(2 pi)/2 (Lerch)."""
     with cfg.workprec(40):
-        x = _require_positive(x)
-        res = hurwitz_zeta_em(0, x, 1, cfg)
-        value = +(res.value + mp.log(2 * mp.pi) / 2)
-        err = res.err_estimate + 2 * mpf(2) ** -mp.prec * (abs(value) + 1)
-        return SeriesResult(value, err, res.terms_used, cfg.tol())
+        x = require_positive(x)
+        return combine(lambda z: z + iv.log(2 * iv.pi) / 2,
+                       hurwitz_zeta_em(0, x, 1, cfg), tol=cfg.tol())
 
 
 def digamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """psi(x) = -gamma_0(x) for x > 0: the engine's finite part at s = 1,
-    negated and rounded to the working precision."""
+    negated."""
     with cfg.workprec(40):
-        x = _require_positive(x)
-        res = _em_log_power_sum([1], 1, x, cfg)
-        value = +(-res.value)
-        err = res.err_estimate + mpf(2) ** -mp.prec * abs(value)
-        return SeriesResult(value, err, res.terms_used, cfg.tol())
+        x = require_positive(x)
+        return combine(lambda g: -g, _em_log_power_sum([1], 1, x, cfg),
+                       tol=cfg.tol())
 
 
 def polygamma(k: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """psi^(k)(x) = (-1)^(k+1) k! zeta(k+1, x) for k >= 1, x > 0: the
-    engine's result scaled by k!, its error with it."""
+    """psi^(k)(x) = (-1)^(k+1) k! zeta(k+1, x) for k >= 1, x > 0."""
     if k < 1:
         raise DomainError("polygamma order must be >= 1")
     with cfg.workprec(40):
-        x = _require_positive(x)
-        res = hurwitz_zeta_em(k + 1, x, 0, cfg)
-        value = +((-1) ** (k + 1) * mp.factorial(k) * res.value)
-        err = (mp.factorial(k) * res.err_estimate
-               + 2 * mpf(2) ** -mp.prec * abs(value))
-        return SeriesResult(value, err, res.terms_used, cfg.tol())
+        x = require_positive(x)
+        return combine(lambda z: (-1) ** (k + 1) * math.factorial(k) * z,
+                       hurwitz_zeta_em(k + 1, x, 0, cfg), tol=cfg.tol())
 
 
 def _log_kernel_bracket(u) -> mpf:
@@ -88,7 +72,7 @@ def digamma_log_integral(x, cfg: PrecisionConfig = DEFAULT_CFG
     u^(x-1) du = dv/x leaves an integrand bounded at both ends.
     """
     with cfg.workprec(40):
-        x = _require_positive(x)
+        x = require_positive(x)
 
         def f(v):
             if v <= 0 or v >= 1:
@@ -107,12 +91,10 @@ def bourguet_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     log Gamma(x) = log Gamma(x+1) - log x.
     """
     with cfg.workprec(40):
-        x = _require_positive(x)
-        x, shift, _ = shift_up(x, lambda v: -mp.log(v))
-        elementary = (mp.log(2 * mp.pi) / 2 + (x - mpf(1) / 2) * mp.log(x)
-                      - x + shift)
-        osc = sum_oscillatory([1], 1, x, "sin", cfg)
-        value = elementary + osc.value / mp.pi
-        err = (osc.err_estimate / mp.pi + 4 * mpf(2) ** -mp.prec
-               * (abs(elementary) + abs(shift) + abs(value)))
-        return SeriesResult(+value, +err, osc.terms_used, cfg.tol())
+        x = require_positive(x)
+        x, shift, _ = shift_up(x, lambda v: -iv.log(v))
+        X = iv.mpf(x)
+        elementary = (iv.log(2 * iv.pi) / 2 + (X - 0.5) * iv.log(X) - X
+                      + shift)
+        return combine(lambda osc: elementary + osc / iv.pi,
+                       sum_oscillatory([1], 1, x, "sin", cfg), tol=cfg.tol())

@@ -36,11 +36,11 @@ from __future__ import annotations
 import functools
 import math
 
-from mpmath import mp, mpf
+from mpmath import iv, mp, mpf
 
-from .core import (DEFAULT_CFG, DomainError, PoleError, PrecisionConfig,
-                   SeriesResult, as_real, shift_up)
-from .kernels import (TS_GUARD_BITS, _pole_bits, hurwitz_zeta_em,
+from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
+                   as_real, combine, require_positive, shift_up)
+from .kernels import (TS_GUARD_BITS, _pole_rounded, hurwitz_zeta_em,
                       integrate_adaptive, sum_majorized, sum_oscillatory,
                       sum_trig_averaged)
 from . import gammafuncs
@@ -56,54 +56,35 @@ _TAIL_TABLES = 16
 SHIFT_FLOOR = 64
 
 
-def _recip_gamma_derivs(alpha, jmax: int, cfg: PrecisionConfig):
-    """d^p/dalpha^p [1/Gamma(-alpha)] for p = 0..jmax, and error bounds.
+def _recip_gamma_derivs(alpha, jmax: int, cfg: PrecisionConfig) -> list:
+    """d^p/dalpha^p [1/Gamma(-alpha)] for p = 0..jmax, each a SeriesResult.
 
     1/Gamma(-alpha) = -alpha * exp(u), u = -log Gamma(1-alpha); exponential
-    derivatives via complete Bell polynomials in psi^(i)(1-alpha).  The
-    error du_i of each input, log Gamma or psi^(i-1) on the EM engine, is
-    that input's own claim, and passes through dY_p/du_i = C(p, i) Y_(p-i);
-    the higher orders are bounded by the same expansion at |u|, where every
-    coefficient is positive.  Returns (B, bounds on |B_p - exact|).
+    derivatives via complete Bell polynomials Y_p in psi^(i)(1-alpha).  The
+    inputs, log Gamma and psi^(i-1) on the EM engine, enter the glue with
+    their own claims.  Y_p takes the mean-value form over the inputs' box,
+    Y_p(m) + sum_i C(p, i) Y_(p-i)(box) (u_i - m_i) at the midpoints m: the
+    plain interval recurrence adds the inputs' errors in absolute value
+    where the exact derivatives cancel, three digits wider at p = 14.
     """
     one_minus = 1 - alpha
     used = [gammafuncs.log_gamma(one_minus, cfg)] + [
         gammafuncs.digamma(one_minus, cfg) if i == 1
         else gammafuncs.polygamma(i - 1, one_minus, cfg)
         for i in range(1, jmax + 1)]
-    errs = [r.err_estimate for r in used]
-    u = [(-1) ** i * r.value for i, r in enumerate(used[1:])]
-    du = errs[1:]
-    Y = [bell_complete(u[:p]) for p in range(jmax + 1)]
-    Y_abs = [bell_complete([abs(v) for v in u[:p]]) for p in range(jmax + 1)]
-    dY = []
-    for p in range(jmax + 1):
-        # first order at u; higher orders: Y_p(|u| + du) less its constant
-        # and linear terms
-        d_lin = [binomial(p, i) * du[i - 1] for i in range(1, p + 1)]
-        first = sum(d * abs(Y[p - i]) for i, d in enumerate(d_lin, 1))
-        higher = (bell_complete([abs(v) + d for v, d in zip(u[:p], du)])
-                  - Y_abs[p]
-                  - sum(d * Y_abs[p - i] for i, d in enumerate(d_lin, 1)))
-        dY.append(first + higher)
-    expu = mp.exp(-used[0].value)
-    eps = mpf(2) ** -mp.prec
-    d_exp = expu * (mp.expm1(errs[0]) + 4 * eps)
-    exp_hi = expu + d_exp
-    def term_err(q):  # error of expu * Y_q, and its rounding
-        return (d_exp * (abs(Y[q]) + dY[q]) + exp_hi * dY[q]
-                + (q + 8) * eps * exp_hi * Y_abs[q])
 
-    B, bounds = [], []
-    for p in range(jmax + 1):
-        val = -alpha * expu * Y[p]
-        bound = abs(alpha) * term_err(p)
-        if p >= 1:
-            val -= p * expu * Y[p - 1]
-            bound += p * term_err(p - 1)
-        B.append(val)
-        bounds.append(bound)
-    return B, bounds
+    def glue(log_gamma, *psi):
+        u = [(-1) ** i * v for i, v in enumerate(psi)]
+        mid = [v.mid for v in u]
+        box = [bell_complete(u[:p]) for p in range(jmax + 1)]
+        Y = [bell_complete(mid[:p]) + sum(
+            (u[i - 1] - mid[i - 1]) * (binomial(p, i) * box[p - i])
+            for i in range(1, p + 1)) for p in range(jmax + 1)]
+        expu = iv.exp(-log_gamma)
+        return [-(iv.mpf(alpha) * Y[p] + (p * Y[p - 1] if p else 0)) * expu
+                for p in range(jmax + 1)]
+
+    return combine(glue, *used, tol=cfg.tol())
 
 
 def _poly_delta(i: int, r: int, x) -> mpf:
@@ -186,8 +167,9 @@ def _weighted_tail(i: int, R: int, t, w) -> mpf:
 def _hasse_parts(js, c, x, cfg: PrecisionConfig):
     """A_j = sum_{n>=0} 1/(n+1) * d^j/dc^j Delta_n[y^c](x) for each j in js.
 
-    Delta_n[f](x) := sum_k (-1)^k C(n,k) f(k+x).  Returns ({j: value}, err,
-    head length).  err adds, over every j, the quadrature's estimate, a
+    Delta_n[f](x) := sum_k (-1)^k C(n,k) f(k+x).  Returns {j: result}, each
+    result claiming the same err and counting the head length as its terms.
+    err adds, over every j, the quadrature's estimate, a
     bound on the rounding of the head (Sum_k C(n,k) |f(k+x)| <= 2^n max |f|)
     and an integral of the tail integrand's bound: the error of the
     1/Gamma derivatives (:func:`_recip_gamma_derivs`) plus the integrand's
@@ -203,9 +185,7 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
     at, so a warm call returns the same bits as a cold one.
     """
     c = mpf(c)
-    x = as_real(x)
-    if not x > 0:
-        raise DomainError("x must be positive")
+    x = require_positive(x)
     r = max(0, int(mp.ceil(c))) if c > 0 else 0
     alpha = c - r
     N = max(_HEAD_TERMS, r + 8)
@@ -235,7 +215,7 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
             err_total += eps * cond * f_max * mpf(2) ** (N + 1)
         # analytic tail; quadrature only needs the target tolerance, so it
         # runs at the request's precision (the head carries the guard bits)
-        B, B_err = _recip_gamma_derivs(alpha, jmax, cfg)
+        B = _recip_gamma_derivs(alpha, jmax, cfg)
         phis = [_poly_delta(i, r, x) for i in range(r + 1)]
         node_bits = cfg.working_bits + TS_GUARD_BITS
         nodes = _node_table(node_bits)
@@ -286,10 +266,11 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
                 def bound(p, t, lt, i=i, j=j):
                     rho = eps_q * (amplify
                                    + (x + i + abs(alpha) + 2) * (t + abs(lt)))
-                    return abs(lt) ** (j - p) * (B_err[p] + rho * abs(B[p]))
+                    return abs(lt) ** (j - p) * (B[p].err_estimate
+                                                 + rho * abs(B[p].value))
 
                 integrand = tail_integrand(
-                    i, j, lambda p, t, lt, j=j: lt ** (j - p) * B[p])
+                    i, j, lambda p, t, lt, j=j: lt ** (j - p) * B[p].value)
                 for a, b in ranges(i):
                     val = integrate_adaptive(integrand, a, b, cfg)
                     J = integrate_adaptive(tail_integrand(i, j, bound), a, b,
@@ -301,7 +282,8 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
             values[j] = values[j] + tail
         values = {j: +v for j, v in values.items()}
         err_total += 4 * eps * sum(abs(v) for v in values.values())
-        return values, +err_total, N + 1
+        return {j: SeriesResult(v, +err_total, N + 1, cfg.tol())
+                for j, v in values.items()}
 
 
 def zeta_hasse(s, x=1, deriv: int = 0,
@@ -314,34 +296,28 @@ def zeta_hasse(s, x=1, deriv: int = 0,
     rounds it, so s - 1 keeps its working precision next to the pole; only
     s = 1 itself is refused.
     """
-    with cfg.workprec(40 + _pole_bits(s)):
-        s = as_real(s)
+    s = _pole_rounded(s, cfg)
     with cfg.workprec(40):
         x = as_real(x)
-        if s == 1:
-            raise PoleError("zeta(s,x) has a simple pole at s = 1")
         if deriv < 0:
             raise DomainError("derivative order must be >= 0")
         # the tail's peak t* ~ s must be a number its quadrature can reach
         if not math.isfinite(float(s)):
             raise DomainError(f"s must lie within float range, got {s}")
-        c = 1 - s
-        parts, err, terms = _hasse_parts(list(range(deriv + 1)), c, x, cfg)
-        total = mpf(0)
-        gain = mpf(0)  # how the parts' error enters the total
-        mag = mpf(0)
-        for i in range(deriv + 1):
-            weight = binomial(deriv, i) * mp.factorial(i) / (s - 1) ** (i + 1)
-            total += weight * parts[deriv - i]
-            gain += abs(weight)
-            mag += abs(weight * parts[deriv - i])
-        total *= (-1) ** deriv
-        err = err * gain + (deriv + 4) * mpf(2) ** -mp.prec * mag
-        return SeriesResult(+total, +err, terms, cfg.tol())
+        parts = _hasse_parts(list(range(deriv + 1)), 1 - s, x, cfg)
+        pole = iv.mpf(s) - 1
+
+        def leibniz(*part):
+            return (-1) ** deriv * sum(
+                binomial(deriv, i) * math.factorial(i) / pole ** (i + 1)
+                * part[deriv - i] for i in range(deriv + 1))
+
+        return combine(leibniz, *(parts[j] for j in range(deriv + 1)),
+                       tol=cfg.tol(), terms=parts[0].terms_used)
 
 
-def _gamma_one_minus(s, cfg: PrecisionConfig):
-    """Gamma(1 - s) and a bound on its relative error.
+def _gamma_one_minus(s, cfg: PrecisionConfig) -> SeriesResult:
+    """Gamma(1 - s), with no terms of its own counted.
 
     log Gamma(1 - s) = zeta'(0, 1 - s) + log(2 pi)/2 on the EM engine, run
     to tol / max(1, |log Gamma|) so that the exponential keeps the digits.
@@ -349,8 +325,8 @@ def _gamma_one_minus(s, cfg: PrecisionConfig):
     scale = max(1.0, abs(math.lgamma(1 - float(s))))
     lg = hurwitz_zeta_em(0, 1 - s, 1,
                          cfg.replace(tolerance=cfg.tol() / (16 * scale)))
-    gam = mp.exp(lg.value + mp.log(2 * mp.pi) / 2)
-    return gam, 2 * lg.err_estimate + 8 * mpf(2) ** -mp.prec
+    return combine(lambda z: iv.exp(z + iv.log(2 * iv.pi) / 2), lg,
+                   tol=cfg.tol(), terms=0)
 
 
 def _trig_cfg(cfg: PrecisionConfig, weight) -> PrecisionConfig:
@@ -361,8 +337,8 @@ def _trig_cfg(cfg: PrecisionConfig, weight) -> PrecisionConfig:
 def zeta_fourier(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """zeta(s, x) from the trigonometric expansion, s < 1 and 0 < x <= 1.
 
-    The error estimate covers the two sums, Gamma(1 - s) and the rounding
-    of the sin/cos prefactors.
+    sin(pi s/2) and cos(pi s/2) are taken at s/2 reduced mod 2 exactly:
+    on a large argument their intervals would widen to [-1, 1].
     """
     with cfg.workprec(40):
         s = as_real(s)
@@ -371,31 +347,27 @@ def zeta_fourier(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
             raise DomainError("trigonometric route requires s < 1")
         if not 0 < x <= 1:
             raise DomainError("x must lie in (0, 1]")
-        gam, gam_rel = _gamma_one_minus(s, cfg)
-        sin_half = mp.sinpi(s / 2)
-        cos_half = mp.cospi(s / 2)
-        eps = 8 * mpf(2) ** -mp.prec  # sinpi/cospi and the products
+        # Gamma(1 - s) is sized by float(s)
+        if not math.isfinite(float(s)):
+            raise DomainError(f"s must lie within float range, got {s}")
+        half = iv.pi * mp.fsub(mp.ldexp(s, -1), 2 * mp.floor(mp.ldexp(s, -2)),
+                               exact=True)
+        sin_half, cos_half = iv.sin(half), iv.cos(half)
+        gam = _gamma_one_minus(s, cfg)
         if x == 1:
             # sums telescope to the plain zeta function; needs s < 0
             if s >= 0:
                 raise DomainError("x = 1 requires s < 0 for convergence")
-            em = hurwitz_zeta_em(1 - s, 1, 0, cfg)
-            factor = 2 * gam * sin_half * (2 * mp.pi) ** (s - 1)
-            value = factor * em.value
-            err = abs(factor) * em.err_estimate + abs(value) * (gam_rel + eps)
-            return SeriesResult(+value, +err, em.terms_used, cfg.tol())
+            power = (2 * iv.pi) ** (iv.mpf(s) - 1)
+            return combine(lambda g, z: 2 * g * sin_half * power * z,
+                           gam, hurwitz_zeta_em(1 - s, 1, 0, cfg),
+                           tol=cfg.tol())
         coeff = lambda n: (2 * mp.pi * n) ** (s - 1)
-        tcfg = _trig_cfg(cfg, 2 * gam)
-        cos_part = sum_trig_averaged(coeff, "cos", x, tcfg)
-        sin_part = sum_trig_averaged(coeff, "sin", x, tcfg)
-        value = 2 * gam * (sin_half * cos_part.value + cos_half * sin_part.value)
-        parts = abs(cos_part.value) + abs(sin_part.value)
-        err = (2 * abs(gam) * (abs(sin_half) * cos_part.err_estimate
-                               + abs(cos_half) * sin_part.err_estimate
-                               + parts * eps)
-               + abs(value) * (gam_rel + eps))
-        terms = cos_part.terms_used + sin_part.terms_used
-        return SeriesResult(+value, +err, terms, cfg.tol())
+        tcfg = _trig_cfg(cfg, 2 * gam.value)
+        return combine(
+            lambda g, c, t: 2 * g * (sin_half * c + cos_half * t),
+            gam, sum_trig_averaged(coeff, "cos", x, tcfg),
+            sum_trig_averaged(coeff, "sin", x, tcfg), tol=cfg.tol())
 
 
 # routes of zeta that implement deriv = 0 only; each looks its function up
@@ -429,16 +401,11 @@ def zeta(s, x=1, deriv: int = 0, method: str = "auto",
 def _trig_combination(parts, x, cfg: PrecisionConfig) -> SeriesResult:
     """sum_i w_i sum_n c_i(n) trig_i(2 pi n x) for (w_i, c_i, trig_i) in
     ``parts``, each sum run to its share of the tolerance."""
-    tcfg = _trig_cfg(cfg, sum(abs(w) for w, _, _ in parts))
-    value, err, mag, terms = mpf(0), mpf(0), mpf(0), 0
-    for w, coeff, mode in parts:
-        res = sum_trig_averaged(coeff, mode, x, tcfg)
-        value += w * res.value
-        err += abs(w) * res.err_estimate
-        mag += abs(w * res.value)
-        terms += res.terms_used
-    err += 8 * mpf(2) ** -mp.prec * len(parts) * mag  # weights and products
-    return SeriesResult(+value, +err, terms, cfg.tol())
+    weights = [iv.mpf(w) for w, _, _ in parts]
+    tcfg = _trig_cfg(cfg, mpf(sum(abs(w) for w in weights).b))
+    sums = [sum_trig_averaged(coeff, mode, x, tcfg) for _, coeff, mode in parts]
+    return combine(lambda *t: sum(w * v for w, v in zip(weights, t)),
+                   *sums, tol=cfg.tol())
 
 
 def zeta_prime0(x, via: str = "em",
@@ -453,7 +420,7 @@ def zeta_prime0(x, via: str = "em",
                 raise DomainError("trigonometric route requires 0 < x < 1")
             g = mp.euler
             return _trig_combination(
-                [(1 / mp.pi, lambda n: (mp.log(2 * mp.pi * n) + g) / n, "sin"),
+                [(1 / iv.pi, lambda n: (mp.log(2 * mp.pi * n) + g) / n, "sin"),
                  (mpf(1) / 2, lambda n: mpf(1) / n, "cos")], x, cfg)
         raise ValueError(f"unknown route {via!r}")
 
@@ -495,22 +462,13 @@ def zeta_srivastava_choi(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResu
     rounded as :func:`kernels.hurwitz_zeta_em` rounds it, so s - 1 keeps
     its working precision next to the pole.
     """
-    with cfg.workprec(40 + _pole_bits(s)):
-        s = as_real(s)
+    s = _pole_rounded(s, cfg)
     with cfg.workprec(40):
-        x = as_real(x)
-        if s == 1:
-            raise PoleError("zeta(s,x) has a simple pole at s = 1")
         if not s > 0:
             raise DomainError("expansion implemented for s > 0")
-        if not x > 0:
-            raise DomainError("x must be positive")
-        x0 = x
-        x, shift, steps = shift_up(x, lambda v: v ** (-s), SHIFT_FLOOR)
+        x = require_positive(x)
+        x, shift, steps = shift_up(x, lambda v: iv.mpf(v) ** -s, SHIFT_FLOOR)
         eps = mpf(2) ** -mp.prec
-        # v^-s = e^(-s log v), log v to 2 ulps absolute plus one relative
-        shift_err = eps * shift * (steps + 2 + s * (2 + abs(mp.log(x0))
-                                                    + mp.log(x)))
         poch = [mpf(1)]  # (s)_n / n!
 
         def term(n):
@@ -538,12 +496,11 @@ def zeta_srivastava_choi(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResu
                 tail = first / (1 - rho)
             return -(-1) ** n * weight * z.value, claim, tail
 
-        head = x ** (1 - s) / (s - 1) + shift
-        series = sum_majorized(term, head, cfg)
-        value = head + series.value
-        rounding = shift_err + 4 * eps * (abs(head) + abs(value))
-        return SeriesResult(+value, series.err_estimate + rounding,
-                            steps + series.terms_used, cfg.tol())
+        pole = iv.mpf(s) - 1
+        head = iv.mpf(x) ** -pole / pole + shift
+        series = sum_majorized(term, mpf(head.mid), cfg)
+        return combine(lambda t: head + t, series, tol=cfg.tol(),
+                       terms=steps + series.terms_used)
 
 
 def poisson_zeta(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -555,15 +512,11 @@ def poisson_zeta(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """
     with cfg.workprec(40):
         s = as_real(s)
-        x = as_real(x)
         if not s > 1:
             raise DomainError("Poisson representation requires s > 1")
-        if not x > 0:
-            raise DomainError("x must be positive")
-        x, shift, _ = shift_up(x, lambda v: v ** (-s))
-        base = x ** (-s) / 2 + x ** (1 - s) / (s - 1) + shift
-        osc = sum_oscillatory([1], s, x, "cos", cfg)
-        value = base + 2 * osc.value
-        err = (2 * osc.err_estimate + 4 * mpf(2) ** -mp.prec
-               * (abs(base) + abs(shift) + abs(value)))
-        return SeriesResult(+value, +err, osc.terms_used, cfg.tol())
+        x = require_positive(x)
+        x, shift, _ = shift_up(x, lambda v: iv.mpf(v) ** -s)
+        X, pole = iv.mpf(x), iv.mpf(s) - 1
+        base = X ** -s / 2 + X ** -pole / pole + shift
+        return combine(lambda osc: base + 2 * osc,
+                       sum_oscillatory([1], s, x, "cos", cfg), tol=cfg.tol())

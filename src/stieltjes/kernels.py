@@ -51,7 +51,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import mpf_cos_sin_pi, to_fixed
 
 from .core import (DEFAULT_CFG, DomainError, PoleError, PrecisionConfig,
-                   SeriesResult, as_real)
+                   SeriesResult, as_real, require_positive)
 
 _SAFETY = 4  # heuristic multiplier on last-difference error estimates
 # terms after which sum_majorized and sum_trig_averaged give up unconverged:
@@ -817,17 +817,22 @@ def _em_log_power_sum(poly, s, x, cfg) -> SeriesResult:
         return SeriesResult(+tot, +err, N + K, tol)
 
 
-def _pole_bits(s) -> int:
-    """About log2(1/|s - 1|) for an exact s near 1, else 0.  Ints and
-    floats need none: the working precision holds them exactly."""
-    if isinstance(s, Fraction):
-        d = s - 1
-    elif isinstance(s, mpf):
-        d = mp.fsub(s, 1, exact=True)
-    else:
-        return 0
-    m = mp.mag(d)  # |d| <= 2^m; -inf at s = 1, nan for a NaN s
-    return -m if isinstance(m, int) and m < 0 else 0
+def _pole_rounded(s, cfg: PrecisionConfig) -> mpf:
+    """s at the working precision plus about log2(1/|s - 1|) bits, so that
+    s - 1 keeps the working relative precision next to the pole; s = 1
+    itself is refused.  Only an exact s (a Fraction, or an mpf of any
+    precision) needs the extra bits: the working precision holds ints and
+    floats exactly."""
+    extra = 0
+    if isinstance(s, (Fraction, mpf)):
+        d = s - 1 if isinstance(s, Fraction) else mp.fsub(s, 1, exact=True)
+        m = mp.mag(d)  # |d| <= 2^m; -inf at s = 1, nan for a NaN s
+        extra = -m if isinstance(m, int) and m < 0 else 0
+    with cfg.workprec(40 + extra):
+        s = as_real(s)
+    if s == 1:
+        raise PoleError("zeta(s,x) has a simple pole at s = 1")
+    return s
 
 
 def hurwitz_zeta_em(s, x=1, deriv: int = 0,
@@ -835,18 +840,13 @@ def hurwitz_zeta_em(s, x=1, deriv: int = 0,
     """j-th s-derivative of zeta(s, x) by the Euler-Maclaurin engine.
 
     Valid for every real s != 1 (the analytic continuation below 1) and
-    x > 0, at a cost that does not grow with x.  An exact s (a Fraction, or
-    an mpf of any precision) is rounded with log2(1/|s - 1|) extra bits, so
-    s - 1 keeps the working relative precision next to the pole.
+    x > 0, at a cost that does not grow with x.  s is rounded by
+    :func:`_pole_rounded`, so s - 1 keeps the working relative precision
+    next to the pole.
     """
-    with cfg.workprec(40 + _pole_bits(s)):
-        s = as_real(s)
+    s = _pole_rounded(s, cfg)
     with cfg.workprec(40):
-        x = as_real(x)
-        if s == 1:
-            raise PoleError("zeta(s,x) has a simple pole at s = 1")
-        if not x > 0:
-            raise DomainError("x must be positive")
+        x = require_positive(x)
         if deriv < 0:
             raise DomainError("derivative order must be >= 0")
         # d^j/ds^j (k+x)^(-s) = (-log(k+x))^j (k+x)^(-s)

@@ -225,6 +225,14 @@ class TestCompute:
         assert code == 2
         assert "error: s must" in err
 
+    def test_fourier_s_beyond_float_range_exits_2(self, capsys):
+        # Gamma(1 - s) was sized by lgamma(inf): "tolerance must be positive"
+        code, _, err = run_cli(capsys, "compute", "zeta", "-s=-1e400",
+                               "-x", "1/3", "--method", "fourier",
+                               "--digits", "20", "--no-cache")
+        assert code == 2
+        assert "error: s must lie within float range" in err
+
     def test_bad_quantity_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compute", "nonsense", "-x", "1"])

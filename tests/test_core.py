@@ -1,13 +1,14 @@
-"""The one convergence rule: err_estimate <= tol * max(1, |value|), and
-the request every kernel runs under."""
+"""The one convergence rule: err_estimate <= tol * max(1, |value|), the
+request every kernel runs under, and the interval glue that combines
+kernel results."""
 
 import copy
 import pickle
 
 import pytest
-from mpmath import mp, mpc, mpf
+from mpmath import iv, mp, mpc, mpf
 
-from stieltjes.core import PrecisionConfig, SeriesResult
+from stieltjes.core import PrecisionConfig, SeriesResult, combine
 
 TOL = mpf(10) ** -20
 
@@ -100,3 +101,41 @@ class TestPrecisionConfig:
         assert cfg.replace() == cfg
         with pytest.raises(TypeError):
             cfg.replace(precision=10)
+
+
+class TestCombine:
+    CFG = PrecisionConfig(digits=20)
+
+    def test_infinite_claim_keeps_the_point_value(self):
+        tol = self.CFG.tol()
+        with self.CFG.workprec(40):
+            res = combine(lambda a, b: 2 * a + b,
+                          SeriesResult(mpf(3), mp.inf, 7, tol),
+                          SeriesResult(mpf(1), mpf("1e-30"), 2, tol), tol=tol)
+        assert res.value == 7 and mp.isinf(res.err_estimate)
+        assert res.terms_used == 9 and not res.converged
+
+    def test_complex_result_is_bounded_by_its_modulus(self):
+        tol = self.CFG.tol()
+        with self.CFG.workprec(40):
+            res = combine(lambda a: a * iv.mpc(3, 4),
+                          SeriesResult(mpf(2), mpf("1e-30"), 1, tol), tol=tol)
+        assert isinstance(res.value, mpc) and res.value == mpc(6, 8)
+        # the box [6 +- 3e-30] + [8 +- 4e-30] i reaches 5e-30 from its centre
+        assert mpf("5e-30") <= res.err_estimate <= mpf("5.001e-30")
+
+    @pytest.mark.parametrize("ambient", [400, 53])
+    def test_glue_runs_at_the_working_precision(self, ambient):
+        # the autouse fixture leaves mp at 400 bits and iv at its own 53
+        bits = self.CFG.working_bits + 40
+        outer = iv.prec
+        with mp.workprec(ambient):
+            with self.CFG.workprec(40):
+                assert iv.prec == mp.prec == bits
+                res = combine(lambda one: one * iv.pi,
+                              SeriesResult(mpf(1), mpf(0), 1, mpf(1)),
+                              tol=mpf(1))
+        assert iv.prec == outer
+        # pi rounded outward at the working precision, not at 53 or 400 bits
+        assert mpf(2) ** -(bits + 1) <= res.err_estimate <= mpf(2) ** -(bits - 2)
+        assert abs(res.value - mp.pi) <= res.err_estimate

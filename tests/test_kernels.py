@@ -1,12 +1,16 @@
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf
 
 from stieltjes import kernels
 from stieltjes.constants import briggs_gamma
 from stieltjes.core import DomainError, PoleError, PrecisionConfig
+from stieltjes.fourier import gamma1_fourier, sondow_gamma
 from stieltjes.gammafuncs import (_log_kernel_bracket, bourguet_log_gamma,
                                   digamma)
-from stieltjes.hurwitz import poisson_zeta
+from stieltjes.hurwitz import (poisson_zeta, zeta_doubleprime0, zeta_fourier,
+                               zeta_prime0)
 from stieltjes.kernels import (hurwitz_zeta_em, integrate_adaptive,
                                integrate_oscillatory,
                                sum_alternating_accelerated, sum_oscillatory,
@@ -225,8 +229,9 @@ class TestOscillatory:
         assert abs(res.value - mpf(ref)) <= res.err_estimate
 
 
-# the oscillatory routes against mpmath at digits + 40: each meets the
-# request, and its claim covers its error
+# the routes that glue oscillatory kernels' results, against mpmath at
+# digits + 40 (Sondow's 2q form, which has no mpmath closed form, against
+# the series route): each meets the request, and its claim covers its error
 _OSC_ROUTES = [
     ("briggs-0-1", lambda c: briggs_gamma(0, 1, c), lambda: mp.stieltjes(0, 1)),
     ("briggs-1-1", lambda c: briggs_gamma(1, 1, c), lambda: mp.stieltjes(1, 1)),
@@ -242,6 +247,20 @@ _OSC_ROUTES = [
      lambda: mp.loggamma(mpf(5) / 2)),
     ("bourguet-1/2", lambda c: bourguet_log_gamma(mpf(1) / 2, c),
      lambda: mp.loggamma(mpf(1) / 2)),
+    ("gamma1-fourier-3/8", lambda c: gamma1_fourier(mpf(3) / 8, c),
+     lambda: mp.stieltjes(1, mpf(3) / 8)),
+    ("zeta-prime0-fourier-3/8",
+     lambda c: zeta_prime0(mpf(3) / 8, "fourier", c),
+     lambda: mp.zeta(0, mpf(3) / 8, 1)),
+    ("zeta-doubleprime0-fourier-3/8",
+     lambda c: zeta_doubleprime0(mpf(3) / 8, "fourier", c),
+     lambda: mp.zeta(0, mpf(3) / 8, 2)),
+    ("zeta-fourier--5/4-3/8",
+     lambda c: zeta_fourier(mpf(-5) / 4, mpf(3) / 8, c),
+     lambda: mp.zeta(mpf(-5) / 4, mpf(3) / 8)),
+    ("sondow-2q-1/3", lambda c: sondow_gamma(Fraction(1, 3), c, route="2q"),
+     lambda: sondow_gamma(Fraction(1, 3),
+                          PrecisionConfig(digits=mp.dps)).value),
 ]
 
 
@@ -252,8 +271,9 @@ def test_oscillatory_route_claims_cover_error(label, route, exact):
         res = route(PrecisionConfig(digits=digits))
         assert res.converged, (label, digits)
         with mp.workdps(digits + 40):
-            assert abs(res.value - exact()) <= res.err_estimate, (label,
-                                                                  digits)
+            ref = exact()
+            assert abs(res.value - ref) <= res.err_estimate, (label, digits)
+            assert res.err_estimate <= mpf(10) ** -digits * max(1, abs(ref))
 
 
 # the oscillatory routes at small x, against mpmath at 10 digits: each

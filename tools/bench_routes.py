@@ -1,0 +1,178 @@
+#!/usr/bin/env python3
+"""Per-call timings of the trigonometric kernel and of the routes that glue
+kernel results, each next to its accuracy.
+
+    PYTHONPATH=src python3 tools/bench_routes.py [--repeat R] > out.json
+
+Times ``kernels.sum_trig_averaged`` on the four coefficient families of the
+paper's Fourier identities (1/n, log n/n, log(1+1/n) with odd multiples,
+(2 pi n)^(s-1)) at x = 1/3 and x = 1/1000, ``hurwitz.zeta_fourier`` at
+(s, x) = (-200, 3/10) and (1/2, 1/1000), and every public route whose value
+combines kernel results (``ROUTES``), at 20, 30, 50 and 100 digits.  The
+private helpers run inside them: ``hurwitz._recip_gamma_derivs`` and the
+Leibniz sum inside ``zeta_hasse``, ``_gamma_one_minus`` inside
+``zeta_fourier``, ``_trig_combination`` inside the Fourier routes of
+``zeta_prime0`` and ``zeta_doubleprime0``, ``fourier.lerch_transform``
+inside ``gamma1_fourier``, and ``_sondow_circle`` and ``_sondow_2q`` inside
+``sondow_gamma``.  Each row holds the best wall time of R calls, the terms
+used, the claimed error and the actual error against a reference at
+digits + 40: mpmath's closed forms, or for Sondow's constant on the unit
+circle, where mpmath has none, the package's other route.  The package is
+whichever ``stieltjes`` is on the path, so the same script times any
+checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import json
+import time
+from fractions import Fraction
+
+from mpmath import mp, mpf
+
+from stieltjes.constants import bell_series_gamma, briggs_gamma, hasse_gamma
+from stieltjes.core import PrecisionConfig
+from stieltjes.fourier import gamma1_fourier, kummer_log_gamma, sondow_gamma
+from stieltjes.gammafuncs import (bourguet_log_gamma, digamma, log_gamma,
+                                  polygamma)
+from stieltjes.hurwitz import (poisson_zeta, zeta_doubleprime0, zeta_fourier,
+                               zeta_hasse, zeta_prime0, zeta_srivastava_choi)
+from stieltjes.kernels import sum_trig_averaged
+
+DIGITS = (20, 30, 50, 100)
+XS = (Fraction(1, 3), Fraction(1, 1000))
+
+
+def _glog():
+    return mp.euler + mp.log(2 * mp.pi)
+
+
+S_POWER = mpf(-1) / 2
+# name: (coeff, mode, odd_multiples, closed form at x)
+FAMILIES = {
+    "1/n sin": (lambda n: mpf(1) / n, "sin", False,
+                lambda x: mp.pi * (mpf(1) / 2 - x)),
+    "log n/n cos": (lambda n: mp.log(n) / n, "cos", False,
+                    lambda x: ((mp.zeta(0, x, 2) + mp.zeta(0, 1 - x, 2)) / 2
+                               + _glog() * mp.log(2 * mp.sinpi(x)))),
+    "log(1+1/n) odd sin": (lambda n: mp.log(1 + mpf(1) / n), "sin", True,
+                           lambda x: -(mp.psi(0, x) * mp.sinpi(x)
+                                       + mp.pi / 2 * mp.cospi(x)
+                                       + _glog() * mp.sinpi(x))),
+    "(2 pi n)^(-3/2) cos": (
+        lambda n: (2 * mp.pi * n) ** (S_POWER - 1), "cos", False,
+        lambda x: ((2 * mp.pi) ** (S_POWER - 1)
+                   * mp.polylog(1 - S_POWER, mp.expjpi(2 * x))).real),
+}
+ZETA_POINTS = ((-200, Fraction(3, 10)), (Fraction(1, 2), Fraction(1, 1000)))
+
+# the routes' inputs are dyadic, so exact at every precision
+X = mpf(3) / 8
+S_LEFT, S_RIGHT = mpf(-5) / 4, mpf(5) / 2
+CIRCLE = Fraction(1, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _stieltjes1(digits):
+    return mp.stieltjes(1, X)
+
+
+# name: (call on a config, reference at the ambient precision given digits)
+ROUTES = {
+    "log_gamma": (lambda cfg: log_gamma(X, cfg),
+                  lambda d: mp.loggamma(X)),
+    "digamma": (lambda cfg: digamma(X, cfg), lambda d: mp.digamma(X)),
+    "polygamma 2": (lambda cfg: polygamma(2, X, cfg),
+                    lambda d: mp.polygamma(2, X)),
+    "bourguet_log_gamma": (lambda cfg: bourguet_log_gamma(X, cfg),
+                           lambda d: mp.loggamma(X)),
+    "zeta_hasse deriv 1": (lambda cfg: zeta_hasse(S_LEFT, X, 1, cfg),
+                           lambda d: mp.zeta(S_LEFT, X, 1)),
+    "zeta_fourier": (lambda cfg: zeta_fourier(S_LEFT, X, cfg),
+                     lambda d: mp.zeta(S_LEFT, X)),
+    "zeta_prime0 fourier": (lambda cfg: zeta_prime0(X, "fourier", cfg),
+                            lambda d: mp.zeta(0, X, 1)),
+    "zeta_doubleprime0 fourier": (
+        lambda cfg: zeta_doubleprime0(X, "fourier", cfg),
+        lambda d: mp.zeta(0, X, 2)),
+    "zeta_srivastava_choi": (lambda cfg: zeta_srivastava_choi(S_RIGHT, X, cfg),
+                             lambda d: mp.zeta(S_RIGHT, X)),
+    "poisson_zeta": (lambda cfg: poisson_zeta(S_RIGHT, X, cfg),
+                     lambda d: mp.zeta(S_RIGHT, X)),
+    "hasse_gamma 1": (lambda cfg: hasse_gamma(1, X, cfg), _stieltjes1),
+    "bell_series_gamma 1": (lambda cfg: bell_series_gamma(1, X, cfg),
+                            _stieltjes1),
+    "briggs_gamma 1": (lambda cfg: briggs_gamma(1, X, cfg), _stieltjes1),
+    "kummer_log_gamma": (lambda cfg: kummer_log_gamma(X, cfg),
+                         lambda d: mp.loggamma(X)),
+    "gamma1_fourier": (lambda cfg: gamma1_fourier(X, cfg), _stieltjes1),
+    "sondow_gamma circle series": (
+        lambda cfg: sondow_gamma(CIRCLE, cfg),
+        lambda d: sondow_gamma(CIRCLE, PrecisionConfig(digits=d + 40),
+                               route="2q").value),
+    "sondow_gamma circle 2q": (
+        lambda cfg: sondow_gamma(CIRCLE, cfg, route="2q"),
+        lambda d: sondow_gamma(CIRCLE, PrecisionConfig(digits=d + 40)).value),
+}
+
+
+def _timed(call, repeat):
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        res = call()
+        best = min(best, time.perf_counter() - t0)
+    return res, best
+
+
+def _row(res, best, reference, digits):
+    with mp.workdps(digits + 40):
+        actual = abs(res.value - reference())
+    return {"seconds": best, "terms": res.terms_used,
+            "converged": bool(res.converged),
+            "claimed_err": mp.nstr(res.err_estimate, 3),
+            "actual_err": mp.nstr(actual, 3),
+            "claim_covers": bool(actual <= res.err_estimate)}
+
+
+def _exact(q):
+    return mpf(q.numerator) / q.denominator
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=3)
+    args = parser.parse_args()
+    rows = []
+    for digits in DIGITS:
+        cfg = PrecisionConfig(digits=digits)
+        # x and s pass as strings, which every version of the routes reads
+        for x in XS:
+            for name, (coeff, mode, odd, closed) in FAMILIES.items():
+                res, best = _timed(lambda: sum_trig_averaged(
+                    coeff, mode, str(x), cfg, odd_multiples=odd), args.repeat)
+                row = {"kernel": "sum_trig_averaged", "family": name,
+                       "x": str(x), "digits": digits}
+                row.update(_row(res, best, lambda: closed(_exact(x)), digits))
+                rows.append(row)
+        for s, x in ZETA_POINTS:
+            res, best = _timed(lambda: zeta_fourier(str(s), str(x), cfg),
+                               args.repeat)
+            row = {"kernel": "zeta_fourier", "s": str(s), "x": str(x),
+                   "digits": digits}
+            row.update(_row(res, best,
+                            lambda: mp.zeta(_exact(Fraction(s)), _exact(x)),
+                            digits))
+            rows.append(row)
+        for name, (call, reference) in ROUTES.items():
+            res, best = _timed(lambda: call(cfg), args.repeat)
+            row = {"route": name, "digits": digits}
+            row.update(_row(res, best, lambda: reference(digits), digits))
+            rows.append(row)
+    print(json.dumps({"rows": rows}, indent=1))
+
+
+if __name__ == "__main__":
+    main()
