@@ -27,7 +27,8 @@ forked worker process per core, and a free worker takes the next suite
 (one suite, or one core, runs in-process).  ``meta.suite_ms`` is each
 suite's own time inside its worker, so their sum can exceed
 ``meta.elapsed_ms``, the wall time.  Reports are sorted, so the output does
-not depend on the order in which suites finish.
+not depend on the order in which suites finish.  A report passes when its
+sides agree within twice the request, its ``tolerance``.
 
 Exit codes: 0 success, 1 failed validation, 2 usage/parse error,
 3 kernel error, or a route whose own error estimate misses the request
@@ -366,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="run identity validation suites",
         description="Run identity validation suites at the same time on the "
                     "usable cores: one forked worker process per core, and a "
-                    "free worker takes the next suite.  "
+                    "free worker takes the next suite.  A report passes "
+                    "when its two sides agree within twice the request, "
+                    "2*10^-digits*max(1, |lhs|, |rhs|), its tolerance.  "
                     "meta.suite_ms is each suite's own time in its worker, "
                     "so its sum can exceed meta.elapsed_ms, the wall time. "
                     "The output does not depend on the order in which "

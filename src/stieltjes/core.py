@@ -46,7 +46,9 @@ class PrecisionConfig:
     bit per outer term, for instance).  No term budget travels with the
     request: each route stops on its own claim, and that claim is its
     verdict.  A config is immutable and compares, hashes and pickles by its
-    two fields; :meth:`replace` makes a changed copy.
+    two fields; :meth:`replace` makes a changed copy.  It is no frozen
+    dataclass: ``dataclasses`` loads ``inspect``, about 4 ms that every
+    ``compute`` process would pay.
     """
 
     __slots__ = ("digits", "tolerance")
@@ -164,7 +166,14 @@ class SeriesResult(_Record):
 
 
 class IdentityReport(_Record):
-    """Machine-readable outcome of one identity check."""
+    """Machine-readable outcome of one identity check.
+
+    :meth:`build` decides the verdict, here and nowhere else, from the
+    request ``tol`` that both sides, values or results, were computed under.
+    Sides that each meet it agree within twice it, so a report passes when
+    |lhs - rhs| <= 2 tol max(1, |lhs|, |rhs|), the bound kept as
+    ``tolerance``.
+    """
 
     def __init__(self, identity: str, lhs: mpf, rhs: mpf, residual: mpf,
                  tolerance: mpf, passed: bool, x: Optional[mpf] = None,
@@ -179,15 +188,18 @@ class IdentityReport(_Record):
         self.meta = meta
 
     @classmethod
-    def build(cls, identity, lhs, rhs, tolerance, x=None, meta=""):
+    def build(cls, identity, lhs, rhs, tol, x=None, meta=""):
+        lhs, rhs = (v.value if isinstance(v, SeriesResult) else v
+                    for v in (lhs, rhs))
         # residual at high fixed precision: operands carry their full
         # mantissas, so the ambient context must not truncate the difference
         with mp.workprec(max(mp.prec, 768)):
             lhs, rhs = mpf(lhs), mpf(rhs)
             residual = abs(lhs - rhs)
-            passed = bool(residual <= mpf(tolerance))
+            bound = 2 * mpf(tol) * max(1, abs(lhs), abs(rhs))
+            passed = bool(residual <= bound)
         return cls(identity=identity, lhs=lhs, rhs=rhs, residual=residual,
-                   tolerance=mpf(tolerance), passed=passed,
+                   tolerance=bound, passed=passed,
                    x=None if x is None else mpf(x), meta=meta)
 
     def as_dict(self):

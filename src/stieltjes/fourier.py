@@ -10,8 +10,9 @@ and S2, Sondow's power series) stops on a proven remainder bound in
 summation.  The trigonometric sums run to the requested digits, at a cost
 of O(bits / sin pi x) terms for any x.  Each evaluator computes one side of
 an identity: a sum returns the kernel's ``SeriesResult``, a closed form
-its value.  Which two sides meet, and within which tolerance, is decided
-by the suite table, :data:`stieltjes.suites.CATALOGUE`.
+its value.  Which two sides meet is decided by the suite table,
+:data:`stieltjes.suites.CATALOGUE`, and whether they agree by
+:meth:`stieltjes.core.IdentityReport.build`.
 """
 
 from __future__ import annotations

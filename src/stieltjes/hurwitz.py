@@ -65,12 +65,15 @@ def _recip_gamma_derivs(alpha, jmax: int, cfg: PrecisionConfig) -> list:
     their own claims.  Y_p takes the mean-value form over the inputs' box,
     Y_p(m) + sum_i C(p, i) Y_(p-i)(box) (u_i - m_i) at the midpoints m: the
     plain interval recurrence adds the inputs' errors in absolute value
-    where the exact derivatives cancel, three digits wider at p = 14.
+    where the exact derivatives cancel, three digits wider at p = 14.  The
+    inputs run jmax digits past the request, which the Bell polynomials
+    spend up to order jmax.
     """
     one_minus = 1 - alpha
-    used = [gammafuncs.log_gamma(one_minus, cfg)] + [
-        gammafuncs.digamma(one_minus, cfg) if i == 1
-        else gammafuncs.polygamma(i - 1, one_minus, cfg)
+    wide = cfg.replace(digits=cfg.digits + jmax)
+    used = [gammafuncs.log_gamma(one_minus, wide)] + [
+        gammafuncs.digamma(one_minus, wide) if i == 1
+        else gammafuncs.polygamma(i - 1, one_minus, wide)
         for i in range(1, jmax + 1)]
 
     def glue(log_gamma, *psi):

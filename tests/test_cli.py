@@ -138,15 +138,17 @@ class TestCompute:
         assert code == 2 and "pole" in err
 
     def test_route_short_of_the_request_exits_3(self, capsys):
-        # Hasse's head and tail fall short of 20 digits at m = 20; the
-        # claim says so and still covers the actual error
+        # Poisson's rotated integrand at s = 10^4, x = 1 is a peak of width
+        # x/sqrt(s) under which the phase turns ~sqrt(s) times: the route
+        # falls short of 20 digits, and its claim says so and still covers
+        # the actual error
         code, doc = compute_json(
-            capsys, "compute", "gamma_m", "-m", "20", "-x", "1/3",
-            "--method", "hasse", "--digits", "20", "--no-cache")
+            capsys, "compute", "zeta", "-s", "10000", "-x", "1",
+            "--method", "poisson", "--digits", "20", "--no-cache")
         assert code == 3
         assert doc["result"]["converged"] is False
         with mp.workdps(60):
-            ref = mp.stieltjes(20, mpf(1) / 3)
+            ref = mp.zeta(10000, 1)
             claim = mpf(doc["result"]["err_estimate"])
             assert claim > mpf(10) ** -20 * max(1, abs(ref))
             assert abs(mpf(doc["result"]["value"]) - ref) <= claim
@@ -371,8 +373,8 @@ class TestTable:
         assert len(rows) == 1
 
     def test_unconverged_rows_exit_3(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "gamma_m", "-m", "20",
-                               "--method", "hasse", "--grid", "0.3:0.4:2",
+        code, out, _ = run_cli(capsys, "table", "zeta", "-s", "10000",
+                               "--method", "poisson", "--grid", "1:1.0001:2",
                                "--digits", "20")
         assert code == 3
         rows = list(csv.DictReader(io.StringIO(out)))

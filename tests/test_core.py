@@ -1,6 +1,7 @@
 """The one convergence rule: err_estimate <= tol * max(1, |value|), the
-request every kernel runs under, and the interval glue that combines
-kernel results."""
+request every kernel runs under; the one identity verdict,
+|lhs - rhs| <= 2 tol max(1, |lhs|, |rhs|); and the interval glue that
+combines kernel results."""
 
 import copy
 import pickle
@@ -8,7 +9,8 @@ import pickle
 import pytest
 from mpmath import iv, mp, mpc, mpf
 
-from stieltjes.core import PrecisionConfig, SeriesResult, combine
+from stieltjes.core import (IdentityReport, PrecisionConfig, SeriesResult,
+                            combine)
 
 TOL = mpf(10) ** -20
 
@@ -39,6 +41,43 @@ def test_complex_value_is_judged_by_its_modulus():
     value = mpc(300, 400)  # |value| = 500
     assert SeriesResult(value, mpf("4.9e-18"), 1, TOL).converged is True
     assert SeriesResult(value, mpf("5.1e-18"), 1, TOL).converged is False
+
+
+class TestIdentityVerdict:
+    @pytest.mark.parametrize("value", [mpf("0.5"), mpf(-300), mpf(300)])
+    @pytest.mark.parametrize("gap,passed", [("1.9", True), ("2.1", False)])
+    def test_sides_agree_within_twice_the_request(self, value, gap, passed):
+        apart = mpf(gap) * TOL * max(1, abs(value))
+        report = IdentityReport.build("id", value, value + apart, TOL)
+        assert report.passed is passed
+
+    @pytest.mark.parametrize("lhs,rhs,passed", [
+        ("1000", "999.999999999999999985", True),
+        ("1e-3", "-1000", False), ("-1000", "1e-3", False)])
+    def test_bound_scales_with_the_larger_side(self, lhs, rhs, passed):
+        # the sides are parsed at the fixture's 400 bits, which keep the
+        # 1.5e-17 gap that 53 bits would round away
+        report = IdentityReport.build("id", mpf(lhs), mpf(rhs), TOL)
+        assert report.tolerance == 2 * TOL * 1000
+        assert report.as_dict()["tolerance"] == mp.nstr(2 * TOL * 1000, 6)
+        assert report.passed is passed
+
+    def test_result_sides_are_unwrapped(self):
+        result = SeriesResult(mpf(2), mpf("1e-25"), 7, TOL)
+        report = IdentityReport.build("id", result, mpf(2), TOL, x=mpf(3),
+                                      meta="m")
+        assert (report.lhs, report.rhs, report.residual) == (2, 2, 0)
+        assert report.passed and report.tolerance == 4 * TOL
+        assert (report.x, report.meta) == (3, "m")
+
+    def test_checks_every_requested_digit(self):
+        # sides 1e-15 apart passed a row's fixed 10^-12 to 10^-4; at 20
+        # digits they fail
+        tol = PrecisionConfig(digits=20).tol()
+        report = IdentityReport.build("id", mp.euler,
+                                      mp.euler + mpf("1e-15"), tol)
+        assert report.residual <= mpf("1e-12")
+        assert not report.passed
 
 
 class TestPrecisionConfig:

@@ -14,8 +14,9 @@ precision and r = max(0, ceil(1 - s)) exist, and up to about a second when it
 builds them.  Draws: Stieltjes index 0-12, x log-uniform in [0.1, 10],
 s in [-3, 4] off the pole, derivative order 0-2, 20 and 30 digits.  At
 large s, where the tail integrand peaks far out, zeta_hasse is pinned at
-s = 3000 and 1e6.  Past m = 12 the route mostly misses 20 digits, and
-there only actual <= err_estimate is required.  Next to the pole, at
+s = 3000 and 1e6.  Past m = 12 it is pinned at four points and at m = 20,
+where it meets 20 digits since the 1/Gamma derivatives' inputs run jmax
+digits past the request.  Next to the pole, at
 s = 1 +- 2^-k, zeta_hasse and zeta_srivastava_choi are checked alike.
 """
 
@@ -76,10 +77,11 @@ def test_zeta_hasse_claim_at_large_s(s):
 
 
 @pytest.mark.parametrize("m,x,converges", [
-    (13, mpf(7) / 4, True), (14, mpf(1) / 3, False),
-    (15, mpf(7) / 4, False), (16, mpf(1) / 3, False)])
+    (13, mpf(7) / 4, True), (14, mpf(1) / 3, True),
+    (15, mpf(7) / 4, True), (16, mpf(1) / 3, True), (20, mpf(1) / 3, True)])
 def test_hasse_gamma_claim_past_m12(m, x, converges):
-    # past m = 12 the head and tail mostly miss 20 digits; the claim says so
+    # with the 1/Gamma derivatives' inputs at the request's digits, m = 14
+    # to 20 missed 20 digits: hasse_gamma(20, 1/3) claimed 9e-12
     res = hasse_gamma(m, x, PrecisionConfig(digits=20))
     _check(res, lambda: mp.stieltjes(m, x), 20, converges)
 

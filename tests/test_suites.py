@@ -1,7 +1,9 @@
-"""The suite table keeps its ids, and the fast suites keep their rows."""
+"""The suite table keeps its ids, and the fast suites keep their rows at
+20 and 50 digits."""
 
 import pytest
 
+from stieltjes.core import PrecisionConfig
 from stieltjes.suites import SUITES, run_suites
 
 SUITE_IDS = [
@@ -100,9 +102,13 @@ def test_suite_ids_and_order():
     assert list(SUITES) == SUITE_IDS
 
 
-@pytest.mark.parametrize("suite", sorted(FAST_SUITES))
-def test_fast_suite_rows(suite, cfg20):
-    reports, ok = run_suites([suite], cfg20)
+@pytest.mark.parametrize("suite,digits", [
+    # the 20-digit case keeps the bare suite name as its id
+    pytest.param(suite, digits,
+                 id=suite if digits == 20 else f"{suite}-{digits}")
+    for suite in sorted(FAST_SUITES) for digits in (20, 50)])
+def test_fast_suite_rows(suite, digits):
+    reports, ok = run_suites([suite], PrecisionConfig(digits=digits))
     rows = sorted((d["identity"], d.get("x", ""), d.get("meta", ""), d["pass"])
                   for d in (r.as_dict() for r in reports))
     assert rows == FAST_SUITES[suite]
