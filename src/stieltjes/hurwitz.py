@@ -3,13 +3,14 @@
 Routes:
 
 * ``zeta_hasse`` -- the globally convergent binomial double series, summed as
-  an exact head (n <= N, big-integer binomial weights, guard bits growing
-  with n) plus an analytic tail: under the Laplace representation of the
-  inner differences the outer weights collapse into elementary generating
-  functions, leaving a smooth one-dimensional integral.  Accurate to the
-  configured digits for any real s != 1.  The integrand's x- and
-  s-independent factors at the quadrature nodes are kept in process-wide
-  tables (:func:`_node_table`, :func:`_tail_table`), at most
+  a head (n <= N, one dot product with exact rational weights, guard bits
+  growing with n) plus an analytic tail: under the Laplace representation
+  of the inner differences the outer weights collapse into elementary
+  generating functions, leaving one smooth integral over [0, inf) per
+  derivative order and difference term, with one exponential per node.
+  Accurate to the configured digits for any real s != 1.  The integrand's
+  x- and s-independent factors at the quadrature nodes are kept in
+  process-wide tables (:func:`_node_table`, :func:`_tail_table`), at most
   ``_TAIL_TABLES`` of each, so later calls only look them up.
 * ``hurwitz_zeta_em`` (re-exported from ``kernels``) -- direct summation
   with an Euler-Maclaurin tail, continued analytically to every real
@@ -35,19 +36,20 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 from mpmath import iv, mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
                    as_real, combine, require_positive, shift_up)
-from .kernels import (TS_GUARD_BITS, _pole_rounded, hurwitz_zeta_em,
-                      integrate_adaptive, sum_majorized, sum_oscillatory,
-                      sum_trig_averaged)
+from .kernels import (TS_GUARD_BITS, _horner, _pole_rounded,
+                      hurwitz_zeta_em, integrate_adaptive, sum_majorized,
+                      sum_oscillatory, sum_trig_averaged)
 from . import gammafuncs
 from .combinatorics import bell_complete, binomial
 
 _HEAD_TERMS = 32
-# how many node tables, tail tables and coefficient tables the process keeps
+# how many node, tail, coefficient and head-weight tables the process keeps
 # (least recently used go first); a node table holds up to ~1,500 nodes,
 # 0.5-1 MB at 20-30 digits
 _TAIL_TABLES = 16
@@ -120,6 +122,16 @@ def _tail_table(N: int, i: int, bits: int) -> dict:
 
 
 @functools.lru_cache(maxsize=_TAIL_TABLES)
+def _head_weights(N: int) -> tuple:
+    """a_k = (-1)^k sum_{n=k}^N C(n,k)/(n+1) for k <= N, as exact
+    fractions: sum_{n<=N} 1/(n+1) Delta_n[f](x) = sum_k a_k f(k+x), and
+    sum_k |a_k| <= sum_n 2^n/(n+1) < 2^(N+1)."""
+    return tuple((-1) ** k * sum(Fraction(binomial(n, k), n + 1)
+                                 for n in range(k, N + 1))
+                 for k in range(N + 1))
+
+
+@functools.lru_cache(maxsize=_TAIL_TABLES)
 def _tail_coefficients(i: int, count: int, bits: int) -> tuple:
     """C(q+i, i)/(q+i+1) for q < count, as mpf at ``bits``."""
     with mp.workprec(bits):
@@ -155,10 +167,11 @@ def _weighted_tail(i: int, R: int, t, w) -> mpf:
         return acc * w ** (R + 1)
     with mp.workprec(prec + (R + 1) * (1 - mp.mag(w)) + 16):
         w = -mp.expm1(-t)
-        z = mp.expm1(t)
         closed = mpf(-1) ** i * t
-        for p in range(1, i + 1):
-            closed += mpf(-1) ** (i - p) * z ** p / p
+        if i:
+            z = mp.expm1(t)
+            for p in range(1, i + 1):
+                closed += mpf(-1) ** (i - p) * z ** p / p
         closed /= w ** (i + 1)
         partial = mpf(0)
         for c in reversed(coeffs[:R + 1]):
@@ -172,20 +185,35 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
 
     Delta_n[f](x) := sum_k (-1)^k C(n,k) f(k+x).  Returns {j: result}, each
     result claiming the same err and counting the head length as its terms.
-    err adds, over every j, the quadrature's estimate, a
-    bound on the rounding of the head (Sum_k C(n,k) |f(k+x)| <= 2^n max |f|)
-    and an integral of the tail integrand's bound: the error of the
-    1/Gamma derivatives (:func:`_recip_gamma_derivs`) plus the integrand's
-    rounding, V's Horner steps included.
 
-    Both integrals run on ``kernels.integrate_adaptive`` over [0, 1] and
-    [1, inf), the second cut at the integrand's peak when that lies past 2
-    (large s), and stop at the request; the bound's at a looser
-    tolerance on the same digits, so on the first levels of the same
-    nodes.  They read w, -log t and V_{i,N-i}(t) from the shared tables for
-    (N, i) and the node precision, filling in the nodes no earlier call
-    visited; a node is only ever served at the precision it was computed
-    at, so a warm call returns the same bits as a cold one.
+    The head, n <= N, is sum_k a_k f(k+x) with the exact weights of
+    :func:`_head_weights`; err adds its rounding, Sum_k |a_k| |f(k+x)| <=
+    2^(N+1) max |f| times the ulps of f.  The tail, n > N, writes
+    y^c = y^r y^alpha (alpha = c - r <= 0) with y^alpha in its Laplace
+    form; it is the sum over i <= r of phi_i = Delta_i[y^r](x) times
+
+        int_0^inf V_{i,N-i}(t) exp((alpha+1) L - (x+i) t)
+                  sum_p C(j,p) L^(j-p) B_p dt,      L = -log t,
+
+    B_p the 1/Gamma derivatives of :func:`_recip_gamma_derivs`: one
+    exponential per node, the weight sum one Horner pass in L.  Each
+    integral runs once over [0, inf) on ``kernels.integrate_adaptive``, or
+    over (0, t*) and (t*, inf) when the integrand's peak t* lies past 2
+    (large s), and stops at the request.  err adds, over every j, the
+    quadrature's estimate and an integral of the integrand's bound: the
+    B_p's errors plus the integrand's rounding, V's Horner steps included,
+    and the exponent's, |(alpha+1) L - (x+i) t| <= (x+i+|alpha|+2)(t+|L|)
+    ulps.  The bound's integral runs at a looser tolerance on the same
+    digits, so on the first levels of the same nodes.
+
+    The phi_i multiply the tail's errors by up to Sum |phi_i|, 4e14 at
+    r = 15 and x = 9/10, so when that sum exceeds 1, B, both integrals and
+    the nodes run its digits past the request; the results are still
+    judged at the request.  The integrals read w, -log t
+    and V_{i,N-i}(t) from the shared tables for (N, i) and the node
+    precision, filling in the nodes no earlier call visited; a node is
+    only ever served at the precision it was computed at, so a warm call
+    returns the same bits as a cold one.
     """
     c = mpf(c)
     x = require_positive(x)
@@ -198,39 +226,40 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
         eps = mpf(2) ** -mp.prec
         logs = [mp.log(k + x) for k in range(N + 1)]
         powc = [mp.exp(c * L) for L in logs]
+        weights = [mpf(a.numerator) / a.denominator for a in _head_weights(N)]
         values = {}
         err_total = mpf(0)
-        # exact binomial head, one pass per derivative order
         for j in js:
-            fvals = [powc[k] * logs[k] ** j for k in range(N + 1)]
-            tot = mpf(0)
-            for n in range(N + 1):
-                s = mpf(0)
-                for k in range(n + 1):
-                    cb = binomial(n, k)
-                    s += (cb if k % 2 == 0 else -cb) * fvals[k]
-                tot += s / (n + 1)
-            values[j] = tot
+            fvals = [p * L ** j for p, L in zip(powc, logs)]
+            values[j] = mp.fdot(weights, fvals)
             # |f| and its rounding: log(k+x) to 2 ulps absolute, so f to
             # (2j + 4 + 2|c L|) ulps of max(1, |L|)^j e^(cL)
             f_max = max(max(1, abs(L)) ** j * p for L, p in zip(logs, powc))
             cond = N + 2 * j + 8 + 2 * abs(c) * max(abs(L) for L in logs)
             err_total += eps * cond * f_max * mpf(2) ** (N + 1)
         # analytic tail; quadrature only needs the target tolerance, so it
-        # runs at the request's precision (the head carries the guard bits)
-        B = _recip_gamma_derivs(alpha, jmax, cfg)
+        # runs at the request's precision (the head carries the guard bits),
+        # raised by the digits the phi_i multiply its errors by
         phis = [_poly_delta(i, r, x) for i in range(r + 1)]
-        node_bits = cfg.working_bits + TS_GUARD_BITS
+        spread = sum(abs(phi) for phi in phis)
+        tcfg = cfg
+        if spread > 1:
+            raised = int(mp.ceil(mp.log10(spread)))
+            tcfg = cfg.replace(digits=cfg.digits + raised,
+                               tolerance=cfg.tol() / 10 ** raised)
+        B = _recip_gamma_derivs(alpha, jmax, tcfg)
+        node_bits = tcfg.working_bits + TS_GUARD_BITS
         nodes = _node_table(node_bits)
         eps_q = mpf(2) ** -node_bits
-        # V to 2 ulps per Horner step, and the K sum of the integrand
+        # V to 2 ulps per Horner step, and the weight sum of the integrand
         amplify = node_bits + 4 * N + 16 * (jmax + 2)
-        loose = cfg.replace(tolerance=cfg.tol() * 4)
+        loose = tcfg.replace(tolerance=tcfg.tol() * 4)
+        power = alpha + 1
 
-        def tail_integrand(i, j, weight):
-            """t -> e^(-(x+i)t) V(t) t^(-alpha-1) sum_p C(j,p) weight(p, t, L),
-            L = -log t."""
+        def tail_integrand(i, weight):
+            """t -> V(t) exp((alpha+1) L - (x+i) t) weight(t, L)."""
             table = _tail_table(N, i, node_bits)
+            rate = x + i
 
             def f(t):
                 if t <= 0:
@@ -238,45 +267,46 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
                 node = nodes.get(t)
                 if node is None:
                     node = nodes[t] = (-mp.expm1(-t), -mp.log(t))
-                w, lt = node
+                w, L = node
                 V = table.get(t)
                 if V is None:
                     V = table[t] = _weighted_tail(i, N - i, t, w)
-                K = mpf(0)
-                for p in range(j + 1):
-                    K += binomial(j, p) * weight(p, t, lt)
-                K *= t ** (-alpha - 1)
-                return mp.exp(-(x + i) * t) * V * K
+                return V * mp.exp(power * L - rate * t) * weight(t, L)
             return f
 
         def ranges(i):
-            """(0, 1) and (1, inf), the second cut at the peak t* of
-            t^(-alpha-1) e^(-(x+i)t) when t* > 2 (large s), so that the
-            quadrature's nodes cannot step over it."""
+            """[0, inf), cut at the peak t* of t^(-alpha-1) e^(-(x+i)t)
+            when t* > 2 (large s), so that the quadrature's nodes cannot
+            step over it."""
             peak = (-alpha - 1) / (x + i)
             if peak > 2:
-                return (0, 1), (1, peak), (peak, mp.inf)
-            return (0, 1), (1, mp.inf)
+                return (0, peak), (peak, mp.inf)
+            return ((0, mp.inf),)
 
         for j in js:
             if j == 0 and alpha == 0:
                 continue  # series terminates: differences of y^r vanish past r
+            # the weight sum in powers of L, its coefficients' errors and
+            # moduli: L^d carries C(j, d) B_(j-d)
+            P = [binomial(j, d) * B[j - d].value for d in range(j + 1)]
+            P_err = [binomial(j, d) * B[j - d].err_estimate
+                     for d in range(j + 1)]
+            P_abs = [abs(v) for v in P]
             tail = mpf(0)
             for i in range(r + 1):
                 if phis[i] == 0:
                     continue
 
-                def bound(p, t, lt, i=i, j=j):
+                def bound(t, L, i=i):
                     rho = eps_q * (amplify
-                                   + (x + i + abs(alpha) + 2) * (t + abs(lt)))
-                    return abs(lt) ** (j - p) * (B[p].err_estimate
-                                                 + rho * abs(B[p].value))
+                                   + (x + i + abs(alpha) + 2) * (t + abs(L)))
+                    return (_horner(P_err, abs(L))
+                            + rho * _horner(P_abs, abs(L)))
 
-                integrand = tail_integrand(
-                    i, j, lambda p, t, lt, j=j: lt ** (j - p) * B[p].value)
+                integrand = tail_integrand(i, lambda t, L: _horner(P, L))
                 for a, b in ranges(i):
-                    val = integrate_adaptive(integrand, a, b, cfg)
-                    J = integrate_adaptive(tail_integrand(i, j, bound), a, b,
+                    val = integrate_adaptive(integrand, a, b, tcfg)
+                    J = integrate_adaptive(tail_integrand(i, bound), a, b,
                                            loose)
                     tail += phis[i] * val.value
                     err_total += abs(phis[i]) * (val.err_estimate

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,25 @@ class TestHasseTables:
                     ref += term
                 assert abs(V - ref) <= 2 ** -190 * ref, (i, t)
 
+    @pytest.mark.parametrize("N", [8, 32, 40])
+    def test_head_weights_reproduce_the_double_sum(self, N):
+        # sum_n 1/(n+1) sum_k (-1)^k C(n,k) f_k, exactly, for two f
+        weights = hurwitz._head_weights(N)
+        for f in ([Fraction(1, k + 2) for k in range(N + 1)],
+                  [Fraction(3) ** k for k in range(N + 1)]):
+            double = sum(Fraction((-1) ** k * math.comb(n, k), n + 1) * f[k]
+                         for n in range(N + 1) for k in range(n + 1))
+            assert sum(a * v for a, v in zip(weights, f)) == double
+        assert sum(abs(a) for a in weights) <= 2 ** (N + 1)
+
+    def test_tail_is_one_integral(self, monkeypatch, cfg20):
+        # one value and one bound integral over [0, inf); the two ranges
+        # [0, 1] and [1, inf) took 4 integrals and 772 evaluations
+        calls = record_results(monkeypatch, hurwitz, "integrate_adaptive")
+        hasse_gamma(0, mpf(7) / 4, cfg20)
+        assert len(calls) == 2
+        assert sum(res.terms_used for res in calls) <= 600
+
     def test_warm_calls_equal_cold_calls(self, cfg20, cfg30):
         # the tail's shared tables change no bit of any result, whatever
         # ran between, and stay within their bound
@@ -122,7 +142,8 @@ class TestHasseTables:
             return res.value._mpf_, res.err_estimate._mpf_, res.terms_used
 
         calls = [lambda: hasse_gamma(1, mpf(1) / 3, cfg20),
-                 # c = 3/2, so r = 2: tables for i = 0, 1, 2
+                 # c = 3/2, so r = 2: tables for i = 0, 1, 2, and
+                 # sum |Delta_i[y^2](x)| > 1 raises its node precision
                  lambda: zeta_hasse(mpf(-1) / 2, mpf(3) / 10, 1, cfg20),
                  lambda: digamma_hasse_series(2, cfg20)]
         for t in tables:
@@ -131,14 +152,14 @@ class TestHasseTables:
         for f in calls:
             cold.append(bits(f()))
             counts()
-        assert counts() == [3, 1]
+        assert counts() == [4, 2]
         hasse_gamma(1, mpf(1) / 3, cfg30)
-        assert counts() == [4, 2]  # another precision, its own tables
+        assert counts() == [5, 3]  # another precision, its own tables
         hasse_gamma(1, mpf(7) / 10, cfg20)
-        assert counts() == [4, 2]  # another x, the same tables
+        assert counts() == [5, 3]  # another x, the same tables
         for f, expected in zip(calls, cold):
             assert bits(f()) == expected
-            assert counts() == [4, 2]
+            assert counts() == [5, 3]
 
 
 class TestZetaFourier:

@@ -32,7 +32,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from stieltjes.constants import bell_series_gamma, briggs_gamma, hasse_gamma
+from stieltjes.constants import (bell_series_gamma, briggs_gamma,
+                                  digamma_hasse_series, hasse_gamma)
 from stieltjes.core import PrecisionConfig
 from stieltjes.fourier import gamma1_fourier, kummer_log_gamma, sondow_gamma
 from stieltjes.gammafuncs import (bourguet_log_gamma, digamma, log_gamma,
@@ -71,6 +72,8 @@ ZETA_POINTS = ((-200, Fraction(3, 10)), (Fraction(1, 2), Fraction(1, 1000)))
 # the routes' inputs are dyadic, so exact at every precision
 X = mpf(3) / 8
 S_LEFT, S_RIGHT = mpf(-5) / 4, mpf(5) / 2
+# -41/3 rounded to 53 bits: r = ceil(1 - s) = 15 terms of the Hasse tail
+S_NEGATIVE = mpf(-41) / 3
 CIRCLE = Fraction(1, 3)
 
 
@@ -90,6 +93,8 @@ ROUTES = {
                            lambda d: mp.loggamma(X)),
     "zeta_hasse deriv 1": (lambda cfg: zeta_hasse(S_LEFT, X, 1, cfg),
                            lambda d: mp.zeta(S_LEFT, X, 1)),
+    "zeta_hasse s=-41/3": (lambda cfg: zeta_hasse(S_NEGATIVE, X, 0, cfg),
+                           lambda d: mp.zeta(S_NEGATIVE, X)),
     "zeta_fourier": (lambda cfg: zeta_fourier(S_LEFT, X, cfg),
                      lambda d: mp.zeta(S_LEFT, X)),
     "zeta_prime0 fourier": (lambda cfg: zeta_prime0(X, "fourier", cfg),
@@ -101,7 +106,11 @@ ROUTES = {
                              lambda d: mp.zeta(S_RIGHT, X)),
     "poisson_zeta": (lambda cfg: poisson_zeta(S_RIGHT, X, cfg),
                      lambda d: mp.zeta(S_RIGHT, X)),
+    "hasse_gamma 0": (lambda cfg: hasse_gamma(0, X, cfg),
+                      lambda d: -mp.digamma(X)),
     "hasse_gamma 1": (lambda cfg: hasse_gamma(1, X, cfg), _stieltjes1),
+    "digamma_hasse_series": (lambda cfg: digamma_hasse_series(X, cfg),
+                             lambda d: mp.digamma(X)),
     "bell_series_gamma 1": (lambda cfg: bell_series_gamma(1, X, cfg),
                             _stieltjes1),
     "briggs_gamma 1": (lambda cfg: briggs_gamma(1, X, cfg), _stieltjes1),
