@@ -1,4 +1,6 @@
-"""Command-line interface: compute / validate / table.
+"""Command-line interface: compute / validate / table, each taking only the
+flags it reads (``--method`` picks the route of compute and table; compute
+always prints JSON, validate with ``--json``, table with ``--format json``).
 
 Values are serialized as decimal strings (never binary floats).  The
 ``result`` block of every JSON document is deterministic for identical
@@ -316,10 +318,9 @@ def cmd_table(args) -> int:
         route = _route(args, x)
         rows.append({"x": _fmt(x, cfg.digits),
                      **_evaluate(args, x, route, cfg)})
-    fmt = "json" if args.json else args.format
     out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        if fmt == "json":
+        if args.format == "json":
             json.dump({"quantity": args.quantity, "rows": rows}, out_fh,
                       indent=2, sort_keys=True)
             out_fh.write("\n")
@@ -341,15 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "catalog at configurable precision.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--digits", type=int, default=30,
-                       help="target decimal digits (10..200)")
-        p.add_argument("--method", default=None)
-        p.add_argument("--json", action="store_true",
-                       help="force JSON output where applicable")
-        p.add_argument("--cache-dir", default=None,
-                       help="cache directory (overrides $STIELTJES_CACHE_DIR)")
-
     pc = sub.add_parser("compute", help="compute a single quantity")
     pc.add_argument("quantity", choices=list(QUANTITIES))
     pc.add_argument("-m", type=int, default=None, help="Stieltjes index m")
@@ -360,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--deriv", type=int, default=0,
                     help="s-derivative order for zeta")
     pc.add_argument("--no-cache", action="store_true")
-    common(pc)
+    pc.add_argument("--cache-dir", default=None,
+                    help="cache directory (overrides $STIELTJES_CACHE_DIR)")
+    pc.add_argument("--method", default=None)
     pc.set_defaults(func=cmd_compute)
 
     pv = sub.add_parser(
@@ -377,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", default="all",
                     help="'all' or comma-separated suite names")
     pv.add_argument("--out", default=None, help="write JSON report here")
-    common(pv)
+    pv.add_argument("--json", action="store_true",
+                    help="print the report as JSON")
     pv.set_defaults(func=cmd_validate)
 
     pt = sub.add_parser("table", help="tabulate a quantity over a grid")
@@ -388,8 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("-m", type=int, default=None)
     pt.add_argument("-s", type=_parse_number, default=None)
     pt.add_argument("--deriv", type=int, default=0)
-    common(pt)
+    pt.add_argument("--method", default=None)
     pt.set_defaults(func=cmd_table)
+    for p in (pc, pv, pt):
+        p.add_argument("--digits", type=int, default=30,
+                       help="target decimal digits (10..200)")
     return parser
 
 

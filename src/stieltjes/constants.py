@@ -28,7 +28,7 @@ from fractions import Fraction
 from mpmath import iv, mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
-                   as_real, combine, require_positive, shift_up)
+                   as_real, ball, combine, require_positive, shift_up)
 from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
                       sum_majorized, sum_oscillatory)
 from .combinatorics import binomial
@@ -123,13 +123,15 @@ def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesRe
     sum_k C(m,k) Y_k(n) zeta^(m-k)(n+1, x), Y_k(n) = k! e_k(1, ..., 1/n).
 
     x is shifted up to ``SHIFT_FLOOR`` by gamma_m(x) = gamma_m(x+1) +
-    log^m(x)/x, then the series is summed by ``kernels.sum_majorized``.
-    The remainder: for x >= 1 each summand of zeta^(j)(n+2, x) is at most
-    1/x times that of zeta^(j)(n+1, x), and Y_k(n+1)/Y_k(n) = 1 +
-    e_(k-1)(n)/((n+1) e_k(n)) falls with n (Newton's inequalities), so
-    past term n the k-th parts fall by rho_k per term.  ``terms_used``
-    counts shift steps plus series terms.  The cap m <= 6 limits the cost:
-    each term takes m + 1 EM calls whose own cost grows with m.
+    log^m(x)/x, then the series is summed by ``kernels.sum_majorized``:
+    e_k runs in ``iv`` and each zeta^(j) enters as its ball, so every term
+    holds its own rounding.  The remainder: for x >= 1 each summand of
+    zeta^(j)(n+2, x) is at most 1/x times that of zeta^(j)(n+1, x), and
+    Y_k(n+1)/Y_k(n) = 1 + e_(k-1)(n)/((n+1) e_k(n)) falls with n (Newton's
+    inequalities), so past term n the k-th parts fall by rho_k per term.
+    ``terms_used`` counts shift steps plus series terms.  The cap m <= 6
+    limits the cost: each term takes m + 1 EM calls whose own cost grows
+    with m.
     """
     if not 0 <= m <= 6:
         raise DomainError("bell route implemented for 0 <= m <= 6")
@@ -137,32 +139,28 @@ def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesRe
         x = require_positive(x)
         x, shift, steps = shift_up(x, lambda v: iv.log(v) ** m / v,
                                    SHIFT_FLOOR)
-        eps = mpf(2) ** -mp.prec
         weights = [binomial(m, k) * math.factorial(k) for k in range(m + 1)]
-        e = [[mpf(1)] + [mpf(0)] * m]  # e_k(1, ..., 1/n) at n = 0
+        e = [[iv.mpf(1)] + [iv.mpf(0)] * m]  # e_k(1, ..., 1/n) at n = 0
 
         def term(n):
             while len(e) < n + 2:  # up to e[n + 1]
                 e.append(_elementary_step(e[-1], len(e)))
-            zs = [hurwitz_zeta_em(n + 1, x, m - k, cfg) for k in range(m + 1)]
-            parts = [w * ek / (n + 1) for w, ek in zip(weights, e[n])]
-            t = (-1) ** (m + 1 + n) * sum(p * z.value
-                                          for p, z in zip(parts, zs))
-            # the rounding of e_k and of the products, signs alternating
-            claim = sum(p * (z.err_estimate + (n + m + 8) * eps * abs(z.value))
-                        for p, z in zip(parts, zs))
+            zs = [ball(hurwitz_zeta_em(n + 1, x, m - k, cfg))
+                  for k in range(m + 1)]
+            t = (-1) ** (m + 1 + n) * sum(
+                w * ek * z for w, ek, z in zip(weights, e[n], zs)) / (n + 1)
             nxt = e[n + 1]
-            tail = mpf(0)
+            tail = iv.mpf(0)
             for k, z in enumerate(zs):
-                if not nxt[k] > 0:  # Y_k(n+1) = 0: no ratio to go by yet
-                    return t, claim, mpf("inf")
+                # an undecided comparison means no ratio to go by yet
+                if not nxt[k] > 0:
+                    return t, mp.inf
                 rho = (1 + (nxt[k - 1] / ((n + 2) * nxt[k]) if k else 0)) / x
-                if rho >= 1:
-                    return t, claim, mpf("inf")
-                first = (weights[k] * nxt[k] / (n + 2)
-                         * (abs(z.value) + z.err_estimate) / x)
+                if not rho < 1:
+                    return t, mp.inf
+                first = weights[k] * nxt[k] / (n + 2) * abs(z) / x
                 tail += first / (1 - rho)
-            return t, claim, tail
+            return t, mpf(tail.b)
 
         head = -iv.log(x) ** (m + 1) / (m + 1) + shift
         series = sum_majorized(term, mpf(head.mid), cfg)
@@ -325,15 +323,12 @@ def landau_gamma1_functional(x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
 
 
 def ramanujan_exp_sum(cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """S = sum_{n>=1} 1/(n (e^(2 pi n) - 1)) by ``sum_majorized``.  The terms
-    fall by more than e^(-2 pi) each, so the rest is at most 1/500 of the
-    last; each term is claimed to (8n + 4) ulps, its exponent 2 pi n being
-    good to about 2 pi n ulps."""
+    """S = sum_{n>=1} 1/(n (e^(2 pi n) - 1)) by ``sum_majorized``, each
+    term formed in ``iv``.  The terms fall by more than e^(-2 pi) each, so
+    the rest is at most 1/500 of the last."""
     with cfg.workprec(40):
-        eps = mpf(2) ** -mp.prec
-
         def term(n):
-            t = 1 / (n * mp.expm1(2 * mp.pi * n))
-            return t, (8 * n + 4) * eps * t, t / 500
+            t = 1 / (n * (iv.exp(2 * iv.pi * n) - 1))
+            return t, mpf(t.b) / 500
 
         return sum_majorized(term, 0, cfg)

@@ -9,16 +9,17 @@ at different precisions is safe: mpmath computes at the active context
 precision, which callers set to the maximum they need.
 
 Kernels and routes split the accounting of a claim in two.  A kernel
-(``kernels``, the Hasse head and tail, the terms of a direct series and
-the direct sums formed at raised precision) derives its own claim,
-rounding included.  The glue that combines kernel results into a route's
-value runs in interval arithmetic, ``mpmath.iv``, by :func:`combine`:
-each result enters as the ball [value - err, value + err], exact inputs
-as points, constants and elementary functions come from ``iv``
-(``iv.pi``, ``iv.log``, ...), and the route's value and claim are the
-midpoint and radius of what comes out, so the glue counts no rounding
-by hand.  :meth:`PrecisionConfig.workprec` sets ``iv.prec`` with
-``mp.prec``, so the glue runs at the working precision.
+(``kernels``, the Hasse head and tail, the direct sums formed at raised
+precision) derives its own claim, rounding included.  The glue that
+combines kernel results into a route's value runs in interval arithmetic,
+``mpmath.iv``, by :func:`combine`: each result enters as the :func:`ball`
+[value - err, value + err], exact inputs as points, constants and
+elementary functions come from ``iv`` (``iv.pi``, ``iv.log``, ...), and
+the route's value and claim are the midpoint and radius of what comes
+out, so the glue counts no rounding by hand.  So do the terms of a direct
+series, which ``kernels.sum_majorized`` adds in ``iv``.
+:meth:`PrecisionConfig.workprec` sets ``iv.prec`` with ``mp.prec``, so
+the glue runs at the working precision.
 """
 
 from __future__ import annotations
@@ -218,29 +219,33 @@ class IdentityReport(_Record):
         return d
 
 
+def ball(r: SeriesResult):
+    """r as the ``iv`` interval [value - err, value + err], or as the point
+    value if err is infinite: enter only finite claims outside
+    :func:`combine`, which makes its own claim infinite then."""
+    if not mp.isfinite(r.err_estimate):
+        return iv.mpf(r.value)
+    return iv.mpf(r.value) + iv.mpf([-r.err_estimate, r.err_estimate])
+
+
 def combine(glue: Callable, *results: SeriesResult, tol: mpf,
             terms: Optional[int] = None):
     """glue(*balls) in interval arithmetic: how a route combines its kernel
     results into the value it returns, with a claim that covers them.
 
-    Each result enters ``mpmath.iv`` as the ball [value - err, value +
-    err]; ``glue`` computes in ``iv`` from those balls and from exact inputs
-    entered as points.  The value returned is the midpoint of the interval
-    that comes out, at the working precision, and the claim the distance
-    from it to the interval's farther end, rounded up; a complex interval
-    is bounded by its modulus.  A point input is taken as exact: the claim
-    covers no rounding made before it entered, such as a coefficient
-    callback's value, so a glue builds its constants in ``iv`` from exact
-    numbers (``iv.pi * p / q``, not ``iv.pi * (mpf(p) / q)``).  An infinite claim enters as the point
-    value, so the result keeps a value, and its claim is infinite.
-    ``terms`` defaults to the results' terms added up.  A glue that
-    returns a list gives a list of results.
+    Each result enters ``mpmath.iv`` as its :func:`ball`; ``glue``
+    computes in ``iv`` from those balls and from exact inputs entered as
+    points.  The value returned is the midpoint of the interval that comes
+    out, at the working precision, and the claim the distance from it to
+    the interval's farther end, rounded up; a complex interval is bounded
+    by its modulus.  A point input is taken as exact: the claim covers no
+    rounding made before it entered, such as a coefficient callback's
+    value, so a glue builds its constants in ``iv`` from exact numbers
+    (``iv.pi * p / q``, not ``iv.pi * (mpf(p) / q)``).  An infinite claim
+    enters as the point value, so the result keeps a value, and its claim
+    is infinite.  ``terms`` defaults to the results' terms added up.  A
+    glue that returns a list gives a list of results.
     """
-    def ball(r):
-        if not mp.isfinite(r.err_estimate):
-            return iv.mpf(r.value)
-        return iv.mpf(r.value) + iv.mpf([-r.err_estimate, r.err_estimate])
-
     bounded = all(mp.isfinite(r.err_estimate) for r in results)
     out = glue(*map(ball, results))
     if terms is None:

@@ -5,12 +5,12 @@ constant function on the unit circle.
 Every conditionally convergent sum routes through
 :func:`stieltjes.kernels.sum_trig_averaged` (a direct head and an
 Euler-Abel transform of the tail), and every direct series (Kolbig's S1
-and S2, Sondow's power series) stops on a proven remainder bound in
-:func:`stieltjes.kernels.sum_majorized`; no evaluator implements its own
-summation.  The trigonometric sums run to the requested digits, at a cost
-of O(bits / sin pi x) terms for any x.  Each evaluator computes one side of
-an identity: a sum returns the kernel's ``SeriesResult``, a closed form
-its value.  Which two sides meet is decided by the suite table,
+and S2, Sondow's power series) adds interval terms on a proven remainder
+bound in :func:`stieltjes.kernels.sum_majorized`; no evaluator implements
+its own summation.  The trigonometric sums run to the requested digits, at
+a cost of O(bits / sin pi x) terms for any x.  Each evaluator computes one
+side of an identity: a sum returns the kernel's ``SeriesResult``, a closed
+form its value.  Which two sides meet is decided by the suite table,
 :data:`stieltjes.suites.CATALOGUE`, and whether they agree by
 :meth:`stieltjes.core.IdentityReport.build`.
 """
@@ -24,7 +24,7 @@ from typing import Union
 from mpmath import iv, mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
-                   as_real, combine)
+                   as_real, ball, combine)
 from .kernels import (hurwitz_zeta_em, integrate_adaptive, sum_majorized,
                       sum_trig_averaged)
 from .constants import hasse_gamma
@@ -192,13 +192,11 @@ def _kolbig_s1(cfg) -> SeriesResult:
     T_j is the EM engine's until the direct sum to n = M, M <= _S1_DIRECT,
     leaves a rest under tol/16 of log 2 16^-j <= T_j.  The summand falls
     for t >= 2, so that rest is at most 4^-j int_M^inf log t t^-2j dt
-    = 4^-j M^(1-2j) (log M/(2j-1) + 1/(2j-1)^2).  The direct sum claims
-    that rest plus M + 8 ulps of itself: a few per summand and one per
-    addition.
+    = 4^-j M^(1-2j) (log M/(2j-1) + 1/(2j-1)^2), which enters the direct
+    sum, run in ``iv``, as [0, rest].
     """
-    eps = mpf(2) ** -mp.prec
     log_tol = float(mp.log(cfg.tol()))
-    logs = [mpf(0), mpf(0)]  # log n
+    logs = [iv.mpf(0), iv.mpf(0)]  # log n
 
     def term(j):
         r = 2 * j - 1
@@ -208,14 +206,14 @@ def _kolbig_s1(cfg) -> SeriesResult:
                                    - r * math.log(M)) > target:
             M += 1
         if M > _S1_DIRECT:
-            z = hurwitz_zeta_em(2 * j, 1, 1, cfg)
-            t = -z.value / mpf(4) ** j
-            return t, z.err_estimate / mpf(4) ** j, abs(t) / 15
+            t = -ball(hurwitz_zeta_em(2 * j, 1, 1, cfg)) / 4 ** j
+            return t, mpf(abs(t).b) / 15
         while len(logs) <= M:
-            logs.append(mp.log(len(logs)))
-        t = sum(logs[n] * mpf(4 * n * n) ** -j for n in range(2, M + 1))
-        rest = mpf(M) ** -r * (logs[M] / r + mpf(1) / r ** 2) / mpf(4) ** j
-        return t, rest + (M + 8) * eps * t, t / 15
+            logs.append(iv.log(len(logs)))
+        t = sum(logs[n] / (4 * n * n) ** j for n in range(2, M + 1))
+        rest = iv.mpf(M) ** -r * (logs[M] / r + iv.mpf(1) / r ** 2) / 4 ** j
+        t += iv.mpf([0, rest.b])
+        return t, mpf(t.b) / 15
 
     return sum_majorized(term, 0, cfg)
 
@@ -225,24 +223,24 @@ def _kolbig_s2(cfg) -> SeriesResult:
     sum_{k>=2} c_k zeta(k, N+1) by ``sum_majorized``, c_k = (-1)^k a_k with
     a_k = sum_{i<k} 2^(i-k)/i, so a_(k+1) = (a_k + 1/k)/2 exactly.  As
     a_k < 1 and zeta(k, N+1) <= (N+1)^-k (1 + (N+1)/(k-1)), the terms past
-    term k add up to at most (N+1)^-k (1 + (N+1)/k) / N."""
+    term k add up to at most (N+1)^-k (1 + (N+1)/k) / N.  The head, summed
+    in ``iv``, joins the tail through ``combine``."""
     N = 40
-    head = mp.fsum(mp.log(1 + mpf(1) / n) / (2 * n + 1)
-                   for n in range(1, N + 1))
+    logs = [iv.log(n) for n in range(1, N + 2)]  # log(n + 1) at n
+    head = sum((logs[n] - logs[n - 1]) / (2 * n + 1) for n in range(1, N + 1))
     a = [Fraction(0), Fraction(0)]  # a_k for k = 0, 1
 
     def term(n):
         k = n + 1
         a.append((a[-1] + Fraction(1, k - 1)) / 2)
-        c = (-1) ** k * mpf(a[k].numerator) / a[k].denominator
-        z = hurwitz_zeta_em(k, N + 1, 0, cfg)
-        rest = mpf(N + 1) ** -k * (1 + mpf(N + 1) / k) / N
-        return c * z.value, abs(c) * z.err_estimate, rest
+        c = (-1) ** k * iv.mpf(a[k].numerator) / a[k].denominator
+        z = ball(hurwitz_zeta_em(k, N + 1, 0, cfg))
+        rest = iv.mpf(N + 1) ** -k * (1 + iv.mpf(N + 1) / k) / N
+        return c * z, mpf(rest.b)
 
-    tail = sum_majorized(term, head, cfg)
-    value = head + tail.value
-    err = tail.err_estimate + (N + 4) * mpf(2) ** -mp.prec * abs(value)
-    return SeriesResult(+value, +err, N + tail.terms_used, cfg.tol())
+    tail = sum_majorized(term, mpf(head.mid), cfg)
+    return combine(lambda t: head + t, tail, tol=cfg.tol(),
+                   terms=N + tail.terms_used)
 
 
 def kolbig_check(cfg: PrecisionConfig = DEFAULT_CFG):
@@ -261,9 +259,9 @@ def kolbig_check(cfg: PrecisionConfig = DEFAULT_CFG):
 # ---------------------------------------------------------------------------
 
 def _euler_coeff(n: int) -> mpf:
-    """a_n = 1/n - log(1+1/n) ~ 1/(2n^2), whose two terms cancel in their
-    leading log2(2n) bits: formed once with 2 log2(n) + 8 extra bits and
-    rounded back to the working precision."""
+    """a_n = 1/n - log(1+1/n) ~ 1/(2n^2) for the trigonometric kernel,
+    whose two terms cancel in their leading log2(2n) bits: formed once with
+    2 log2(n) + 8 extra bits and rounded back to the working precision."""
     with mp.workprec(mp.prec + 2 * n.bit_length() + 8):
         a = mpf(1) / n - mp.log1p(mpf(1) / n)
     return +a
@@ -271,31 +269,37 @@ def _euler_coeff(n: int) -> mpf:
 
 def _sondow_power_series(z, cfg) -> SeriesResult:
     """gamma(z) for real |z| <= 1, z != -1, by the defining sum on
-    ``sum_majorized``; z = 1 by a head of 40 terms and the tail
-    sum_{k>=2} (-1)^k zeta(k, 41)/k, which alternates with falling terms, so
-    its rest is at most the last term.  For |z| < 1, 0 < a_k < 1/(2k^2)
-    bounds the rest past term n by |z|^n / (2 (n+1)^2 (1 - |z|))."""
+    ``sum_majorized``, its terms formed in ``iv``; z = 1 by a head of 40
+    terms and the tail sum_{k>=2} (-1)^k zeta(k, 41)/k, which alternates
+    with falling terms, so its rest is at most the last term, joined
+    through ``combine``.  For |z| < 1, 0 < a_k < 1/(2k^2) bounds the rest
+    past term n by |z|^n / (2 (n+1)^2 (1 - |z|))."""
     if abs(z) > 1:
         raise DomainError("|z| <= 1 required for the series route")
-    eps = mpf(2) ** -mp.prec
+    w, log_n, power = iv.mpf(z), iv.mpf(0), iv.mpf(1)
+
+    def coeff(n):  # a_n, by log(n+1) - log n, for n = 1, 2, ... in turn
+        nonlocal log_n
+        prev, log_n = log_n, iv.log(n + 1)
+        return 1 / iv.mpf(n) - (log_n - prev)
+
     if z == 1:
         N = 40
-        head = mp.fsum(_euler_coeff(n) for n in range(1, N + 1))
+        head = sum(coeff(n) for n in range(1, N + 1))
 
         def term(n):
-            zk = hurwitz_zeta_em(n + 1, N + 1, 0, cfg)
-            t = (-1) ** (n + 1) * zk.value / (n + 1)
-            return t, zk.err_estimate / (n + 1), abs(t)
+            t = (-1) ** (n + 1) * ball(hurwitz_zeta_em(n + 1, N + 1, 0, cfg))
+            return t / (n + 1), mpf(abs(t).b) / (n + 1)
 
-        tail = sum_majorized(term, head, cfg)
-        value = head + tail.value
-        err = tail.err_estimate + (N + 4) * eps * abs(value)
-        return SeriesResult(+value, +err, N + tail.terms_used, cfg.tol())
+        tail = sum_majorized(term, mpf(head.mid), cfg)
+        return combine(lambda t: head + t, tail, tol=cfg.tol(),
+                       terms=N + tail.terms_used)
 
     def term(n):
-        t = z ** (n - 1) * _euler_coeff(n)
-        rest = abs(z) ** n / (2 * (n + 1) ** 2 * (1 - abs(z)))
-        return t, (2 * n.bit_length() + 4) * eps * abs(t), rest
+        nonlocal power  # z^(n-1), then z^n
+        t, power = power * coeff(n), power * w
+        rest = abs(power) / (2 * (n + 1) ** 2 * (1 - abs(w)))
+        return t, mpf(rest.b)
 
     return sum_majorized(term, 0, cfg)
 

@@ -41,7 +41,7 @@ from fractions import Fraction
 from mpmath import iv, mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
-                   as_real, combine, require_positive, shift_up)
+                   as_real, ball, combine, require_positive, shift_up)
 from .kernels import (TS_GUARD_BITS, _horner, _pole_rounded,
                       hurwitz_zeta_em, integrate_adaptive, sum_majorized,
                       sum_oscillatory, sum_trig_averaged)
@@ -488,12 +488,13 @@ def zeta_srivastava_choi(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResu
     zeta(s+n, x), for s > 0 (s != 1), where every zeta(s+n, x) converges.
 
     x is shifted up to ``SHIFT_FLOOR`` by zeta(s, x) = x^-s + zeta(s, x+1),
-    then the series is summed by ``kernels.sum_majorized``.  The
-    remainder: each summand of zeta(s+n+1, x) is at most 1/x times that of
-    zeta(s+n, x), so past term n the terms fall by max(1, (s+n+1)/(n+3))/x
-    per term.  ``terms_used`` counts shift steps plus series terms.  s is
-    rounded as :func:`kernels.hurwitz_zeta_em` rounds it, so s - 1 keeps
-    its working precision next to the pole.
+    then the series is summed by ``kernels.sum_majorized``: (s)_n/n! runs
+    in ``iv`` and each zeta(s+n, x) enters as its ball, so every term holds
+    its own rounding.  The remainder: each summand of zeta(s+n+1, x) is at
+    most 1/x times that of zeta(s+n, x), so past term n the terms fall by
+    max(1, (s+n+1)/(n+3))/x per term.  ``terms_used`` counts shift steps
+    plus series terms.  s is rounded as :func:`kernels.hurwitz_zeta_em`
+    rounds it, so s - 1 keeps its working precision next to the pole.
     """
     s = _pole_rounded(s, cfg)
     with cfg.workprec(40):
@@ -501,13 +502,11 @@ def zeta_srivastava_choi(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResu
             raise DomainError("expansion implemented for s > 0")
         x = require_positive(x)
         x, shift, steps = shift_up(x, lambda v: iv.mpf(v) ** -s, SHIFT_FLOOR)
-        eps = mpf(2) ** -mp.prec
-        poch = [mpf(1)]  # (s)_n / n!
+        poch = [iv.mpf(1)]  # (s)_n / n!
 
         def term(n):
             gap = mp.fadd(s, n - 1, exact=True)  # s + n - 1
             poch.append(poch[-1] * gap / n)
-            weight = poch[n] / (n + 1)
             # the EM engine rounds s + n by delta, which moves zeta(s+n, x)
             # by at most delta zeta (log x (1 + gap/x) + 1/gap); for small s
             # the first term, near the pole, gets the bits to keep it small
@@ -516,18 +515,17 @@ def zeta_srivastava_choi(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResu
             if n == 1 and s < 1:
                 em_cfg = cfg.replace(digits=cfg.digits + int(
                     mp.ceil(-mp.log10(s))))
-            z = hurwitz_zeta_em(sigma, x, 0, em_cfg)
             delta = sigma * mpf(2) ** -em_cfg.working_bits
             moved = delta * (mp.log(x) * (1 + gap / x) + 1 / gap)
-            claim = weight * (z.err_estimate
-                              + ((n + 4) * eps + moved) * z.value)
-            rho = max(1, (s + n + 1) / (n + 3)) / x
-            tail = mpf("inf")
+            z = (ball(hurwitz_zeta_em(sigma, x, 0, em_cfg))
+                 * (1 + iv.mpf([-moved, moved])))
+            ratio = (iv.mpf(sigma) + 1) / (n + 3)
+            rho = (iv.mpf(1) if ratio < 1 else ratio) / x
+            tail = mp.inf
             if rho < 1:
-                first = (poch[n] * (s + n) / (n + 1) / (n + 2)
-                         * (z.value + z.err_estimate) / x)
-                tail = first / (1 - rho)
-            return -(-1) ** n * weight * z.value, claim, tail
+                first = poch[n] * sigma / ((n + 1) * (n + 2)) * z / x
+                tail = mpf((first / (1 - rho)).b)
+            return -(-1) ** n * poch[n] / (n + 1) * z, tail
 
         pole = iv.mpf(s) - 1
         head = iv.mpf(x) ** -pole / pole + shift

@@ -9,10 +9,10 @@ Kernels:
 
 * ``sum_alternating_accelerated`` -- Euler transform of an alternating
   series, with a heuristic claim; no route of the package uses it.
-* ``sum_majorized`` -- direct summation until a remainder bound supplied
-  with each term meets the request.  Every direct series of the package
-  stops here: Bell (``constants.bell_series_gamma``), Srivastava-Choi
-  (``hurwitz.zeta_srivastava_choi``), Kolbig's S1 and S2
+* ``sum_majorized`` -- direct summation of interval terms until a
+  remainder bound supplied with each term meets the request.  Every direct
+  series of the package stops here: Bell (``constants.bell_series_gamma``),
+  Srivastava-Choi (``hurwitz.zeta_srivastava_choi``), Kolbig's S1 and S2
   (``fourier._kolbig_s1``, ``fourier._kolbig_s2``), Sondow's power series
   (``fourier._sondow_power_series``) and Ramanujan's exponential sum
   (``constants.ramanujan_exp_sum``).
@@ -47,11 +47,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from mpmath import mp, mpc, mpf
+from mpmath import iv, mp, mpc, mpf
 from mpmath.libmp import mpf_cos_sin_pi, to_fixed
 
 from .core import (DEFAULT_CFG, DomainError, PoleError, PrecisionConfig,
-                   SeriesResult, as_real, require_positive)
+                   SeriesResult, as_real, combine, require_positive)
 
 _SAFETY = 4  # heuristic multiplier on last-difference error estimates
 # terms after which sum_majorized and sum_trig_averaged give up unconverged:
@@ -123,27 +123,26 @@ def sum_majorized(term: Callable[[int], tuple], base,
     """sum_{n>=1} t_n, summed directly until a proven remainder bound
     meets the request.
 
-    ``term(n)`` returns (t_n, a claim on the error of t_n, a bound on
-    sum_{k>n} |t_k|); the bound may be infinite while the caller cannot
-    prove one yet.  The sum stops at the first n whose bound is at most a
-    quarter of tol * max(1, |base + partial sum|), ``base`` being what the
-    caller adds to the sum, or after ``TERM_CAP`` terms, unconverged.  The
-    claim is the last bound plus the terms' claims plus the rounding of the
-    running sum, which runs at the caller's precision.
+    ``term(n)``, called for n = 1, 2, ... in turn, returns (an ``iv``
+    interval that holds t_n, an mpf bound on sum_{k>n} |t_k|, infinite
+    while the caller cannot prove one yet).  The intervals add up in
+    ``iv``, so the sum holds its own rounding.  It stops at the first n
+    whose bound is at most tol * max(1, |base + midpoint|) / 4, ``base``
+    being what the caller adds to it, or after ``TERM_CAP`` terms,
+    unconverged.  Value and claim are the midpoint and the radius plus the
+    last bound, as :func:`~stieltjes.core.combine` settles them.
     """
     tol = cfg.tol()
-    total, claims, mag = mpf(0), mpf(0), mpf(0)
+    total = iv.mpf(0)
     n = 0
     while n < TERM_CAP:
         n += 1
-        t, claim, remainder = term(n)
+        t, remainder = term(n)
         total += t
-        claims += claim
-        mag += abs(t)
-        if remainder <= tol * max(1, abs(base + total)) / 4:
+        if remainder <= tol * max(1, abs(base + mpf(total.mid))) / 4:
             break
-    rounding = (n + 2) * mpf(2) ** -mp.prec * mag
-    return SeriesResult(+total, remainder + claims + rounding, n, tol)
+    rest = SeriesResult(mpf(0), remainder, n, tol)
+    return combine(lambda r: total + r, rest, tol=tol)
 
 
 def _abel_plan(bits: int, a: float) -> tuple[int, int]:

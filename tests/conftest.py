@@ -48,6 +48,19 @@ def record_results(monkeypatch, module, name):
     return results
 
 
+def assert_claim(res, reference, digits):
+    """actual <= err_estimate <= 10^-digits max(1, |ref|), and converged,
+    with reference() evaluated at 40 digits beyond the request."""
+    with mp.workdps(digits + 40):
+        ref = reference()
+        actual = abs(res.value - ref)
+        assert actual <= res.err_estimate, (
+            f"actual {mp.nstr(actual, 3)} > claimed "
+            f"{mp.nstr(res.err_estimate, 3)}")
+        assert res.err_estimate <= mpf(10) ** -digits * max(1, abs(ref))
+        assert res.converged
+
+
 def assert_close(a, b, tol, label=""):
     d = abs(mpf(a) - mpf(b))
     assert d <= mpf(tol), f"{label}: |{a} - {b}| = {d} > {tol}"

@@ -247,6 +247,19 @@ class TestCompute:
         assert "digits" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "--suite", "wallis", "--method", "hasse"),
+    ("validate", "--suite", "wallis", "--cache-dir", "unused"),
+    ("compute", "digamma", "-x", "1", "--json"),
+    ("table", "digamma", "--grid", "1:2:2", "--json"),
+    ("table", "digamma", "--grid", "1:2:2", "--cache-dir", "unused")])
+def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestValidate:
     def test_small_suite_passes(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

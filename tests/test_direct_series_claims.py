@@ -20,18 +20,9 @@ from stieltjes.constants import gamma1_prime, ramanujan_exp_sum
 from stieltjes.core import PrecisionConfig
 from stieltjes.gammafuncs import _log_kernel_bracket
 
+from conftest import assert_claim
+
 DIGITS = (20, 50, 100)
-
-
-def _check(res, reference, digits):
-    with mp.workdps(digits + 40):
-        ref = reference()
-        actual = abs(res.value - ref)
-        assert actual <= res.err_estimate, (
-            f"actual {mp.nstr(actual, 3)} > claimed "
-            f"{mp.nstr(res.err_estimate, 3)}")
-        assert res.err_estimate <= mpf(10) ** -digits * max(1, abs(ref))
-        assert res.converged
 
 
 def _s1():
@@ -57,8 +48,8 @@ def test_kolbig_sums_claims(digits):
         s1, s2 = fourier._kolbig_s1(cfg), fourier._kolbig_s2(cfg)
     with mp.workdps(digits + 40):
         ref = _s1()
-    _check(s1, lambda: ref, digits)
-    _check(s2, lambda: 2 * ref, digits)  # Kolbig: S2 = 2 S1
+    assert_claim(s1, lambda: ref, digits)
+    assert_claim(s2, lambda: 2 * ref, digits)  # Kolbig: S2 = 2 S1
 
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -68,14 +59,14 @@ def test_sondow_power_series_claims(p, q, digits):
     cfg = PrecisionConfig(digits=digits)
     with cfg.workprec(40):
         res = fourier._sondow_power_series(z, cfg)
-    _check(res, lambda: +mp.euler if z == 1 else _euler_generalized(z),
+    assert_claim(res, lambda: +mp.euler if z == 1 else _euler_generalized(z),
            digits)
 
 
 @pytest.mark.parametrize("digits", DIGITS)
 def test_ramanujan_exp_sum_claim(digits):
     res = ramanujan_exp_sum(PrecisionConfig(digits=digits))
-    _check(res, lambda: (mp.log(4 / mp.pi) / 4 + mp.loggamma(mpf(3) / 4)
+    assert_claim(res, lambda: (mp.log(4 / mp.pi) / 4 + mp.loggamma(mpf(3) / 4)
                          - mp.pi / 12), digits)
 
 
@@ -84,7 +75,7 @@ def test_ramanujan_exp_sum_claim(digits):
 def test_gamma1_prime_claim(x, digits):
     x = +mp.e if x == "e" else mpf(x)
     res = gamma1_prime(x, PrecisionConfig(digits=digits))
-    _check(res, lambda: mp.zeta(2, x, 1) + mp.zeta(2, x), digits)
+    assert_claim(res, lambda: mp.zeta(2, x, 1) + mp.zeta(2, x), digits)
 
 
 def _captured_sondow_integrand(monkeypatch, z, cfg):

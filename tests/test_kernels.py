@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import iv, mp, mpf
 
 from stieltjes import kernels
 from stieltjes.constants import briggs_gamma
@@ -52,6 +52,51 @@ class TestAlternating:
             lambda n: mpf(-1) ** (n + 1) / n, cfg20)
         true_err = abs(res.value - mp.log(2))
         assert true_err <= 3 * max(res.err_estimate, mpf(10) ** -22)
+
+
+def _halves(radius_bits=None):
+    """term(n) of sum_{n>=1} 2^-n: the interval 2^-n (1 +- 2^-radius_bits),
+    or the point 2^-n, with the rest 2^-n."""
+    def term(n):
+        t = iv.mpf(2) ** -n
+        if radius_bits is not None:
+            t += iv.mpf([-1, 1]) * t * mpf(2) ** -radius_bits
+        return t, mpf(2) ** -n
+    return term
+
+
+class TestMajorized:
+    def test_interval_terms_give_midpoint_and_radius(self, cfg20):
+        with cfg20.workprec():
+            res = kernels.sum_majorized(_halves(40), 0, cfg20)
+        n = res.terms_used
+        # the ends are exact at the working bits, so the midpoint is too
+        assert res.value == 1 - mpf(2) ** -n
+        least = (1 - mpf(2) ** -n) * mpf(2) ** -40 + mpf(2) ** -n
+        assert least <= res.err_estimate <= least * (1 + mpf(2) ** -100)
+        assert abs(res.value - 1) <= res.err_estimate
+        assert not res.converged  # radii of 2^-40 miss 20 digits
+
+    def test_no_bound_up_to_the_cap_is_unconverged(self, cfg20, monkeypatch):
+        monkeypatch.setattr(kernels, "TERM_CAP", 5)
+        with cfg20.workprec():
+            res = kernels.sum_majorized(lambda n: (iv.mpf(1) / n, mp.inf), 0,
+                                        cfg20)
+        assert res.terms_used == 5
+        assert not res.converged
+        assert res.err_estimate == mp.inf
+        assert mp.isfinite(res.value)
+        assert abs(res.value - mpf(137) / 60) <= mpf(10) ** -30
+
+    @pytest.mark.parametrize("base", [0, 10 ** 6, -10 ** 6])
+    def test_stops_at_the_first_bound_under_a_quarter_tol(self, cfg20, base):
+        tol = cfg20.tol()
+        first = next(n for n in range(1, 200) if mpf(2) ** -n
+                     <= tol * max(1, abs(base + 1 - mpf(2) ** -n)) / 4)
+        with cfg20.workprec():
+            res = kernels.sum_majorized(_halves(), mpf(base), cfg20)
+        assert res.terms_used == first
+        assert first == (69 if base == 0 else 49)
 
 
 class TestTrigAveraged:

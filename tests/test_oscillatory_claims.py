@@ -21,38 +21,29 @@ from stieltjes.core import PrecisionConfig
 from stieltjes.gammafuncs import bourguet_log_gamma
 from stieltjes.hurwitz import poisson_zeta
 
+from conftest import assert_claim
+
 DIGITS = st.integers(10, 50)
 X = st.floats(-2, 2).map(lambda e: mpf(10 ** e))
 S = st.floats(1, 8, exclude_min=True).map(mpf)
-
-
-def _check(res, reference, digits):
-    with mp.workdps(digits + 40):
-        ref = reference()
-        actual = abs(res.value - ref)
-        assert actual <= res.err_estimate, (
-            f"actual {mp.nstr(actual, 3)} > claimed "
-            f"{mp.nstr(res.err_estimate, 3)}")
-        assert res.err_estimate <= mpf(10) ** -digits * max(1, abs(ref))
-        assert res.converged
 
 
 @settings(max_examples=10)
 @given(m=st.integers(0, 1), x=X, digits=DIGITS)
 def test_briggs_claim(m, x, digits):
     res = briggs_gamma(m, x, PrecisionConfig(digits=digits))
-    _check(res, lambda: mp.stieltjes(m, x), digits)
+    assert_claim(res, lambda: mp.stieltjes(m, x), digits)
 
 
 @settings(max_examples=10)
 @given(s=S, x=X, digits=DIGITS)
 def test_poisson_claim(s, x, digits):
     res = poisson_zeta(s, x, PrecisionConfig(digits=digits))
-    _check(res, lambda: mp.zeta(s, x), digits)
+    assert_claim(res, lambda: mp.zeta(s, x), digits)
 
 
 @settings(max_examples=10)
 @given(x=X, digits=DIGITS)
 def test_bourguet_claim(x, digits):
     res = bourguet_log_gamma(x, PrecisionConfig(digits=digits))
-    _check(res, lambda: mp.loggamma(x), digits)
+    assert_claim(res, lambda: mp.loggamma(x), digits)

@@ -20,36 +20,25 @@ from stieltjes.constants import _elementary_step, bell_series_gamma
 from stieltjes.core import PrecisionConfig
 from stieltjes.hurwitz import zeta_srivastava_choi
 
-from conftest import bell_harmonic
+from conftest import assert_claim, bell_harmonic
 
 DIGITS = st.sampled_from([20, 30, 50])
 X = st.floats(-2, 3).map(lambda e: mpf(10 ** e))
 S = st.floats(0, 40, exclude_min=True).filter(lambda s: abs(s - 1) >= 1e-6)
 
 
-def _check(res, reference, digits):
-    with mp.workdps(digits + 40):
-        ref = reference()
-        actual = abs(res.value - ref)
-        assert actual <= res.err_estimate, (
-            f"actual {mp.nstr(actual, 3)} > claimed "
-            f"{mp.nstr(res.err_estimate, 3)}")
-        assert res.err_estimate <= mpf(10) ** -digits * max(1, abs(ref))
-        assert res.converged
-
-
 @settings(max_examples=12)
 @given(m=st.integers(0, 6), x=X, digits=DIGITS)
 def test_bell_claim(m, x, digits):
     res = bell_series_gamma(m, x, PrecisionConfig(digits=digits))
-    _check(res, lambda: mp.stieltjes(m, x), digits)
+    assert_claim(res, lambda: mp.stieltjes(m, x), digits)
 
 
 @settings(max_examples=12)
 @given(s=S, x=X, digits=DIGITS)
 def test_srivastava_choi_claim(s, x, digits):
     res = zeta_srivastava_choi(s, x, PrecisionConfig(digits=digits))
-    _check(res, lambda: mp.zeta(s, x), digits)
+    assert_claim(res, lambda: mp.zeta(s, x), digits)
 
 
 def test_bell_weights_are_elementary_symmetric():

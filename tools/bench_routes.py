@@ -14,12 +14,16 @@ Leibniz sum inside ``zeta_hasse``, ``_gamma_one_minus`` inside
 ``zeta_fourier``, ``_trig_combination`` inside the Fourier routes of
 ``zeta_prime0`` and ``zeta_doubleprime0``, ``fourier.lerch_transform``
 inside ``gamma1_fourier``, and ``_sondow_circle`` and ``_sondow_2q`` inside
-``sondow_gamma``.  Each row holds the best wall time of R calls, the terms
-used, the claimed error and the actual error against a reference at
-digits + 40: mpmath's closed forms, or for Sondow's constant on the unit
-circle, where mpmath has none, the package's other route.  The package is
-whichever ``stieltjes`` is on the path, so the same script times any
-checkout.
+``sondow_gamma``.  The direct series on ``kernels.sum_majorized`` have
+their rows too: Bell, Srivastava-Choi, Kolbig's S1 and S2 (the private
+``fourier._kolbig_s1`` and ``_kolbig_s2``, at the working precision their
+caller sets), Ramanujan's exponential sum and Sondow's power series at
+z = 1/2 and z = 1.  Each row holds the best wall time of R calls, the
+terms used, the claimed error and the actual error against a reference at
+digits + 40: mpmath's closed forms or its sums of the defining series, or
+for Sondow's constant on the unit circle, where mpmath has none, the
+package's other route.  The package is whichever ``stieltjes`` is on the
+path, so the same script times any checkout.
 """
 
 from __future__ import annotations
@@ -32,8 +36,10 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
+from stieltjes import fourier
 from stieltjes.constants import (bell_series_gamma, briggs_gamma,
-                                  digamma_hasse_series, hasse_gamma)
+                                  digamma_hasse_series, hasse_gamma,
+                                  ramanujan_exp_sum)
 from stieltjes.core import PrecisionConfig
 from stieltjes.fourier import gamma1_fourier, kummer_log_gamma, sondow_gamma
 from stieltjes.gammafuncs import (bourguet_log_gamma, digamma, log_gamma,
@@ -82,6 +88,26 @@ def _stieltjes1(digits):
     return mp.stieltjes(1, X)
 
 
+def _kolbig_s1_reference(digits):
+    # -sum_j zeta'(2j, 1)/4^j, each term below 1/16 of the one before
+    return mp.fsum(-mp.zeta(2 * j, 1, 1) / 4 ** j
+                   for j in range(1, mp.prec // 4 + 2))
+
+
+def _sondow_half(digits):
+    # sum 2^-(n-1) (1/n - log(1+1/n)), its rest below 2^-n
+    return mp.fsum(mpf(2) ** (1 - n) * (mpf(1) / n - mp.log1p(mpf(1) / n))
+                   for n in range(1, mp.prec + 10))
+
+
+def _at_workprec(series):
+    """A private series called at the working precision its caller sets."""
+    def call(cfg):
+        with cfg.workprec(40):
+            return series(cfg)
+    return call
+
+
 # name: (call on a config, reference at the ambient precision given digits)
 ROUTES = {
     "log_gamma": (lambda cfg: log_gamma(X, cfg),
@@ -114,6 +140,16 @@ ROUTES = {
     "bell_series_gamma 1": (lambda cfg: bell_series_gamma(1, X, cfg),
                             _stieltjes1),
     "briggs_gamma 1": (lambda cfg: briggs_gamma(1, X, cfg), _stieltjes1),
+    "_kolbig_s1": (_at_workprec(fourier._kolbig_s1), _kolbig_s1_reference),
+    "_kolbig_s2": (_at_workprec(fourier._kolbig_s2),
+                   lambda d: 2 * _kolbig_s1_reference(d)),
+    "ramanujan_exp_sum": (ramanujan_exp_sum,
+                          lambda d: (mp.log(4 / mp.pi) / 4
+                                     + mp.loggamma(mpf(3) / 4) - mp.pi / 12)),
+    "sondow_gamma z=1/2": (lambda cfg: sondow_gamma(mpf(1) / 2, cfg),
+                           _sondow_half),
+    "sondow_gamma z=1": (lambda cfg: sondow_gamma(1, cfg),
+                         lambda d: +mp.euler),
     "kummer_log_gamma": (lambda cfg: kummer_log_gamma(X, cfg),
                          lambda d: mp.loggamma(X)),
     "gamma1_fourier": (lambda cfg: gamma1_fourier(X, cfg), _stieltjes1),
