@@ -38,6 +38,13 @@ Kernels:
 * ``hurwitz_zeta_em`` -- Euler-Maclaurin summation of zeta(s, x) and its
   s-derivatives for every real s != 1, on the engine
   ``_em_log_power_sum`` that also gives gamma_m(x), log Gamma and psi.
+  Like the trigonometric kernel, the engine runs on Python-integer fixed
+  point: each head term is an exact product of P(log(k + x)) at 2^-W and a
+  weight (k + x)^-s from one mpmath integer power or exp, the derivatives
+  of the Bernoulli corrections are integer polynomials with y^-r folded
+  in, and the head, tail, f(N)/2 and corrections meet in mpf once.  The
+  rounding part of the claim is derived for that arithmetic, by one rule
+  for every product (``_em_log_power_sum``).
 """
 
 from __future__ import annotations
@@ -48,7 +55,10 @@ from functools import lru_cache
 from typing import Callable
 
 from mpmath import iv, mp, mpc, mpf
-from mpmath.libmp import mpf_cos_sin_pi, to_fixed
+from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_add,
+                          mpf_bernoulli, mpf_cos_sin_pi, mpf_exp, mpf_log,
+                          mpf_mul, mpf_neg, mpf_pow_int, round_down, round_up,
+                          to_fixed, to_float)
 
 from .core import (DEFAULT_CFG, DomainError, PoleError, PrecisionConfig,
                    SeriesResult, as_real, combine, require_positive)
@@ -509,19 +519,6 @@ def _horner(P, L):
     return pv
 
 
-def _log_poly_step(P, c):
-    """Coefficients of P' - c*P.
-
-    d/dt [P(L) (t+x)^-c] = (P'(L) - c P(L)) (t+x)^-(c+1) with L = log(t+x),
-    so P_{r+1} = _log_poly_step(P_r, s + r) gives the r-th derivative of
-    P(L) (t+x)^-s as P_r(L) (t+x)^-(s+r).
-    """
-    out = [-c * p for p in P]
-    for d in range(1, len(P)):
-        out[d - 1] += d * P[d]
-    return out
-
-
 def sum_oscillatory(poly, s, x, mode: str,
                     cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """sum_{n>=1} n^-w int_0^inf P(log(t+x)) (t+x)^-s trig(2 pi n t) dt.
@@ -733,87 +730,203 @@ def _em_tail_guard(deg: int, s, y) -> float:
         return float(mp.log(worst, 2))
 
 
+@lru_cache(maxsize=256)
+def _em_bernoulli(K: int, W: int) -> tuple:
+    """(beta_j, sh_j) for j = 1..K: beta_j = floor(2^sh_j B_2j / (2j)!) from
+    mpmath's B_2j at W + 10 bits, with sh_j chosen so that 2^W < |beta_j|
+    < 2^(W+2); so beta_j is within 2 units of 2^sh_j B_2j / (2j)!.  The
+    B_2j are asked for in order, as mpmath then takes each from its own
+    table at that precision: an entry depends on (j, W) alone, never on
+    the calls made before."""
+    row = []
+    fac = 1
+    for j in range(1, K + 1):
+        fac *= (2 * j - 1) * (2 * j)
+        sign, man, exp, bc = mpf_bernoulli(2 * j, W + 10)
+        sh = W + fac.bit_length() - bc - exp + 1
+        k = exp + sh  # beta = floor(+-man 2^k / fac)
+        p = -man if sign else man
+        row.append(((p << k) // fac if k >= 0 else p // (fac << -k), sh))
+    return tuple(row)
+
+
 def _em_log_power_sum(poly, s, x, cfg) -> SeriesResult:
     """sum_{k>=0} P(log(k+x)) (k+x)^-s by Euler-Maclaurin, for every real s.
 
-    ``poly`` holds the coefficients of P (ascending).  The first N terms
-    are summed directly; the tail is int_N^inf, continued analytically for
-    s < 1 and at s = 1 taken as its finite part -A^(d+1)/(d+1) per monomial
-    L^d (A = log(N+x)), which makes the sum gamma_m(x) for P = L^m.  Then
-    f(N)/2 and K Bernoulli corrections, whose derivatives come from
-    :func:`_log_poly_step`.  N, K and the guard bits come from
-    :func:`_em_plan` (target digits, s, deg P), never from x; below s = 1
-    :func:`_em_tail_guard` adds the tail's cancellation.  The error estimate
-    is the remainder bound of :func:`_em_remainder_log` plus a bound on the
-    rounding of every term summed, the tail's terms each counted."""
+    ``poly`` holds the integer coefficients of P (ascending, the last one
+    nonzero).  With y = N + x and A = log y the sum is
+
+        sum_{k<N} f(k) + y^(1-s) T(A) + y^-s [P(A)/2 - sum_{j<=K} b_j R_(2j-1)(A)]
+
+    for f(t) = P(log(t+x)) (t+x)^-s and b_j = B_2j / (2j)!.  The tail
+    y^(1-s) T(A) is int_N^inf f, continued analytically for s < 1: per
+    monomial L^d, T = F_d with F_d = q (A^d + d F_(d-1)), q = 1/(s-1).  At
+    s = 1 it is the finite part, T = -A^(d+1)/(d+1) and y^0 = 1, which
+    makes the sum gamma_m(x) for P = L^m.  f^(r)(N) = y^-s R_r(A) with
+    R_0 = P and R_(r+1) = (R_r' - (s+r) R_r) / y: folding y^-r into R_r
+    keeps its coefficients near r!/N^r, where a separate y^-(s+r) would
+    underflow.  N, K and the guard bits come from :func:`_em_plan` (target
+    digits, s, deg P), never from x; below s = 1 :func:`_em_tail_guard`
+    adds the tail's cancellation.  The error estimate is the remainder
+    bound of :func:`_em_remainder_log` plus the rounding bound below.
+
+    Rounding.  Everything runs on Python integers at W = bits + guard +
+    bitlen(N + 2K) + 16 bits and meets in one mpf, rounded to W bits
+    (2^(1-W) |value|).  mpmath's log, exp, integer power and Bernoulli
+    numbers are assumed good to a few ulps, as :func:`_abel_sum` assumes
+    of its trigonometric functions; u = 2^-W.
+
+    * Weights.  y_k = k + x is exact.  w_k = y_k^-s is one integer power
+      for integral s and exp(-s L_k) otherwise, L_k = log y_k, both at
+      W + 8 bits; the log and the product s L_k carry log2(1 + |s| lam)
+      more, lam >= max |log2 y_k|, so w_k is within u/4 relative.  L_k
+      enters fixed point at 2^-W within 2 units.
+    * Head.  P(L_k) by Horner on integers at 2^-W: its truncations and
+      L_k's error leave it within 3 deg u P^(Lh_k), where P^(t) =
+      sum |c_d| t^d and Lh_k = max(1, |L_k| + 2u) (Lh_k^(deg-1) <=
+      P^(Lh_k) and P^' <= deg P^ there, as c_deg is an integer); P^(Lh_k)
+      is bounded from above by a Horner of its own.  Each term P(L_k) w_k
+      is an exact product, truncated once to a multiple of 2^e with
+      N 2^e <= 2u max w_k.  So the head is within (3 deg + 3) u
+      sum P^(Lh_k) w_k.
+    * Tail, half and corrections, at y >= 4.  A, y, 1/y, s and q =
+      1/(s-1) are integers at 2^-W within 2, 1, 2, 1 and 1 units; q is
+      divided out of the exact s - 1, which keeps the bits
+      :func:`_pole_rounded` gives s next to the pole, and b_j is beta_j
+      2^-sh_j within 2^(1-sh_j) (:func:`_em_bernoulli`).  Every product
+      a b of such integers, with error bounds ea and eb in units, is
+      truncated and given the bound (|a| eb + |b| ea + ea eb) / 2^W + 2
+      (rounding the bound up, then the truncation), every sum the sum of
+      its bounds.  That one rule runs alongside the arithmetic: for the
+      powers of A, the F_d, each R_r (one bound for all its
+      coefficients, from their largest) and the Horner evaluation of the
+      bracket at A.  Times y^-s and y^(1-s), each part is off by at most
+      its bound plus u/2 of itself for the weight.
+    """
     deg = len(poly) - 1
     tol = cfg.tol()
     bits = int(math.ceil(float(-mp.log(tol, 2))))
     monomial = sum(1 for c in poly if c != 0) == 1
-    # s keeps the caller's bits: rounding s to wp bits would cost s - 1 its
+    # s keeps the caller's bits: rounding s to W bits would cost s - 1 its
     # relative precision near the pole
     s = mp.convert(s)
     # the plan and the bounds run on float(s); an s beyond float range
     # (1e400 is exact and finite) would never find a plan
-    if not math.isfinite(float(s)):
+    sf = float(s)
+    if not math.isfinite(sf):
         raise DomainError(f"s must lie within float range, got {s}")
-    N, K, guard = _em_plan(bits, float(s), deg, monomial)
+    N, K, guard = _em_plan(bits, sf, deg, monomial)
     x = mpf(x)
     guard += _em_tail_guard(deg, s, N + x)
-    wp = bits + int(guard) + (N + 2 * K).bit_length() + 16
-    with mp.workprec(wp):
-        P = [mpf(c) for c in poly]
-        tot = mpf(0)
-        mag = mpf(0)
-        for k in range(N):
-            if deg:
-                L = mp.log(k + x)
-                t = _horner(P, L) * mp.exp(-s * L)
-            else:
-                t = P[0] * (k + x) ** (-s)
-            tot += t
-            mag += abs(t)
-        A = mp.log(N + x)
-        # int_N^inf P(L) (t+x)^-s dt = int_A^inf P(u) e^((1-s)u) du
-        if s == 1:
-            tail = -mp.fsum(P[d] * A ** (d + 1) / (d + 1)
-                            for d in range(deg + 1))
-            mag += abs(tail)
-        else:
-            # below s = 1 the terms alternate: their absolute values count
-            tail = tail_mag = mpf(0)
-            for d in range(deg + 1):
-                terms = [mp.factorial(d) / mp.factorial(i) * A ** i
-                         / (s - 1) ** (d - i + 1) for i in range(d + 1)]
-                tail += P[d] * mp.fsum(terms)
-                tail_mag += abs(P[d]) * mp.fsum(terms, absolute=True)
-            grow = mp.exp((1 - s) * A)
-            tail *= grow
-            mag += tail_mag * grow
-        pw = mp.exp(-s * A)  # (N+x)^-(s+r)
-        half = _horner(P, A) * pw / 2
-        tot += tail + half
-        mag += abs(half)
-        inv = 1 / (N + x)
-        Pr = P
-        fact = 1
-        for r in range(2 * K - 1):
-            Pr = _log_poly_step(Pr, s + r)  # P_(r+1)
-            pw *= inv
-            if r % 2 == 0:
-                fact *= (r + 1) * (r + 2)
-                corr = -mp.bernoulli(r + 2) / fact * _horner(Pr, A) * pw
-                tot += corr
-                mag += abs(corr)
-        scale = mp.fsum(abs(c) for c in P) * A ** deg
-        Af, sf = float(A), float(s)
-        log_prod = sum(math.log(abs(sf + i) + 1 / Af) for i in range(2 * K))
-        remainder = scale * mp.exp(
-            _em_remainder_log(Af, sf, K, deg, log_prod) + (1 - s) * A)
-        # rounding: each term to within its condition number in ulps
-        cond = N + 2 * K + deg + 4 + (abs(s) + 1) * max(abs(mp.log(x)), A)
-        err = remainder + mag * cond * mpf(2) ** (-wp)
-        return SeriesResult(+tot, +err, N + K, tol)
+    W = bits + int(guard) + (N + 2 * K).bit_length() + 16
+    C = [int(c) for c in poly]
+    Cw = [c << W for c in C]
+    ssign, sman, sexp, _ = sr = s._mpf_
+    sman = -sman if ssign else sman
+    n = sman << sexp if sexp >= 0 else None  # s, when integral
+    xr = x._mpf_
+    lam = max(abs(xr[2] + xr[3]), N.bit_length()) + 2
+    WL = W + 8 + (lam if n is not None else int(abs(s) * lam) + 1).bit_length()
+
+    def weight(y, L):  # y^-s as a raw mpf, within u/4 relative
+        if n is not None:
+            return mpf_pow_int(y, -n, W + 8)
+        return mpf_exp(mpf_neg(mpf_mul(sr, L, WL)), W + 8)
+
+    Ca = [abs(c) for c in Cw]
+    terms = []  # P(L_k) and P^(Lh_k) at 2^-W, mantissa and exponent of w_k
+    for k in range(N):
+        y = mpf_add(from_int(k), xr)
+        L = mpf_log(y, WL) if deg or n is None else None
+        _, wm, we, _ = weight(y, L)
+        p, pa = Cw[-1], Ca[-1]
+        if deg:
+            ell = to_fixed(L, W)
+            lh = max(1 << W, abs(ell) + 2)
+            for c, ca in zip(reversed(Cw[:-1]), reversed(Ca[:-1])):
+                p = ((p * ell) >> W) + c
+                pa = ((pa * lh) >> W) + ca + 1
+        terms.append((p, pa, wm, we))
+    e = max(we + wm.bit_length() for *_, wm, we in terms) - W - N.bit_length()
+    head = mag = 0  # at 2^e
+    for p, pa, wm, we in terms:
+        d = we - e - W
+        head += (p * wm) << d if d >= 0 else (p * wm) >> -d
+        mag += ((pa * wm) << d if d >= 0 else (pa * wm) >> -d) + 1
+    head_err = (3 * deg + 3) * mag
+
+    y = mpf_add(from_int(N), xr)
+    La = mpf_log(y, WL)
+    A = to_fixed(La, W)
+    _, wm, we, _ = weight(y, La)
+    inv = (1 << 2 * W) // to_fixed(y, W)
+    S = to_fixed(sr, W)
+    # the bracket's coefficients Bc = P/2 - sum_j b_j R_(2j-1), each within EB
+    # R_r's coefficients within E, the largest of them M; R[deg + 1] = 0
+    R, E, M = Cw + [0], 0, max(map(abs, Cw))
+    Bc, EB = [c >> 1 for c in Cw], 0
+    row = _em_bernoulli(K, W)
+    for r in range(2 * K - 1):
+        Sr = S + (r << W)
+        # U = R' - (s + r) R within Ue, |U_d| <= Um; then R = U / y
+        Ue = deg * E + (((abs(Sr) + 1) * E + M) >> W) + 2
+        Um = ((((deg + 1) << W) + abs(Sr)) * M >> W) + 1
+        R = [(((d + 1) * R[d + 1] - ((Sr * R[d]) >> W)) * inv) >> W
+             for d in range(deg + 1)] + [0]
+        E = ((inv * Ue + 2 * (Um + Ue)) >> W) + 2
+        M = max(map(abs, R))
+        if not r % 2:
+            beta, sh = row[r // 2]
+            Bc = [b - ((beta * v) >> sh) for b, v in zip(Bc, R)]
+            EB += ((abs(beta) * E + 2 * (M + E)) >> sh) + 2
+    B, eB = Bc[-1], EB
+    for c in reversed(Bc[:-1]):
+        eB = (((A + 2) * eB + 2 * abs(B)) >> W) + 2 + EB
+        B = ((B * A) >> W) + c
+    # the tail T(A) within eT, from the powers A^d within eA_d, d <= deg + 1
+    powers = [(1 << W, 0)]
+    for _ in range(deg + 1):
+        Ap, eA = powers[-1]
+        powers.append(((Ap * A) >> W, (((A + 2) * eA + 2 * Ap) >> W) + 2))
+    T = eT = F = eF = 0
+    if n == 1:
+        for d, c in enumerate(C):
+            Ap, eA = powers[d + 1]
+            T -= (c * Ap) // (d + 1)
+            eT += abs(c) * eA + 1
+    else:
+        Q = ((1 << W) // (n - 1) if n is not None
+             else (1 << (W - sexp)) // (sman - (1 << -sexp)))
+        for d, c in enumerate(C):
+            Ap, eA = powers[d]
+            G, eG = Ap + d * F, eA + d * eF
+            eF = (((abs(Q) + 1) * eG + abs(G)) >> W) + 2
+            F = (Q * G) >> W
+            T += c * F
+            eT += abs(c) * eF
+
+    def join(parts, prec, rnd):  # sum of m 2^ex over parts, rounded once
+        low = min(ex for _, ex in parts)
+        return from_man_exp(sum(m << (ex - low) for m, ex in parts), low,
+                            prec, rnd)
+
+    # value = 2^e head + 2^(we-W) wm B + 2^(te-W) tm T
+    tm, te = (1, 0) if n == 1 else (y[1] * wm, y[2] + we)
+    value = join(((head, e), (wm * B, we - W), (tm * T, te - W)), W,
+                 round_down)
+    rounding = join(((head_err, e - W),
+                     (wm * (eB + (abs(B) >> (W + 1)) + 1), we - W),
+                     (tm * (eT + (abs(T) >> (W + 1)) + 1), te - W),
+                     (value[1], value[2] + 1 - W)), 60, round_up)
+    # the remainder bound: (N+x)^(1-s) A^deg sum|c| times the exponential
+    # of _em_remainder_log
+    Af = to_float(La)
+    log_prod = sum(math.log(abs(sf + i) + 1 / Af) for i in range(2 * K))
+    remainder = mpf_exp(from_float(
+        _em_remainder_log(Af, sf, K, deg, log_prod) + (1 - sf) * Af
+        + deg * math.log(Af) + math.log(sum(map(abs, C)))), 60, round_up)
+    err = mpf_add(remainder, rounding, 60, round_up)
+    return SeriesResult(mp.make_mpf(value), mp.make_mpf(err), N + K, tol)
 
 
 def _pole_rounded(s, cfg: PrecisionConfig) -> mpf:
@@ -849,5 +962,5 @@ def hurwitz_zeta_em(s, x=1, deriv: int = 0,
         if deriv < 0:
             raise DomainError("derivative order must be >= 0")
         # d^j/ds^j (k+x)^(-s) = (-log(k+x))^j (k+x)^(-s)
-        poly = [mpf(0)] * deriv + [mpf(-1) ** deriv]
+        poly = [0] * deriv + [(-1) ** deriv]
         return _em_log_power_sum(poly, s, x, cfg)

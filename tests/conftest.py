@@ -50,8 +50,13 @@ def record_results(monkeypatch, module, name):
 
 def assert_claim(res, reference, digits):
     """actual <= err_estimate <= 10^-digits max(1, |ref|), and converged,
-    with reference() evaluated at 40 digits beyond the request."""
-    with mp.workdps(digits + 40):
+    with reference() evaluated at 40 digits beyond the request, or beyond
+    the claim where that is finer: a claim of 1e-95 relative at 50 digits
+    is checked against a reference good to about 135 digits."""
+    finer = digits
+    if res.value and res.err_estimate:
+        finer = max(digits, int(mp.log10(abs(res.value) / res.err_estimate)))
+    with mp.workdps(finer + 40):
         ref = reference()
         actual = abs(res.value - ref)
         assert actual <= res.err_estimate, (

@@ -18,12 +18,17 @@ inside ``gamma1_fourier``, and ``_sondow_circle`` and ``_sondow_2q`` inside
 their rows too: Bell, Srivastava-Choi, Kolbig's S1 and S2 (the private
 ``fourier._kolbig_s1`` and ``_kolbig_s2``, at the working precision their
 caller sets), Ramanujan's exponential sum and Sondow's power series at
-z = 1/2 and z = 1.  Each row holds the best wall time of R calls, the
-terms used, the claimed error and the actual error against a reference at
-digits + 40: mpmath's closed forms or its sums of the defining series, or
-for Sondow's constant on the unit circle, where mpmath has none, the
-package's other route.  The package is whichever ``stieltjes`` is on the
-path, so the same script times any checkout.
+z = 1/2 and z = 1.  The Euler-Maclaurin engine has rows of its own:
+``hurwitz_zeta_em`` at s = 3 (derivatives 0 and 3), s = -21/2 and
+s = 1 + 2^-40, ``em_gamma`` for m = 1 and 10, psi at x = 1e-30, and, at 20
+digits only, s = -1000, x = 3/10, where the plan takes 2,435 terms.  Each
+row holds the best wall time of R calls, the terms used, the claimed
+error and the actual error against a reference at 40 digits beyond the
+request, or beyond the claim where that is finer: mpmath's closed forms
+or its sums of the defining series, or for Sondow's constant on the unit
+circle, where mpmath has none, the package's other route.  The package
+is whichever ``stieltjes`` is on the path, so the same script times any
+checkout.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from mpmath import mp, mpf
 
 from stieltjes import fourier
 from stieltjes.constants import (bell_series_gamma, briggs_gamma,
-                                  digamma_hasse_series, hasse_gamma,
+                                  digamma_hasse_series, em_gamma, hasse_gamma,
                                   ramanujan_exp_sum)
 from stieltjes.core import PrecisionConfig
 from stieltjes.fourier import gamma1_fourier, kummer_log_gamma, sondow_gamma
@@ -46,7 +51,7 @@ from stieltjes.gammafuncs import (bourguet_log_gamma, digamma, log_gamma,
                                   polygamma)
 from stieltjes.hurwitz import (poisson_zeta, zeta_doubleprime0, zeta_fourier,
                                zeta_hasse, zeta_prime0, zeta_srivastava_choi)
-from stieltjes.kernels import sum_trig_averaged
+from stieltjes.kernels import hurwitz_zeta_em, sum_trig_averaged
 
 DIGITS = (20, 30, 50, 100)
 XS = (Fraction(1, 3), Fraction(1, 1000))
@@ -81,11 +86,21 @@ S_LEFT, S_RIGHT = mpf(-5) / 4, mpf(5) / 2
 # -41/3 rounded to 53 bits: r = ceil(1 - s) = 15 terms of the Hasse tail
 S_NEGATIVE = mpf(-41) / 3
 CIRCLE = Fraction(1, 3)
+# the Euler-Maclaurin rows' inputs, all dyadic
+S_EM = mpf(-21) / 2
+S_POLE = 1 + mpf(2) ** -40
+X_TINY = mpf(1e-30)
+X_TENTHS = mpf(0.3)
+SLOW_ROUTES = {"hurwitz_zeta_em s=-1000 x=3/10"}  # timed at 20 digits only
 
 
 @functools.lru_cache(maxsize=None)
-def _stieltjes1(digits):
+def _stieltjes1_at(prec):
     return mp.stieltjes(1, X)
+
+
+def _stieltjes1(digits):
+    return _stieltjes1_at(mp.prec)
 
 
 def _kolbig_s1_reference(digits):
@@ -153,6 +168,24 @@ ROUTES = {
     "kummer_log_gamma": (lambda cfg: kummer_log_gamma(X, cfg),
                          lambda d: mp.loggamma(X)),
     "gamma1_fourier": (lambda cfg: gamma1_fourier(X, cfg), _stieltjes1),
+    "hurwitz_zeta_em s=3": (lambda cfg: hurwitz_zeta_em(3, X, 0, cfg),
+                            lambda d: mp.zeta(3, X)),
+    "hurwitz_zeta_em s=3 deriv 3": (
+        lambda cfg: hurwitz_zeta_em(3, X, 3, cfg),
+        lambda d: mp.zeta(3, X, 3)),
+    "hurwitz_zeta_em s=-21/2": (lambda cfg: hurwitz_zeta_em(S_EM, X, 0, cfg),
+                                lambda d: mp.zeta(S_EM, X)),
+    "hurwitz_zeta_em s=1+2^-40": (
+        lambda cfg: hurwitz_zeta_em(S_POLE, X, 0, cfg),
+        lambda d: mp.zeta(S_POLE, X)),
+    "em_gamma 1": (lambda cfg: em_gamma(1, X, cfg), _stieltjes1),
+    "em_gamma 10": (lambda cfg: em_gamma(10, X, cfg),
+                    lambda d: mp.stieltjes(10, X)),
+    "digamma x=1e-30": (lambda cfg: digamma(X_TINY, cfg),
+                        lambda d: mp.digamma(X_TINY)),
+    "hurwitz_zeta_em s=-1000 x=3/10": (
+        lambda cfg: hurwitz_zeta_em(-1000, X_TENTHS, 0, cfg),
+        lambda d: mp.zeta(-1000, X_TENTHS)),
     "sondow_gamma circle series": (
         lambda cfg: sondow_gamma(CIRCLE, cfg),
         lambda d: sondow_gamma(CIRCLE, PrecisionConfig(digits=d + 40),
@@ -173,7 +206,12 @@ def _timed(call, repeat):
 
 
 def _row(res, best, reference, digits):
-    with mp.workdps(digits + 40):
+    # 40 digits beyond the request, or beyond the claim where that is finer
+    # relative to the value (s = -1000: 1e-1800 relative at 20 digits)
+    finer = digits
+    if res.value and res.err_estimate:
+        finer = max(digits, int(mp.log10(abs(res.value) / res.err_estimate)))
+    with mp.workdps(finer + 40):
         actual = abs(res.value - reference())
     return {"seconds": best, "terms": res.terms_used,
             "converged": bool(res.converged),
@@ -212,6 +250,8 @@ def main():
                             digits))
             rows.append(row)
         for name, (call, reference) in ROUTES.items():
+            if name in SLOW_ROUTES and digits != 20:
+                continue
             res, best = _timed(lambda: call(cfg), args.repeat)
             row = {"route": name, "digits": digits}
             row.update(_row(res, best, lambda: reference(digits), digits))
