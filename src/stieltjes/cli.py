@@ -9,20 +9,20 @@ Every printed ``value``, ``err_estimate`` and ``terms_used`` is the route's
 own :class:`~stieltjes.core.SeriesResult`, and ``converged`` is its verdict.
 
 Each ``compute`` is a fresh process, so it loads only what its request runs.
-It first makes the checks that need no mpmath (digits in [10, 200], the
-quantity's required arguments) and resolves the route (a default or
-``auto`` becomes the route that runs); then it looks the request up in the
-result cache.  A hit prints the stored result and loads
-neither mpmath nor any computing module; its ``meta.mpmath`` is the mpmath
-version that computed the entry.  Only a miss imports mpmath and the module
-that holds its quantity's evaluator (``gammafuncs`` for ``digamma`` and
-``log_gamma``, ``hurwitz`` for the zeta quantities, ``constants`` for
-``gamma_m``, ``fourier`` for ``sondow_gamma``, each with the modules it
-imports), and ``meta.mpmath`` is the version in use.  ``meta.elapsed_ms``
-runs from the cache lookup to the result, so on a miss it includes loading
-mpmath and those modules.  ``s`` reaches the route exactly (a decimal's text
-is an exact fraction), so s near 1 keeps s - 1 to working precision; the
-printed ``params`` and the cache key keep the text as typed.
+It first checks, with no mpmath, the digits (in [10, 200]) and the route
+and arguments against the route's row of :data:`stieltjes.routes.TABLE`
+(``auto`` becomes the default route); then it looks the request up in the
+result cache.  A hit prints the stored result and loads neither mpmath nor
+any computing module; its ``meta.mpmath`` is the mpmath version that
+computed the entry.  Only a miss imports mpmath and the module the row
+names (``kernels`` for the EM routes of the zeta quantities, ``hurwitz``
+for their other routes, ``gammafuncs``, ``constants`` or ``fourier``, each
+with the modules it imports), and ``meta.mpmath`` is the version in use.
+``meta.elapsed_ms`` runs from the cache lookup to the result, so on a miss
+it includes loading mpmath and those modules.  ``s`` reaches the route
+exactly (a decimal's text is an exact fraction), so s near 1 keeps s - 1
+to working precision; the printed ``params`` and the cache key keep the
+text as typed.
 
 ``validate`` runs its suites at the same time on the usable cores: one
 forked worker process per core, and a free worker takes the next suite
@@ -47,9 +47,8 @@ import sys
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
-from importlib import import_module
 
-from . import DomainError, __version__
+from . import DomainError, __version__, routes
 from .cache import ResultCache
 
 EXIT_OK = 0
@@ -84,76 +83,39 @@ def _build_cfg(args):
     return PrecisionConfig(digits=args.digits)
 
 
-def _series_only(name):
-    def evaluate(module, route, a, cfg):
-        if route != "series":
-            raise DomainError(f"unknown {name} method {route!r}")
-        return getattr(module, name)(a.x, cfg)
-    return evaluate
-
-
-# quantity -> (default route, required arguments, module, evaluator(module,
-# route, args, cfg)).  An evaluator returns the route's SeriesResult; the
-# module is imported and its kernel looked up at call time, so a request
-# loads only that module and a rebound module attribute is used.
-QUANTITIES = {
-    "gamma_m": ("em", ("m", "x"), "constants",
-                lambda mod, route, a, cfg: mod.stieltjes_gamma(a.m, a.x, route, cfg)),
-    "zeta": ("em", ("s",), "hurwitz", lambda mod, route, a, cfg: mod.zeta(
-        a.s, a.x, a.deriv, route, cfg)),
-    "zeta_prime0": ("em", ("x",), "hurwitz",
-                    lambda mod, route, a, cfg: mod.zeta_prime0(a.x, route, cfg)),
-    "zeta_doubleprime0": ("em", ("x",), "hurwitz",
-                          lambda mod, route, a, cfg: mod.zeta_doubleprime0(a.x, route, cfg)),
-    "digamma": ("series", ("x",), "gammafuncs", _series_only("digamma")),
-    "log_gamma": ("series", ("x",), "gammafuncs", _series_only("log_gamma")),
-    # an exact p/q selects the unit-circle point exp(i pi p/q)
-    "sondow_gamma": ("series", ("x",), "fourier",
-                     lambda mod, route, a, cfg: mod.sondow_gamma(
-                         a.raw_x if isinstance(a.raw_x, Fraction) else a.x,
-                         cfg, route=route)),
-}
-
-
-def _route(args, x):
-    """The route that runs, once the quantity's required arguments are
-    there; needs no mpmath."""
-    default, required = QUANTITIES[args.quantity][:2]
-    given = {"m": args.m, "x": x, "s": args.s}
-    missing = [f"-{k}" for k in required if given[k] is None]
-    if missing:
-        raise DomainError(f"{args.quantity} requires {' and '.join(missing)}")
-    route = args.method or default
-    if args.quantity == "zeta" and route == "auto":
-        route = "em"
-    return route
+def _request(args, x):
+    """The request's arguments as typed, which ``routes.resolve`` checks
+    against the route's row of the table with no mpmath."""
+    return {"m": args.m, "x": x, "s": args.s, "deriv": args.deriv}
 
 
 def _arguments(args, x, cfg):
-    """The quantity's arguments: x at working precision, s as the exact
-    Fraction its text names.  A non-finite x or s (inf, nan) is refused."""
-    from mpmath import mp, mpf
+    """The request's arguments as the routes read them: x at working
+    precision, or the exact p/q typed where the quantity reads it so
+    (``routes.EXACT_X``); s as the exact Fraction its text names.  A
+    non-finite x or s (inf, nan) is refused."""
+    from mpmath import mp
     from .core import as_real
-    s = None
+    request = _request(args, x)
     if args.s is not None:
         try:
-            s = Fraction(args.s)
+            request["s"] = Fraction(args.s)
         except ValueError:
             raise DomainError(f"s must be a finite number, got {args.s}") from None
-    with cfg.workprec():
-        xv = mpf(1) if x is None else as_real(x)
-    if not mp.isfinite(xv):
-        raise DomainError(f"x must be a finite number, got {x}")
-    return argparse.Namespace(m=args.m, deriv=args.deriv, raw_x=x, x=xv, s=s)
+    if x is not None and not (isinstance(x, Fraction)
+                              and args.quantity in routes.EXACT_X):
+        with cfg.workprec():
+            request["x"] = as_real(x)
+        if not mp.isfinite(request["x"]):
+            raise DomainError(f"x must be a finite number, got {x}")
+    return request
 
 
 def _evaluate(args, x, route, cfg):
     """Result fields shared by compute and table: value, claimed error, terms,
     convergence (and value_im for a complex value)."""
     from mpmath import mp, mpc
-    _, _, module, evaluate = QUANTITIES[args.quantity]
-    res = evaluate(import_module(f".{module}", __package__), route,
-                   _arguments(args, x, cfg), cfg)
+    res = routes.run(args.quantity, route, cfg, **_arguments(args, x, cfg))
     out = {"value": _fmt(mp.re(res.value), cfg.digits),
            "err_estimate": _fmt(res.err_estimate, 3),
            "terms_used": res.terms_used,
@@ -165,11 +127,10 @@ def _evaluate(args, x, route, cfg):
 
 def cmd_compute(args) -> int:
     _check_digits(args)
-    route = _route(args, args.x)
-    params = {"x": str(args.x) if args.x is not None else None,
-              "s": str(args.s) if args.s is not None else None,
-              "m": args.m, "deriv": args.deriv}
-    params = {k: v for k, v in params.items() if v is not None}
+    request = _request(args, args.x)
+    route = routes.resolve(args.quantity, args.method, request)[0]
+    params = {k: str(v) if isinstance(v, Fraction) else v
+              for k, v in request.items() if v is not None}
     cache = ResultCache(args.cache_dir, enabled=not args.no_cache)
     t0 = time.monotonic()
     cached = cache.get(args.quantity, params, route, args.digits)
@@ -313,11 +274,10 @@ def cmd_table(args) -> int:
     cfg = _build_cfg(args)
     with cfg.workprec():
         grid = _parse_grid(args.grid)
-    rows = []
-    for x in grid:
-        route = _route(args, x)
-        rows.append({"x": _fmt(x, cfg.digits),
-                     **_evaluate(args, x, route, cfg)})
+    route = routes.resolve(args.quantity, args.method,
+                           _request(args, grid[0]))[0]
+    rows = [{"x": _fmt(x, cfg.digits), **_evaluate(args, x, route, cfg)}
+            for x in grid]
     out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         if args.format == "json":
@@ -342,8 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "catalog at configurable precision.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    method_help = ("the route; auto, the default, runs the first listed: "
+                   + "; ".join(f"{q}: {', '.join(r)}"
+                               for q, r in routes.ROUTES.items()))
+
     pc = sub.add_parser("compute", help="compute a single quantity")
-    pc.add_argument("quantity", choices=list(QUANTITIES))
+    pc.add_argument("quantity", choices=list(routes.ROUTES))
     pc.add_argument("-m", type=int, default=None, help="Stieltjes index m")
     pc.add_argument("-x", type=_parse_number, default=None,
                     help="argument x (decimal or exact p/q)")
@@ -354,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--no-cache", action="store_true")
     pc.add_argument("--cache-dir", default=None,
                     help="cache directory (overrides $STIELTJES_CACHE_DIR)")
-    pc.add_argument("--method", default=None)
+    pc.add_argument("--method", default="auto", help=method_help)
     pc.set_defaults(func=cmd_compute)
 
     pv = sub.add_parser(
@@ -376,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_validate)
 
     pt = sub.add_parser("table", help="tabulate a quantity over a grid")
-    pt.add_argument("quantity", choices=list(QUANTITIES))
+    pt.add_argument("quantity", choices=list(routes.ROUTES))
     pt.add_argument("--grid", required=True, help="start:stop:count")
     pt.add_argument("--format", choices=("csv", "json"), default="csv")
     pt.add_argument("--out", default=None)
     pt.add_argument("-m", type=int, default=None)
     pt.add_argument("-s", type=_parse_number, default=None)
     pt.add_argument("--deriv", type=int, default=0)
-    pt.add_argument("--method", default=None)
+    pt.add_argument("--method", default="auto", help=method_help)
     pt.set_defaults(func=cmd_table)
     for p in (pc, pv, pt):
         p.add_argument("--digits", type=int, default=30,

@@ -1,7 +1,7 @@
-"""Generalized Stieltjes constants gamma_m(x) by five routes, plus the
+"""Generalized Stieltjes constants gamma_m(x) by the routes below, plus the
 derivative, reflection and functional-equation identities built on them.
 
-Routes:
+Routes (the ``gamma_m`` rows of :data:`stieltjes.routes.TABLE`):
 
 * ``em``             -- the default: the Euler-Maclaurin engine at s = 1,
                         sum_k log^m(k+x)/(k+x) with the tail integral taken
@@ -33,7 +33,7 @@ from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
                       sum_majorized, sum_oscillatory)
 from .combinatorics import binomial
 from .hurwitz import _hasse_parts, zeta_doubleprime0
-from . import gammafuncs
+from . import gammafuncs, routes
 
 # where the Bell route shifts x before its series: a shift step costs a log,
 # a term m + 1 EM calls and gains log2(x) bits; 64-256 cost least at 20-100
@@ -193,21 +193,10 @@ def briggs_gamma(m: int, x,
                        tol=cfg.tol())
 
 
-_ROUTES = {
-    "em": lambda m, x, cfg: em_gamma(m, x, cfg),
-    "hasse": lambda m, x, cfg: hasse_gamma(m, x, cfg),
-    "bell": lambda m, x, cfg: bell_series_gamma(m, x, cfg),
-    "laurent_oracle": lambda m, x, cfg: laurent_oracle(m, x, cfg),
-    "briggs": lambda m, x, cfg: briggs_gamma(m, x, cfg),
-}
-
-
 def stieltjes_gamma(m: int, x=1, method: str = "em",
                     cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """gamma_m(x) by the requested route (em|hasse|bell|laurent_oracle|briggs)."""
-    if method not in _ROUTES:
-        raise ValueError(f"unknown method {method!r}")
-    return _ROUTES[method](m, x, cfg)
+    """gamma_m(x) by the route ``method`` (``auto``: ``em``)."""
+    return routes.run("gamma_m", method, cfg, m=m, x=x)
 
 
 def digamma_hasse_series(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:

@@ -29,7 +29,7 @@ from .kernels import (hurwitz_zeta_em, integrate_adaptive, sum_majorized,
                       sum_trig_averaged)
 from .constants import hasse_gamma
 from .hurwitz import zeta_doubleprime0
-from . import gammafuncs
+from . import gammafuncs, routes
 
 
 def lerch_transform(c, mode: str, x,
@@ -307,6 +307,8 @@ def _sondow_power_series(z, cfg) -> SeriesResult:
 def _sondow_circle(z: Fraction, cfg) -> SeriesResult:
     """gamma(omega), omega = exp(i pi p/q): (C + i S) e^(-i pi p/q) for the
     cosine and sine sums C, S of the coefficients at x = p/(2q)."""
+    if not 0 < z <= 1:
+        raise DomainError("angle p/q must lie in (0, 1]")
     C = sum_trig_averaged(_euler_coeff, "cos", z / 2, cfg)
     # at z = -1 the sine series sin(pi n) a_n vanishes term by term
     S = (SeriesResult(mpf(0), mpf(0), 0, cfg.tol()) if z == 1 else
@@ -316,21 +318,59 @@ def _sondow_circle(z: Fraction, cfg) -> SeriesResult:
     return combine(lambda c, s: iv.mpc(c, s) * turn, C, S, tol=cfg.tol())
 
 
-def _sondow_2q(z: Fraction, cfg) -> SeriesResult:
+def _sondow_series(z, cfg) -> SeriesResult:
+    """gamma(z) by the defining sum: on the circle and at z = -1 by the
+    trigonometric kernel, elsewhere by the power series."""
+    with cfg.workprec(40):
+        if isinstance(z, Fraction):
+            return _sondow_circle(z, cfg)
+        z = as_real(z)
+        if z != -1:
+            return _sondow_power_series(z, cfg)
+        res = _sondow_circle(Fraction(1), cfg)
+        return SeriesResult(res.value.real, res.err_estimate,
+                            res.terms_used, res.tol)
+
+
+def _sondow_integral(z, cfg) -> SeriesResult:
+    """gamma(z) for real z <= 1 by int_0^1 (1 - y + log y) / ((1 - zy)
+    log y) dy on the adaptive quadrature."""
+    if isinstance(z, Fraction):
+        raise DomainError("integral route takes real z only")
+    with cfg.workprec(40):
+        zr = as_real(z)
+        if zr > 1:
+            raise DomainError("z <= 1 required (pole of 1/(1-zy))")
+
+        # (1 - y + log y) / ((1 - zy) log y) = (1 - y) k(y) / (1 - zy),
+        # k(y) = 1/(1-y) + 1/log y formed past its cancellation at y -> 1
+        def f(y):
+            if not 0 < y < 1:
+                return mpf(0)
+            return ((1 - y) * gammafuncs._log_kernel_bracket(y)
+                    / (1 - zr * y))
+
+        return integrate_adaptive(f, 0, 1, cfg)
+
+
+def _sondow_2q(z, cfg) -> SeriesResult:
     """The finite form in log Gamma(k/(2q)), omega = exp(i pi p/q)."""
+    if not (isinstance(z, Fraction) and 0 < z <= 1):
+        raise DomainError("2q route takes a Fraction angle p/q in (0, 1]")
     p, q = z.numerator, z.denominator
-    lg = [gammafuncs.log_gamma(mpf(k) / (2 * q), cfg)
-          for k in range(1, 2 * q + 2)]
+    with cfg.workprec(40):
+        lg = [gammafuncs.log_gamma(mpf(k) / (2 * q), cfg)
+              for k in range(1, 2 * q + 2)]
 
-    def glue(*L):
-        angle = iv.pi * p / q
-        omega = iv.mpc(iv.cos(angle), iv.sin(angle))
-        total = -iv.log(1 - omega) / omega
-        for n in range(1, 2 * q + 1):
-            total += omega ** (n - 1) * (L[n] - L[n - 1])
-        return total
+        def glue(*L):
+            angle = iv.pi * p / q
+            omega = iv.mpc(iv.cos(angle), iv.sin(angle))
+            total = -iv.log(1 - omega) / omega
+            for n in range(1, 2 * q + 1):
+                total += omega ** (n - 1) * (L[n] - L[n - 1])
+            return total
 
-    return combine(glue, *lg, tol=cfg.tol())
+        return combine(glue, *lg, tol=cfg.tol())
 
 
 def sondow_gamma(z: Union[mpf, float, int, Fraction],
@@ -342,42 +382,9 @@ def sondow_gamma(z: Union[mpf, float, int, Fraction],
     selects the unit-circle point omega = exp(i pi p/q), where the value is
     complex (p/q = 1 is z = -1).  Routes: "series" (the defining sum, by the
     trigonometric kernel on the circle and at z = -1), "integral" (real
-    z <= 1), "2q"
-    (finite log-gamma form, Fraction only).  The error estimate comes from
-    the kernels and tails each route sums, combined in interval arithmetic
-    (:func:`stieltjes.core.combine`) where a route glues several.
+    z <= 1), "2q" (finite log-gamma form, Fraction only).  The error
+    estimate comes from the kernels and tails each route sums, combined in
+    interval arithmetic (:func:`stieltjes.core.combine`) where a route
+    glues several.
     """
-    on_circle = isinstance(z, Fraction)
-    if on_circle and not 0 < z <= 1:
-        raise DomainError("angle p/q must lie in (0, 1]")
-    with cfg.workprec(40):
-        if route == "series":
-            if on_circle:
-                return _sondow_circle(z, cfg)
-            z = as_real(z)
-            if z != -1:
-                return _sondow_power_series(z, cfg)
-            res = _sondow_circle(Fraction(1), cfg)
-            return SeriesResult(res.value.real, res.err_estimate,
-                                res.terms_used, res.tol)
-        if route == "integral":
-            if on_circle:
-                raise DomainError("integral route takes real z only")
-            zr = as_real(z)
-            if zr > 1:
-                raise DomainError("z <= 1 required (pole of 1/(1-zy))")
-
-            # (1 - y + log y) / ((1 - zy) log y) = (1 - y) k(y) / (1 - zy),
-            # k(y) = 1/(1-y) + 1/log y formed past its cancellation at y -> 1
-            def f(y):
-                if not 0 < y < 1:
-                    return mpf(0)
-                return ((1 - y) * gammafuncs._log_kernel_bracket(y)
-                        / (1 - zr * y))
-
-            return integrate_adaptive(f, 0, 1, cfg)
-        if route == "2q":
-            if not on_circle:
-                raise DomainError("2q route takes a Fraction angle p/q")
-            return _sondow_2q(z, cfg)
-        raise ValueError(f"unknown route {route!r}")
+    return routes.run("sondow_gamma", route, cfg, x=z)

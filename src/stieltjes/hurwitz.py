@@ -27,9 +27,10 @@ Routes:
   onto the imaginary axis and summed as one integral by
   ``kernels.sum_oscillatory``.
 
-``zeta`` dispatches between all five and returns the route's own result;
-``zeta_prime0`` and ``zeta_doubleprime0`` take ``em`` (the default),
-``hasse`` or ``fourier``.  Hasse stays as the independent cross-check.
+``zeta``, ``zeta_prime0`` and ``zeta_doubleprime0`` run the route named in
+:data:`stieltjes.routes.TABLE` and return its own result; the latter two
+take ``em`` (the default), ``hasse`` or ``fourier``.  Hasse stays as the
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
 from .kernels import (TS_GUARD_BITS, _horner, _pole_rounded,
                       hurwitz_zeta_em, integrate_adaptive, sum_majorized,
                       sum_oscillatory, sum_trig_averaged)
-from . import gammafuncs
+from . import gammafuncs, routes
 from .combinatorics import bell_complete, binomial
 
 _HEAD_TERMS = 32
@@ -403,84 +404,55 @@ def zeta_fourier(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
             sum_trig_averaged(coeff, "sin", x, tcfg), tol=cfg.tol())
 
 
-# routes of zeta that implement deriv = 0 only; each looks its function up
-# at call time, so that a rebound module attribute is the one that runs
-_VALUE_ROUTES = {
-    "fourier": lambda s, x, cfg: zeta_fourier(s, x, cfg),
-    "srivastava-choi": lambda s, x, cfg: zeta_srivastava_choi(s, x, cfg),
-    "poisson": lambda s, x, cfg: poisson_zeta(s, x, cfg),
-}
-
-
 def zeta(s, x=1, deriv: int = 0, method: str = "auto",
          cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """The route's result for d^j/ds^j zeta(s, x).
-
-    ``em`` (alias ``auto``) is the Euler-Maclaurin engine for every s != 1,
-    ``hasse`` the binomial series; ``fourier``, ``srivastava-choi`` and
-    ``poisson`` take deriv = 0 only.
-    """
-    if method in ("auto", "em"):
-        return hurwitz_zeta_em(s, x, deriv, cfg)
-    if method == "hasse":
-        return zeta_hasse(s, x, deriv, cfg)
-    if method not in _VALUE_ROUTES:
-        raise DomainError(f"unknown zeta method {method!r}")
-    if deriv:
-        raise DomainError(f"zeta method {method!r} implements deriv = 0 only")
-    return _VALUE_ROUTES[method](s, x, cfg)
-
-
-def _trig_combination(parts, x, cfg: PrecisionConfig) -> SeriesResult:
-    """sum_i w_i sum_n c_i(n) trig_i(2 pi n x) for (w_i, c_i, trig_i) in
-    ``parts``, each sum run to its share of the tolerance."""
-    weights = [iv.mpf(w) for w, _, _ in parts]
-    tcfg = _trig_cfg(cfg, mpf(sum(abs(w) for w in weights).b))
-    sums = [sum_trig_averaged(coeff, mode, x, tcfg) for _, coeff, mode in parts]
-    return combine(lambda *t: sum(w * v for w, v in zip(weights, t)),
-                   *sums, tol=cfg.tol())
+    """d^j/ds^j zeta(s, x) by the route ``method`` (``auto``: ``em``, the
+    Euler-Maclaurin engine for every s != 1); ``fourier``,
+    ``srivastava-choi`` and ``poisson`` take deriv = 0 only."""
+    return routes.run("zeta", method, cfg, s=s, x=x, deriv=deriv)
 
 
 def zeta_prime0(x, via: str = "em",
                 cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """zeta'(0, x); satisfies log Gamma(x) = zeta'(0,x) + log(2 pi)/2."""
-    if via in ("em", "hasse"):
-        return zeta(0, x, 1, via, cfg)
-    with cfg.workprec(40):
-        x = as_real(x)
-        if via == "fourier":
-            if not 0 < x < 1:
-                raise DomainError("trigonometric route requires 0 < x < 1")
-            g = mp.euler
-            return _trig_combination(
-                [(1 / iv.pi, lambda n: (mp.log(2 * mp.pi * n) + g) / n, "sin"),
-                 (mpf(1) / 2, lambda n: mpf(1) / n, "cos")], x, cfg)
-        raise ValueError(f"unknown route {via!r}")
+    """zeta'(0, x) by the route ``via``; satisfies log Gamma(x) = zeta'(0,x)
+    + log(2 pi)/2."""
+    return routes.run("zeta_prime0", via, cfg, x=x)
 
 
 def zeta_doubleprime0(x, via: str = "em",
                       cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """zeta''(0, x) by the EM engine, the binomial series or the
-    trigonometric form: with L = log 2 pi n + gamma, the sine sum of
-    (2 L^2 - pi^2/6)/(2 pi n) plus the cosine sum of L/n."""
-    if via in ("em", "hasse"):
-        return zeta(0, x, 2, via, cfg)
+    """zeta''(0, x) by the route ``via``."""
+    return routes.run("zeta_doubleprime0", via, cfg, x=x)
+
+
+def _zeta0_fourier(order: int, x, cfg: PrecisionConfig) -> SeriesResult:
+    """zeta'(0, x) (order 1) or zeta''(0, x) (order 2) on 0 < x < 1.  With
+    L = log 2 pi n + gamma, zeta'(0, x) is the sine sum of L/(pi n) plus
+    half the cosine sum of 1/n, and zeta''(0, x) the sine sum of
+    (2 L^2 - pi^2/6)/(2 pi n) plus the cosine sum of L/n, each sum run to
+    its share of the tolerance."""
     with cfg.workprec(40):
         x = as_real(x)
-        if via == "fourier":
-            if not 0 < x < 1:
-                raise DomainError("trigonometric route requires 0 < x < 1")
-            g = mp.euler
+        if not 0 < x < 1:
+            raise DomainError("trigonometric route requires 0 < x < 1")
+        g = mp.euler
+        if order == 1:
+            parts = [(1 / iv.pi, lambda n: (mp.log(2 * mp.pi * n) + g) / n,
+                      "sin"), (mpf(1) / 2, lambda n: mpf(1) / n, "cos")]
+        else:
             two_pi = 2 * mp.pi
             z2 = mp.pi ** 2 / 6
 
             def lg(n):
                 return mp.log(two_pi * n) + g
 
-            return _trig_combination(
-                [(1, lambda n: (2 * lg(n) ** 2 - z2) / (two_pi * n), "sin"),
-                 (1, lambda n: lg(n) / n, "cos")], x, cfg)
-        raise ValueError(f"unknown route {via!r}")
+            parts = [(1, lambda n: (2 * lg(n) ** 2 - z2) / (two_pi * n),
+                      "sin"), (1, lambda n: lg(n) / n, "cos")]
+        weights = [iv.mpf(w) for w, _, _ in parts]
+        tcfg = _trig_cfg(cfg, mpf(sum(abs(w) for w in weights).b))
+        sums = [sum_trig_averaged(c, mode, x, tcfg) for _, c, mode in parts]
+        return combine(lambda *t: sum(w * v for w, v in zip(weights, t)),
+                       *sums, tol=cfg.tol())
 
 
 def zeta_srivastava_choi(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:

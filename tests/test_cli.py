@@ -13,9 +13,10 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import stieltjes
-from stieltjes import constants, fourier, gammafuncs, hurwitz, suites
+from stieltjes import (DomainError, constants, fourier, gammafuncs, hurwitz,
+                       routes, suites)
 from stieltjes.cache import ResultCache
-from stieltjes.cli import QUANTITIES, main
+from stieltjes.cli import main
 from stieltjes.core import PrecisionConfig
 from stieltjes.kernels import hurwitz_zeta_em
 
@@ -544,24 +545,32 @@ DEFAULT_ROUTES = {
 }
 
 
-def _modules_after(argv, watched):
-    """Run cli.main(argv) in a fresh interpreter: (exit code, cache_hit,
-    the watched modules it loaded)."""
+def _in_fresh_interpreter(argv, report):
+    """Run cli.main(argv) in a fresh interpreter, its stdout and stderr in
+    the StringIOs out and err; the JSON of the expression ``report``, read
+    there after the call."""
     script = (
         "import io, json, sys, contextlib\n"
         "from stieltjes import cli\n"
-        "out = io.StringIO()\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
-        f"    code = cli.main({list(argv)!r})\n"
-        "hit = json.loads(out.getvalue())['meta']['cache_hit']\n"
-        f"print(json.dumps([code, hit] + [m for m in {list(watched)!r} "
-        "if m in sys.modules]))\n")
+        "    with contextlib.redirect_stderr(err):\n"
+        f"        code = cli.main({list(argv)!r})\n"
+        f"print(json.dumps({report}))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(stieltjes.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _modules_after(argv, watched):
+    """(exit code, cache_hit, the watched modules loaded) of cli.main(argv)
+    in a fresh interpreter."""
+    return _in_fresh_interpreter(
+        argv, "[code, json.loads(out.getvalue())['meta']['cache_hit']] + "
+              f"[m for m in {list(watched)!r} if m in sys.modules]")
 
 
 def test_compute_imports_neither_suites_nor_a_pool(tmp_path):
@@ -575,10 +584,27 @@ def test_compute_imports_neither_suites_nor_a_pool(tmp_path):
     computing = ["mpmath", "stieltjes.core", "stieltjes.kernels",
                  "stieltjes.gammafuncs"]
     assert _modules_after(argv, unused + computing) == [0, True]
+    # the zeta row of the Euler-Maclaurin route names kernels, not hurwitz
+    zeta = ["compute", "zeta", "-s", "2", "--digits", "20", "--no-cache"]
+    assert _modules_after(zeta, unused + ["stieltjes.kernels"]) == [
+        0, False, "stieltjes.kernels"]
 
 
 def test_every_quantity_has_a_default_route_case():
-    assert set(DEFAULT_ROUTES) == set(QUANTITIES)
+    assert set(DEFAULT_ROUTES) == set(routes.ROUTES)
+
+
+def _assert_claim_covers(result, reference):
+    """The printed value lies within its printed claim of the reference."""
+    parts = [result["value"]] + ([result["value_im"]]
+                                 if "value_im" in result else [])
+    with mp.workdps(40):
+        value = mpc(*[mpf(p) for p in parts])
+        ref = reference()
+        # printing rounds each part by half a unit in its last digit
+        printed = sum(mpf(10) ** Decimal(p).as_tuple().exponent / 2
+                      for p in parts)
+        assert abs(value - ref) <= mpf(result["err_estimate"]) + printed
 
 
 @pytest.mark.parametrize("quantity", sorted(DEFAULT_ROUTES))
@@ -592,13 +618,100 @@ def test_default_route_prints_its_own_claim(quantity, capsys):
     assert result["err_estimate"] == mp.nstr(res.err_estimate, 3,
                                              strip_zeros=False)
     assert result["terms_used"] == res.terms_used > 0
-    parts = [result["value"]] + ([result["value_im"]]
-                                 if "value_im" in result else [])
+    _assert_claim_covers(result, reference)
     with mp.workdps(40):
-        value = mpc(*[mpf(p) for p in parts])
-        ref = reference()
-        # printing rounds each part by half a unit in its last digit
-        printed = sum(mpf(10) ** Decimal(p).as_tuple().exponent / 2
-                      for p in parts)
-        assert abs(value - ref) <= mpf(result["err_estimate"]) + printed
-        assert abs(res.value - ref) <= res.err_estimate
+        assert abs(res.value - reference()) <= res.err_estimate
+
+
+def _sondow_real_reference(z):
+    """gamma(z) for real |z| < 1 by its defining sum."""
+    return mp.nsum(lambda n: z ** (n - 1) * (1 / n - mp.log(1 + 1 / n)),
+                   [1, mp.inf])
+
+
+# (quantity, route) -> (CLI arguments, mpmath reference) for the rows whose
+# domain leaves out their quantity's DEFAULT_ROUTES point
+ROW_POINTS = {
+    ("gamma_m", "briggs"): (("-m", "1", "-x", "3/7"),
+                           lambda: mp.stieltjes(1, mpf(3) / 7)),
+    ("zeta", "fourier"): (("-s", "1/2", "-x", "3/7"),
+                          lambda: mp.zeta(mpf(1) / 2, mpf(3) / 7)),
+    ("zeta", "srivastava-choi"): (("-s", "5/2", "-x", "3/7"),
+                                  lambda: mp.zeta(mpf(5) / 2, mpf(3) / 7)),
+    ("zeta", "poisson"): (("-s", "5/2", "-x", "3/7"),
+                          lambda: mp.zeta(mpf(5) / 2, mpf(3) / 7)),
+    ("sondow_gamma", "integral"): (("-x", "0.5"),
+                                   lambda: _sondow_real_reference(mpf(1) / 2)),
+}
+
+
+def test_row_points_name_table_rows():
+    assert set(ROW_POINTS) <= set(routes.TABLE)
+
+
+@pytest.mark.parametrize("quantity,route",
+                         list(routes.TABLE),
+                         ids=[f"{q}-{r}" for q, r in routes.TABLE])
+def test_every_table_row_runs_within_its_claim(quantity, route, capsys):
+    argv, reference = ROW_POINTS.get((quantity, route),
+                                     DEFAULT_ROUTES[quantity][::2])
+    code, doc = compute_json(capsys, "compute", quantity, *argv,
+                             "--method", route, "--digits", "20",
+                             "--no-cache")
+    assert code == 0 and doc["result"]["converged"] is True
+    assert doc["result"]["method"] == route
+    _assert_claim_covers(doc["result"], reference)
+
+
+@pytest.mark.parametrize("command,argv,unread", [
+    ("compute", ("digamma", "-x", "2", "--deriv", "3"), "deriv"),
+    ("compute", ("gamma_m", "-m", "1", "-x", "1", "-s", "5"), "s"),
+    ("compute", ("zeta_prime0", "-x", "1/3", "-m", "2"), "m"),
+    ("compute", ("zeta", "-s", "2", "--deriv", "1", "--method", "poisson"),
+     "deriv"),
+    ("table", ("digamma", "--grid", "1:2:2", "--deriv", "3"), "deriv"),
+    ("table", ("log_gamma", "--grid", "1:2:2", "-s", "2"), "s")])
+def test_an_argument_the_route_does_not_read_exits_2(capsys, tmp_path,
+                                                     command, argv, unread):
+    # digamma printed psi(2) with "deriv": 3 in its params, exit 0, and
+    # cached it; gamma_m dropped s
+    cache = ("--cache-dir", str(tmp_path)) if command == "compute" else ()
+    code, out, err = run_cli(capsys, command, *argv, "--digits", "20", *cache)
+    assert code == 2 and out == ""
+    assert f"takes no {unread}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("quantity", sorted(routes.ROUTES))
+def test_unknown_method_exits_2_before_mpmath_loads(quantity):
+    argv = ["compute", quantity, *DEFAULT_ROUTES[quantity][0],
+            "--method", "bogus", "--digits", "20", "--no-cache"]
+    code, err, loaded = _in_fresh_interpreter(
+        argv, "[code, err.getvalue(), 'mpmath' in sys.modules]")
+    assert code == 2 and not loaded
+    assert f"error: unknown route 'bogus' for {quantity}; routes: " in err
+    assert ", ".join(routes.ROUTES[quantity]) in err
+
+
+@pytest.mark.parametrize("call", [
+    lambda: constants.stieltjes_gamma(1, 1, "bogus"),
+    lambda: hurwitz.zeta(2, 1, 0, "bogus"),
+    lambda: hurwitz.zeta_prime0(mpf(1) / 3, "bogus"),
+    lambda: hurwitz.zeta_doubleprime0(mpf(1) / 3, "bogus"),
+    lambda: fourier.sondow_gamma(mpf(1) / 2, route="bogus")],
+    ids=["stieltjes_gamma", "zeta", "zeta_prime0", "zeta_doubleprime0",
+         "sondow_gamma"])
+def test_public_dispatcher_refuses_an_unknown_route(call):
+    with pytest.raises(DomainError, match="unknown route 'bogus'"):
+        call()
+
+
+@pytest.mark.parametrize("quantity", sorted(routes.ROUTES))
+def test_auto_runs_the_default_route(quantity, capsys):
+    argv = DEFAULT_ROUTES[quantity][0]
+    _, doc = compute_json(capsys, "compute", quantity, *argv, "--method",
+                          "auto", "--digits", "20", "--no-cache")
+    _, default = compute_json(capsys, "compute", quantity, *argv,
+                              "--digits", "20", "--no-cache")
+    assert doc["result"] == default["result"]
+    assert doc["result"]["method"] == routes.ROUTES[quantity][0]

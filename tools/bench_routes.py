@@ -11,7 +11,7 @@ paper's Fourier identities (1/n, log n/n, log(1+1/n) with odd multiples,
 combines kernel results (``ROUTES``), at 20, 30, 50 and 100 digits.  The
 private helpers run inside them: ``hurwitz._recip_gamma_derivs`` and the
 Leibniz sum inside ``zeta_hasse``, ``_gamma_one_minus`` inside
-``zeta_fourier``, ``_trig_combination`` inside the Fourier routes of
+``zeta_fourier``, ``_zeta0_fourier``, the Fourier route of
 ``zeta_prime0`` and ``zeta_doubleprime0``, ``fourier.lerch_transform``
 inside ``gamma1_fourier``, and ``_sondow_circle`` and ``_sondow_2q`` inside
 ``sondow_gamma``.  The direct series on ``kernels.sum_majorized`` have
