@@ -20,6 +20,7 @@ from stieltjes.cli import main
 from stieltjes.core import PrecisionConfig
 from stieltjes.kernels import hurwitz_zeta_em
 
+from conftest import assert_claim
 from reference_values import GAMMA, GAMMA1, GAMMA1_HALF, ZETA2
 
 
@@ -619,8 +620,7 @@ def test_default_route_prints_its_own_claim(quantity, capsys):
                                              strip_zeros=False)
     assert result["terms_used"] == res.terms_used > 0
     _assert_claim_covers(result, reference)
-    with mp.workdps(40):
-        assert abs(res.value - reference()) <= res.err_estimate
+    assert_claim(res, reference, 20)
 
 
 def _sondow_real_reference(z):

@@ -1,11 +1,11 @@
 """Claims of the direct series on ``kernels.sum_majorized`` and of the log
 kernel's raised precision, against mpmath references.
 
-Each series result is checked for
+Each series result is checked by conftest.assert_claim, for
 
     actual <= err_estimate <= 10^-digits max(1, |ref|)
 
-at 20, 50 and 100 digits, the reference at 40 digits beyond the request.
+at 20, 50 and 100 digits.
 The private series run at the working precision their public callers
 set, ``cfg.workprec(40)``.  The log kernel 1/(1-u) + 1/log u, and the
 Sondow integrand built on it, are checked at 1 - u = 2^-k for every k up
@@ -46,10 +46,8 @@ def test_kolbig_sums_claims(digits):
     cfg = PrecisionConfig(digits=digits)
     with cfg.workprec(40):
         s1, s2 = fourier._kolbig_s1(cfg), fourier._kolbig_s2(cfg)
-    with mp.workdps(digits + 40):
-        ref = _s1()
-    assert_claim(s1, lambda: ref, digits)
-    assert_claim(s2, lambda: 2 * ref, digits)  # Kolbig: S2 = 2 S1
+    assert_claim(s1, _s1, digits)
+    assert_claim(s2, lambda: 2 * _s1(), digits)  # Kolbig: S2 = 2 S1
 
 
 @pytest.mark.parametrize("digits", DIGITS)

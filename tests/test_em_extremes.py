@@ -5,9 +5,10 @@ tests/test_em_engine.py draws x in [1e-2, 1e5]; here x is log-uniform over
 j <= 3 and s in [-40, 40], and gamma_m(x) with m <= 6, at 20 and 50 digits.
 Each draw is checked by conftest.assert_claim.  mpmath's own zeta and
 Stieltjes constants are slow or do not return at some of these x, so the
-references take other, equally independent routes there (_zeta_ref; the
-recurrence gamma_m(x) = gamma_m(x + 1) + log(x)^m / x below x = 1, since
-mp.stieltjes does not return at x = 1e-60).
+references take other, equally independent routes there (conftest.zeta_ref,
+from Hermite's integral; the recurrence gamma_m(x) = gamma_m(x + 1)
++ log(x)^m / x below x = 1, since mp.stieltjes does not return at
+x = 1e-60).
 
 The engine's caches (plans and Bernoulli tables, per precision) must not
 make a result depend on the calls made before it.
@@ -16,7 +17,7 @@ make a result depend on the calls made before it.
 from hypothesis import given, settings, strategies as st
 from mpmath import libmp, mp, mpf
 
-from conftest import assert_claim
+from conftest import assert_claim, zeta_ref
 from stieltjes import kernels
 from stieltjes.constants import em_gamma
 from stieltjes.core import PrecisionConfig
@@ -25,40 +26,6 @@ from stieltjes.kernels import hurwitz_zeta_em
 
 X = st.one_of(st.floats(-60, -2), st.floats(5, 30)).map(lambda e: 10 ** e)
 DIGITS = st.sampled_from([20, 50])
-
-
-def _zeta_ref(s, x, deriv):
-    """zeta^(deriv)(s, x).  Above x = 1 from Hermite's integral,
-
-        zeta(s, x) = x^-s/2 + x^(1-s)/(s-1)
-                     + 2 int_0^inf Im((x - it)^-s) / (e^(2 pi t) - 1) dt,
-
-    differentiated under the integral: mp.zeta takes 12 s at s = -20.1,
-    x = 1e6 (60 digits) and does not return at x = 1e9.  Below x = 1,
-    mp.zeta, or for |s| < 1e-30 its Taylor series at s = 0, because
-    mp.zeta divides by zero at some tiny negative s (mpmath 1.3)."""
-    s, x = mpf(s), mpf(x)
-    if x < 1:
-        if abs(s) < 1e-30:
-            return mp.fsum(s ** k / mp.factorial(k) * mp.zeta(0, x, deriv + k)
-                           for k in range(5))
-        return mp.zeta(s, x, deriv)
-    L = -mp.log(x)
-    ends = L ** deriv * x ** -s / 2 + mp.fsum(
-        mp.binomial(deriv, k) * L ** k * x ** (1 - s) * (-1) ** (deriv - k)
-        * mp.factorial(deriv - k) / (s - 1) ** (deriv - k + 1)
-        for k in range(deriv + 1))
-
-    # mp.quad stops on an absolute error, so the integrand, near
-    # -s t x^(-s-1) log(x)^deriv / (2 pi t), is scaled to about 1
-    c = x ** (s + 1) / max(1, abs(L)) ** deriv
-
-    def f(t):
-        z = mp.mpc(x, -t)
-        return (c * ((-mp.log(z)) ** deriv * z ** -s).imag
-                / mp.expm1(2 * mp.pi * t))
-
-    return ends + 2 * mp.quad(f, [0, mp.inf]) / c
 
 
 @settings(max_examples=40)
@@ -74,7 +41,7 @@ def test_log_gamma_and_digamma(x, digits):
        deriv=st.integers(0, 3), digits=DIGITS)
 def test_zeta(s, x, deriv, digits):
     res = hurwitz_zeta_em(s, x, deriv, PrecisionConfig(digits=digits))
-    assert_claim(res, lambda: _zeta_ref(s, x, deriv), digits)
+    assert_claim(res, lambda: zeta_ref(s, x, deriv), digits)
 
 
 @settings(max_examples=30)

@@ -14,7 +14,7 @@ from stieltjes.fourier import (deninger_closed, deninger_f, gamma1_fourier,
 from stieltjes.gammafuncs import digamma, log_gamma
 from stieltjes.kernels import sum_alternating_accelerated, sum_trig_averaged
 
-from conftest import assert_close, record_results, sides
+from conftest import assert_claim, assert_close, record_results, sides
 from reference_values import GAMMA, GAMMA1_HALF
 
 
@@ -61,9 +61,7 @@ class TestKummer:
     @pytest.mark.parametrize("x", [mpf(1) / 4, mpf("0.9")])
     def test_claim_covers_the_actual_error(self, x, cfg30):
         # the sine sum's claim over pi, against mpmath's own loggamma
-        res = kummer_log_gamma(x, cfg30)
-        assert res.converged
-        assert abs(res.value - mp.loggamma(x)) <= res.err_estimate
+        assert_claim(kummer_log_gamma(x, cfg30), lambda: mp.loggamma(x), 30)
 
 
 class TestOddSineSeries:
@@ -79,9 +77,8 @@ class TestOddSineSeries:
                      "log(pi/2)")
 
     def test_wallis_claim_covers_at_50_digits(self):
-        res = wallis_alternating(PrecisionConfig(digits=50))
-        assert res.converged
-        assert abs(res.value - mp.log(mp.pi / 2)) <= res.err_estimate
+        assert_claim(wallis_alternating(PrecisionConfig(digits=50)),
+                     lambda: mp.log(mp.pi / 2), 50)
 
     @pytest.mark.parametrize("x", ["0.25", "0.75"])
     def test_points(self, x, cfg20):
@@ -233,9 +230,8 @@ class TestSondow:
     def test_minus_one_claim_covers_at_50_digits(self):
         # the kernel's claim at z = -1, on the circle or on the real line
         for z in (mpf(-1), Fraction(1)):
-            res = sondow_gamma(z, PrecisionConfig(digits=50))
-            assert res.converged
-            assert abs(res.value - mp.log(4 / mp.pi)) <= res.err_estimate
+            assert_claim(sondow_gamma(z, PrecisionConfig(digits=50)),
+                         lambda: mp.log(4 / mp.pi), 50)
 
     @pytest.mark.parametrize("z", [mpf(-1), Fraction(1)])
     def test_minus_one_sums_the_cosine_series_only(self, z, cfg20,
@@ -259,14 +255,10 @@ class TestSondow:
         (mpf(-1) / 3, "series"), (mpf(1) / 2, "integral")])
     def test_claims_cover_the_actual_error(self, z, route, cfg30):
         # reference: the 2q closed form on the circle, the integral inside
-        ref_cfg = PrecisionConfig(digits=60)
-        if isinstance(z, Fraction):
-            ref = sondow_gamma(z, ref_cfg, route="2q").value
-        else:
-            ref = sondow_gamma(z, ref_cfg, route="integral").value
-        res = sondow_gamma(z, cfg30, route=route)
-        assert abs(res.value - ref) <= res.err_estimate
-        assert res.converged
+        ref_route = "2q" if isinstance(z, Fraction) else "integral"
+        assert_claim(sondow_gamma(z, cfg30, route=route),
+                     lambda: sondow_gamma(z, PrecisionConfig(digits=mp.dps),
+                                          route=ref_route).value, 30)
 
     @pytest.mark.parametrize("digits", [20, 50, 100])
     @pytest.mark.parametrize("n", [8, 9, 64, 10 ** 3, 10 ** 6])

@@ -3,14 +3,13 @@
 Briggs (gamma_m, m in {0, 1}), Poisson (zeta(s, x), s in (1, 8]) and
 Bourguet (log Gamma) shift x up to 1 by their recurrences and sum their
 n-sums of oscillatory integrals as one rotated integral.  Every draw is
-checked for
+checked by conftest.assert_claim, for
 
     actual <= err_estimate <= 10^-digits max(1, |ref|)
 
-with the reference from mp.stieltjes, mp.zeta or mp.loggamma at 40 digits
-beyond the request.  x is log-uniform in [1/100, 100] and s uniform in
-(1, 8], both binary floats, so each input is exact at every precision;
-digits run from 10 to 50.
+with the reference from mp.stieltjes, mp.zeta or mp.loggamma.  x is
+log-uniform in [1/100, 100] and s uniform in (1, 8], both binary floats, so
+each input is exact at every precision; digits run from 10 to 50.
 """
 
 from hypothesis import given, settings, strategies as st

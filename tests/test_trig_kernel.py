@@ -1,14 +1,14 @@
 """The trigonometric-sum kernel against closed forms from mpmath's built-ins.
 
 Each family's sum has a closed form in mp.loggamma, mp.psi, mp.zeta or
-mp.polylog, which share no code with the kernel; references are computed
-at digits + 20, and at digits + 40 from the exact x over the whole domain.
-Every draw is checked for
+mp.polylog, which share no code with the kernel.  Every draw is checked by
+conftest.assert_claim, for
 
     actual <= err_estimate <= 10^-digits max(1, |ref|)
 
-over x in [0.01, 0.99], and over rationals p/q with q <= 1000 and points
-within 1e-3 of either end, at digits in {20, 30, 50}.
+with each reference taken at the exact x the kernel was given, over x in
+[0.01, 0.99], and over rationals p/q with q <= 1000 and points within 1e-3
+of either end, at digits in {20, 30, 50}.
 """
 
 from fractions import Fraction
@@ -22,6 +22,8 @@ from stieltjes.core import PrecisionConfig
 from stieltjes.hurwitz import zeta_fourier
 from stieltjes.kernels import sum_trig_averaged
 
+from conftest import assert_claim, exact
+
 DIGITS = st.sampled_from([20, 30, 50])
 X = st.floats(0.01, 0.99)
 
@@ -30,59 +32,74 @@ def _glog():
     return mp.euler + mp.log(2 * mp.pi)
 
 
-def _check(coeff, mode, x, digits, reference, odd_multiples=False, extra=20):
+def _check(coeff, mode, x, digits, reference, odd_multiples=False):
+    """The kernel's sum at x against reference(x), with x exact."""
     res = sum_trig_averaged(coeff, mode, x, PrecisionConfig(digits=digits),
                             odd_multiples=odd_multiples)
-    with mp.workdps(digits + extra):
-        ref = reference()
-        actual = abs(res.value - ref)
-        assert actual <= res.err_estimate, (
-            f"actual {mp.nstr(actual, 3)} > claimed "
-            f"{mp.nstr(res.err_estimate, 3)}")
-        assert res.err_estimate <= mpf(10) ** -digits * max(1, abs(ref))
-        assert res.converged
+    assert_claim(res, lambda: reference(exact(x)), digits)
     return res
+
+
+def _check_family(family, mode, x, digits, s=None):
+    """_check on one of the four coefficient families; log1p is a sine over
+    odd multiples."""
+    if family == "recip":
+        # sawtooth pi (1/2 - x) and log-sine -log(2 sin pi x)
+        coeff, odd = (lambda n: mpf(1) / n), False
+        ref = ((lambda x: mp.pi * (mpf(1) / 2 - x)) if mode == "sin"
+               else (lambda x: -mp.log(2 * mp.sinpi(x))))
+    elif family == "logn" and mode == "sin":
+        # Kummer's series for log Gamma
+        coeff, odd = (lambda n: mp.log(n) / n), False
+        ref = (lambda x: mp.pi * (mp.loggamma(x)
+                                  - mp.log(mp.pi / mp.sinpi(x)) / 2
+                                  - _glog() * (mpf(1) / 2 - x)))
+    elif family == "logn":
+        coeff, odd = (lambda n: mp.log(n) / n), False
+        ref = (lambda x: (mp.zeta(0, x, 2) + mp.zeta(0, 1 - x, 2)) / 2
+               + _glog() * mp.log(2 * mp.sinpi(x)))
+    elif family == "log1p":
+        # sum log(1 + 1/n) sin((2n+1) pi x), eq. 3.16
+        coeff, odd, mode = (lambda n: mp.log(1 + mpf(1) / n)), True, "sin"
+        ref = (lambda x: -(mp.psi(0, x) * mp.sinpi(x)
+                           + mp.pi / 2 * mp.cospi(x) + _glog() * mp.sinpi(x)))
+    else:
+        coeff, odd = (lambda n: (2 * mp.pi * n) ** (s - 1)), False
+
+        def ref(x):
+            # mp.polylog loses about log10(1/d) digits at an order d from
+            # an integer (exact integers take their own formula)
+            d = abs(s - mp.nint(s))
+            with mp.extradps(int(-mp.log10(d)) + 1 if d else 0):
+                li = ((2 * mp.pi) ** (s - 1)
+                      * mp.polylog(1 - s, mp.expjpi(2 * x)))
+            return li.real if mode == "cos" else li.imag
+    return _check(coeff, mode, x, digits, ref, odd)
 
 
 @settings(max_examples=100)
 @given(x=X, digits=DIGITS, mode=st.sampled_from(["sin", "cos"]))
 def test_reciprocal(x, digits, mode):
-    # sawtooth pi (1/2 - x) and log-sine -log(2 sin pi x)
-    x = mpf(x)
-    ref = ((lambda: mp.pi * (mpf(1) / 2 - x)) if mode == "sin"
-           else (lambda: -mp.log(2 * mp.sinpi(x))))
-    _check(lambda n: mpf(1) / n, mode, x, digits, ref)
+    _check_family("recip", mode, x, digits)
 
 
 @settings(max_examples=60)
 @given(x=X, digits=DIGITS)
 def test_log_over_n_sine(x, digits):
-    # Kummer's series for log Gamma
-    x = mpf(x)
-    _check(lambda n: mp.log(n) / n, "sin", x, digits,
-           lambda: mp.pi * (mp.loggamma(x) - mp.log(mp.pi / mp.sinpi(x)) / 2
-                            - _glog() * (mpf(1) / 2 - x)))
+    _check_family("logn", "sin", x, digits)
 
 
 @settings(max_examples=60)
 @given(x=X, digits=DIGITS)
 def test_log_over_n_cosine(x, digits):
     # (zeta''(0, x) + zeta''(0, 1 - x))/2 + (gamma + log 2 pi) log(2 sin pi x)
-    x = mpf(x)
-    _check(lambda n: mp.log(n) / n, "cos", x, digits,
-           lambda: ((mp.zeta(0, x, 2) + mp.zeta(0, 1 - x, 2)) / 2
-                    + _glog() * mp.log(2 * mp.sinpi(x))))
+    _check_family("logn", "cos", x, digits)
 
 
 @settings(max_examples=60)
 @given(x=X, digits=DIGITS)
 def test_log_ratio_odd_sine(x, digits):
-    # sum log(1 + 1/n) sin((2n+1) pi x), eq. 3.16
-    x = mpf(x)
-    _check(lambda n: mp.log(1 + mpf(1) / n), "sin", x, digits,
-           lambda: -(mp.psi(0, x) * mp.sinpi(x) + mp.pi / 2 * mp.cospi(x)
-                     + _glog() * mp.sinpi(x)),
-           odd_multiples=True)
+    _check_family("log1p", "sin", x, digits)
 
 
 @settings(max_examples=50)
@@ -101,9 +118,7 @@ def test_hurwitz_power(x, digits, s, mode):
 def test_generic_x_needs_no_long_period(x):
     # a Cesaro window from continued-fraction denominators took 40 s and
     # 331,776 terms at 0.37 and stopped unconverged at 0.1234
-    x = mpf(x)
-    res = _check(lambda n: mpf(1) / n, "cos", x, 20,
-                 lambda: -mp.log(2 * mp.sinpi(x)))
+    res = _check_family("recip", "cos", mpf(x), 20)
     assert res.terms_used <= 2000
 
 
@@ -117,64 +132,13 @@ def test_coefficients_not_completely_monotone_are_unconverged(monkeypatch):
     assert res.terms_used <= 3000
 
 
-# The tests below draw x over the whole of (0, 1) and take references at
-# digits + 40 from the exact x; the ones above keep their own draws.  The
-# head's length grows like 1/x near the ends: 5e-4 already takes 16k terms
-# at 20 digits and 39k at 50.
+# The tests below draw x over the whole of (0, 1).  The head's length grows
+# like 1/x near the ends: 5e-4 already takes 16k terms at 20 digits and 39k
+# at 50.
 RATIONAL = st.integers(2, 1000).flatmap(
     lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q)))
 NEAR_END = st.floats(5e-4, 1e-3).flatmap(
     lambda t: st.sampled_from([t, 1 - t]))
-
-
-def _exact(x):
-    """x at the ambient precision, from its exact value."""
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
-
-
-def _check_exact(coeff, mode, x, digits, reference, odd_multiples=False):
-    """_check at digits + 40, the reference taken at x itself, not at the
-    kernel's rounding of it."""
-    with mp.workdps(digits + 40):
-        xr = _exact(x)
-    return _check(coeff, mode, x, digits, lambda: reference(xr),
-                  odd_multiples, extra=40)
-
-
-def _check_family(family, mode, x, digits, s=None):
-    """_check_exact on one of the four coefficient families, with the
-    references of the tests above; log1p is a sine over odd multiples."""
-    if family == "recip":
-        coeff, odd = (lambda n: mpf(1) / n), False
-        ref = ((lambda x: mp.pi * (mpf(1) / 2 - x)) if mode == "sin"
-               else (lambda x: -mp.log(2 * mp.sinpi(x))))
-    elif family == "logn" and mode == "sin":
-        coeff, odd = (lambda n: mp.log(n) / n), False
-        ref = (lambda x: mp.pi * (mp.loggamma(x)
-                                  - mp.log(mp.pi / mp.sinpi(x)) / 2
-                                  - _glog() * (mpf(1) / 2 - x)))
-    elif family == "logn":
-        coeff, odd = (lambda n: mp.log(n) / n), False
-        ref = (lambda x: (mp.zeta(0, x, 2) + mp.zeta(0, 1 - x, 2)) / 2
-               + _glog() * mp.log(2 * mp.sinpi(x)))
-    elif family == "log1p":
-        coeff, odd, mode = (lambda n: mp.log(1 + mpf(1) / n)), True, "sin"
-        ref = (lambda x: -(mp.psi(0, x) * mp.sinpi(x)
-                           + mp.pi / 2 * mp.cospi(x) + _glog() * mp.sinpi(x)))
-    else:
-        coeff, odd = (lambda n: (2 * mp.pi * n) ** (s - 1)), False
-
-        def ref(x):
-            # mp.polylog loses about log10(1/d) digits at an order d from
-            # an integer (exact integers take their own formula)
-            d = abs(s - mp.nint(s))
-            with mp.extradps(int(-mp.log10(d)) + 1 if d else 0):
-                li = ((2 * mp.pi) ** (s - 1)
-                      * mp.polylog(1 - s, mp.expjpi(2 * x)))
-            return li.real if mode == "cos" else li.imag
-    return _check_exact(coeff, mode, x, digits, ref, odd)
 
 
 @settings(max_examples=60)
@@ -206,8 +170,8 @@ def test_rounding_claim_alone(x, digits, mode, odd, slope):
                                           - slope * z / (1 - z) ** 2)
         return w.imag if mode == "sin" else w.real
 
-    res = _check_exact(lambda n: mpf(M - slope * n), mode, x, digits,
-                       reference, odd)
+    res = _check(lambda n: mpf(M - slope * n), mode, x, digits, reference,
+                 odd)
     assert res.err_estimate <= mpf(10) ** -(digits + 10) * M
 
 
@@ -223,12 +187,9 @@ def test_longest_heads_at_x_one_thousandth(family, mode):
 def test_zeta_fourier_far_left():
     # Gamma(201) ~ 1e375 scales the sums' tolerance to ~1e-396, so the head
     # runs at ~1400 bits; the claim is absolute, the value ~5.5e214
-    res = zeta_fourier(-200, mpf("0.3"), PrecisionConfig(digits=20))
-    with mp.workdps(80):
-        actual = abs(res.value - mp.zeta(-200, mpf("0.3")))
-        assert actual <= res.err_estimate
-        assert res.err_estimate <= mpf(10) ** -20 * abs(res.value)
-    assert res.converged
+    x = mpf("0.3")
+    res = zeta_fourier(-200, x, PrecisionConfig(digits=20))
+    assert_claim(res, lambda: mp.zeta(-200, x), 20)
 
 
 def test_x_as_fraction_str_or_mpf_gives_one_result():
