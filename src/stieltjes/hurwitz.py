@@ -7,11 +7,16 @@ Routes:
   growing with n) plus an analytic tail: under the Laplace representation
   of the inner differences the outer weights collapse into elementary
   generating functions, leaving one smooth integral over [0, inf) per
-  derivative order and difference term, with one exponential per node.
-  Accurate to the configured digits for any real s != 1.  The integrand's
-  x- and s-independent factors at the quadrature nodes are kept in
-  process-wide tables (:func:`_node_table`, :func:`_tail_table`), at most
-  ``_TAIL_TABLES`` of each, so later calls only look them up.
+  derivative order and difference term, with one exponential per node
+  shared by all of them.  Accurate to the configured digits for any real
+  s != 1.  The integrand's x- and s-independent factors at the quadrature
+  nodes are kept in process-wide tables (:func:`_node_table`,
+  :func:`_tail_table`), at most ``_TAIL_TABLES`` of each, so later calls
+  only look them up.  Like the trigonometric kernel and the EM engine,
+  the tail runs on Python-integer fixed point at the node precision: the
+  tables' entries, the node exponential from libmp and the weight sums
+  are integers, each integrand returns one mpf, and the rounding part of
+  the claim is derived for that arithmetic (:func:`_hasse_parts`).
 * ``hurwitz_zeta_em`` (re-exported from ``kernels``) -- direct summation
   with an Euler-Maclaurin tail, continued analytically to every real
   s != 1; the default route, at a cost that does not grow with x.  Hasse
@@ -40,10 +45,13 @@ import math
 from fractions import Fraction
 
 from mpmath import iv, mp, mpf
+from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_exp, mpf_log,
+                          mpf_mul, mpf_neg, mpf_pow_int, mpf_sub, round_nearest,
+                          round_up, to_fixed)
 
 from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
                    as_real, ball, combine, require_positive, shift_up)
-from .kernels import (TS_GUARD_BITS, _horner, _pole_rounded,
+from .kernels import (TS_GUARD_BITS, _pole_rounded,
                       hurwitz_zeta_em, integrate_adaptive, sum_majorized,
                       sum_oscillatory, sum_trig_averaged)
 from . import gammafuncs, routes
@@ -54,6 +62,11 @@ _HEAD_TERMS = 32
 # (least recently used go first); a node table holds up to ~1,500 nodes,
 # 0.5-1 MB at 20-30 digits
 _TAIL_TABLES = 16
+# bits that V's integers carry beyond the node precision (_weighted_tail)
+_V_GUARD = 24
+# the fixed point of the tail's bound integrand, which needs few correct bits
+_BOUND_BITS = 32
+_LOG2E = 1549082004  # floor(2^30 log2 e)
 # where the Srivastava-Choi route shifts x before its series: a shift step
 # costs a power, a term an EM call and gains log2(x) bits
 SHIFT_FLOOR = 64
@@ -104,17 +117,33 @@ def _poly_delta(i: int, r: int, x) -> mpf:
 
 @functools.lru_cache(maxsize=_TAIL_TABLES)
 def _node_table(bits: int) -> dict:
-    """t -> (1 - e^(-t), -log t) at the tail quadrature's nodes, for
+    """t -> :func:`_node_entry` at the tail quadrature's nodes, for
     ``integrate_adaptive`` with nodes at ``bits``; filled by the calls that
     use it."""
     return {}
 
 
+def _node_entry(t, W: int) -> tuple:
+    """(w, ell) at a node t > 0, a raw mpf, from libmp: w = 1 - e^(-t) as a
+    raw mpf within 2^-(W+28) relative, and ell = -log t as an integer
+    within 2 of 2^W (-log t).
+
+    The log runs at W + 8 + lam bits, |log t| < 2^lam, so it errs by less
+    than 2^-(W+6) before the truncation; e^(-t) runs at W + 36 bits plus
+    the 1 - mag(t) bits that 1 - e^(-t) cancels below t = 1.
+    """
+    mag = t[2] + t[3]  # 2^(mag-1) <= t < 2^mag
+    lam = (abs(mag) + 1).bit_length()
+    ell = -to_fixed(mpf_log(t, W + 8 + lam), W)
+    u = mpf_exp(mpf_neg(t), W + 36 + max(0, 1 - mag))
+    return mpf_sub(fone, u, W + 32), ell
+
+
 @functools.lru_cache(maxsize=_TAIL_TABLES)
 def _tail_table(N: int, i: int, bits: int) -> dict:
-    """t -> V_{i,N-i}(t) (:func:`_weighted_tail`) at the tail quadrature's
-    nodes, for ``integrate_adaptive`` with nodes at ``bits``; filled by the
-    calls that use it.
+    """t -> e^(-it) V_{i,N-i}(t) (:func:`_weighted_tail`) at the tail
+    quadrature's nodes, for ``integrate_adaptive`` with nodes at ``bits``;
+    filled by the calls that use it.
 
     V depends on neither x nor s, so every Hasse call with the same head
     length and node precision shares the table.
@@ -133,52 +162,263 @@ def _head_weights(N: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=_TAIL_TABLES)
-def _tail_coefficients(i: int, count: int, bits: int) -> tuple:
-    """C(q+i, i)/(q+i+1) for q < count, as mpf at ``bits``."""
-    with mp.workprec(bits):
-        return tuple(mpf(binomial(q + i, i)) / (q + i + 1)
-                     for q in range(count))
+def _tail_coefficients(N: int, i: int, W: int) -> tuple:
+    """What :func:`_weighted_tail` reads for (N, i) at node precision W,
+    with R = N - i and c_q = C(q+i, i)/(q+i+1).
 
-
-def _weighted_tail(i: int, R: int, t, w) -> mpf:
-    """V_{i,R}(w) = sum_{q>R} c_q w^q at w = 1-e^(-t), c_q = C(q+i,i)/(q+i+1).
-
-    For w < 1/16 the direct series, by Horner, to the first K terms: past
-    q = R the terms fall by at least g w per term, g = (R+i+2)/(R+2), so K
-    with (g w)^K <= 2^-(prec+8) leaves out less than an ulp.  Otherwise
-    the closed form w^-(i+1) [sum_{p=1}^i (-1)^(i-p) z^p/p + (-1)^i t]
-    minus the partial sum over q <= R, z = e^t - 1 (so log(1+z) = t
-    exactly); the two cancel to V ~ w^(R+1), so the closed form runs at
-    (R+1) log2(1/w) + 16 extra bits and rounds once at the end.  Both
-    read the coefficients of :func:`_tail_coefficients`.  V depends on
-    neither x nor s, so :func:`_hasse_parts` computes it once per node,
-    precision and (N, i), into :func:`_tail_table`.
+    ``span``: the series runs where w < 2^-span, span = max(4, ceil(log2 g)
+    + 1) for g = (R+i+2)/(R+2), so that g w <= 1/2 there.  ``series``:
+    floor(c_q 2^(W+24)) for R < q <= R + K, K the most terms the series
+    takes.  ``partial``: floor(c_q 2^Pmax) for q <= R, Pmax the closed
+    form's highest precision.  ``KQ``: the closed form's Horner error bound
+    for the partial sum, 2R + 2 + 2 sum_q q c_q units.  ``guard``: the
+    closed form's bits beyond its cancellation.
     """
-    prec = mp.prec
-    g = math.log2((R + i + 2) / (R + 2))
-    # enough coefficients for the direct series up to w = 1/16 and for the
-    # partial sum at the highest raised precision, 4(R+1) + 16 extra bits
-    count = R + 2 + math.ceil((prec + 8) / (4 - g))
-    coeffs = _tail_coefficients(i, count, prec + 4 * (R + 1) + 16)
-    if w < mpf(1) / 16:
-        K = math.ceil((prec + 8) / (-mp.mag(w) - g))
-        acc = mpf(0)
-        for c in reversed(coeffs[R + 1:R + 1 + K]):
-            acc = acc * w + c
-        return acc * w ** (R + 1)
-    with mp.workprec(prec + (R + 1) * (1 - mp.mag(w)) + 16):
-        w = -mp.expm1(-t)
-        closed = mpf(-1) ** i * t
-        if i:
-            z = mp.expm1(t)
-            for p in range(1, i + 1):
-                closed += mpf(-1) ** (i - p) * z ** p / p
-        closed /= w ** (i + 1)
-        partial = mpf(0)
-        for c in reversed(coeffs[:R + 1]):
-            partial = partial * w + c
-        V = closed - partial
-    return +V
+    R = N - i
+    lg = math.log2((R + i + 2) / (R + 2))
+    span = max(4, math.ceil(lg) + 1)
+    K = math.ceil((W + 8) / (span - lg)) + 1
+    moment = sum(Fraction(q * binomial(q + i, i), q + i + 1)
+                 for q in range(R + 1))
+    KQ = 2 * R + 2 + math.ceil(2 * moment)
+    guard = KQ.bit_length() + 16
+    top = W + (N + 2) * span + guard
+    series = tuple((binomial(q + i, i) << (W + _V_GUARD)) // (q + i + 1)
+                   for q in range(R + 1, R + 1 + K))
+    partial = tuple((binomial(q + i, i) << top) // (q + i + 1)
+                    for q in range(R + 1))
+    return span, series, partial, KQ, guard
+
+
+def _weighted_tail(i: int, R: int, t, w, W: int, coeffs) -> tuple:
+    """e^(-it) V_{i,R}(t) as integers (m, e, err): the value is within
+    err 2^e of m 2^e.
+
+    V_{i,R}(t) = sum_{q>R} c_q w^q at w = 1 - e^(-t) = 1 - u, with
+    c_q = C(q+i,i)/(q+i+1); t and w come as raw mpfs (:func:`_node_entry`),
+    ``coeffs`` from :func:`_tail_coefficients`.  V grows like e^(it), so
+    the table holds e^(-it) V = u^i V, which lies in (0, 1/i] for i > 0,
+    and the integrand's exponential takes -x t in place of -(x+i) t.
+
+    For w < 2^-span (w < 1/16 unless i/R is large) the direct series:
+    u^i w^(R+1) S(w), S = sum_{k<K} c_(R+1+k) w^k by Horner on integers at
+    2^-(W+24), K with (g w)^K <= 2^-(W+8).  Its error, in units of
+    2^-(W+24): the coefficients' and shifts' truncations, 2 sum w^k < 3;
+    w's error of 2 units times S' <= 4.1 g S (g w <= 1/2); the terms past
+    K, below 2^-(W+7) S.  Each factor u = 1 - w, within 2 units, adds
+    2 (s + err) 2^-(W+24) units for an integer s within err, and one for
+    its truncation; w^(R+1) from libmp's integer power is within
+    2^-(W+5) relative.
+
+    Otherwise the closed form, V = w^-(i+1) [sum_{p=1}^i (-1)^(i-p) z^p/p
+    + (-1)^i t] - sum_{q<=R} c_q w^q with z = e^t - 1 = w/u, so
+
+        e^(-it) V = [sum_p (-1)^(i-p) w^p u^(i-p)/p + (-1)^i t u^i
+                     - u^i w^(i+1) Q] / w^(i+1),    Q = sum_{q<=R} c_q w^q,
+
+    every term bounded (t u^i <= 1/(e i) for i > 0).  The bracket cancels
+    to about w^(R+i+2) c_(R+1) u^i, so it runs in fixed point at 2^-P, P =
+    W + (R+i+2) (1 - mag w) + guard, mag w >= log2 w.  u = e^(-t) comes
+    from libmp at P + 8 bits (0 when t > P), within 2 units, and w = 1 - u
+    is exact from it.  Errors in units of 2^-P: each power of w or u
+    (values <= 1) adds 3 per product, so x^n is within 4n and a product
+    w^p u^(i-p) within 4i + 2, divided by p with one more; t u^i within
+    (t + 1) 4i + 3; Q by Horner within KQ (:func:`_tail_coefficients`), and
+    u^i w^(i+1) Q within u^i w^(i+1) KQ + (Q + KQ)(8i + 6) + 2.  The
+    division by b = w^(i+1) (within eb = 4(i+1)) of the bracket D (within
+    eD) errs by at most 2^P (|D| eb + b eD) / (b (b - eb)) + 1.
+    """
+    span, series, partial, KQ, guard = coeffs
+    wmag = w[2] + w[3]  # 2^(wmag-1) <= w < 2^wmag
+    if wmag <= -span:
+        WS = W + _V_GUARD
+        lg = math.log2((R + i + 2) / (R + 2))
+        K = math.ceil((W + 8) / (-wmag - lg)) + 1
+        wf = to_fixed(w, WS)
+        s = series[K - 1]
+        for c in reversed(series[:K - 1]):
+            s = (s * wf >> WS) + c
+        err = 6 + (9 * (R + i + 2) * s // (R + 2) >> WS) + (s >> (W + 7))
+        uf = (1 << WS) - wf
+        for _ in range(i):
+            err += (2 * (s + err) >> WS) + 2
+            s = s * uf >> WS
+        _, pm, pe, _ = mpf_pow_int(w, R + 1, W + 8)
+        m = s * pm
+        err = err * pm + ((s + err) * pm >> (W + 4)) + 1
+        e = pe - WS
+    else:
+        N = R + i
+        P = W + (N + 2) * (1 - wmag) + guard
+        sh = (N + 2) * (span - 1 + wmag)  # from the partial sums' 2^-Pmax
+        one = 1 << P
+        tf = to_fixed(t, P)
+        uf = 0
+        if t[2] + t[3] <= P.bit_length():  # else t > P and e^-t < 2^-P
+            uf = to_fixed(mpf_exp(mpf_neg(t), P + 8), P)
+        wf = one - uf
+        wp, up = [one], [one]
+        for _ in range(i + 1):
+            wp.append(wp[-1] * wf >> P)
+        for _ in range(i):
+            up.append(up[-1] * uf >> P)
+        D = tf * up[i] >> P
+        eD = ((tf + 1) * 4 * i >> P) + 3
+        if i % 2:
+            D = -D
+        for p in range(1, i + 1):
+            term = (wp[p] * up[i - p] >> P) // p
+            D += -term if (i - p) % 2 else term
+            eD += (4 * i + 2) // p + 2
+        q = partial[R] >> sh
+        for c in reversed(partial[:R]):
+            q = (q * wf >> P) + (c >> sh)
+        a = up[i] * wp[i + 1] >> P
+        D -= a * q >> P
+        eD += (a * KQ + (q + KQ) * (8 * i + 6) >> P) + 2
+        b, eb = wp[i + 1], 4 * (i + 1)
+        m = (D << P) // b
+        err = ((abs(D) * eb + b * eD) << P) // (b * (b - eb)) + 2
+        e = -P
+    k = m.bit_length() - W - _V_GUARD
+    if k > 0:
+        m >>= k
+        err = (err >> k) + 2
+        e += k
+    return m, e, err
+
+
+def _scaled(coeffs, bits: int, up: bool = False) -> tuple:
+    """(s, ints): the mpf ``coeffs`` as integers at 2^-s, s chosen so that
+    the largest lies in [2^(bits-1), 2^bits); each floor(c 2^s), or with
+    ``up`` floor(|c| 2^s) + 1 for c != 0."""
+    raws = [c._mpf_ for c in coeffs]
+    s = bits - max((r[2] + r[3] for r in raws if r[1]), default=0)
+    if up:
+        return s, [to_fixed(mpf_abs(r), s) + 1 if r[1] else 0 for r in raws]
+    return s, [to_fixed(r, s) for r in raws]
+
+
+class _Tail:
+    """The tail integrands of one :func:`_hasse_parts` call, on Python
+    integers at the node precision W.
+
+    It fetches the V table and coefficients of each difference term once,
+    so that r + 1 > ``_TAIL_TABLES`` terms do not make the LRU rebuild a
+    table per derivative order, and keeps E(t) = e^((alpha+1) L - x t) at
+    every node it visits, which every (j, i) integrand of the call reads.
+    """
+
+    def __init__(self, N: int, terms, W: int, x, alpha):
+        self.N, self.W, self.terms = N, W, terms
+        self.tails = {i: (_tail_table(N, i, W), _tail_coefficients(N, i, W))
+                      for i in terms}
+        self.nodes = _node_table(W)
+        self.exps = {}
+        self.xr = x._mpf_
+        self.A = to_fixed(alpha._mpf_, W) + (1 << W)  # alpha + 1, within 1
+        self.kappa = 2 * int(mp.ceil(abs(alpha + 1))) + 5
+
+    def _at(self, t) -> list:
+        """[w, ell, a, E] at the raw node t: :func:`_node_entry`, the
+        exponent a = (alpha+1) L - x t as an integer at 2^-W, and E =
+        mE 2^eE = e^a as (mE, eE), or None until :meth:`_exp` sets it.
+        x t is exact before its truncation, so a is within 2|alpha+1| +
+        |L| + 3 units, and libmp's exp at W + 8 bits leaves E within
+        2^-W (2|alpha+1| + |L| + 4) relative."""
+        hit = self.exps.get(t)
+        if hit is None:
+            W = self.W
+            node = self.nodes.get(t)
+            if node is None:
+                node = self.nodes[t] = _node_entry(t, W)
+            a = (self.A * node[1] >> W) - to_fixed(mpf_mul(self.xr, t), W)
+            hit = self.exps[t] = [node[0], node[1], a, None]
+        return hit
+
+    def _exp(self, hit) -> tuple:
+        if hit[3] is None:
+            _, mE, eE, _ = mpf_exp(from_man_exp(hit[2], -self.W), self.W + 8)
+            hit[3] = (mE, eE)
+        return hit[3]
+
+    def integrands(self, i: int, P, P_err) -> tuple:
+        """(f, g) for difference term i and the weight sum P(L) =
+        sum_d P[d] L^d, whose coefficients err by at most P_err[d].
+
+        f(t) = e^(-it) V(t) E(t) P(L) as one mpf rounded to W bits, P(L)
+        by Horner on integers; g(t) bounds |f(t) - V E P_true(L)| as
+        :func:`_hasse_parts` derives, by Horners on integers at 2^-32
+        rounded up, as one mpf rounded up.  Where |V E P| < 2^-2W by
+        magnitudes alone (V tiny as t -> 0, E as t -> inf: most of the
+        nodes), f is 0 without the exponential and g charges |V E P|.
+        """
+        table, coeffs = self.tails[i]
+        R, W, at, exp = self.N - i, self.W, self._at, self._exp
+        deg = len(P) - 1
+        sP, Pc = _scaled(P, W)
+        top, rest = Pc[-1], Pc[-2::-1]
+        Wb = _BOUND_BITS
+        sa, Pa = _scaled(P, Wb, up=True)
+        se, Pe = _scaled(P_err, Wb, up=True)
+        ma, Pa_rest, Pe_rest = max(Pa), Pa[-2::-1], Pe[-2::-1]
+        kap = (self.kappa + 2 * deg) << Wb
+        cdeg = 4 * (deg + 1) << Wb
+        low = min(-se, -sa - W - Wb)
+        d1, d2, d3 = -se - low, -sa - low, -sa - W - Wb - low
+        # log2 P^(Lam) < log2 max|P_d| + log2(deg + 1) + deg log2 Lam
+        pbits = W - sP + (deg + 1).bit_length()
+
+        def tail(t, w):
+            v = table.get(t)
+            if v is None:
+                v = table[t] = _weighted_tail(i, R, t, w, W, coeffs)
+            return v
+
+        def negligible(ell, a, mV, eV, err):
+            """|V E P| < 2^-2W at the node: |V| < 2^(eV + bitlen), e^a <
+            2^(floor(a log2 e) + 3) whatever a's error, Lam < |L| + 3."""
+            return (eV + (abs(mV) + err).bit_length() + 3
+                    + (a * _LOG2E >> W + 30) + pbits
+                    + deg * ((abs(ell) >> W) + 3).bit_length() < -2 * W)
+
+        def f(t):
+            t = t._mpf_
+            hit = at(t)
+            w, ell, a, _ = hit
+            mV, eV, err = tail(t, w)
+            if negligible(ell, a, mV, eV, err):
+                return mp.zero
+            mE, eE = exp(hit)
+            p = top
+            for c in rest:
+                p = (p * ell >> W) + c
+            return mp.make_mpf(from_man_exp(mV * mE * p, eV + eE - sP, W,
+                                            round_nearest))
+
+        def g(t):
+            t = t._mpf_
+            hit = at(t)
+            w, ell, a, _ = hit
+            mV, eV, err = tail(t, w)
+            mE, eE = exp(hit)
+            lam = (abs(ell) + 2 >> W - Wb) + 1  # |L| at 2^-Wb, up
+            Lam = max(1 << Wb, lam + 1)  # max(1, |L| + 2^(1-W))
+            pe, pa, pm = Pe[-1], Pa[-1], ma
+            for c in Pe_rest:  # -(-a >> b) = ceil(a 2^-b)
+                pe = -(-pe * lam >> Wb) + c
+            for c in Pa_rest:
+                pa = -(-pa * Lam >> Wb) + c
+            for _ in range(deg):
+                pm = -(-pm * Lam >> Wb)
+            v = abs(mV)
+            # where f is 0, all of |V E P| is its error
+            ev = err + v if negligible(ell, a, mV, eV, err) else err
+            total = (((v + err) * pe << d1) + (ev * pa << d2)
+                     + (v * ((kap + Lam) * pa + cdeg * pm) << d3))
+            return mp.make_mpf(from_man_exp(total * mE, low + eV + eE, 53,
+                                            round_up))
+        return f, g
 
 
 def _hasse_parts(js, c, x, cfg: PrecisionConfig):
@@ -193,25 +433,44 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
     y^c = y^r y^alpha (alpha = c - r <= 0) with y^alpha in its Laplace
     form; it is the sum over i <= r of phi_i = Delta_i[y^r](x) times
 
-        int_0^inf V_{i,N-i}(t) exp((alpha+1) L - (x+i) t)
+        int_0^inf e^(-it) V_{i,N-i}(t) exp((alpha+1) L - x t)
                   sum_p C(j,p) L^(j-p) B_p dt,      L = -log t,
 
     B_p the 1/Gamma derivatives of :func:`_recip_gamma_derivs`: one
-    exponential per node, the weight sum one Horner pass in L.  Each
-    integral runs once over [0, inf) on ``kernels.integrate_adaptive``, or
-    over (0, t*) and (t*, inf) when the integrand's peak t* lies past 2
-    (large s), and stops at the request.  err adds, over every j, the
-    quadrature's estimate and an integral of the integrand's bound: the
-    B_p's errors plus the integrand's rounding, V's Horner steps included,
-    and the exponent's, |(alpha+1) L - (x+i) t| <= (x+i+|alpha|+2)(t+|L|)
-    ulps.  The bound's integral runs at a looser tolerance on the same
-    digits, so on the first levels of the same nodes.
+    exponential per node, shared by every (j, i), the weight sum one Horner
+    pass in L.  Each integral runs once over [0, inf) on
+    ``kernels.integrate_adaptive``, or over (0, t*) and (t*, inf) when the
+    integrand's peak t* lies past 2 (large s), and stops at the request.
+    err adds, over every j, the quadrature's estimate and an integral of
+    the integrand's bound g (:class:`_Tail`).  The bound's integral runs at
+    a looser tolerance on the same digits, so on the first levels of the
+    same nodes.
+
+    Rounding.  The integrand runs on Python integers at W = node bits: with
+    v = e^(-it) V within eV (:func:`_weighted_tail`), E within
+    2^-W (2|alpha+1| + |L| + 4) E (:meth:`_Tail._at`) and ell within 2 of
+    2^W L, Horner on the coefficients floor(P_d 2^sP), max |P_d| >=
+    2^(W-sP-1), gives P(L) within 2^-sP 2(deg+1) Lam^deg (the truncations)
+    plus 2^(1-W) deg P^(Lam) (ell's error, P^' <= deg P^ for Lam >= 1),
+    P^(y) = sum |P_d| y^d and Lam = max(1, |L| + 2^(1-W)); the product
+    rounds once to W bits.  So per node
+
+        g = E [(|v| + eV) P_err(|L|) + eV P^(Lam)
+               + |v| 2^-W ((2|alpha+1| + 5 + 2 deg + Lam) P^(Lam)
+                           + 4 (deg+1) max|P_d| Lam^deg)],
+
+    where P_err bounds the B_p's errors.  Where magnitudes alone show
+    |v E P| < 2^-2W, f is 0 without the exponential and eV in the middle
+    term becomes eV + |v|: the whole value is then its error.  The terms
+    left out are second order in 2^-W; err takes the bound's integral
+    twice for them.  No term grows with x t: x t is exact before its one
+    truncation.
 
     The phi_i multiply the tail's errors by up to Sum |phi_i|, 4e14 at
     r = 15 and x = 9/10, so when that sum exceeds 1, B, both integrals and
     the nodes run its digits past the request; the results are still
-    judged at the request.  The integrals read w, -log t
-    and V_{i,N-i}(t) from the shared tables for (N, i) and the node
+    judged at the request.  The integrals read the node entries and
+    e^(-it) V_{i,N-i}(t) from the shared tables for (N, i) and the node
     precision, filling in the nodes no earlier call visited; a node is
     only ever served at the precision it was computed at, so a warm call
     returns the same bits as a cold one.
@@ -249,31 +508,9 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
             tcfg = cfg.replace(digits=cfg.digits + raised,
                                tolerance=cfg.tol() / 10 ** raised)
         B = _recip_gamma_derivs(alpha, jmax, tcfg)
-        node_bits = tcfg.working_bits + TS_GUARD_BITS
-        nodes = _node_table(node_bits)
-        eps_q = mpf(2) ** -node_bits
-        # V to 2 ulps per Horner step, and the weight sum of the integrand
-        amplify = node_bits + 4 * N + 16 * (jmax + 2)
+        tail = _Tail(N, [i for i in range(r + 1) if phis[i]],
+                     tcfg.working_bits + TS_GUARD_BITS, x, alpha)
         loose = tcfg.replace(tolerance=tcfg.tol() * 4)
-        power = alpha + 1
-
-        def tail_integrand(i, weight):
-            """t -> V(t) exp((alpha+1) L - (x+i) t) weight(t, L)."""
-            table = _tail_table(N, i, node_bits)
-            rate = x + i
-
-            def f(t):
-                if t <= 0:
-                    return mpf(0)
-                node = nodes.get(t)
-                if node is None:
-                    node = nodes[t] = (-mp.expm1(-t), -mp.log(t))
-                w, L = node
-                V = table.get(t)
-                if V is None:
-                    V = table[t] = _weighted_tail(i, N - i, t, w)
-                return V * mp.exp(power * L - rate * t) * weight(t, L)
-            return f
 
         def ranges(i):
             """[0, inf), cut at the peak t* of t^(-alpha-1) e^(-(x+i)t)
@@ -287,33 +524,22 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
         for j in js:
             if j == 0 and alpha == 0:
                 continue  # series terminates: differences of y^r vanish past r
-            # the weight sum in powers of L, its coefficients' errors and
-            # moduli: L^d carries C(j, d) B_(j-d)
+            # the weight sum in powers of L and its coefficients' errors:
+            # L^d carries C(j, d) B_(j-d)
             P = [binomial(j, d) * B[j - d].value for d in range(j + 1)]
             P_err = [binomial(j, d) * B[j - d].err_estimate
                      for d in range(j + 1)]
-            P_abs = [abs(v) for v in P]
-            tail = mpf(0)
-            for i in range(r + 1):
-                if phis[i] == 0:
-                    continue
-
-                def bound(t, L, i=i):
-                    rho = eps_q * (amplify
-                                   + (x + i + abs(alpha) + 2) * (t + abs(L)))
-                    return (_horner(P_err, abs(L))
-                            + rho * _horner(P_abs, abs(L)))
-
-                integrand = tail_integrand(i, lambda t, L: _horner(P, L))
+            acc = mpf(0)
+            for i in tail.terms:
+                f, g = tail.integrands(i, P, P_err)
                 for a, b in ranges(i):
-                    val = integrate_adaptive(integrand, a, b, tcfg)
-                    J = integrate_adaptive(tail_integrand(i, bound), a, b,
-                                           loose)
-                    tail += phis[i] * val.value
+                    val = integrate_adaptive(f, a, b, tcfg)
+                    J = integrate_adaptive(g, a, b, loose)
+                    acc += phis[i] * val.value
                     err_total += abs(phis[i]) * (val.err_estimate
                                                  + 2 * J.value
                                                  + J.err_estimate)
-            values[j] = values[j] + tail
+            values[j] = values[j] + acc
         values = {j: +v for j, v in values.items()}
         err_total += 4 * eps * sum(abs(v) for v in values.values())
         return {j: SeriesResult(v, +err_total, N + 1, cfg.tol())

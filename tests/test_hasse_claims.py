@@ -19,7 +19,9 @@ is pinned at four points and at m = 20, where it meets 20 digits since
 the 1/Gamma derivatives' inputs run jmax digits past the request.  Next
 to the pole, at s = 1 +- 2^-k, zeta_hasse and zeta_srivastava_choi are
 checked alike.  Past x = 20 the claim falls short at 20 digits while the
-result reads converged; four such points are pinned as strict xfails.
+result reads converged, because the tail's value integral stops on two
+coarse tanh-sinh levels that both miss its peak; four such points are
+pinned as strict xfails.
 """
 
 import pytest
@@ -109,7 +111,10 @@ def test_claims_next_to_the_pole(k, side):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="Hasse overclaims past x = 20 (ROADMAP item 7)")
+                   reason="Hasse overclaims past x = 20: the tail's value "
+                   "integral stops after two tanh-sinh levels (35 "
+                   "evaluations) that agree while both miss its peak "
+                   "near t = N/(x+i) (ROADMAP items 5 and 7)")
 @pytest.mark.parametrize("route,reference", [
     (lambda c: zeta_hasse(3, 40, 0, c), lambda: mp.zeta(3, 40)),
     (lambda c: zeta_hasse(2, 100, 0, c), lambda: mp.zeta(2, 100)),
@@ -118,7 +123,9 @@ def test_claims_next_to_the_pole(k, side):
     ids=["zeta-3-40", "zeta-2-100", "gamma-0-40", "gamma-3-100"])
 def test_claim_at_large_x(route, reference):
     # converged, with claims 1.35e-25, 1.96e-36, 1.59e-24 and 9.63e-35
-    # where the values are 4.7e-25, 1.69e-35, 1.75e-24 and 2.85e-34 off
+    # where the values are 4.7e-25, 1.69e-35, 1.75e-24 and 2.85e-34 off;
+    # the tail's value integral alone claims 2.7e-25 for (3, 40) and is
+    # 9.4e-25 off, against mp.quad split at its peak
     assert_claim(route(PrecisionConfig(digits=20)), reference, 20)
 
 

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from stieltjes.core import DomainError, PoleError, PrecisionConfig
@@ -87,27 +88,72 @@ class TestZetaHasse:
             assert abs(lhs - rhs) < 10 * eps ** 2
 
 
+def _weighted_tail_reference(i, R, t, bits):
+    """e^(-it) V_{i,R}(t) in mpf at ``bits``: the series sum_{q>R} c_q w^q
+    while w < 1/2, where its terms fall by at least 2, and past that the
+    closed form with the R + i + 2 bits it cancels on top."""
+    with mp.workprec(bits):
+        w = -mp.expm1(-t)
+        if w < mpf(1) / 2:
+            q = R + 1
+            cw = mp.binomial(q + i, i) * w ** q  # C(q+i, i) w^q
+            V = term = cw / (q + i + 1)
+            while term > mpf(2) ** -bits * V:
+                cw *= w * (q + i + 1) / (q + 1)
+                q += 1
+                term = cw / (q + i + 1)
+                V += term
+        else:
+            with mp.workprec(bits + R + i + 2):
+                z = mp.expm1(t)
+                V = (((-1) ** i * t + mp.fsum((-1) ** (i - p) * z ** p / p
+                                              for p in range(1, i + 1)))
+                     / w ** (i + 1) - mp.fsum(
+                         mp.binomial(q + i, i) / (q + i + 1) * w ** q
+                         for q in range(R + 1)))
+        return V * mp.exp(-i * t)
+
+
 class TestHasseTables:
     @pytest.mark.parametrize("i", [0, 2])
     def test_weighted_tail_to_a_few_ulps(self, i):
-        # both sides of the switch at w = 1/16, against the series itself
-        R = 32 - i
+        # both sides of the switch at w = 1/16, against 600-bit mpf; the
+        # table holds e^(-it) V at W bits
+        N, W = 32, 200
+        coeffs = hurwitz._tail_coefficients(N, i, W)
         for t in ("0.001", "0.06", "0.07", "0.5", "3"):
             t = mpf(t)
-            with mp.workprec(200):
-                w = -mp.expm1(-t)
-                V = hurwitz._weighted_tail(i, R, t, w)
+            w, _ = hurwitz._node_entry(t._mpf_, W)
+            m, e, _ = hurwitz._weighted_tail(i, N - i, t._mpf_, w, W, coeffs)
+            ref = _weighted_tail_reference(i, N - i, t, 600)
             with mp.workprec(600):
-                w = -mp.expm1(-t)
-                q = R + 1
-                cw = mp.binomial(q + i, i) * w ** q  # C(q+i, i) w^q
-                ref = term = cw / (q + i + 1)
-                while term > mpf(2) ** -600 * ref:
-                    cw *= w * (q + i + 1) / (q + 1)
-                    q += 1
-                    term = cw / (q + i + 1)
-                    ref += term
-                assert abs(V - ref) <= 2 ** -190 * ref, (i, t)
+                assert abs(mp.ldexp(m, e) - ref) <= 2 ** -190 * ref, (i, t)
+
+    @settings(max_examples=12, deadline=None)
+    @given(t=st.floats(-4, 1.5).map(lambda e: 10 ** e)
+           | st.floats(0.05, 0.08), i=st.sampled_from([0, 2, 15]),
+           jmax=st.sampled_from([1, 3]), x=st.floats(-1, 2).map(
+               lambda e: 10 ** e), alpha=st.floats(-3, 0))
+    def test_integrand_within_its_charged_rounding(self, t, i, jmax, x,
+                                                   alpha):
+        # the fixed-point V and integrand against 300-bit mpf, on both
+        # sides of w = 1/16 (t = 0.0645): each within the rounding that
+        # the bound integrand charges at that node, and V within its own
+        N, W = 32, PrecisionConfig(20).working_bits + kernels.TS_GUARD_BITS
+        t, x, alpha = mpf(t), mpf(x), mpf(alpha)
+        B = hurwitz._recip_gamma_derivs(alpha, jmax, PrecisionConfig(20))
+        P = [math.comb(jmax, d) * B[jmax - d].value
+             for d in range(jmax + 1)]
+        f, g = hurwitz._Tail(N, [i], W, x, alpha).integrands(
+            i, P, [mpf(0)] * len(P))
+        value, charged = f(t), g(t)
+        m, e, err = hurwitz._tail_table(N, i, W)[t._mpf_]
+        V = _weighted_tail_reference(i, N - i, t, 300)
+        with mp.workprec(300):
+            L = -mp.log(t)
+            ref = V * mp.exp((alpha + 1) * L - x * t) * mp.polyval(P[::-1], L)
+            assert abs(mp.ldexp(m, e) - V) <= mp.ldexp(err, e)
+            assert abs(value - ref) <= charged
 
     @pytest.mark.parametrize("N", [8, 32, 40])
     def test_head_weights_reproduce_the_double_sum(self, N):
@@ -127,6 +173,15 @@ class TestHasseTables:
         hasse_gamma(0, mpf(7) / 4, cfg20)
         assert len(calls) == 2
         assert sum(res.terms_used for res in calls) <= 600
+
+    def test_each_tail_table_is_fetched_once_per_call(self, cfg20):
+        # r + 1 = 19 difference terms against an LRU of 16: fetched once
+        # per (j, i), a deriv-1 call rebuilt all 19 tables for each order
+        assert hurwitz._TAIL_TABLES < 19
+        hurwitz._tail_table.cache_clear()
+        zeta_hasse(mpf(-33) / 2, mpf(9) / 10, 1, cfg20)
+        info = hurwitz._tail_table.cache_info()
+        assert (info.misses, info.hits) == (19, 0)
 
     def test_warm_calls_equal_cold_calls(self, cfg20, cfg30):
         # the tail's shared tables change no bit of any result, whatever

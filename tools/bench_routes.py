@@ -28,7 +28,10 @@ request, or beyond the claim where that is finer: mpmath's closed forms
 or its sums of the defining series, or for Sondow's constant on the unit
 circle, where mpmath has none, the package's other route.  The package
 is whichever ``stieltjes`` is on the path, so the same script times any
-checkout.
+checkout.  The Hasse rows (``hasse_gamma``, ``digamma_hasse_series``,
+``zeta_hasse``) also give ``cold_seconds``: one call after the tail's
+table caches are cleared, what each process (and each ``validate``
+worker) pays once.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from stieltjes import fourier
+from stieltjes import fourier, hurwitz
 from stieltjes.constants import (bell_series_gamma, briggs_gamma,
                                   digamma_hasse_series, em_gamma, hasse_gamma,
                                   ramanujan_exp_sum)
@@ -92,6 +95,10 @@ S_POLE = 1 + mpf(2) ** -40
 X_TINY = mpf(1e-30)
 X_TENTHS = mpf(0.3)
 SLOW_ROUTES = {"hurwitz_zeta_em s=-1000 x=3/10"}  # timed at 20 digits only
+HASSE_ROUTES = ("hasse_gamma", "digamma_hasse_series", "zeta_hasse")
+# the Hasse tail's per-process caches, which a cold call fills
+HASSE_CACHES = ("_node_table", "_tail_table", "_tail_coefficients",
+                "_head_weights")
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,6 +212,15 @@ def _timed(call, repeat):
     return res, best
 
 
+def _cold(call):
+    """Seconds of one call on empty Hasse tail caches."""
+    for name in HASSE_CACHES:
+        getattr(hurwitz, name).cache_clear()
+    t0 = time.perf_counter()
+    call()
+    return time.perf_counter() - t0
+
+
 def _row(res, best, reference, digits):
     # 40 digits beyond the request, or beyond the claim where that is finer
     # relative to the value (s = -1000: 1e-1800 relative at 20 digits)
@@ -252,8 +268,10 @@ def main():
         for name, (call, reference) in ROUTES.items():
             if name in SLOW_ROUTES and digits != 20:
                 continue
-            res, best = _timed(lambda: call(cfg), args.repeat)
             row = {"route": name, "digits": digits}
+            if name.startswith(HASSE_ROUTES):
+                row["cold_seconds"] = _cold(lambda: call(cfg))
+            res, best = _timed(lambda: call(cfg), args.repeat)
             row.update(_row(res, best, lambda: reference(digits), digits))
             rows.append(row)
     print(json.dumps({"rows": rows}, indent=1))
