@@ -446,8 +446,9 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
     a looser tolerance on the same digits, so on the first levels of the
     same nodes.
 
-    Rounding.  The integrand runs on Python integers at W = node bits: with
-    v = e^(-it) V within eV (:func:`_weighted_tail`), E within
+    Rounding.  The integrand runs on Python integers at W = node bits,
+    libmp's log, exp and integer power taken as good to a few ulps, as the
+    EM engine takes them.  With v = e^(-it) V within eV (:func:`_weighted_tail`), E within
     2^-W (2|alpha+1| + |L| + 4) E (:meth:`_Tail._at`) and ell within 2 of
     2^W L, Horner on the coefficients floor(P_d 2^sP), max |P_d| >=
     2^(W-sP-1), gives P(L) within 2^-sP 2(deg+1) Lam^deg (the truncations)
