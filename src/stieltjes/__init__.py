@@ -9,7 +9,7 @@ which only reports them (the CLI's argument checks) imports no mpmath;
 
 from importlib import import_module
 
-__version__ = "0.6.7"
+__version__ = "0.6.8"
 
 
 class DomainError(ValueError):
@@ -26,7 +26,6 @@ _EXPORTS = {
     "kernels": ("hurwitz_zeta_em", "integrate_adaptive",
                 "integrate_oscillatory", "sum_alternating_accelerated",
                 "sum_oscillatory", "sum_trig_averaged"),
-    "combinatorics": ("bell_complete", "binomial"),
     "gammafuncs": ("bourguet_log_gamma", "digamma", "digamma_log_integral",
                    "log_gamma", "polygamma"),
     "hurwitz": ("poisson_zeta", "zeta", "zeta_doubleprime0", "zeta_fourier",

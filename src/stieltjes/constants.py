@@ -31,7 +31,6 @@ from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
                    as_real, ball, combine, require_positive, shift_up)
 from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
                       sum_majorized, sum_oscillatory)
-from .combinatorics import binomial
 from .hurwitz import _hasse_parts, zeta_doubleprime0
 from . import gammafuncs, routes
 
@@ -139,7 +138,7 @@ def bell_series_gamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesRe
         x = require_positive(x)
         x, shift, steps = shift_up(x, lambda v: iv.log(v) ** m / v,
                                    SHIFT_FLOOR)
-        weights = [binomial(m, k) * math.factorial(k) for k in range(m + 1)]
+        weights = [math.comb(m, k) * math.factorial(k) for k in range(m + 1)]
         e = [[iv.mpf(1)] + [iv.mpf(0)] * m]  # e_k(1, ..., 1/n) at n = 0
 
         def term(n):

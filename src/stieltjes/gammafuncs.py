@@ -2,11 +2,9 @@
 
 log Gamma(x) = zeta'(0, x) + log(2 pi)/2, psi(x) = -gamma_0(x) and
 psi^(k)(x) = (-1)^(k+1) k! zeta(k+1, x) all come from
-``kernels._em_log_power_sum``, whose cost does not grow with x.  The
-engine sums on Python integers: psi's head terms are 1/(k + x), one
-division each, and log Gamma's are log(k + x) at fixed point; its
-docstring derives the rounding part of each claim.  The
-oscillatory-integral form of log Gamma (Bourguet, its sum over n rotated
+``kernels._em_log_power_sum``, whose cost does not grow with x, on the
+integer fixed point of :mod:`stieltjes.fixed`.  The oscillatory-integral
+form of log Gamma (Bourguet, its sum over n rotated
 onto the imaginary axis by ``kernels.sum_oscillatory``) and the integral
 form of psi(x) - log x are kept as independent sides of identity checks.
 """

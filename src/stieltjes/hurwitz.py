@@ -4,19 +4,18 @@ Routes:
 
 * ``zeta_hasse`` -- the globally convergent binomial double series, summed as
   a head (n <= N, one dot product with exact rational weights, guard bits
-  growing with n) plus an analytic tail: under the Laplace representation
-  of the inner differences the outer weights collapse into elementary
-  generating functions, leaving one smooth integral over [0, inf) per
-  derivative order and difference term, with one exponential per node
-  shared by all of them.  Accurate to the configured digits for any real
-  s != 1.  The integrand's x- and s-independent factors at the quadrature
-  nodes are kept in process-wide tables (:func:`_node_table`,
-  :func:`_tail_table`), at most ``_TAIL_TABLES`` of each, so later calls
-  only look them up.  Like the trigonometric kernel and the EM engine,
-  the tail runs on Python-integer fixed point at the node precision: the
-  tables' entries, the node exponential from libmp and the weight sums
-  are integers, each integrand returns one mpf, and the rounding part of
-  the claim is derived for that arithmetic (:func:`_hasse_parts`).
+  growing with n and, below s = 1, with the head's largest term) plus an
+  analytic tail: under the Laplace representation of the inner
+  differences the outer weights collapse into elementary generating
+  functions, leaving one smooth integral over [0, inf) per derivative
+  order and difference term, with one exponential per node shared by all
+  of them.  Accurate to the configured digits for any real s != 1.  The
+  integrand's x- and s-independent factors at the quadrature nodes are
+  kept in process-wide tables (:func:`_node_table`, :func:`_tail_table`),
+  at most ``_TAIL_TABLES`` of each, so later calls only look them up.
+  Like the trigonometric kernel and the EM engine, the tail runs on the
+  integer fixed point of :mod:`stieltjes.fixed` at the node precision,
+  and each integrand returns one mpf (:func:`_hasse_parts`).
 * ``hurwitz_zeta_em`` (re-exported from ``kernels``) -- direct summation
   with an Euler-Maclaurin tail, continued analytically to every real
   s != 1; the default route, at a cost that does not grow with x.  Hasse
@@ -54,8 +53,7 @@ from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
 from .kernels import (TS_GUARD_BITS, _pole_rounded,
                       hurwitz_zeta_em, integrate_adaptive, sum_majorized,
                       sum_oscillatory, sum_trig_averaged)
-from . import gammafuncs, routes
-from .combinatorics import bell_complete, binomial
+from . import fixed, gammafuncs, routes
 
 _HEAD_TERMS = 32
 # how many node, tail, coefficient and head-weight tables the process keeps
@@ -70,6 +68,17 @@ _LOG2E = 1549082004  # floor(2^30 log2 e)
 # where the Srivastava-Choi route shifts x before its series: a shift step
 # costs a power, a term an EM call and gains log2(x) bits
 SHIFT_FLOOR = 64
+
+
+def _bell_complete(xs) -> mpf:
+    """Complete exponential Bell polynomial Y_r(x_1..x_r), r = len(xs), by
+    the recurrence Y_{r+1} = sum_j C(r,j) Y_{r-j} x_{j+1}, Y_0 = 1, in
+    O(r^2); intervals (``mpmath.iv``) stay intervals."""
+    Y = [mpf(1)]
+    for r in range(len(xs)):
+        Y.append(sum(xs[j] * (math.comb(r, j) * Y[r - j])
+                     for j in range(r + 1)))
+    return Y[-1]
 
 
 def _recip_gamma_derivs(alpha, jmax: int, cfg: PrecisionConfig) -> list:
@@ -95,9 +104,9 @@ def _recip_gamma_derivs(alpha, jmax: int, cfg: PrecisionConfig) -> list:
     def glue(log_gamma, *psi):
         u = [(-1) ** i * v for i, v in enumerate(psi)]
         mid = [v.mid for v in u]
-        box = [bell_complete(u[:p]) for p in range(jmax + 1)]
-        Y = [bell_complete(mid[:p]) + sum(
-            (u[i - 1] - mid[i - 1]) * (binomial(p, i) * box[p - i])
+        box = [_bell_complete(u[:p]) for p in range(jmax + 1)]
+        Y = [_bell_complete(mid[:p]) + sum(
+            (u[i - 1] - mid[i - 1]) * (math.comb(p, i) * box[p - i])
             for i in range(1, p + 1)) for p in range(jmax + 1)]
         expu = iv.exp(-log_gamma)
         return [-(iv.mpf(alpha) * Y[p] + (p * Y[p - 1] if p else 0)) * expu
@@ -110,7 +119,7 @@ def _poly_delta(i: int, r: int, x) -> mpf:
     """sum_v (-1)^v C(i,v) (x+v)^r -- alternating difference of y^r."""
     acc = mpf(0)
     for v in range(i + 1):
-        c = binomial(i, v)
+        c = math.comb(i, v)
         acc += (c if v % 2 == 0 else -c) * (x + v) ** r
     return acc
 
@@ -156,7 +165,7 @@ def _head_weights(N: int) -> tuple:
     """a_k = (-1)^k sum_{n=k}^N C(n,k)/(n+1) for k <= N, as exact
     fractions: sum_{n<=N} 1/(n+1) Delta_n[f](x) = sum_k a_k f(k+x), and
     sum_k |a_k| <= sum_n 2^n/(n+1) < 2^(N+1)."""
-    return tuple((-1) ** k * sum(Fraction(binomial(n, k), n + 1)
+    return tuple((-1) ** k * sum(Fraction(math.comb(n, k), n + 1)
                                  for n in range(k, N + 1))
                  for k in range(N + 1))
 
@@ -178,14 +187,14 @@ def _tail_coefficients(N: int, i: int, W: int) -> tuple:
     lg = math.log2((R + i + 2) / (R + 2))
     span = max(4, math.ceil(lg) + 1)
     K = math.ceil((W + 8) / (span - lg)) + 1
-    moment = sum(Fraction(q * binomial(q + i, i), q + i + 1)
+    moment = sum(Fraction(q * math.comb(q + i, i), q + i + 1)
                  for q in range(R + 1))
     KQ = 2 * R + 2 + math.ceil(2 * moment)
     guard = KQ.bit_length() + 16
     top = W + (N + 2) * span + guard
-    series = tuple((binomial(q + i, i) << (W + _V_GUARD)) // (q + i + 1)
+    series = tuple((math.comb(q + i, i) << (W + _V_GUARD)) // (q + i + 1)
                    for q in range(R + 1, R + 1 + K))
-    partial = tuple((binomial(q + i, i) << top) // (q + i + 1)
+    partial = tuple((math.comb(q + i, i) << top) // (q + i + 1)
                     for q in range(R + 1))
     return span, series, partial, KQ, guard
 
@@ -205,10 +214,9 @@ def _weighted_tail(i: int, R: int, t, w, W: int, coeffs) -> tuple:
     2^-(W+24), K with (g w)^K <= 2^-(W+8).  Its error, in units of
     2^-(W+24): the coefficients' and shifts' truncations, 2 sum w^k < 3;
     w's error of 2 units times S' <= 4.1 g S (g w <= 1/2); the terms past
-    K, below 2^-(W+7) S.  Each factor u = 1 - w, within 2 units, adds
-    2 (s + err) 2^-(W+24) units for an integer s within err, and one for
-    its truncation; w^(R+1) from libmp's integer power is within
-    2^-(W+5) relative.
+    K, below 2^-(W+7) S.  Each factor u = 1 - w (within 2 units) follows
+    the rule of :mod:`stieltjes.fixed`; w^(R+1) from libmp's integer power
+    is within 2^-(W+5) relative.
 
     Otherwise the closed form, V = w^-(i+1) [sum_{p=1}^i (-1)^(i-p) z^p/p
     + (-1)^i t] - sum_{q<=R} c_q w^q with z = e^t - 1 = w/u, so
@@ -220,13 +228,13 @@ def _weighted_tail(i: int, R: int, t, w, W: int, coeffs) -> tuple:
     to about w^(R+i+2) c_(R+1) u^i, so it runs in fixed point at 2^-P, P =
     W + (R+i+2) (1 - mag w) + guard, mag w >= log2 w.  u = e^(-t) comes
     from libmp at P + 8 bits (0 when t > P), within 2 units, and w = 1 - u
-    is exact from it.  Errors in units of 2^-P: each power of w or u
-    (values <= 1) adds 3 per product, so x^n is within 4n and a product
-    w^p u^(i-p) within 4i + 2, divided by p with one more; t u^i within
-    (t + 1) 4i + 3; Q by Horner within KQ (:func:`_tail_coefficients`), and
-    u^i w^(i+1) Q within u^i w^(i+1) KQ + (Q + KQ)(8i + 6) + 2.  The
-    division by b = w^(i+1) (within eb = 4(i+1)) of the bracket D (within
-    eD) errs by at most 2^P (|D| eb + b eD) / (b (b - eb)) + 1.
+    is exact from it.  Errors in units of 2^-P, by the rule and its
+    corollary for values <= 1: x^n within 4n and w^p u^(i-p) within
+    4i + 2, divided by p with one more; t u^i within (t + 1) 4i + 3; Q by
+    Horner within KQ (:func:`_tail_coefficients`), and u^i w^(i+1) Q
+    within u^i w^(i+1) KQ + (Q + KQ)(8i + 6) + 2.  The division by
+    b = w^(i+1) (within eb = 4(i+1)) of the bracket D (within eD) errs by
+    at most 2^P (|D| eb + b eD) / (b (b - eb)) + 1.
     """
     span, series, partial, KQ, guard = coeffs
     wmag = w[2] + w[3]  # 2^(wmag-1) <= w < 2^wmag
@@ -241,8 +249,7 @@ def _weighted_tail(i: int, R: int, t, w, W: int, coeffs) -> tuple:
         err = 6 + (9 * (R + i + 2) * s // (R + 2) >> WS) + (s >> (W + 7))
         uf = (1 << WS) - wf
         for _ in range(i):
-            err += (2 * (s + err) >> WS) + 2
-            s = s * uf >> WS
+            s, err = fixed.mul(s, err, uf, 2, WS)
         _, pm, pe, _ = mpf_pow_int(w, R + 1, W + 8)
         m = s * pm
         err = err * pm + ((s + err) * pm >> (W + 4)) + 1
@@ -429,9 +436,11 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
 
     The head, n <= N, is sum_k a_k f(k+x) with the exact weights of
     :func:`_head_weights`; err adds its rounding, Sum_k |a_k| |f(k+x)| <=
-    2^(N+1) max |f| times the ulps of f.  The tail, n > N, writes
-    y^c = y^r y^alpha (alpha = c - r <= 0) with y^alpha in its Laplace
-    form; it is the sum over i <= r of phi_i = Delta_i[y^r](x) times
+    2^(N+1) max |f| times the ulps of f, so it runs N + 64 bits past the
+    request, and c log2(N + x) more for max |f| = (N + x)^c when c > 0.
+    The tail, n > N, writes y^c = y^r y^alpha (alpha = c - r <= 0) with
+    y^alpha in its Laplace form; it is the sum over i <= r of phi_i =
+    Delta_i[y^r](x) times
 
         int_0^inf e^(-it) V_{i,N-i}(t) exp((alpha+1) L - x t)
                   sum_p C(j,p) L^(j-p) B_p dt,      L = -log t,
@@ -447,25 +456,23 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
     same nodes.
 
     Rounding.  The integrand runs on Python integers at W = node bits,
-    libmp's log, exp and integer power taken as good to a few ulps, as the
-    EM engine takes them.  With v = e^(-it) V within eV (:func:`_weighted_tail`), E within
-    2^-W (2|alpha+1| + |L| + 4) E (:meth:`_Tail._at`) and ell within 2 of
-    2^W L, Horner on the coefficients floor(P_d 2^sP), max |P_d| >=
-    2^(W-sP-1), gives P(L) within 2^-sP 2(deg+1) Lam^deg (the truncations)
-    plus 2^(1-W) deg P^(Lam) (ell's error, P^' <= deg P^ for Lam >= 1),
-    P^(y) = sum |P_d| y^d and Lam = max(1, |L| + 2^(1-W)); the product
-    rounds once to W bits.  So per node
+    bounded a priori by the rule of :mod:`stieltjes.fixed`.  With v =
+    e^(-it) V within eV (:func:`_weighted_tail`), E within 2^-W (2|alpha+1|
+    + |L| + 4) E (:meth:`_Tail._at`) and ell within 2 of 2^W L, Horner on
+    floor(P_d 2^sP), max |P_d| >= 2^(W-sP-1), leaves P(L) within 2^-sP
+    2(deg+1) Lam^deg for its truncations plus 2^(1-W) deg P^(Lam) for
+    ell's error (P^' <= deg P^ for Lam >= 1), P^(y) = sum |P_d| y^d and
+    Lam = max(1, |L| + 2^(1-W)); the product rounds once to W bits.  So
 
-        g = E [(|v| + eV) P_err(|L|) + eV P^(Lam)
-               + |v| 2^-W ((2|alpha+1| + 5 + 2 deg + Lam) P^(Lam)
-                           + 4 (deg+1) max|P_d| Lam^deg)],
+        g(t) = E [(|v| + eV) P_err(|L|) + eV P^(Lam)
+                  + |v| 2^-W ((2|alpha+1| + 5 + 2 deg + Lam) P^(Lam)
+                              + 4 (deg+1) max|P_d| Lam^deg)],
 
-    where P_err bounds the B_p's errors.  Where magnitudes alone show
-    |v E P| < 2^-2W, f is 0 without the exponential and eV in the middle
-    term becomes eV + |v|: the whole value is then its error.  The terms
-    left out are second order in 2^-W; err takes the bound's integral
-    twice for them.  No term grows with x t: x t is exact before its one
-    truncation.
+    where P_err bounds the B_p's errors.  Where f is 0 by magnitudes alone
+    (:meth:`_Tail.integrands`), eV in the middle term becomes eV + |v|.
+    The terms left out are second order in 2^-W; err takes the bound's
+    integral twice for them.  No term grows with x t: x t is exact before
+    its one truncation.
 
     The phi_i multiply the tail's errors by up to Sum |phi_i|, 4e14 at
     r = 15 and x = 9/10, so when that sum exceeds 1, B, both integrals and
@@ -482,7 +489,7 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
     alpha = c - r
     N = max(_HEAD_TERMS, r + 8)
     jmax = max(js)
-    extra = N + 64
+    extra = N + 64 + max(0, int(mp.ceil(c * mp.log(N + x, 2))))
     with cfg.workprec(extra):
         eps = mpf(2) ** -mp.prec
         logs = [mp.log(k + x) for k in range(N + 1)]
@@ -527,8 +534,8 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
                 continue  # series terminates: differences of y^r vanish past r
             # the weight sum in powers of L and its coefficients' errors:
             # L^d carries C(j, d) B_(j-d)
-            P = [binomial(j, d) * B[j - d].value for d in range(j + 1)]
-            P_err = [binomial(j, d) * B[j - d].err_estimate
+            P = [math.comb(j, d) * B[j - d].value for d in range(j + 1)]
+            P_err = [math.comb(j, d) * B[j - d].err_estimate
                      for d in range(j + 1)]
             acc = mpf(0)
             for i in tail.terms:
@@ -570,7 +577,7 @@ def zeta_hasse(s, x=1, deriv: int = 0,
 
         def leibniz(*part):
             return (-1) ** deriv * sum(
-                binomial(deriv, i) * math.factorial(i) / pole ** (i + 1)
+                math.comb(deriv, i) * math.factorial(i) / pole ** (i + 1)
                 * part[deriv - i] for i in range(deriv + 1))
 
         return combine(leibniz, *(parts[j] for j in range(deriv + 1)),

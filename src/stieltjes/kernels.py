@@ -19,13 +19,9 @@ Kernels:
 * ``sum_trig_averaged`` -- conditionally convergent trigonometric series
   sum f(n) trig(2 pi n x) for completely monotone f: a direct head and an
   Euler-Abel transform of the tail in z = e^(2 pi i x), at a cost that does
-  not depend on the period of x (the name is historical: the first body
-  averaged over Cesaro windows; the benchmark calls the kernel by name).
-  Both run on Python-integer fixed point, as mpmath's own elementary
-  functions do: the phases come from one integer rotation per term, the
-  products sum exactly into integers and the tail's difference table is
-  exact.  Only the caller's coefficients are mpf; the claim's rounding
-  part is derived for that arithmetic (``_abel_sum``).
+  not depend on the period of x (the name is historical).  Both run on the
+  integer fixed point of :mod:`stieltjes.fixed`; only the caller's
+  coefficients are mpf (``_abel_sum``).
 * ``integrate_adaptive`` -- tanh-sinh quadrature on finite or infinite
   ranges, stepped level by level until two levels agree at the request.
 * ``integrate_oscillatory`` -- zero-aligned panels with Euler acceleration,
@@ -37,14 +33,9 @@ Kernels:
   ``integrate_adaptive`` integral.
 * ``hurwitz_zeta_em`` -- Euler-Maclaurin summation of zeta(s, x) and its
   s-derivatives for every real s != 1, on the engine
-  ``_em_log_power_sum`` that also gives gamma_m(x), log Gamma and psi.
-  Like the trigonometric kernel, the engine runs on Python-integer fixed
-  point: each head term is an exact product of P(log(k + x)) at 2^-W and a
-  weight (k + x)^-s from one mpmath integer power or exp, the derivatives
-  of the Bernoulli corrections are integer polynomials with y^-r folded
-  in, and the head, tail, f(N)/2 and corrections meet in mpf once.  The
-  rounding part of the claim is derived for that arithmetic, by one rule
-  for every product (``_em_log_power_sum``).
+  ``_em_log_power_sum`` that also gives gamma_m(x), log Gamma and psi, on
+  the integer fixed point of :mod:`stieltjes.fixed` like the
+  trigonometric kernel and Hasse's tail.
 """
 
 from __future__ import annotations
@@ -55,13 +46,14 @@ from functools import lru_cache
 from typing import Callable
 
 from mpmath import iv, mp, mpc, mpf
-from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_add,
-                          mpf_bernoulli, mpf_cos_sin_pi, mpf_exp, mpf_log,
-                          mpf_mul, mpf_neg, mpf_pow_int, round_down, round_up,
-                          to_fixed, to_float)
+from mpmath.libmp import (from_float, from_int, mpf_add, mpf_bernoulli,
+                          mpf_cos_sin_pi, mpf_exp, mpf_log, mpf_mul, mpf_neg,
+                          mpf_pow_int, round_down, round_up, to_fixed,
+                          to_float)
 
 from .core import (DEFAULT_CFG, DomainError, PoleError, PrecisionConfig,
                    SeriesResult, as_real, combine, require_positive)
+from . import fixed
 
 _SAFETY = 4  # heuristic multiplier on last-difference error estimates
 # terms after which sum_majorized and sum_trig_averaged give up unconverged:
@@ -205,9 +197,8 @@ def sum_trig_averaged(coeff: Callable[[int], mpf], mode: str, x,
     and K come from the target bits and sin(pi x) alone (:func:`_abel_plan`),
     so the cost is O(bits / sin pi x) whatever the period of x, and the
     tail's coefficients carry K log2(2 / |1 - z|) guard bits, which the
-    differences lose.  Both sums run on integer fixed point scaled to the
-    coefficients, the head's to the first nonzero one and the tail's to
-    f(N) (:func:`_abel_sum`, which derives the rounding part of the claim).
+    differences lose.  Both sums run on integer fixed point
+    (:func:`_abel_sum`, which derives the rounding part of the claim).
     The error estimate is the remainder bound plus that rounding bound; the
     result is unconverged when ``TERM_CAP`` coefficients do not reach
     10^-digits max(1, |value|).
@@ -270,8 +261,9 @@ def _abel_sum(coeff, mode, x, odd, N, k_max, head_wp, wp, tol):
       mpmath at the first nonzero coefficient and turned by e^(2 pi i x)
       once per term, each product truncated back to P bits.  The products
       sum exactly into one integer.  A start or e^(2 pi i x) is off by less
-      than 1.5 units of 2^-P, a turn by less than 1.5 more, so the n-th
-      phase drifts by less than 3n + 1.5 <= 4n units.  The head is then off
+      than 1.5 units of 2^-P, a turn by that and its truncation (the
+      corollary of :mod:`stieltjes.fixed`), so the n-th phase drifts by
+      less than 3n + 1.5 <= 4n units.  The head is then off
       by at most N u (1 + 4N 2^-P) for the truncations, 4N 2^-P sum |f_n|
       for the drift and 16 2^-head_wp sum |f_n| for the coefficients' own
       rounding (a few ulps, assumed of coeff).
@@ -771,37 +763,30 @@ def _em_log_power_sum(poly, s, x, cfg) -> SeriesResult:
     bound of :func:`_em_remainder_log` plus the rounding bound below.
 
     Rounding.  Everything runs on Python integers at W = bits + guard +
-    bitlen(N + 2K) + 16 bits and meets in one mpf, rounded to W bits
-    (2^(1-W) |value|).  mpmath's log, exp, integer power and Bernoulli
-    numbers are assumed good to a few ulps, as :func:`_abel_sum` assumes
-    of its trigonometric functions; u = 2^-W.
+    bitlen(N + 2K) + 16 bits (:mod:`stieltjes.fixed`) and meets in one
+    mpf, rounded to W bits (2^(1-W) |value|); u = 2^-W.
 
     * Weights.  y_k = k + x is exact.  w_k = y_k^-s is one integer power
       for integral s and exp(-s L_k) otherwise, L_k = log y_k, both at
       W + 8 bits; the log and the product s L_k carry log2(1 + |s| lam)
       more, lam >= max |log2 y_k|, so w_k is within u/4 relative.  L_k
       enters fixed point at 2^-W within 2 units.
-    * Head.  P(L_k) by Horner on integers at 2^-W: its truncations and
-      L_k's error leave it within 3 deg u P^(Lh_k), where P^(t) =
-      sum |c_d| t^d and Lh_k = max(1, |L_k| + 2u) (Lh_k^(deg-1) <=
+    * Head.  P(L_k) by Horner, bounded a priori by the rule: its
+      truncations and L_k's error leave it within 3 deg u P^(Lh_k), where
+      P^(t) = sum |c_d| t^d and Lh_k = max(1, |L_k| + 2u) (Lh_k^(deg-1) <=
       P^(Lh_k) and P^' <= deg P^ there, as c_deg is an integer); P^(Lh_k)
       is bounded from above by a Horner of its own.  Each term P(L_k) w_k
       is an exact product, truncated once to a multiple of 2^e with
       N 2^e <= 2u max w_k.  So the head is within (3 deg + 3) u
       sum P^(Lh_k) w_k.
-    * Tail, half and corrections, at y >= 4.  A, y, 1/y, s and q =
-      1/(s-1) are integers at 2^-W within 2, 1, 2, 1 and 1 units; q is
-      divided out of the exact s - 1, which keeps the bits
-      :func:`_pole_rounded` gives s next to the pole, and b_j is beta_j
-      2^-sh_j within 2^(1-sh_j) (:func:`_em_bernoulli`).  Every product
-      a b of such integers, with error bounds ea and eb in units, is
-      truncated and given the bound (|a| eb + |b| ea + ea eb) / 2^W + 2
-      (rounding the bound up, then the truncation), every sum the sum of
-      its bounds.  That one rule runs alongside the arithmetic: for the
-      powers of A, the F_d, each R_r (one bound for all its
-      coefficients, from their largest) and the Horner evaluation of the
-      bracket at A.  Times y^-s and y^(1-s), each part is off by at most
-      its bound plus u/2 of itself for the weight.
+    * Tail, half and corrections, at y >= 4.  A, y, 1/y, s and q = 1/(s-1)
+      are integers at 2^-W within 2, 1, 2, 1 and 1 units (q divided out of
+      the exact s - 1, which keeps the bits :func:`_pole_rounded` gives s
+      next to the pole), b_j is beta_j 2^-sh_j within 2^(1-sh_j)
+      (:func:`_em_bernoulli`), and the rule carries the bounds of the
+      powers of A, the F_d, each R_r (one for all its coefficients, from
+      their largest) and the bracket's Horner at A.  Times y^-s and
+      y^(1-s), each part is off by at most its bound plus u/2 of itself.
     """
     deg = len(poly) - 1
     tol = cfg.tol()
@@ -869,25 +854,19 @@ def _em_log_power_sum(poly, s, x, cfg) -> SeriesResult:
     for r in range(2 * K - 1):
         Sr = S + (r << W)
         # U = R' - (s + r) R within Ue, |U_d| <= Um; then R = U / y
-        Ue = deg * E + (((abs(Sr) + 1) * E + M) >> W) + 2
+        Ue = deg * E + fixed.err(Sr, 1, M, E, W)
         Um = ((((deg + 1) << W) + abs(Sr)) * M >> W) + 1
         R = [(((d + 1) * R[d + 1] - ((Sr * R[d]) >> W)) * inv) >> W
              for d in range(deg + 1)] + [0]
-        E = ((inv * Ue + 2 * (Um + Ue)) >> W) + 2
+        E = fixed.err(Um, Ue, inv, 2, W)
         M = max(map(abs, R))
         if not r % 2:
             beta, sh = row[r // 2]
             Bc = [b - ((beta * v) >> sh) for b, v in zip(Bc, R)]
-            EB += ((abs(beta) * E + 2 * (M + E)) >> sh) + 2
-    B, eB = Bc[-1], EB
-    for c in reversed(Bc[:-1]):
-        eB = (((A + 2) * eB + 2 * abs(B)) >> W) + 2 + EB
-        B = ((B * A) >> W) + c
+            EB += fixed.err(beta, 2, M, E, sh)
+    B, eB = fixed.horner(Bc, EB, A, 2, W)
     # the tail T(A) within eT, from the powers A^d within eA_d, d <= deg + 1
-    powers = [(1 << W, 0)]
-    for _ in range(deg + 1):
-        Ap, eA = powers[-1]
-        powers.append(((Ap * A) >> W, (((A + 2) * eA + 2 * Ap) >> W) + 2))
+    powers = fixed.powers(A, 2, deg + 1, W)
     T = eT = F = eF = 0
     if n == 1:
         for d, c in enumerate(C):
@@ -899,25 +878,18 @@ def _em_log_power_sum(poly, s, x, cfg) -> SeriesResult:
              else (1 << (W - sexp)) // (sman - (1 << -sexp)))
         for d, c in enumerate(C):
             Ap, eA = powers[d]
-            G, eG = Ap + d * F, eA + d * eF
-            eF = (((abs(Q) + 1) * eG + abs(G)) >> W) + 2
-            F = (Q * G) >> W
+            F, eF = fixed.mul(Q, 1, Ap + d * F, eA + d * eF, W)
             T += c * F
             eT += abs(c) * eF
 
-    def join(parts, prec, rnd):  # sum of m 2^ex over parts, rounded once
-        low = min(ex for _, ex in parts)
-        return from_man_exp(sum(m << (ex - low) for m, ex in parts), low,
-                            prec, rnd)
-
     # value = 2^e head + 2^(we-W) wm B + 2^(te-W) tm T
     tm, te = (1, 0) if n == 1 else (y[1] * wm, y[2] + we)
-    value = join(((head, e), (wm * B, we - W), (tm * T, te - W)), W,
-                 round_down)
-    rounding = join(((head_err, e - W),
-                     (wm * (eB + (abs(B) >> (W + 1)) + 1), we - W),
-                     (tm * (eT + (abs(T) >> (W + 1)) + 1), te - W),
-                     (value[1], value[2] + 1 - W)), 60, round_up)
+    value = fixed.meet(((head, e), (wm * B, we - W), (tm * T, te - W)), W,
+                       round_down)
+    rounding = fixed.meet(((head_err, e - W),
+                           (wm * (eB + (abs(B) >> (W + 1)) + 1), we - W),
+                           (tm * (eT + (abs(T) >> (W + 1)) + 1), te - W),
+                           (value[1], value[2] + 1 - W)), 60, round_up)
     # the remainder bound: (N+x)^(1-s) A^deg sum|c| times the exponential
     # of _em_remainder_log
     Af = to_float(La)

@@ -25,6 +25,7 @@ the source material).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 from typing import Callable, Dict, List, NamedTuple
 
@@ -32,7 +33,6 @@ from mpmath import mp, mpf
 
 from .core import IdentityReport, PrecisionConfig, as_real
 from . import constants, fourier, gammafuncs, hurwitz
-from .combinatorics import binomial
 from .kernels import sum_trig_averaged
 
 EXPECTED_FAILURE_MARK = "paper-discrepancy"
@@ -79,7 +79,7 @@ def _coffey_integral(cfg) -> List[IdentityReport]:
     out = []
     for n, x in ((1, 1), (2, 1), (1, 2)):
         x = as_real(x)
-        rhs = mp.fsum((binomial(n, k) if k % 2 == 0 else -binomial(n, k))
+        rhs = mp.fsum((-1) ** k * math.comb(n, k)
                       * mp.log(k + x) for k in range(n + 1))
         f = constants.coffey_integrand(n, x)
         negative = all(f(mpf(u) / 10) < 0 for u in range(1, 10))

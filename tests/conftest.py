@@ -4,8 +4,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 from mpmath import mp, mpf
 
-from stieltjes.combinatorics import bell_complete
 from stieltjes.core import PrecisionConfig
+from stieltjes.hurwitz import _bell_complete
 
 # derandomized: Tier-1 runs the same draws every time
 settings.register_profile("tier1", derandomize=True, database=None,
@@ -175,5 +175,5 @@ def bell_harmonic(k, n):
     """Y_k(H_n, -1! H_n^(2), ..., (-1)^(k-1) (k-1)! H_n^(k)): the k-th
     derivative at 0 of Gamma(s+n+1)/Gamma(s+1), over n!; a reference for
     the Bell route's weights."""
-    return bell_complete([(-1) ** i * mp.factorial(i) * harmonic(n, i + 1)
-                          for i in range(k)])
+    return _bell_complete([(-1) ** i * mp.factorial(i) * harmonic(n, i + 1)
+                           for i in range(k)])

@@ -583,7 +583,7 @@ def test_compute_imports_neither_suites_nor_a_pool(tmp_path):
     assert _modules_after(argv, unused + ["mpmath"]) == [0, False, "mpmath"]
     # a hit reads one JSON file: no mpmath, no computing module
     computing = ["mpmath", "stieltjes.core", "stieltjes.kernels",
-                 "stieltjes.gammafuncs"]
+                 "stieltjes.gammafuncs", "stieltjes.fixed"]
     assert _modules_after(argv, unused + computing) == [0, True]
     # the zeta row of the Euler-Maclaurin route names kernels, not hurwitz
     zeta = ["compute", "zeta", "-s", "2", "--digits", "20", "--no-cache"]

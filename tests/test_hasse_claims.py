@@ -14,7 +14,8 @@ builds them.  Draws: Stieltjes index 0-12, x log-uniform in [0.1, 10],
 s in [-3, 4] off the pole, derivative order 0-2, 20 and 30 digits.  At
 large s, where the tail integrand peaks far out, zeta_hasse is pinned at
 s = 3000 and 1e6, and at negative s, where the tail's weights
-Delta_i[y^r](x) sum to 4e14 in modulus, at four points.  Past m = 12 it
+Delta_i[y^r](x) sum to 4e14 in modulus, at six points, two of them below
+s = -30, where the head's rounding grows like (N + x)^(1-s).  Past m = 12 it
 is pinned at four points and at m = 20, where it meets 20 digits since
 the 1/Gamma derivatives' inputs run jmax digits past the request.  Next
 to the pole, at s = 1 +- 2^-k, zeta_hasse and zeta_srivastava_choi are
@@ -88,11 +89,14 @@ def test_hasse_gamma_claim_past_m12(m, x, converges):
 
 @pytest.mark.parametrize("s,x,deriv,digits", [
     (mpf(-41) / 3, mpf(9) / 10, 0, 20), (mpf(-41) / 3, mpf(9) / 10, 0, 30),
-    (mpf(-41) / 3, mpf(9) / 10, 0, 50), (mpf(-29) / 4, mpf(5) / 2, 1, 30)])
+    (mpf(-41) / 3, mpf(9) / 10, 0, 50), (mpf(-29) / 4, mpf(5) / 2, 1, 30),
+    (mpf(-61) / 2, mpf(9) / 10, 0, 20), (mpf(-81) / 2, mpf(9) / 10, 0, 20)])
 def test_zeta_hasse_claim_at_negative_s(s, x, deriv, digits):
     # r = ceil(1 - s) = 15 or 9: the tail's integrals enter weighted by
     # Delta_i[y^r](x), whose moduli sum to 4e14 or 4e7, and run at the
-    # request's digits they claimed 9.6e-16 at 20 digits (actual 5e-28)
+    # request's digits they claimed 9.6e-16 at 20 digits (actual 5e-28).
+    # Below s = -30 the head's rounding grows like (N + x)^(1-s): with N + 64
+    # guard bits -61/2 ended unconverged and -81/2 claimed 5e13
     res = zeta_hasse(s, x, deriv, PrecisionConfig(digits=digits))
     _check(res, lambda: mp.zeta(s, x, deriv), digits, converges=True)
 

@@ -18,7 +18,6 @@ EXPORTED = {
     "kernels": ("hurwitz_zeta_em", "integrate_adaptive",
                 "integrate_oscillatory", "sum_alternating_accelerated",
                 "sum_oscillatory", "sum_trig_averaged"),
-    "combinatorics": ("bell_complete", "binomial"),
     "gammafuncs": ("bourguet_log_gamma", "digamma", "digamma_log_integral",
                    "log_gamma", "polygamma"),
     "hurwitz": ("poisson_zeta", "zeta", "zeta_doubleprime0", "zeta_fourier",
