@@ -9,7 +9,7 @@ which only reports them (the CLI's argument checks) imports no mpmath;
 
 from importlib import import_module
 
-__version__ = "0.6.8"
+__version__ = "0.6.9"
 
 
 class DomainError(ValueError):

@@ -30,7 +30,7 @@ from mpmath import iv, mp, mpf
 from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
                    as_real, ball, combine, require_positive, shift_up)
 from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
-                      sum_majorized, sum_oscillatory)
+                      sum_majorized)
 from .hurwitz import _hasse_parts, zeta_doubleprime0
 from . import gammafuncs, routes
 
@@ -180,6 +180,7 @@ def briggs_gamma(m: int, x,
     kernels.sum_oscillatory with P = L^m and s = 1; x < 1 is shifted up by
     gamma_m(x) = gamma_m(x+1) + log^m(x)/x.
     """
+    from .gauss import sum_oscillatory
     if m not in (0, 1):
         raise DomainError("oscillatory route implemented for m in {0, 1}")
     with cfg.workprec(40):

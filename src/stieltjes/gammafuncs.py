@@ -17,8 +17,7 @@ from mpmath import iv, mp, mpf
 
 from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
                    combine, require_positive, shift_up)
-from .kernels import (_em_log_power_sum, hurwitz_zeta_em, integrate_adaptive,
-                      sum_oscillatory)
+from .kernels import _em_log_power_sum, hurwitz_zeta_em, integrate_adaptive
 
 
 def log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
@@ -91,6 +90,7 @@ def bourguet_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     kernels.sum_oscillatory; x < 1 is shifted up by
     log Gamma(x) = log Gamma(x+1) - log x.
     """
+    from .gauss import sum_oscillatory
     with cfg.workprec(40):
         x = require_positive(x)
         x, shift, _ = shift_up(x, lambda v: -iv.log(v))

@@ -52,7 +52,7 @@ from .core import (DEFAULT_CFG, DomainError, PrecisionConfig, SeriesResult,
                    as_real, ball, combine, require_positive, shift_up)
 from .kernels import (TS_GUARD_BITS, _pole_rounded,
                       hurwitz_zeta_em, integrate_adaptive, sum_majorized,
-                      sum_oscillatory, sum_trig_averaged)
+                      sum_trig_averaged)
 from . import fixed, gammafuncs, routes
 
 _HEAD_TERMS = 32
@@ -747,6 +747,7 @@ def poisson_zeta(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     kernels.sum_oscillatory; x < 1 is shifted up by
     zeta(s, x) = x^-s + zeta(s, x+1).
     """
+    from .gauss import sum_oscillatory
     with cfg.workprec(40):
         s = as_real(s)
         if not s > 1:

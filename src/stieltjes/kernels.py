@@ -23,19 +23,27 @@ Kernels:
   integer fixed point of :mod:`stieltjes.fixed`; only the caller's
   coefficients are mpf (``_abel_sum``).
 * ``integrate_adaptive`` -- tanh-sinh quadrature on finite or infinite
-  ranges, stepped level by level until two levels agree at the request.
+  ranges, stepped level by level until two levels agree at the request;
+  its claim is an estimate.
+* ``integrate_analytic`` -- Gauss-Legendre panels of one degree per node
+  precision, split until a bound on each panel's error from a majorant of
+  the integrand on its Bernstein ellipse meets the request (Kolbig's
+  integral, ``fourier.kolbig_check``, and ``sum_oscillatory``).
 * ``integrate_oscillatory`` -- zero-aligned panels with Euler acceleration,
   at a precision sized to its stop, the request but at most 1e-12; no
   route of the package uses it.
 * ``sum_oscillatory`` -- sum over n of oscillatory integrals of
   P(log(t+x)) (t+x)^-s (Briggs, Bourguet and Poisson routes), rotated onto
   the imaginary axis, where the n-sum has a closed form, and summed as one
-  ``integrate_adaptive`` integral.
+  ``integrate_analytic`` integral.
 * ``hurwitz_zeta_em`` -- Euler-Maclaurin summation of zeta(s, x) and its
   s-derivatives for every real s != 1, on the engine
   ``_em_log_power_sum`` that also gives gamma_m(x), log Gamma and psi, on
   the integer fixed point of :mod:`stieltjes.fixed` like the
   trigonometric kernel and Hasse's tail.
+
+``integrate_analytic`` and ``sum_oscillatory`` live in
+:mod:`stieltjes.gauss`, which loads on first use (:func:`__getattr__`).
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from mpmath import iv, mp, mpc, mpf
+from mpmath import iv, mp, mpf
 from mpmath.libmp import (from_float, from_int, mpf_add, mpf_bernoulli,
                           mpf_cos_sin_pi, mpf_exp, mpf_log, mpf_mul, mpf_neg,
                           mpf_pow_int, round_down, round_up, to_fixed,
@@ -63,6 +71,18 @@ TERM_CAP = 10 ** 6
 _MAX_HALF_PERIODS = 80  # panel budget of integrate_oscillatory
 _TS_EXTRA_LEVELS = 2  # integrate_adaptive's levels past mpmath's default
 TS_GUARD_BITS = 40  # integrate_adaptive's nodes carry these beyond the digits
+_GAUSS = ("integrate_analytic", "sum_oscillatory")  # kernels in stieltjes.gauss
+
+
+def __getattr__(name):
+    """``integrate_analytic`` and ``sum_oscillatory`` from
+    :mod:`stieltjes.gauss`, imported on first use: a process that runs no
+    such route, such as a ``compute`` on a default route, neither compiles
+    nor loads it."""
+    if name in _GAUSS:
+        from . import gauss
+        return getattr(gauss, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _euler_diagonal(partials):
@@ -397,10 +417,18 @@ def integrate_adaptive(f: Callable[[mpf], mpf], a, b,
     The claim is the last difference, plus the end terms |w f| of the
     level that reaches closest to the ends (what the nodes leave out beyond
     them integrates to less; it matters only where f is singular at an
-    end), plus 16 ulps of max(1, |value|) for the rounding.  It covers the
-    quadrature and its rounding, not the error of the integrand's own
-    values: psi(t) sin(pi t) at 20 digits, for instance, is good to about
-    1e-29 only.  ``terms_used`` counts the integrand evaluations.
+    end), plus 16 ulps of max(1, |value|) for the rounding.  It is an
+    estimate, not a bound: two levels can agree because both missed a
+    narrow feature of f.  It covers neither that nor the error of the
+    integrand's own values.  ``terms_used`` counts the integrand
+    evaluations.
+
+    Its callers are the integrals with a branch point at an end and no
+    complex path that :func:`integrate_analytic` could bound: Hasse's tail
+    (``hurwitz._hasse_parts``), psi(x) - log x
+    (``gammafuncs.digamma_log_integral``), Coffey's integral
+    (``constants.coffey_difference_integral``) and Sondow's
+    (``fourier._sondow_integral``).
     """
     with cfg.workprec(TS_GUARD_BITS):
         prec = mp.prec
@@ -495,83 +523,6 @@ def integrate_oscillatory(g: Callable[[mpf], mpf], freq,
             best, best_err = partials[-1], abs(partials[-1])
         return SeriesResult(+(head + best), best_err * _SAFETY + quad_err,
                             len(partials), cfg.tol())
-
-
-# ---------------------------------------------------------------------------
-# Functions of the form P(log(t+x)) * (t+x)^(-s): their t-derivatives stay in
-# that form, which the Bernoulli corrections of the Euler-Maclaurin engine
-# rely on; sum_oscillatory evaluates them at complex t.
-# ---------------------------------------------------------------------------
-
-def _horner(P, L):
-    """P(L) for coefficients P in ascending powers."""
-    pv = mpf(0)
-    for c in reversed(P):
-        pv = pv * L + c
-    return pv
-
-
-def sum_oscillatory(poly, s, x, mode: str,
-                    cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
-    """sum_{n>=1} n^-w int_0^inf P(log(t+x)) (t+x)^-s trig(2 pi n t) dt.
-
-    ``poly`` holds the coefficients of P (ascending) and x >= 1.  The mode
-    picks the weight: w = 0 for the cosine form, w = 1 for the sine form,
-    which needs it.  g(t) = P(log(t+x)) (t+x)^-s is analytic for
-    Re t > -x and falls like a power of 1/|t|, so each integral turns by
-    t = iu onto the imaginary axis (Hermite's rotation, as in Abel-Plana):
-
-        int_0^inf g(t) e^(2 pi i n t) dt = i int_0^inf g(iu) e^(-2 pi n u) du.
-
-    Under the integral the n-sum has a closed form, W_0(u) =
-    1/expm1(2 pi u) and W_1(u) = -log(-expm1(-2 pi u)), so the whole sum
-    is i J with J = int_0^inf g(iu) W_w(u) du: the cosine sum is -Im J and
-    the sine sum Re J.  The integrand is smooth and falls like e^(-2 pi u);
-    at u = 0, Im g(iu) = O(u) cancels the pole of W_0, and W_1 has a
-    logarithmic end singularity that tanh-sinh takes in its stride.  One
-    :func:`integrate_adaptive` call sums it, and its result is returned.
-    For s > x^2 it runs in v = u sqrt(s) / x: |g(iu)| falls like
-    e^(-s u^2 / 2x^2), a peak the first levels would miss at large s, two
-    levels agreeing on zero.  Under that peak the phase s u / x turns
-    about sqrt(s) times, so from s ~ 1e4 the levels do not agree and the
-    result is unconverged rather than wrong.
-
-    That claim leaves out the integrand's own rounding, which is covered
-    here without a term of its own.  The nodes run at prec =
-    cfg.working_bits + 60 bits, 124 bits past the digits asked for.  Each
-    value is a few dozen roundings of a few ulps (a complex log and power,
-    a Horner step, expm1, a log) of |P|(log(x+u) + 2) |x+iu|^-s |W_w(u)|,
-    times min(1, u) for the imaginary part, whose parts are O(u) at u = 0;
-    W_1 is good to an ulp of 1, not of itself, until e^(-2 pi u) passes
-    2^-prec at u ~ prec/9.  For x >= 1, s >= 1 and deg P <= 1 that adds to
-    fewer than prec (log(1+x) + 2) ulps, 2^-90 of the request or less
-    while log(1+x) < 2^10.
-    """
-    if mode not in ("sin", "cos"):
-        raise ValueError("mode must be 'sin' or 'cos'")
-    with cfg.workprec(40):
-        s = as_real(s)
-        x = as_real(x)
-        if not x >= 1:
-            raise DomainError("x must be >= 1 (shift by a recurrence)")
-        P = [mpf(c) for c in poly]
-
-        # u = scale * v: |(x + iu)^-s| falls like e^(-s u^2 / 2x^2), a peak
-        # the first levels' nodes would miss for s >> x^2
-        scale = min(1, x / mp.sqrt(max(s, 1)))
-
-        def f(v):
-            u = scale * v
-            z = mpc(x, u)
-            if len(P) == 1:
-                g = P[0] * z ** (-s)
-            else:
-                g = _horner(P, mp.log(z)) * z ** (-s)
-            if mode == "sin":
-                return g.real * -mp.log(-mp.expm1(-2 * mp.pi * u)) * scale
-            return -g.imag / mp.expm1(2 * mp.pi * u) * scale
-
-        return integrate_adaptive(f, 0, mp.inf, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -140,17 +140,17 @@ class TestCompute:
         assert code == 2 and "pole" in err
 
     def test_route_short_of_the_request_exits_3(self, capsys):
-        # Poisson's rotated integrand at s = 10^4, x = 1 is a peak of width
-        # x/sqrt(s) under which the phase turns ~sqrt(s) times: the route
-        # falls short of 20 digits, and its claim says so and still covers
-        # the actual error
+        # Poisson's rotated integrand at s = 10^6, x = 1 is a peak of width
+        # x/sqrt(s) under which the phase turns ~sqrt(s) times: its panels
+        # run out of their node budget, the route falls short of 20
+        # digits, and its claim says so and still covers the actual error
         code, doc = compute_json(
-            capsys, "compute", "zeta", "-s", "10000", "-x", "1",
+            capsys, "compute", "zeta", "-s", "1000000", "-x", "1",
             "--method", "poisson", "--digits", "20", "--no-cache")
         assert code == 3
         assert doc["result"]["converged"] is False
         with mp.workdps(60):
-            ref = mp.zeta(10000, 1)
+            ref = mp.zeta(1000000, 1)
             claim = mpf(doc["result"]["err_estimate"])
             assert claim > mpf(10) ** -20 * max(1, abs(ref))
             assert abs(mpf(doc["result"]["value"]) - ref) <= claim
@@ -388,8 +388,11 @@ class TestTable:
         assert len(rows) == 1
 
     def test_unconverged_rows_exit_3(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "zeta", "-s", "10000",
-                               "--method", "poisson", "--grid", "1:1.0001:2",
+        # Poisson at s = 10^6 runs out of its node budget; at x = 1.00001
+        # zeta(s, x) is still 5e-5 (at 1.0001 it is 3e-44, which the first
+        # panels meet)
+        code, out, _ = run_cli(capsys, "table", "zeta", "-s", "1000000",
+                               "--method", "poisson", "--grid", "1:1.00001:2",
                                "--digits", "20")
         assert code == 3
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -579,7 +582,8 @@ def test_compute_imports_neither_suites_nor_a_pool(tmp_path):
     argv = ["compute", "digamma", "-x", "2.5", "--digits", "20",
             "--cache-dir", str(tmp_path)]
     unused = ["stieltjes.suites", "multiprocessing", "csv", "stieltjes.fourier",
-              "stieltjes.constants", "stieltjes.hurwitz", "dataclasses"]
+              "stieltjes.constants", "stieltjes.hurwitz", "dataclasses",
+              "stieltjes.gauss"]
     assert _modules_after(argv, unused + ["mpmath"]) == [0, False, "mpmath"]
     # a hit reads one JSON file: no mpmath, no computing module
     computing = ["mpmath", "stieltjes.core", "stieltjes.kernels",

@@ -1,18 +1,19 @@
+import time
 from fractions import Fraction
 
 import pytest
 from mpmath import iv, mp, mpf
 
-from stieltjes import kernels
+from stieltjes import gauss, kernels
 from stieltjes.constants import briggs_gamma
 from stieltjes.core import DomainError, PoleError, PrecisionConfig
-from stieltjes.fourier import gamma1_fourier, sondow_gamma
+from stieltjes.fourier import gamma1_fourier, kolbig_check, sondow_gamma
 from stieltjes.gammafuncs import (_log_kernel_bracket, bourguet_log_gamma,
                                   digamma)
 from stieltjes.hurwitz import (poisson_zeta, zeta_doubleprime0, zeta_fourier,
                                zeta_prime0)
 from stieltjes.kernels import (hurwitz_zeta_em, integrate_adaptive,
-                               integrate_oscillatory,
+                               integrate_analytic, integrate_oscillatory,
                                sum_alternating_accelerated, sum_oscillatory,
                                sum_trig_averaged)
 
@@ -363,9 +364,9 @@ class TestOscillatorySum:
         assert_claim(sum_oscillatory([0, 1], 1, x, "cos", cfg20), closed, 20)
 
     def test_is_one_adaptive_integral(self, cfg20, monkeypatch):
-        # the n-sum is summed under one rotated integral, whose result is
-        # the kernel's
-        calls = record_results(monkeypatch, kernels, "integrate_adaptive")
+        # the n-sum is summed under one rotated integral on adaptive
+        # panels, whose result is the kernel's
+        calls = record_results(monkeypatch, gauss, "integrate_analytic")
         res = sum_oscillatory([1], 2, 1, "cos", cfg20)
         assert len(calls) == 1 and calls[0] is res
 
@@ -377,6 +378,103 @@ class TestOscillatorySum:
         res = sum_oscillatory([1], s, 1, "cos", cfg20)
         assert not res.converged
         assert_covers(res, lambda: (mp.zeta(s) - mpf(1) / 2 - 1 / (s - 1)) / 2)
+
+
+def _peak(c, h, rho):
+    # |exp(-w^2)| = exp(Im(w)^2 - Re(w)^2), w = (z - 0.3) / 10^-3, on the
+    # ellipse: |Im z| <= its half-height, |Re z - 0.3| >= its gap to 0.3
+    half_width = h * (rho + 1 / rho) / 2
+    height = h * (rho - 1 / rho) / 2
+    gap = max(0.0, 0.3 - (c + half_width), (c - half_width) - 0.3)
+    return (height / 1e-3) ** 2 - (gap / 1e-3) ** 2
+
+
+# the parent rule's evaluations at 20 and 100 digits: Kolbig's psi sin took
+# 281 and 1,353, the oscillatory sums 561 and 2,705
+_KOLBIG_EVALS = {20: 281 // 5, 100: 1353 // 5}
+_OSCILLATORY_EVALS = {20: 561 // 3, 100: 2705 // 3}
+
+
+class TestAnalyticQuadrature:
+    def test_narrow_peak_is_right_or_unconverged(self, cfg20):
+        # tanh-sinh levels that both miss the peak agree on 7e-58 with
+        # converged: true; panels split where the ellipse bound is large
+        res = integrate_analytic(
+            lambda t: mp.exp(-((t - mpf("0.3")) / mpf("1e-3")) ** 2),
+            0, 1, _peak, cfg20)
+
+        def exact():
+            d = mpf("1e-3")
+            return d * mp.sqrt(mp.pi) / 2 * (mp.erf(mpf("0.7") / d)
+                                             + mp.erf(mpf("0.3") / d))
+
+        if res.converged:
+            assert_claim(res, exact, 20)
+        else:
+            assert_covers(res, exact)
+
+    @pytest.mark.parametrize("digits", [20, 100])
+    def test_kolbig_integral_claim_and_evaluations(self, digits):
+        res = kolbig_check(PrecisionConfig(digits=digits))[2]
+        assert_claim(res, _kolbig_closed_form, digits)
+        assert res.terms_used <= _KOLBIG_EVALS[digits]
+
+    @pytest.mark.parametrize("digits", [20, 100])
+    @pytest.mark.parametrize("label,route,exact", [
+        ("briggs", lambda c: briggs_gamma(0, 1, c), lambda: mp.stieltjes(0, 1)),
+        ("poisson", lambda c: poisson_zeta(3, mpf(3) / 2, c),
+         lambda: mp.zeta(3, mpf(3) / 2)),
+        ("bourguet", lambda c: bourguet_log_gamma(mpf(5) / 2, c),
+         lambda: mp.loggamma(mpf(5) / 2))], ids=["briggs", "poisson",
+                                                 "bourguet"])
+    def test_oscillatory_evaluations(self, label, route, exact, digits):
+        res = route(PrecisionConfig(digits=digits))
+        assert_claim(res, exact, digits)
+        assert res.terms_used <= _OSCILLATORY_EVALS[digits]
+
+    @pytest.mark.parametrize("x", [mpf(3) / 2, 1])
+    def test_poisson_at_s_1e4(self, x, cfg20):
+        # the panels follow the peak of width x/sqrt(s) within the node
+        # budget, about 0.2 s at x = 1 on a 2-core machine; at x = 3/2 the
+        # whole sum lies below 1.5^-10000, and the first panels say so
+        start = time.perf_counter()
+        res = poisson_zeta(10 ** 4, x, cfg20)
+        assert time.perf_counter() - start < 20
+        assert res.terms_used <= gauss.GL_BUDGET
+        assert_claim(res, lambda: mp.zeta(10 ** 4, x), 20)
+
+    def test_rejects_s_below_one(self, cfg20):
+        with pytest.raises(DomainError):
+            sum_oscillatory([1], mpf(1) / 2, 1, "sin", cfg20)
+
+    def test_nodes_integrate_polynomials_exactly(self):
+        # n Gauss-Legendre nodes integrate t^k over [-1, 1] exactly for
+        # k < 2n
+        prec = PrecisionConfig(digits=20).working_bits
+        nodes = gauss._gl_nodes(prec)
+        with mp.workprec(prec):
+            for k in range(0, 4 * len(nodes), 2):
+                total = 2 * mp.fsum(w * x ** k for x, w in nodes)
+                assert abs(total - mpf(2) / (k + 1)) <= mpf(2) ** (8 - prec)
+
+    def test_warm_calls_equal_cold_calls(self, cfg20, cfg30):
+        # the node tables change no bit of any result, whatever ran
+        # between, and stay within their bound
+        def bits(res):
+            return res.value._mpf_, res.err_estimate._mpf_, res.terms_used
+
+        calls = [lambda: briggs_gamma(1, mpf(3) / 2, cfg20),
+                 lambda: kolbig_check(cfg30)[2],
+                 lambda: poisson_zeta(mpf(5) / 2, 2, cfg20)]
+        cold = []
+        for call in calls:
+            gauss._gl_nodes.cache_clear()
+            cold.append(bits(call()))
+        for digits in range(10, 10 + 2 * gauss.GL_TABLES):
+            gauss._gl_nodes(PrecisionConfig(digits=digits).working_bits)
+        assert gauss._gl_nodes.cache_info().currsize == gauss.GL_TABLES
+        assert [bits(call()) for call in calls] == cold
+        assert [bits(call()) for call in reversed(calls)] == cold[::-1]
 
 
 class TestZetaEM:

@@ -31,7 +31,11 @@ is whichever ``stieltjes`` is on the path, so the same script times any
 checkout.  The Hasse rows (``hasse_gamma``, ``digamma_hasse_series``,
 ``zeta_hasse``) also give ``cold_seconds``: one call after the tail's
 table caches are cleared, what each process (and each ``validate``
-worker) pays once.
+worker) pays once.  Every row whose route runs a quadrature kernel
+(``integrate_adaptive``, or ``integrate_analytic`` where the checkout has
+it) gives ``evaluations``, the integrand evaluations of one call; Kolbig's
+integral int_0^1 psi(t) sin(pi t) dt (``kolbig_check I``) has a row of its
+own.  ``--only NAME`` (repeatable) times just the named routes.
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import sys
 import time
 from fractions import Fraction
+from importlib import import_module
 
 from mpmath import mp, mpf
 
@@ -116,6 +122,11 @@ def _kolbig_s1_reference(digits):
                    for j in range(1, mp.prec // 4 + 2))
 
 
+def _kolbig_reference(digits):
+    # Kolbig: -(2/pi)(gamma + log 2 pi + 2 S1)
+    return -(2 / mp.pi) * (_glog() + 2 * _kolbig_s1_reference(digits))
+
+
 def _sondow_half(digits):
     # sum 2^-(n-1) (1/n - log(1+1/n)), its rest below 2^-n
     return mp.fsum(mpf(2) ** (1 - n) * (mpf(1) / n - mp.log1p(mpf(1) / n))
@@ -165,6 +176,8 @@ ROUTES = {
     "_kolbig_s1": (_at_workprec(fourier._kolbig_s1), _kolbig_s1_reference),
     "_kolbig_s2": (_at_workprec(fourier._kolbig_s2),
                    lambda d: 2 * _kolbig_s1_reference(d)),
+    "kolbig_check I": (lambda cfg: fourier.kolbig_check(cfg)[2],
+                       _kolbig_reference),
     "ramanujan_exp_sum": (ramanujan_exp_sum,
                           lambda d: (mp.log(4 / mp.pi) / 4
                                      + mp.loggamma(mpf(3) / 4) - mp.pi / 12)),
@@ -201,6 +214,32 @@ ROUTES = {
         lambda cfg: sondow_gamma(CIRCLE, cfg, route="2q"),
         lambda d: sondow_gamma(CIRCLE, PrecisionConfig(digits=d + 40)).value),
 }
+
+
+QUADRATURES = ("integrate_adaptive", "integrate_analytic")
+EVALUATIONS = [0]  # integrand evaluations since the last reset
+
+
+def _count_evaluations():
+    """Rebind the quadrature kernels in every loaded module of the package
+    that binds them, so that each call adds its ``terms_used`` to
+    EVALUATIONS."""
+    def counted(inner):
+        def call(*args, **kwargs):
+            res = inner(*args, **kwargs)
+            EVALUATIONS[0] += res.terms_used
+            return res
+        return call
+
+    try:  # loaded on first use, where the checkout has it
+        import_module("stieltjes.gauss")
+    except ImportError:
+        pass
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("stieltjes."):
+            for name in QUADRATURES:
+                if name in vars(module):
+                    setattr(module, name, counted(vars(module)[name]))
 
 
 def _timed(call, repeat):
@@ -243,10 +282,17 @@ def _exact(q):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--only", action="append", choices=sorted(ROUTES),
+                        help="time just this route (repeatable)")
     args = parser.parse_args()
+    _count_evaluations()
     rows = []
     for digits in DIGITS:
         cfg = PrecisionConfig(digits=digits)
+        if args.only:
+            for name in args.only:
+                rows.append(_route_row(name, digits, cfg, args.repeat))
+            continue
         # x and s pass as strings, which every version of the routes reads
         for x in XS:
             for name, (coeff, mode, odd, closed) in FAMILIES.items():
@@ -265,16 +311,24 @@ def main():
                             lambda: mp.zeta(_exact(Fraction(s)), _exact(x)),
                             digits))
             rows.append(row)
-        for name, (call, reference) in ROUTES.items():
+        for name in ROUTES:
             if name in SLOW_ROUTES and digits != 20:
                 continue
-            row = {"route": name, "digits": digits}
-            if name.startswith(HASSE_ROUTES):
-                row["cold_seconds"] = _cold(lambda: call(cfg))
-            res, best = _timed(lambda: call(cfg), args.repeat)
-            row.update(_row(res, best, lambda: reference(digits), digits))
-            rows.append(row)
+            rows.append(_route_row(name, digits, cfg, args.repeat))
     print(json.dumps({"rows": rows}, indent=1))
+
+
+def _route_row(name, digits, cfg, repeat):
+    call, reference = ROUTES[name]
+    row = {"route": name, "digits": digits}
+    if name.startswith(HASSE_ROUTES):
+        row["cold_seconds"] = _cold(lambda: call(cfg))
+    EVALUATIONS[0] = 0
+    res, best = _timed(lambda: call(cfg), repeat)
+    if EVALUATIONS[0]:
+        row["evaluations"] = EVALUATIONS[0] // repeat
+    row.update(_row(res, best, lambda: reference(digits), digits))
+    return row
 
 
 if __name__ == "__main__":
