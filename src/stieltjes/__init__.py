@@ -9,7 +9,7 @@ which only reports them (the CLI's argument checks) imports no mpmath;
 
 from importlib import import_module
 
-__version__ = "0.6.9"
+__version__ = "0.6.10"
 
 
 class DomainError(ValueError):
@@ -25,7 +25,8 @@ _EXPORTS = {
     "core": ("DEFAULT_CFG", "PrecisionConfig", "SeriesResult"),
     "kernels": ("hurwitz_zeta_em", "integrate_adaptive",
                 "integrate_oscillatory", "sum_alternating_accelerated",
-                "sum_oscillatory", "sum_trig_averaged"),
+                "sum_trig_averaged"),
+    "gauss": ("sum_oscillatory",),
     "gammafuncs": ("bourguet_log_gamma", "digamma", "digamma_log_integral",
                    "log_gamma", "polygamma"),
     "hurwitz": ("poisson_zeta", "zeta", "zeta_doubleprime0", "zeta_fourier",
@@ -38,7 +39,8 @@ _EXPORTS = {
     "fourier": ("deninger_closed", "deninger_f", "gamma1_fourier",
                 "kolbig_check", "kummer_log_gamma", "landau_f_functional",
                 "lerch_transform", "series_316", "series_325_family",
-                "sondow_gamma", "wallis_alternating"),
+                "series_327_rational", "sondow_gamma",
+                "wallis_alternating"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -15,7 +15,7 @@ Routes (the ``gamma_m`` rows of :data:`stieltjes.routes.TABLE`):
 * ``briggs``         -- cosine-integral representation (m in {0,1}),
                         its sum over n rotated onto the imaginary axis
                         and summed as one integral by
-                        ``kernels.sum_oscillatory``.
+                        ``gauss.sum_oscillatory``.
 * ``laurent_oracle`` -- the definition limit with an Euler-Maclaurin tail;
                         deliberately shares no code with the other routes.
 """
@@ -177,7 +177,7 @@ def briggs_gamma(m: int, x,
     """gamma_m(x) from the cosine-integral representation, m in {0, 1}.
 
     log^m(x)/(2x) - log^(m+1)(x)/(m+1) plus twice the cosine sum of
-    kernels.sum_oscillatory with P = L^m and s = 1; x < 1 is shifted up by
+    gauss.sum_oscillatory with P = L^m and s = 1; x < 1 is shifted up by
     gamma_m(x) = gamma_m(x+1) + log^m(x)/x.
     """
     from .gauss import sum_oscillatory

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from mpmath import iv, mp, mpc, mpf
 
@@ -124,20 +124,7 @@ def _rebuild_config(digits, tolerance):
     return PrecisionConfig(digits, tolerance=tolerance)
 
 
-class _Record:
-    """Field-wise equality and repr for the plain result classes."""
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"{type(self).__name__}({fields})"
-
-
-class SeriesResult(_Record):
+class SeriesResult(NamedTuple):
     """A value, the error its route claims for it, and the request it met.
 
     Every evaluator whose result is printed returns one.  ``err_estimate``
@@ -152,12 +139,10 @@ class SeriesResult(_Record):
     complex value is judged by its modulus.
     """
 
-    def __init__(self, value: Union[mpf, mpc], err_estimate: mpf,
-                 terms_used: int, tol: mpf):
-        self.value = value
-        self.err_estimate = err_estimate
-        self.terms_used = terms_used
-        self.tol = tol
+    value: Union[mpf, mpc]
+    err_estimate: mpf
+    terms_used: int
+    tol: mpf
 
     @property
     def converged(self) -> bool:
@@ -166,7 +151,7 @@ class SeriesResult(_Record):
         return bool(self.err_estimate <= self.tol * max(1, abs(self.value)))
 
 
-class IdentityReport(_Record):
+class IdentityReport(NamedTuple):
     """Machine-readable outcome of one identity check.
 
     :meth:`build` decides the verdict, here and nowhere else, from the
@@ -176,17 +161,14 @@ class IdentityReport(_Record):
     ``tolerance``.
     """
 
-    def __init__(self, identity: str, lhs: mpf, rhs: mpf, residual: mpf,
-                 tolerance: mpf, passed: bool, x: Optional[mpf] = None,
-                 meta: str = ""):
-        self.identity = identity
-        self.lhs = lhs
-        self.rhs = rhs
-        self.residual = residual
-        self.tolerance = tolerance
-        self.passed = passed
-        self.x = x
-        self.meta = meta
+    identity: str
+    lhs: mpf
+    rhs: mpf
+    residual: mpf
+    tolerance: mpf
+    passed: bool
+    x: Optional[mpf] = None
+    meta: str = ""
 
     @classmethod
     def build(cls, identity, lhs, rhs, tol, x=None, meta=""):

@@ -143,42 +143,42 @@ def gamma1_fourier(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
                        lerch_transform(d_n, "cos", x, cfg), tol=cfg.tol())
 
 
-def series_325_family(x, which: str, cfg: PrecisionConfig = DEFAULT_CFG
-                      ) -> mpf:
-    """Closed forms of the log(1+1/n) trigonometric family on (0,1).
+def series_325_family(x, cfg: PrecisionConfig = DEFAULT_CFG) -> tuple:
+    """Closed forms of the log(1+1/n) trigonometric family at x in (0,1).
 
-    ``which`` selects the series: "3.25" sum log(1+1/n) cos((2n+1) pi x) and,
-    at an exact rational x, "3.27" the same in log Gamma(j/q); "3.28"
-    sum log(1+1/n) cos(2 pi n x) and "3.29" its sine companion.  All but
-    3.27 are in gamma_1(1-x) - gamma_1(x), by the Hasse route.
+    Returns (3.25, 3.28, 3.29): 3.25 sum log(1+1/n) cos((2n+1) pi x),
+    3.28 sum log(1+1/n) cos(2 pi n x) and 3.29 its sine companion.  All
+    three are in one gamma_1(1-x) - gamma_1(x), by the Hasse route, and
+    the last two in one psi(x) as well.
     """
     with cfg.workprec(40):
-        if which == "3.27":
-            r = Fraction(x)
-            if not 0 < r < 1:
-                raise DomainError("rational x must lie in (0,1)")
-            p, q = r.numerator, r.denominator
-            value = mp.log(q) * mp.cospi(mpf(p) / q)
-            gsum = mpf(0)
-            for j in range(1, q):
-                gsum += (gammafuncs.log_gamma(mpf(j) / q, cfg).value
-                         * mp.sinpi(mpf(2 * j * p) / q))
-            return value - 2 * mp.sinpi(mpf(p) / q) * gsum
-        if which not in ("3.25", "3.28", "3.29"):
-            raise ValueError(f"unknown family member {which!r}")
         x = as_real(x)
         if not 0 < x < 1:
             raise DomainError("x must lie in (0,1)")
         sx, cx = mp.sin(mp.pi * x), mp.cos(mp.pi * x)
         g1_diff = (hasse_gamma(1, 1 - x, cfg).value
                    - hasse_gamma(1, x, cfg).value)
-        if which == "3.25":
-            return g1_diff * sx / mp.pi - (mp.euler + mp.log(2 * mp.pi)) * cx
+        glog = mp.euler + mp.log(2 * mp.pi)
         psi = gammafuncs.digamma(x, cfg).value * sx + mp.pi / 2 * cx
-        if which == "3.28":
-            return (g1_diff * sx * cx / mp.pi - (mp.euler + mp.log(2 * mp.pi))
-                    - psi * sx)
-        return -g1_diff * sx ** 2 / mp.pi - psi * cx
+        return (g1_diff * sx / mp.pi - glog * cx,
+                g1_diff * sx * cx / mp.pi - glog - psi * sx,
+                -g1_diff * sx ** 2 / mp.pi - psi * cx)
+
+
+def series_327_rational(x, cfg: PrecisionConfig = DEFAULT_CFG) -> mpf:
+    """3.27: the sum of 3.25, sum log(1+1/n) cos((2n+1) pi x), at an
+    exact rational x = p/q in (0,1), in log Gamma(j/q)."""
+    with cfg.workprec(40):
+        r = Fraction(x)
+        if not 0 < r < 1:
+            raise DomainError("rational x must lie in (0,1)")
+        p, q = r.numerator, r.denominator
+        value = mp.log(q) * mp.cospi(mpf(p) / q)
+        gsum = mpf(0)
+        for j in range(1, q):
+            gsum += (gammafuncs.log_gamma(mpf(j) / q, cfg).value
+                     * mp.sinpi(mpf(2 * j * p) / q))
+        return value - 2 * mp.sinpi(mpf(p) / q) * gsum
 
 
 _S1_DIRECT = 128  # longest direct sum for a term of Kolbig's S1
@@ -243,9 +243,9 @@ def _kolbig_s2(cfg) -> SeriesResult:
                    terms=N + tail.terms_used)
 
 
-def _kolbig_bound(c: float, h: float, rho: float) -> float:
-    """log of a majorant of |psi(z) sin(pi z)| on the Bernstein ellipse
-    E_rho of the panel [c - h, c + h].
+def _kolbig_bound(c: float, ha: float, beta: float) -> float:
+    """log of a majorant of |psi(z) sin(pi z)| on the ellipse with centre
+    c and semi-axes ha along the real line and beta across it.
 
     psi(z) sin(pi z) = psi(z + N) sin(pi z) - sum_{k<N} sin(pi z)/(z + k),
     N the least integer that puts Re(z + N) >= sigma >= 1/2 on E.  From
@@ -255,8 +255,6 @@ def _kolbig_bound(c: float, h: float, rho: float) -> float:
     sinh(pi |w|)/|w| <= e^(pi |w|)/(2 |w|), increasing in |w|, every
     factor is largest where |Im z| and |z + k| are, which E bounds by its
     semi-axes."""
-    ha = h * (rho + 1 / rho) / 2
-    beta = h * (rho - 1 / rho) / 2
     low = c - ha  # least Re z on E
     N = max(0, math.ceil(0.5 - low))
     psi = 0.5773 + (abs(c + N - 1) + ha) * (1 / (low + N) + 1)

@@ -5,7 +5,7 @@ psi^(k)(x) = (-1)^(k+1) k! zeta(k+1, x) all come from
 ``kernels._em_log_power_sum``, whose cost does not grow with x, on the
 integer fixed point of :mod:`stieltjes.fixed`.  The oscillatory-integral
 form of log Gamma (Bourguet, its sum over n rotated
-onto the imaginary axis by ``kernels.sum_oscillatory``) and the integral
+onto the imaginary axis by ``gauss.sum_oscillatory``) and the integral
 form of psi(x) - log x are kept as independent sides of identity checks.
 """
 
@@ -87,7 +87,7 @@ def bourguet_log_gamma(x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
 
     Cross-check of log_gamma: Stirling-like elementary part plus
     (1/pi) sum_n (1/n) int_0^inf sin(2 pi n t)/(x+t) dt, the sine sum of
-    kernels.sum_oscillatory; x < 1 is shifted up by
+    gauss.sum_oscillatory; x < 1 is shifted up by
     log Gamma(x) = log Gamma(x+1) - log x.
     """
     from .gauss import sum_oscillatory

@@ -2,16 +2,16 @@
 oscillatory sums that run on them.
 
 :func:`integrate_analytic` and :func:`sum_oscillatory` are two of the
-package's kernels; ``kernels`` hands them out on first use, and their
-callers import them where they call them, so that a process that never
-integrates does not compile this module.  For f analytic on the
-Bernstein ellipse E_rho of a panel and at most M there, the n-point rule
-errs by at most (64/15) M rho^-2n / (rho^2 - 1) on [-1, 1] (Trefethen,
-*Approximation Theory and Approximation Practice*, Thm 19.3); the caller
-supplies M, and panels are bisected until their bounds meet the request
-(as Johansson, arXiv:1802.07942, does in ball arithmetic).  The nodes of
-one rule per node precision are kept in a process-wide table,
-:func:`_gl_nodes`, at most ``GL_TABLES`` of them.
+package's kernels; their callers import them where they call them, and
+the package's own table hands out ``sum_oscillatory`` on first use, so
+that a process that never integrates does not compile this module.  For
+f analytic on the Bernstein ellipse E_rho of a panel and at most M there,
+the n-point rule errs by at most (64/15) M rho^-2n / (rho^2 - 1) on
+[-1, 1] (Trefethen, *Approximation Theory and Approximation Practice*,
+Thm 19.3); the caller supplies M, and panels are bisected until their
+bounds meet the request (as Johansson, arXiv:1802.07942, does in ball
+arithmetic).  The nodes of one rule per node precision are kept in a
+process-wide table, :func:`_gl_nodes`, at most ``GL_TABLES`` of them.
 """
 
 from __future__ import annotations
@@ -86,13 +86,15 @@ def _gl_nodes(prec: int) -> tuple:
 def _panel_bound(bound, c: float, h: float, n: int, j: int):
     """(log of the least Gauss-Legendre bound found, the j it took): the
     n-point rule on [c - h, c + h] errs by at most (64/15) M h rho^-2n /
-    (rho^2 - 1) for M = exp(bound(c, h, rho)) >= |f| on the panel's
-    Bernstein ellipse E_rho (Trefethen, ATAP, Thm 19.3, scaled by h).
-    rho = 1 + 2^(j/2) walks from the given j, down while the bound is
-    infinite, then to a local least bound."""
+    (rho^2 - 1) for M = exp(bound(c, major, minor)) >= |f| on the panel's
+    Bernstein ellipse E_rho, whose semi-axes are h (rho +- 1/rho) / 2
+    (Trefethen, ATAP, Thm 19.3, scaled by h).  rho = 1 + 2^(j/2) walks
+    from the given j, down while the bound is infinite, then to a local
+    least bound."""
     def err(j):
         rho = 1 + 2 ** (j / 2)
-        return (_LOG_64_15 + bound(c, h, rho) + math.log(h)
+        major, minor = h * (rho + 1 / rho) / 2, h * (rho - 1 / rho) / 2
+        return (_LOG_64_15 + bound(c, major, minor) + math.log(h)
                 - 2 * n * math.log(rho) - math.log(rho * rho - 1))
 
     best = err(j)
@@ -115,16 +117,18 @@ def integrate_analytic(f: Callable, a, b, bound: Callable,
     bounded off the real line.
 
     f is analytic on a neighbourhood of [a, b] and returns an mpf, or an
-    (mpf, its own error bound) pair.  ``bound(c, h, rho)``, on floats,
-    returns the log of an M >= |f| on the Bernstein ellipse E_rho of the
-    panel [c - h, c + h] (foci c +- h, semi-axes h (rho +- 1/rho) / 2), or
-    inf where f is not analytic on it; by the maximum-modulus principle it
-    suffices to bound |f| on the ellipse's boundary.  Every panel runs the
-    same rule, n = :func:`_gl_degree` nodes from :func:`_gl_nodes` at the
-    working precision, and its error is at most (64/15) M h rho^-2n /
-    (rho^2 - 1) (:func:`_panel_bound`).  A panel whose least bound exceeds
-    its share of tol/16 - ``rest``, in proportion to its length, is
-    bisected, so panels crowd where f varies fast, as about a narrow peak.
+    (mpf, its own error bound) pair, a plain tuple.  ``bound(c, major,
+    minor)``, on floats, returns the log of an M >= |f| on the Bernstein
+    ellipse E_rho of the panel [c - h, c + h], the ellipse with centre c,
+    foci c +- h and semi-axes major = h (rho + 1/rho) / 2 along the real
+    line and minor = h (rho - 1/rho) / 2 across it, or inf where f is not
+    analytic on it; by the maximum-modulus principle it suffices to bound
+    |f| on the ellipse's boundary.  Every panel runs the same rule, n =
+    :func:`_gl_degree` nodes from :func:`_gl_nodes` at the working
+    precision, and its error is at most (64/15) M h rho^-2n / (rho^2 - 1)
+    (:func:`_panel_bound`).  A panel whose least bound exceeds its share
+    of tol/16 - ``rest``, in proportion to its length, is bisected, so
+    panels crowd where f varies fast, as about a narrow peak.
     ``rest`` bounds what the caller leaves out of [a, b], such as the tail
     of an infinite range.
 
@@ -185,14 +189,6 @@ def integrate_analytic(f: Callable, a, b, bound: Callable,
 # The oscillatory sums of the Briggs, Poisson and Bourguet routes, rotated
 # onto the imaginary axis, where their integrand is analytic off two rays.
 # ---------------------------------------------------------------------------
-
-def _horner(P, L):
-    """P(L) for coefficients P in ascending powers."""
-    pv = mpf(0)
-    for c in reversed(P):
-        pv = pv * L + c
-    return pv
-
 
 def _log_expm1(y: float) -> float:
     """log(e^y - 1) for y > 0, without overflow."""
@@ -298,9 +294,7 @@ def sum_oscillatory(poly, s, x, mode: str,
         lk = math.log(float(kappa))
         Qf, Q1f = [float(q) for q in Q], [float(q) for q in Q1]
 
-        def bound(c, h, rho):
-            ha = h * (rho + 1 / rho) / 2
-            beta = h * (rho - 1 / rho) / 2
+        def bound(c, ha, beta):
             uL, uR = c - ha, c + ha
             best = math.inf
             if uL > 0:
@@ -351,7 +345,7 @@ def sum_oscillatory(poly, s, x, mode: str,
         else:
             def f(u):
                 y = mpc(x, u)
-                phi = _horner(Q, mp.log(y)) if len(Q) > 1 else Q[0]
+                phi = mp.polyval(Q[::-1], mp.log(y)) if len(Q) > 1 else Q[0]
                 if e:
                     phi = phi * y ** e
                 return kappa * phi.imag * weight(u)

@@ -29,7 +29,7 @@ Routes:
   bound.
 * ``poisson_zeta`` -- Poisson summation, its cosine sum over n rotated
   onto the imaginary axis and summed as one integral by
-  ``kernels.sum_oscillatory``.
+  ``gauss.sum_oscillatory``.
 
 ``zeta``, ``zeta_prime0`` and ``zeta_doubleprime0`` run the route named in
 :data:`stieltjes.routes.TABLE` and return its own result; the latter two
@@ -432,7 +432,9 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
     """A_j = sum_{n>=0} 1/(n+1) * d^j/dc^j Delta_n[y^c](x) for each j in js.
 
     Delta_n[f](x) := sum_k (-1)^k C(n,k) f(k+x).  Returns {j: result}, each
-    result claiming the same err and counting the head length as its terms.
+    result claiming the same err and counting the same work as its terms:
+    the head's N + 1 terms and every evaluation of a tail integrand, value
+    and bound, over every j.
 
     The head, n <= N, is sum_k a_k f(k+x) with the exact weights of
     :func:`_head_weights`; err adds its rounding, Sum_k |a_k| |f(k+x)| <=
@@ -497,6 +499,7 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
         weights = [mpf(a.numerator) / a.denominator for a in _head_weights(N)]
         values = {}
         err_total = mpf(0)
+        terms = N + 1
         for j in js:
             fvals = [p * L ** j for p, L in zip(powc, logs)]
             values[j] = mp.fdot(weights, fvals)
@@ -547,10 +550,11 @@ def _hasse_parts(js, c, x, cfg: PrecisionConfig):
                     err_total += abs(phis[i]) * (val.err_estimate
                                                  + 2 * J.value
                                                  + J.err_estimate)
+                    terms += val.terms_used + J.terms_used
             values[j] = values[j] + acc
         values = {j: +v for j, v in values.items()}
         err_total += 4 * eps * sum(abs(v) for v in values.values())
-        return {j: SeriesResult(v, +err_total, N + 1, cfg.tol())
+        return {j: SeriesResult(v, +err_total, terms, cfg.tol())
                 for j, v in values.items()}
 
 
@@ -744,7 +748,7 @@ def poisson_zeta(s, x, cfg: PrecisionConfig = DEFAULT_CFG) -> SeriesResult:
     """zeta(s, x) from the Poisson-summation representation, s > 1.
 
     x^-s/2 + x^(1-s)/(s-1) plus twice the cosine sum of
-    kernels.sum_oscillatory; x < 1 is shifted up by
+    gauss.sum_oscillatory; x < 1 is shifted up by
     zeta(s, x) = x^-s + zeta(s, x+1).
     """
     from .gauss import sum_oscillatory

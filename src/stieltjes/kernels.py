@@ -25,25 +25,28 @@ Kernels:
 * ``integrate_adaptive`` -- tanh-sinh quadrature on finite or infinite
   ranges, stepped level by level until two levels agree at the request;
   its claim is an estimate.
-* ``integrate_analytic`` -- Gauss-Legendre panels of one degree per node
-  precision, split until a bound on each panel's error from a majorant of
-  the integrand on its Bernstein ellipse meets the request (Kolbig's
-  integral, ``fourier.kolbig_check``, and ``sum_oscillatory``).
 * ``integrate_oscillatory`` -- zero-aligned panels with Euler acceleration,
   at a precision sized to its stop, the request but at most 1e-12; no
   route of the package uses it.
-* ``sum_oscillatory`` -- sum over n of oscillatory integrals of
-  P(log(t+x)) (t+x)^-s (Briggs, Bourguet and Poisson routes), rotated onto
-  the imaginary axis, where the n-sum has a closed form, and summed as one
-  ``integrate_analytic`` integral.
 * ``hurwitz_zeta_em`` -- Euler-Maclaurin summation of zeta(s, x) and its
   s-derivatives for every real s != 1, on the engine
   ``_em_log_power_sum`` that also gives gamma_m(x), log Gamma and psi, on
   the integer fixed point of :mod:`stieltjes.fixed` like the
   trigonometric kernel and Hasse's tail.
 
-``integrate_analytic`` and ``sum_oscillatory`` live in
-:mod:`stieltjes.gauss`, which loads on first use (:func:`__getattr__`).
+Two more kernels live in :mod:`stieltjes.gauss`, which their callers
+import where they call them, so that a process that runs no such route,
+such as a ``compute`` on a default route, does not compile it:
+
+* ``gauss.integrate_analytic`` -- Gauss-Legendre panels of one degree per
+  node precision, split until a bound on each panel's error from a
+  majorant of the integrand on its Bernstein ellipse meets the request
+  (Kolbig's integral, ``fourier.kolbig_check``, and
+  ``gauss.sum_oscillatory``).
+* ``gauss.sum_oscillatory`` -- sum over n of oscillatory integrals of
+  P(log(t+x)) (t+x)^-s (Briggs, Bourguet and Poisson routes), rotated onto
+  the imaginary axis, where the n-sum has a closed form, and summed as one
+  ``integrate_analytic`` integral.
 """
 
 from __future__ import annotations
@@ -71,18 +74,6 @@ TERM_CAP = 10 ** 6
 _MAX_HALF_PERIODS = 80  # panel budget of integrate_oscillatory
 _TS_EXTRA_LEVELS = 2  # integrate_adaptive's levels past mpmath's default
 TS_GUARD_BITS = 40  # integrate_adaptive's nodes carry these beyond the digits
-_GAUSS = ("integrate_analytic", "sum_oscillatory")  # kernels in stieltjes.gauss
-
-
-def __getattr__(name):
-    """``integrate_analytic`` and ``sum_oscillatory`` from
-    :mod:`stieltjes.gauss`, imported on first use: a process that runs no
-    such route, such as a ``compute`` on a default route, neither compiles
-    nor loads it."""
-    if name in _GAUSS:
-        from . import gauss
-        return getattr(gauss, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _euler_diagonal(partials):
@@ -424,8 +415,8 @@ def integrate_adaptive(f: Callable[[mpf], mpf], a, b,
     evaluations.
 
     Its callers are the integrals with a branch point at an end and no
-    complex path that :func:`integrate_analytic` could bound: Hasse's tail
-    (``hurwitz._hasse_parts``), psi(x) - log x
+    complex path that :func:`stieltjes.gauss.integrate_analytic` could
+    bound: Hasse's tail (``hurwitz._hasse_parts``), psi(x) - log x
     (``gammafuncs.digamma_log_integral``), Coffey's integral
     (``constants.coffey_difference_integral``) and Sondow's
     (``fourier._sondow_integral``).
@@ -478,9 +469,10 @@ def integrate_oscillatory(g: Callable[[mpf], mpf], freq,
     precision follows it, and the claim is the acceleration's error plus
     the sum of the panels' own quadrature errors.
 
-    No route of the package uses it: :func:`sum_oscillatory` rotates its
-    integrals onto the imaginary axis instead.  It stays only because the
-    benchmark's tracer looks it up by name.
+    No route of the package uses it:
+    :func:`stieltjes.gauss.sum_oscillatory` rotates its integrals onto the
+    imaginary axis instead.  It stays only because the benchmark's tracer
+    looks it up by name.
     """
     if mode not in ("sin", "cos"):
         raise ValueError("mode must be 'sin' or 'cos'")

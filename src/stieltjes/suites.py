@@ -14,9 +14,9 @@ non-integer entry.  Each side is called as
 ``module.name`` inside a lambda, looked up at each call.
 
 A suite is a function instead only when its reports share one computation
-(kolbig, ramanujan, sondow), when its verdict is not a residual
-(gamma1-prime, a sign check), or when its meta carries a check made at run
-time (coffey-integral, the sign of the integrand).
+(kolbig, ramanujan, series-325-family, sondow), when its verdict is not a
+residual (gamma1-prime, a sign check), or when its meta carries a check
+made at run time (coffey-integral, the sign of the integrand).
 
 Reports whose meta carries the "paper-discrepancy" marker are recorded but
 do not count toward the suite exit status (they document a known defect in
@@ -186,8 +186,21 @@ def _log_ratio(n):
     return mp.log(1 + mpf(1) / n)
 
 
-def _family(which):
-    return lambda x, cfg: fourier.series_325_family(x, which, cfg)
+def _series_325_family(cfg) -> List[IdentityReport]:
+    # the sums of log(1+1/n) against their closed forms: 3.25, 3.28 and
+    # 3.29 at x = 1/3 share one gamma_1 difference and one psi; 3.27 at
+    # x = 1/4 is a sum over log Gamma(j/4)
+    third, quarter = F(1, 3), F(1, 4)
+    c325, c328, c329 = fourier.series_325_family(third, cfg)
+    c327 = fourier.series_327_rational(quarter, cfg)
+    return [IdentityReport.build(identity,
+                                 _trig_sum(_log_ratio, mode, odd)(x, cfg),
+                                 closed, cfg.tol(), as_real(x))
+            for identity, mode, odd, x, closed in (
+                ("odd-cosine-stieltjes", "cos", True, third, c325),
+                ("odd-cosine-rational", "cos", True, quarter, c327),
+                ("cosine-stieltjes", "cos", False, third, c328),
+                ("sine-stieltjes", "sin", False, third, c329))]
 
 
 _SHIFT = (lambda m, x, cfg: _gamma_diff(m, as_real(x), as_real(x) + 1, cfg),
@@ -268,15 +281,7 @@ CATALOGUE: Dict[str, object] = {
             (lambda x, cfg: fourier.gamma1_fourier(x, cfg),
              lambda x, cfg: _gamma(1, x, cfg)),
             (F(1, 4), F(1, 3), F(1, 2)))],
-    "series-325-family": [
-        Row("odd-cosine-stieltjes",
-            (_trig_sum(_log_ratio, "cos", True), _family("3.25")), (F(1, 3),)),
-        Row("odd-cosine-rational",
-            (_trig_sum(_log_ratio, "cos", True), _family("3.27")), (F(1, 4),)),
-        Row("cosine-stieltjes",
-            (_trig_sum(_log_ratio, "cos"), _family("3.28")), (F(1, 3),)),
-        Row("sine-stieltjes",
-            (_trig_sum(_log_ratio, "sin"), _family("3.29")), (F(1, 3),))],
+    "series-325-family": _series_325_family,
     "kolbig": _kolbig_three_way,
     "gamma1-rational": [
         Row("gamma1-rational-closed-form",

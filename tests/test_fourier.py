@@ -9,10 +9,12 @@ from stieltjes.constants import hasse_gamma, gamma1_rational
 from stieltjes.fourier import (deninger_closed, deninger_f, gamma1_fourier,
                                kolbig_check, kummer_log_gamma,
                                landau_f_functional, lerch_transform,
-                               series_316, series_325_family, sondow_gamma,
+                               series_316, series_325_family,
+                               series_327_rational, sondow_gamma,
                                wallis_alternating)
 from stieltjes.gammafuncs import digamma, log_gamma
 from stieltjes.kernels import sum_alternating_accelerated, sum_trig_averaged
+from stieltjes.suites import SUITES
 
 from conftest import assert_claim, assert_close, record_results, sides
 from reference_values import GAMMA, GAMMA1_HALF
@@ -156,21 +158,33 @@ def _log_ratio(x, mode, cfg, odd=False):
 class TestLogRatioFamily:
     def test_325_vanishes_at_half(self, cfg20):
         lhs = _log_ratio(mpf(1) / 2, "cos", cfg20, odd=True)
-        rhs = series_325_family(mpf(1) / 2, "3.25", cfg20)
+        rhs = series_325_family(mpf(1) / 2, cfg20)[0]
         assert abs(lhs) < mpf(10) ** -18  # cos((2n+1)pi/2) = 0 termwise
         assert abs(rhs) < mpf(10) ** -18
 
     def test_327_quarter(self, cfg20):
         assert_close(_log_ratio(mpf(1) / 4, "cos", cfg20, odd=True),
-                     series_325_family(Fraction(1, 4), "3.27", cfg20),
+                     series_327_rational(Fraction(1, 4), cfg20),
                      mpf(10) ** -5, "3.27")
 
     @pytest.mark.parametrize("which", ["3.28", "3.29"])
     def test_full_circle_forms(self, which, cfg20):
         x = mpf(1) / 3
-        mode = "cos" if which == "3.28" else "sin"
+        mode, closed = ("cos", 1) if which == "3.28" else ("sin", 2)
         assert_close(_log_ratio(x, mode, cfg20),
-                     series_325_family(x, which, cfg20), mpf(10) ** -4, which)
+                     series_325_family(x, cfg20)[closed], mpf(10) ** -4,
+                     which)
+
+    def test_suite_computes_each_value_once(self, monkeypatch, cfg20):
+        # gamma_1(2/3) and gamma_1(1/3) once each, shared by the three
+        # members at x = 1/3
+        calls = record_results(monkeypatch, fourier, "hasse_gamma")
+        reports = SUITES["series-325-family"](cfg20)
+        assert len(calls) == 2
+        assert [r.identity for r in reports] == [
+            "odd-cosine-stieltjes", "odd-cosine-rational",
+            "cosine-stieltjes", "sine-stieltjes"]
+        assert all(r.passed for r in reports)
 
     def test_329_sine_antisymmetry(self, cfg20):
         a = _log_ratio(mpf("0.3"), "sin", cfg20)

@@ -169,10 +169,13 @@ class TestHasseTables:
     def test_tail_is_one_integral(self, monkeypatch, cfg20):
         # one value and one bound integral over [0, inf); the two ranges
         # [0, 1] and [1, inf) took 4 integrals and 772 evaluations
+        # the result counts the head's terms and every tail evaluation
         calls = record_results(monkeypatch, hurwitz, "integrate_adaptive")
-        hasse_gamma(0, mpf(7) / 4, cfg20)
+        res = hasse_gamma(0, mpf(7) / 4, cfg20)
         assert len(calls) == 2
-        assert sum(res.terms_used for res in calls) <= 600
+        evaluations = sum(r.terms_used for r in calls)
+        assert evaluations <= 600
+        assert res.terms_used == hurwitz._HEAD_TERMS + 1 + evaluations
 
     def test_each_tail_table_is_fetched_once_per_call(self, cfg20):
         # r + 1 = 19 difference terms against an LRU of 16: fetched once

@@ -10,12 +10,12 @@ from stieltjes.core import DomainError, PoleError, PrecisionConfig
 from stieltjes.fourier import gamma1_fourier, kolbig_check, sondow_gamma
 from stieltjes.gammafuncs import (_log_kernel_bracket, bourguet_log_gamma,
                                   digamma)
+from stieltjes.gauss import integrate_analytic, sum_oscillatory
 from stieltjes.hurwitz import (poisson_zeta, zeta_doubleprime0, zeta_fourier,
                                zeta_prime0)
 from stieltjes.kernels import (hurwitz_zeta_em, integrate_adaptive,
-                               integrate_analytic, integrate_oscillatory,
-                               sum_alternating_accelerated, sum_oscillatory,
-                               sum_trig_averaged)
+                               integrate_oscillatory,
+                               sum_alternating_accelerated, sum_trig_averaged)
 
 from conftest import assert_claim, assert_close, assert_covers, record_results
 from reference_values import ETA3, OSC_LOG_RECIP, OSC_RECIP, ZETA2, ZETA3
@@ -380,11 +380,9 @@ class TestOscillatorySum:
         assert_covers(res, lambda: (mp.zeta(s) - mpf(1) / 2 - 1 / (s - 1)) / 2)
 
 
-def _peak(c, h, rho):
+def _peak(c, half_width, height):
     # |exp(-w^2)| = exp(Im(w)^2 - Re(w)^2), w = (z - 0.3) / 10^-3, on the
     # ellipse: |Im z| <= its half-height, |Re z - 0.3| >= its gap to 0.3
-    half_width = h * (rho + 1 / rho) / 2
-    height = h * (rho - 1 / rho) / 2
     gap = max(0.0, 0.3 - (c + half_width), (c - half_width) - 0.3)
     return (height / 1e-3) ** 2 - (gap / 1e-3) ** 2
 

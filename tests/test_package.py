@@ -17,7 +17,8 @@ EXPORTED = {
              "SeriesResult"),
     "kernels": ("hurwitz_zeta_em", "integrate_adaptive",
                 "integrate_oscillatory", "sum_alternating_accelerated",
-                "sum_oscillatory", "sum_trig_averaged"),
+                "sum_trig_averaged"),
+    "gauss": ("sum_oscillatory",),
     "gammafuncs": ("bourguet_log_gamma", "digamma", "digamma_log_integral",
                    "log_gamma", "polygamma"),
     "hurwitz": ("poisson_zeta", "zeta", "zeta_doubleprime0", "zeta_fourier",
@@ -30,7 +31,8 @@ EXPORTED = {
     "fourier": ("deninger_closed", "deninger_f", "gamma1_fourier",
                 "kolbig_check", "kummer_log_gamma", "landau_f_functional",
                 "lerch_transform", "series_316", "series_325_family",
-                "sondow_gamma", "wallis_alternating"),
+                "series_327_rational", "sondow_gamma",
+                "wallis_alternating"),
 }
 PAIRS = [(m, n) for m, names in EXPORTED.items() for n in names]
 

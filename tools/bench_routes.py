@@ -31,11 +31,12 @@ is whichever ``stieltjes`` is on the path, so the same script times any
 checkout.  The Hasse rows (``hasse_gamma``, ``digamma_hasse_series``,
 ``zeta_hasse``) also give ``cold_seconds``: one call after the tail's
 table caches are cleared, what each process (and each ``validate``
-worker) pays once.  Every row whose route runs a quadrature kernel
-(``integrate_adaptive``, or ``integrate_analytic`` where the checkout has
-it) gives ``evaluations``, the integrand evaluations of one call; Kolbig's
-integral int_0^1 psi(t) sin(pi t) dt (``kolbig_check I``) has a row of its
-own.  ``--only NAME`` (repeatable) times just the named routes.
+worker) pays once.  ``terms`` is the result's own ``terms_used``: for a
+route that runs a quadrature kernel it counts the integrand evaluations
+with the terms summed, and for the Hasse rows the head's terms and every
+evaluation of the tail's integrands.  Kolbig's integral
+int_0^1 psi(t) sin(pi t) dt (``kolbig_check I``) has a row of its own.
+``--only NAME`` (repeatable) times just the named routes.
 """
 
 from __future__ import annotations
@@ -43,10 +44,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import sys
 import time
 from fractions import Fraction
-from importlib import import_module
 
 from mpmath import mp, mpf
 
@@ -216,32 +215,6 @@ ROUTES = {
 }
 
 
-QUADRATURES = ("integrate_adaptive", "integrate_analytic")
-EVALUATIONS = [0]  # integrand evaluations since the last reset
-
-
-def _count_evaluations():
-    """Rebind the quadrature kernels in every loaded module of the package
-    that binds them, so that each call adds its ``terms_used`` to
-    EVALUATIONS."""
-    def counted(inner):
-        def call(*args, **kwargs):
-            res = inner(*args, **kwargs)
-            EVALUATIONS[0] += res.terms_used
-            return res
-        return call
-
-    try:  # loaded on first use, where the checkout has it
-        import_module("stieltjes.gauss")
-    except ImportError:
-        pass
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("stieltjes."):
-            for name in QUADRATURES:
-                if name in vars(module):
-                    setattr(module, name, counted(vars(module)[name]))
-
-
 def _timed(call, repeat):
     best = float("inf")
     for _ in range(repeat):
@@ -285,7 +258,6 @@ def main():
     parser.add_argument("--only", action="append", choices=sorted(ROUTES),
                         help="time just this route (repeatable)")
     args = parser.parse_args()
-    _count_evaluations()
     rows = []
     for digits in DIGITS:
         cfg = PrecisionConfig(digits=digits)
@@ -323,10 +295,7 @@ def _route_row(name, digits, cfg, repeat):
     row = {"route": name, "digits": digits}
     if name.startswith(HASSE_ROUTES):
         row["cold_seconds"] = _cold(lambda: call(cfg))
-    EVALUATIONS[0] = 0
     res, best = _timed(lambda: call(cfg), repeat)
-    if EVALUATIONS[0]:
-        row["evaluations"] = EVALUATIONS[0] // repeat
     row.update(_row(res, best, lambda: reference(digits), digits))
     return row
 
